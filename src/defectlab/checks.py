@@ -54,6 +54,19 @@ class CheckReport:
     passed: bool
     block: str
 
+    @classmethod
+    def from_residual(cls, name, parameters, residual, tolerance, block) -> CheckReport:
+        """The report of a measured residual against its tolerance."""
+        residual = float(residual)
+        return cls(
+            name=name,
+            parameters=tuple(parameters),
+            residual=residual,
+            tolerance=float(tolerance),
+            passed=residual <= tolerance,
+            block=block,
+        )
+
     def to_dict(self) -> dict:
         return {
             "name": self.name,
@@ -73,18 +86,6 @@ def _encode(v):
     if isinstance(v, (list, tuple)):
         return [_encode(x) for x in v]
     return v
-
-
-def _report(name, parameters, residual, tolerance, block) -> CheckReport:
-    residual = float(residual)
-    return CheckReport(
-        name=name,
-        parameters=tuple(parameters),
-        residual=residual,
-        tolerance=float(tolerance),
-        passed=residual <= tolerance,
-        block=block,
-    )
 
 
 def cheb(m) -> float:
@@ -131,7 +132,7 @@ def ybe_residual(rank: int, lam1, lam2, matrix: str = "R") -> float:
 
 def check_ybe(rank: int, lam1, lam2, tol: float = 1e-12, matrix: str = "R") -> CheckReport:
     res = ybe_residual(rank, lam1, lam2, matrix)
-    return _report(
+    return CheckReport.from_residual(
         "ybe",
         [("rank", rank), ("matrix", matrix), ("lambda1", complex(lam1)), ("lambda2", complex(lam2))],
         res,
@@ -181,7 +182,7 @@ def rll_residual(spec: LaxSpec, fock: FockSpace, lam1, lam2) -> float:
 
 def check_rll(spec: LaxSpec, fock: FockSpace, lam1, lam2, tol: float = 1e-10) -> CheckReport:
     res = rll_residual(spec, fock, lam1, lam2)
-    return _report(
+    return CheckReport.from_residual(
         "rll",
         [
             ("rank", spec.rank),
@@ -264,7 +265,7 @@ def calibrate_ordering(
             "translation); winner fixed by vacuum conditions",
         ),
     ]
-    report = _report(
+    report = CheckReport.from_residual(
         "calibrate-ordering", params, winner_res, tol, "total occupation <= cutoff-1"
     )
     return winner, report
@@ -291,7 +292,7 @@ def check_oscillator_algebra(fock: FockSpace, tol: float = 1e-13) -> CheckReport
     for a, ad in ladders:
         worst = max(worst, cheb(num @ a - a @ num + a))
         worst = max(worst, cheb(num @ ad - ad @ num - ad))
-    return _report(
+    return CheckReport.from_residual(
         "oscillator-algebra",
         [("species", m), ("cutoff", fock.cutoff)],
         worst,
@@ -312,7 +313,7 @@ def check_lax_crossing(
         explicit = lax.l_hat_matrix(spec, fock, z)
         transformed = lax.crossed_l_matrix(spec, fock, z)
         worst = max(worst, cheb(explicit - transformed))
-    return _report(
+    return CheckReport.from_residual(
         "lax-crossing",
         [
             ("rank", spec.rank),
@@ -378,7 +379,7 @@ def check_highest_weight(
                 else:
                     target = 0.0
                 worst = max(worst, abs(expect - target) / scale)
-    return _report(
+    return CheckReport.from_residual(
         "highest-weight",
         [
             ("rank", n),
@@ -448,7 +449,7 @@ def check_transmission_algebra(
         rank, fock, lam1, lam2, conjugate, nbar_ordering, include_prefactor=False
     )
     which = "conjugate" if conjugate else "direct"
-    return _report(
+    return CheckReport.from_residual(
         "transmission-algebra",
         [
             ("rank", rank),
@@ -502,7 +503,7 @@ def check_transmission_crossing(
     center = complex(np.median(constants.real), np.median(constants.imag))
     spread = float(np.max(np.abs(constants - center)))
     residual = max(spread, worst_fit)
-    return _report(
+    return CheckReport.from_residual(
         "transmission-crossing",
         [
             ("rank", rank),
@@ -561,7 +562,7 @@ def check_transfer_commute(
     cols = faithful_columns(chain, 2)
     scale = max(1.0, cheb(t1) * cheb(t2))
     res = cheb((t1 @ t2 - t2 @ t1)[:, cols]) / scale
-    return _report(
+    return CheckReport.from_residual(
         "transfer-commute",
         [
             ("rank", chain.rank),

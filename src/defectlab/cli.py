@@ -429,6 +429,9 @@ def cmd_bae(input_path: str, cfg: RunConfig) -> int:
 
 
 def cmd_density(cfg: RunConfig, level: int, sign: str, sites: int, hole: float) -> int:
+    if cfg.theta.imag != 0.0:
+        print(f"error: density needs a real theta, got {cfg.theta}", file=sys.stderr)
+        return EXIT_USAGE
     table = thermo.KernelTable(cfg.rank)
     try:
         profile = thermo.density(

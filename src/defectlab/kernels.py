@@ -1,302 +1,204 @@
 """Fourier-side kernels of the root densities and amplitude integrands.
 
-Everything here is grid arithmetic: scalar kernel cores plus the loops that
-evaluate them over quadrature grids.  The hyperbolic ratios are computed in
-the exponentially scaled form exp(..)*expm1(..)/expm1(..), which is exact
-algebra (no large-argument approximation) and immune to sinh overflow; only
-omega = 0 needs the analytic limit.
-
-The module carries an optional jit layer.  When numba imports cleanly and
-DEFECTLAB_NO_NUMBA is unset, every kernel below is compiled; the plain
-implementation of a compiled kernel stays reachable through its .py_func
-attribute.  Setting the flag before import selects the plain path outright.
+Everything here is grid arithmetic on numpy arrays.  The hyperbolic ratios
+are computed in the exponentially scaled form exp(..)*expm1(..)/expm1(..),
+which is exact algebra (no large-argument approximation) and immune to sinh
+overflow; omega = 0 takes the analytic limit through a mask, so no 0/0 is
+ever evaluated.  The Fourier sums evaluate cos/sin(outer(lam, omega)) in
+fixed row tiles, so their working memory does not grow with the lam grid.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - the mirror always has numba
-    numba = None
-    _HAVE_NUMBA = False
-
-USE_NUMBA = _HAVE_NUMBA and not os.environ.get("DEFECTLAB_NO_NUMBA")
-
-
-def _jit(fn):
-    if USE_NUMBA:
-        return numba.njit(cache=True)(fn)
-    return fn
-
-
-# ---------------------------------------------------------------------------
-# scalar cores (arguments x = |omega| >= 0)
-
-
-@_jit
-def _sigma0_core(x: float, rank: int, k: int) -> float:
-    # sinh((rank-k) x/2) / sinh(rank x/2)
-    if k >= rank:
-        return 0.0
-    if x == 0.0:
-        return (rank - k) / rank
-    return math.exp(-0.5 * k * x) * math.expm1(-(rank - k) * x) / math.expm1(-rank * x)
-
-
-@_jit
-def _big_r_core(x: float, rank: int, j: int, jp: int) -> float:
-    # exp(x/2) sinh(jlo x/2) sinh((rank-jhi) x/2) / (sinh(x/2) sinh(rank x/2))
-    jlo = j if j < jp else jp
-    jhi = jp if j < jp else j
-    if jhi >= rank:
-        return 0.0
-    if x == 0.0:
-        return jlo * (rank - jhi) / rank
-    return (
-        math.exp(0.5 * (jlo - jhi) * x)
-        * math.expm1(-jlo * x)
-        * math.expm1(-(rank - jhi) * x)
-        / (math.expm1(-x) * math.expm1(-rank * x))
-    )
-
-
-@_jit
-def _a_core(x: float, n: int) -> float:
-    return math.exp(-0.5 * n * x)
-
-
-@_jit
-def _frak_a_plus_core(omega: float) -> float:
-    # one-sided factor, supported on omega <= 0
-    if omega > 0.0:
-        return 0.0
-    return math.exp(0.5 * omega)
-
-
-@_jit
-def _frak_a_minus_core(omega: float) -> float:
-    # one-sided factor, supported on omega >= 0
-    if omega < 0.0:
-        return 0.0
-    return math.exp(-0.5 * omega)
-
-
-@_jit
-def _r_core(omega: float, rank: int, k: int) -> float:
-    # impurity correction to the level-k density
-    x = abs(omega)
-    return _big_r_core(x, rank, k, 1) * _a_core(x, 2) - _big_r_core(
-        x, rank, k, 2
-    ) * _a_core(x, 1)
-
-
-@_jit
-def _rt_plus_core(omega: float, rank: int, k: int) -> float:
-    return _big_r_core(abs(omega), rank, k, 1) * _frak_a_plus_core(omega)
-
-
-@_jit
-def _rt_minus_core(omega: float, rank: int, k: int) -> float:
-    return _big_r_core(abs(omega), rank, k, rank - 1) * _frak_a_minus_core(omega)
+_TILE = 16  # lam rows per Fourier tile
 
 
 # ---------------------------------------------------------------------------
 # grid evaluation
 
 
-@_jit
+def _sinh_ratio(x, rate: int, num: tuple, den: tuple):
+    """exp(rate x/2) prod_n expm1(-n x) / prod_d expm1(-d x) on x >= 0.
+
+    With as many factors in num as in den this is prod sinh(n x/2) /
+    prod sinh(d x/2) times exp((rate - sum(num) + sum(den)) x/2); x = 0
+    takes the limit prod(num) / prod(den)."""
+    out = np.full(x.shape, math.prod(num) / math.prod(den))
+    nz = x != 0.0
+    xs = x[nz]
+    top = np.exp(0.5 * rate * xs)
+    for n in num:
+        top *= np.expm1(-n * xs)
+    bottom = np.expm1(-den[0] * xs)
+    for d in den[1:]:
+        bottom *= np.expm1(-d * xs)
+    out[nz] = top / bottom
+    return out
+
+
+def _sigma0(x, rank: int, k: int):
+    # sinh((rank-k) x/2) / sinh(rank x/2)
+    if k >= rank:
+        return np.zeros(x.shape)
+    return _sinh_ratio(x, -k, (rank - k,), (rank,))
+
+
+def _big_r(x, rank: int, j: int, jp: int):
+    # exp(x/2) sinh(jlo x/2) sinh((rank-jhi) x/2) / (sinh(x/2) sinh(rank x/2))
+    jlo, jhi = min(j, jp), max(j, jp)
+    if jhi >= rank:
+        return np.zeros(x.shape)
+    return _sinh_ratio(x, jlo - jhi, (jlo, rank - jhi), (1, rank))
+
+
+def _one_sided(omega, side: float):
+    # exp(side omega/2) where side omega <= 0, zero elsewhere
+    out = np.zeros(omega.shape)
+    keep = ~(side * omega > 0.0)
+    out[keep] = np.exp(side * 0.5 * omega[keep])
+    return out
+
+
+# The public kernels below build on the private helpers above, never on each
+# other, so that a call to one of them is one grid evaluation.
+
+
 def sigma0_hat(omega, rank: int, k: int):
-    out = np.empty(omega.shape[0])
-    for i in range(omega.shape[0]):
-        out[i] = _sigma0_core(abs(omega[i]), rank, k)
-    return out
+    return _sigma0(np.abs(omega), rank, k)
 
 
-@_jit
 def big_r_hat(omega, rank: int, j: int, jp: int):
-    out = np.empty(omega.shape[0])
-    for i in range(omega.shape[0]):
-        out[i] = _big_r_core(abs(omega[i]), rank, j, jp)
-    return out
+    return _big_r(np.abs(omega), rank, j, jp)
 
 
-@_jit
 def a_hat(omega, n: int):
-    out = np.empty(omega.shape[0])
-    for i in range(omega.shape[0]):
-        out[i] = _a_core(abs(omega[i]), n)
-    return out
+    return np.exp(-0.5 * n * np.abs(omega))
 
 
-@_jit
 def frak_a_hat_plus(omega):
-    out = np.empty(omega.shape[0])
-    for i in range(omega.shape[0]):
-        out[i] = _frak_a_plus_core(omega[i])
-    return out
+    # one-sided factor, supported on omega <= 0
+    return _one_sided(omega, 1.0)
 
 
-@_jit
 def frak_a_hat_minus(omega):
-    out = np.empty(omega.shape[0])
-    for i in range(omega.shape[0]):
-        out[i] = _frak_a_minus_core(omega[i])
-    return out
+    # one-sided factor, supported on omega >= 0
+    return _one_sided(omega, -1.0)
 
 
-@_jit
 def r_hat(omega, rank: int, k: int):
-    out = np.empty(omega.shape[0])
-    for i in range(omega.shape[0]):
-        out[i] = _r_core(omega[i], rank, k)
-    return out
+    # impurity correction to the level-k density: R(k,1) a_2 - R(k,2) a_1
+    x = np.abs(omega)
+    return _big_r(x, rank, k, 1) * np.exp(-x) - _big_r(x, rank, k, 2) * np.exp(-0.5 * x)
 
 
-@_jit
 def rt_hat_plus(omega, rank: int, k: int):
-    out = np.empty(omega.shape[0])
-    for i in range(omega.shape[0]):
-        out[i] = _rt_plus_core(omega[i], rank, k)
-    return out
+    return _big_r(np.abs(omega), rank, k, 1) * _one_sided(omega, 1.0)
 
 
-@_jit
 def rt_hat_minus(omega, rank: int, k: int):
-    out = np.empty(omega.shape[0])
-    for i in range(omega.shape[0]):
-        out[i] = _rt_minus_core(omega[i], rank, k)
-    return out
+    return _big_r(np.abs(omega), rank, k, rank - 1) * _one_sided(omega, -1.0)
 
 
 # ---------------------------------------------------------------------------
-# regularized amplitude integrands (u > 0 half line)
+# regularized amplitude integrands (u >= 0 half line)
 
 
-@_jit
+def _over_u(u, at_zero, numerator):
+    """numerator(u_nz) / u_nz on the nonzero nodes, at_zero where u = 0."""
+    out = np.full(u.shape, at_zero, dtype=np.result_type(at_zero, float))
+    nz = u != 0.0
+    us = u[nz]
+    out[nz] = numerator(us) / us
+    return out
+
+
 def amplitude_minus_integrand(u, lamhat: float, rank: int):
     """Integrand of -log of the minus amplitude; the subtraction removes the
     1/u singularity so the u = 0 value is the analytic limit."""
-    out = np.empty(u.shape[0], dtype=np.complex128)
     c0 = 1.0 / rank
-    for i in range(u.shape[0]):
-        x = u[i]
-        if x == 0.0:
-            out[i] = 1.0 - 1j * lamhat / rank
-        else:
-            kern = _sigma0_core(x, rank, rank - 1)
-            out[i] = (np.exp(-1j * x * lamhat) * kern - c0 * math.exp(-rank * x)) / x
-    return out
+    return _over_u(
+        u,
+        1.0 - 1j * lamhat / rank,
+        lambda x: np.exp(-1j * x * lamhat) * _sigma0(x, rank, rank - 1)
+        - c0 * np.exp(-rank * x),
+    )
 
 
-@_jit
 def amplitude_plus_integrand(u, lamhat: float, rank: int):
     """Integrand of +log of the plus amplitude."""
-    out = np.empty(u.shape[0], dtype=np.complex128)
     c0 = (rank - 1.0) / rank
-    for i in range(u.shape[0]):
-        x = u[i]
-        if x == 0.0:
-            out[i] = (rank - 1.0) * (1j * lamhat / rank + 1.0)
-        else:
-            kern = _sigma0_core(x, rank, 1)
-            out[i] = (np.exp(1j * x * lamhat) * kern - c0 * math.exp(-rank * x)) / x
-    return out
+    return _over_u(
+        u,
+        (rank - 1.0) * (1j * lamhat / rank + 1.0),
+        lambda x: np.exp(1j * x * lamhat) * _sigma0(x, rank, 1)
+        - c0 * np.exp(-rank * x),
+    )
 
 
-@_jit
 def amplitude_minus_logderiv_integrand(u, lamhat: float, rank: int):
     """i * exp(-i u lamhat) * kernel; integrates to d/dlamhat of log."""
-    out = np.empty(u.shape[0], dtype=np.complex128)
-    for i in range(u.shape[0]):
-        out[i] = 1j * np.exp(-1j * u[i] * lamhat) * _sigma0_core(u[i], rank, rank - 1)
-    return out
+    return 1j * np.exp(-1j * u * lamhat) * _sigma0(u, rank, rank - 1)
 
 
-@_jit
 def amplitude_plus_logderiv_integrand(u, lamhat: float, rank: int):
-    out = np.empty(u.shape[0], dtype=np.complex128)
-    for i in range(u.shape[0]):
-        out[i] = 1j * np.exp(1j * u[i] * lamhat) * _sigma0_core(u[i], rank, 1)
-    return out
+    return 1j * np.exp(1j * u * lamhat) * _sigma0(u, rank, 1)
 
 
-@_jit
 def gamma_identity_integrand(x, mu: float):
     """(exp(-mu x/2) sech(x/2) - exp(-2x)) / x with its x = 0 limit."""
-    out = np.empty(x.shape[0])
-    for i in range(x.shape[0]):
-        t = x[i]
-        if t == 0.0:
-            out[i] = 2.0 - 0.5 * mu
-        else:
-            out[i] = (math.exp(-0.5 * mu * t) / math.cosh(0.5 * t) - math.exp(-2.0 * t)) / t
-    return out
+    return _over_u(
+        x,
+        2.0 - 0.5 * mu,
+        lambda t: np.exp(-0.5 * mu * t) / np.cosh(0.5 * t) - np.exp(-2.0 * t),
+    )
 
 
-@_jit
 def gamma_identity_derivative_integrand(x, mu: float):
-    out = np.empty(x.shape[0])
-    for i in range(x.shape[0]):
-        out[i] = math.exp(-0.5 * mu * x[i]) / math.cosh(0.5 * x[i])
-    return out
+    return np.exp(-0.5 * mu * x) / np.cosh(0.5 * x)
 
 
 # ---------------------------------------------------------------------------
-# fused Fourier sums
+# Fourier sums over row tiles of the lam grid
 
 
-@_jit
+def _tiled(nodes, coef, lams, *trigs):
+    """sum_i coef_i trig(nodes_i lam_j) for every lam_j and each trig, with
+    the outer product formed _TILE rows at a time."""
+    outs = [np.empty(lams.shape[0], dtype=np.result_type(coef, float)) for _ in trigs]
+    for s in range(0, lams.shape[0], _TILE):
+        arg = np.multiply.outer(lams[s : s + _TILE], nodes)
+        for trig, out in zip(trigs, outs):
+            out[s : s + _TILE] = trig(arg) @ coef
+    return outs
+
+
 def fourier_cos_sum(nodes, weights, values, lams):
     """(1/pi) sum_i w_i v_i cos(omega_i lam_j), one value per lam."""
-    out = np.empty(lams.shape[0])
-    for j in range(lams.shape[0]):
-        acc = 0.0
-        lam = lams[j]
-        for i in range(nodes.shape[0]):
-            acc += weights[i] * values[i] * math.cos(nodes[i] * lam)
-        out[j] = acc / math.pi
-    return out
+    (cos_part,) = _tiled(nodes, weights * values, lams, np.cos)
+    return cos_part / math.pi
 
 
-@_jit
 def fourier_sin_over_omega_sum(nodes, weights, values, lams):
-    """2 sum_i w_i v_i sin(omega_i lam_j)/omega_i, one value per lam."""
-    out = np.empty(lams.shape[0])
-    for j in range(lams.shape[0]):
-        acc = 0.0
-        lam = lams[j]
-        for i in range(nodes.shape[0]):
-            w = nodes[i]
-            if w == 0.0:
-                acc += weights[i] * values[i] * lam
-            else:
-                acc += weights[i] * values[i] * math.sin(w * lam) / w
-        out[j] = acc * 2.0
-    return out
+    """2 sum_i w_i v_i sin(omega_i lam_j)/omega_i, one value per lam; a node
+    at omega = 0 contributes its limit w_i v_i lam_j."""
+    wv = weights * values
+    nz = nodes != 0.0
+    (sin_part,) = _tiled(nodes[nz], wv[nz] / nodes[nz], lams, np.sin)
+    return (sin_part + lams * wv[~nz].sum()) * 2.0
 
 
-@_jit
 def fourier_exp_sum(nodes, weights, values, lams):
     """(1/(2 pi)) sum_i w_i v_i exp(-i omega_i lam_j), complex output."""
-    out = np.empty(lams.shape[0], dtype=np.complex128)
-    for j in range(lams.shape[0]):
-        acc = 0.0 + 0.0j
-        lam = lams[j]
-        for i in range(nodes.shape[0]):
-            acc += weights[i] * values[i] * np.exp(-1j * nodes[i] * lam)
-        out[j] = acc / (2.0 * math.pi)
-    return out
+    cos_part, sin_part = _tiled(nodes, weights * values, lams, np.cos, np.sin)
+    return (cos_part - 1j * sin_part) / (2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
-# quadrature grids (set-up code, deliberately outside the jit layer)
+# quadrature grids
 
 
 def gl_panels(edges, order: int = 32):

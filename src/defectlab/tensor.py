@@ -206,12 +206,6 @@ class FockSpace:
         )
 
 
-def ladder_ops(fock: FockSpace, j: int):
-    """(a^(j), adag^(j)) as dense matrices."""
-    a = fock.annihilator(j)
-    return a, dagger(a)
-
-
 def restrict(matrix, indices) -> np.ndarray:
     """Submatrix on the given row/column index set."""
     m = as_matrix(matrix)

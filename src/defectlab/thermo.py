@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels, lax
-from .checks import CheckReport, _report
+from .checks import CheckReport
 from .special import log_gamma, psi
 
 OMEGA_CUTOFF = 80.0
@@ -427,7 +427,7 @@ def check_gamma_identity(mu, tol: float = 1e-8) -> CheckReport:
     reg_quad = 0.5 * complex(weights @ reg_vals)
     reg_target = log_gamma((mu_c + 1.0) / 4.0) - log_gamma((mu_c + 3.0) / 4.0)
     reg_residual = abs(reg_quad - reg_target)
-    return _report(
+    return CheckReport.from_residual(
         "gamma-identity",
         [
             ("mu", mu_c),

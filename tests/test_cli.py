@@ -302,38 +302,18 @@ def test_density_bad_level(capsys):
     assert main(["density", "--rank", "2", "--level", "5"]) == 2
 
 
+def test_density_rejects_complex_theta(tmp_path, capsys):
+    code, text = run(tmp_path, "density", "--rank", "2", "--theta", "0.3+0.2j")
+    assert code == 2 and text == ""
+    assert "real theta" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # environment round trips (subprocess)
 
 
 def _cli_env(**extra):
-    env = dict(os.environ)
-    env.pop("DEFECTLAB_NO_NUMBA", None)
-    env.update(extra)
-    return env
-
-
-def test_numba_flag_does_not_change_output(tmp_path):
-    argv = [
-        sys.executable,
-        "-m",
-        "defectlab.cli",
-        "amplitudes",
-        "--rank",
-        "2",
-        "--sign",
-        "minus",
-        "--grid",
-        "-1",
-        "1",
-        "3",
-    ]
-    jit = subprocess.run(argv, capture_output=True, text=True, env=_cli_env())
-    plain = subprocess.run(
-        argv, capture_output=True, text=True, env=_cli_env(DEFECTLAB_NO_NUMBA="1")
-    )
-    assert jit.returncode == 0 and plain.returncode == 0
-    assert jit.stdout == plain.stdout
+    return {**os.environ, **extra}
 
 
 def test_seed_env_subprocess(tmp_path):

@@ -1,13 +1,16 @@
+import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from defectlab.kernels import (
-    USE_NUMBA,
     a_hat,
     amplitude_minus_integrand,
+    amplitude_minus_logderiv_integrand,
     amplitude_plus_integrand,
+    amplitude_plus_logderiv_integrand,
     big_r_hat,
     fourier_cos_sum,
     fourier_exp_sum,
@@ -200,18 +203,180 @@ def test_gamma_identity_derivative_known_value():
 
 
 # ---------------------------------------------------------------------------
-# jit layer
+# scalar reference: the kernels written out one point at a time with math
+
+OMEGAS = (0.0, 1e-12, -1e-12, 1e-3, -1e-3, 1.0, -1.0, 80.0, -80.0, 700.0, -700.0)
+HALF_LINE = tuple(w for w in OMEGAS if w >= 0.0)
+RANKS = (2, 3, 4, 5)
 
 
-def test_jit_and_plain_paths_agree():
-    if not USE_NUMBA:
-        pytest.skip("numba disabled; plain path is the only path")
-    w = np.linspace(-10, 10, 101)
-    assert np.array_equal(sigma0_hat(w, 3, 1), sigma0_hat.py_func(w, 3, 1))
-    assert np.array_equal(r_hat(w, 3, 2), r_hat.py_func(w, 3, 2))
-    nodes, weights = half_line_grid(cutoff=20)
-    lams = np.linspace(-1, 1, 5)
-    assert np.allclose(
-        fourier_cos_sum(nodes, weights, a_hat(nodes, 2), lams),
-        fourier_cos_sum.py_func(nodes, weights, a_hat.py_func(nodes, 2), lams),
+def _ref_sigma0(x, rank, k):
+    if k >= rank:
+        return 0.0
+    if x == 0.0:
+        return (rank - k) / rank
+    return math.exp(-0.5 * k * x) * math.expm1(-(rank - k) * x) / math.expm1(-rank * x)
+
+
+def _ref_big_r(x, rank, j, jp):
+    jlo, jhi = min(j, jp), max(j, jp)
+    if jhi >= rank:
+        return 0.0
+    if x == 0.0:
+        return jlo * (rank - jhi) / rank
+    return (
+        math.exp(0.5 * (jlo - jhi) * x)
+        * math.expm1(-jlo * x)
+        * math.expm1(-(rank - jhi) * x)
+        / (math.expm1(-x) * math.expm1(-rank * x))
     )
+
+
+def _ref_frak_plus(w):
+    return 0.0 if w > 0.0 else math.exp(0.5 * w)
+
+
+def _ref_frak_minus(w):
+    return 0.0 if w < 0.0 else math.exp(-0.5 * w)
+
+
+def _ref_r_terms(w, rank, k):
+    x = abs(w)
+    return (
+        _ref_big_r(x, rank, k, 1) * math.exp(-x),
+        _ref_big_r(x, rank, k, 2) * math.exp(-0.5 * x),
+    )
+
+
+def _ref_r(w, rank, k):
+    first, second = _ref_r_terms(w, rank, k)
+    return first - second
+
+
+def _ref_amp(x, lamhat, rank, sign):
+    # sign -1: minus integrand, kernel level rank-1; sign +1: plus, level 1
+    if x == 0.0:
+        if sign < 0:
+            return 1.0 - 1j * lamhat / rank
+        return (rank - 1.0) * (1j * lamhat / rank + 1.0)
+    level = rank - 1 if sign < 0 else 1
+    c0 = (rank - level) / rank
+    kern = _ref_sigma0(x, rank, level)
+    return (cmath.exp(sign * 1j * x * lamhat) * kern - c0 * math.exp(-rank * x)) / x
+
+
+def _ref_logderiv(x, lamhat, rank, sign):
+    level = rank - 1 if sign < 0 else 1
+    return 1j * cmath.exp(sign * 1j * x * lamhat) * _ref_sigma0(x, rank, level)
+
+
+def _ref_gamma(t, mu):
+    if t == 0.0:
+        return 2.0 - 0.5 * mu
+    return (math.exp(-0.5 * mu * t) / math.cosh(0.5 * t) - math.exp(-2.0 * t)) / t
+
+
+def _grid_cases():
+    """(kernel, args, reference, scale): the error bound is 1e-15 times
+    |reference|, or times scale where the kernel is a cancelling difference."""
+    for rank in RANKS:
+        for k in range(1, rank + 1):
+            yield sigma0_hat, (rank, k), lambda w, r=rank, k=k: _ref_sigma0(abs(w), r, k), None
+            yield (
+                r_hat,
+                (rank, k),
+                lambda w, r=rank, k=k: _ref_r(w, r, k),
+                lambda w, r=rank, k=k: sum(map(abs, _ref_r_terms(w, r, k))),
+            )
+            yield rt_hat_plus, (rank, k), (
+                lambda w, r=rank, k=k: _ref_big_r(abs(w), r, k, 1) * _ref_frak_plus(w)
+            ), None
+            yield rt_hat_minus, (rank, k), (
+                lambda w, r=rank, k=k: _ref_big_r(abs(w), r, k, r - 1) * _ref_frak_minus(w)
+            ), None
+            for jp in range(1, rank + 1):
+                yield big_r_hat, (rank, k, jp), (
+                    lambda w, r=rank, j=k, jp=jp: _ref_big_r(abs(w), r, j, jp)
+                ), None
+    for n in (1, 2, 3):
+        yield a_hat, (n,), lambda w, n=n: math.exp(-0.5 * n * abs(w)), None
+    yield frak_a_hat_plus, (), _ref_frak_plus, None
+    yield frak_a_hat_minus, (), _ref_frak_minus, None
+
+
+def _integrand_cases():
+    for rank in RANKS:
+        for lamhat in (-1.3, 0.0, 0.7):
+            for sign, amp, logderiv in (
+                (-1, amplitude_minus_integrand, amplitude_minus_logderiv_integrand),
+                (1, amplitude_plus_integrand, amplitude_plus_logderiv_integrand),
+            ):
+                args = (lamhat, rank)
+                yield amp, args, lambda x, a=args, s=sign: _ref_amp(x, *a, s)
+                yield logderiv, args, lambda x, a=args, s=sign: _ref_logderiv(x, *a, s)
+    for mu in (0.5, 1.0, 3.0):
+        yield gamma_identity_integrand, (mu,), lambda t, mu=mu: _ref_gamma(t, mu)
+        yield gamma_identity_derivative_integrand, (mu,), (
+            lambda t, mu=mu: math.exp(-0.5 * mu * t) / math.cosh(0.5 * t)
+        )
+
+
+def _assert_matches(got, points, ref, scale=None):
+    assert len(got) == len(points)
+    for p, g in zip(points, got):
+        want = ref(p)
+        bound = 1e-15 * (abs(want) if scale is None else scale(p))
+        assert abs(g - want) <= bound, (p, g, want)
+
+
+def test_grid_kernels_match_scalar_reference():
+    omega = np.array(OMEGAS)
+    for fn, args, ref, scale in _grid_cases():
+        _assert_matches(fn(omega, *args), OMEGAS, ref, scale)
+
+
+def test_integrands_match_scalar_reference():
+    # half-line integrands: evaluated on u >= 0 only
+    u = np.array(HALF_LINE)
+    for fn, args, ref in _integrand_cases():
+        _assert_matches(fn(u, *args), HALF_LINE, ref)
+
+
+def test_kernels_raise_no_floating_point_warnings():
+    omega, u = np.array(OMEGAS), np.array(HALF_LINE)
+    nodes = np.concatenate(([0.0], half_line_grid()[0]))
+    weights = np.ones_like(nodes)
+    with warnings.catch_warnings(), np.errstate(divide="warn", over="warn", invalid="warn"):
+        warnings.simplefilter("error")
+        for fn, args, _, _ in _grid_cases():
+            assert np.all(np.isfinite(fn(omega, *args)))
+        for fn, args, _ in _integrand_cases():
+            assert np.all(np.isfinite(fn(u, *args)))
+        for fn in (fourier_cos_sum, fourier_sin_over_omega_sum, fourier_exp_sum):
+            assert np.all(np.isfinite(fn(nodes, weights, a_hat(nodes, 1), omega)))
+
+
+@pytest.mark.parametrize("count", [0, 1, 31, 32, 33, 201])
+def test_fourier_sums_match_per_lambda_dot_products(count):
+    # lam counts on, just below and just above multiples of the row tile; a
+    # node at omega = 0 exercises the sin(omega lam)/omega limit
+    half_nodes, half_weights = half_line_grid()
+    nodes = np.concatenate(([0.0], half_nodes))
+    weights = np.concatenate(([0.01], half_weights))
+    values = sigma0_hat(nodes, 3, 1)
+    wv = weights * values
+    lams = np.linspace(-5.0, 5.0, count)
+    terms = {
+        fourier_cos_sum: lambda lam: wv * np.cos(nodes * lam) / math.pi,
+        fourier_sin_over_omega_sum: lambda lam: 2.0
+        * np.concatenate(([wv[0] * lam], wv[1:] * np.sin(half_nodes * lam) / half_nodes)),
+        fourier_exp_sum: lambda lam: wv * np.exp(-1j * nodes * lam) / (2 * math.pi),
+    }
+    for fn, term in terms.items():
+        got = fn(nodes, weights, values, lams)
+        assert got.shape == (count,)
+        for g, lam in zip(got, lams):
+            t = term(lam)
+            # the tiled matrix product and this per-lam sum add the same 1,281
+            # terms in different orders; a tiling slip would be O(1)
+            assert abs(g - t.sum()) <= 2e-15 * np.abs(t).sum(), (fn.__name__, lam)
