@@ -112,49 +112,46 @@ class RunConfig:
         return FockSpace(self.rank - 1, self.fock_cutoff)
 
 
+def _complex_pair(value) -> complex:
+    re, im = value
+    return complex(re, im)
+
+
+# RunConfig field -> (config-file key, converter, flag attribute, converter);
+# a converter of None takes the value as it is, and --tol merges separately
+_SOURCES = {
+    "rank": ("rank", int, "rank", None),
+    "fock_cutoff": ("fock_cutoff", int, "fock_cutoff", None),
+    "chain_sites": ("chain_sites", int, "sites", None),
+    "theta": ("theta", _complex_pair, "theta", complex),
+    "lambda_grid": (
+        "lambda_grid", lambda g: (float(g["min"]), float(g["max"]), int(g["count"])),
+        "grid", lambda g: (float(g[0]), float(g[1]), int(g[2])),
+    ),
+    "tolerances": ("tolerances", lambda t: {k: float(v) for k, v in t.items()}, None, None),
+    "seed": ("seed", int, "seed", None),
+    "output": ("output", None, "output", None),
+    "fmt": ("format", None, "format", None),
+    "ordering": ("ordering", None, "ordering", None),
+    "shift": ("shift", float, "shift", None),
+}
+
+
 def _load_config(args) -> RunConfig:
     cfg = RunConfig()
     if args.config:
         with open(args.config) as fh:
             data = json.load(fh)
-        updates = {}
-        if "rank" in data:
-            updates["rank"] = int(data["rank"])
-        if "fock_cutoff" in data:
-            updates["fock_cutoff"] = int(data["fock_cutoff"])
-        if "chain_sites" in data:
-            updates["chain_sites"] = int(data["chain_sites"])
-        if "theta" in data:
-            re, im = data["theta"]
-            updates["theta"] = complex(re, im)
-        if "lambda_grid" in data:
-            g = data["lambda_grid"]
-            updates["lambda_grid"] = (float(g["min"]), float(g["max"]), int(g["count"]))
-        if "tolerances" in data:
-            updates["tolerances"] = {k: float(v) for k, v in data["tolerances"].items()}
-        if "seed" in data:
-            updates["seed"] = int(data["seed"])
-        if "output" in data:
-            updates["output"] = data["output"]
-        if "format" in data:
-            updates["fmt"] = data["format"]
-        if "ordering" in data:
-            updates["ordering"] = data["ordering"]
-        if "shift" in data:
-            updates["shift"] = float(data["shift"])
-        cfg = replace(cfg, **updates)
+        cfg = replace(cfg, **{
+            target: convert(data[key]) if convert else data[key]
+            for target, (key, convert, _, _) in _SOURCES.items()
+            if key in data
+        })
     updates = {}
-    if getattr(args, "rank", None) is not None:
-        updates["rank"] = args.rank
-    if getattr(args, "fock_cutoff", None) is not None:
-        updates["fock_cutoff"] = args.fock_cutoff
-    if getattr(args, "sites", None) is not None:
-        updates["chain_sites"] = args.sites
-    if getattr(args, "theta", None) is not None:
-        updates["theta"] = complex(args.theta)
-    if getattr(args, "grid", None) is not None:
-        lo, hi, count = args.grid
-        updates["lambda_grid"] = (float(lo), float(hi), int(count))
+    for target, (_, _, attr, convert) in _SOURCES.items():
+        given = getattr(args, attr, None) if attr else None
+        if given is not None:
+            updates[target] = convert(given) if convert else given
     if getattr(args, "tol", None):
         tols = dict(cfg.tolerances)
         for item in args.tol:
@@ -163,16 +160,6 @@ def _load_config(args) -> RunConfig:
                 raise ValueError(f"--tol expects NAME=VALUE, got {item!r}")
             tols[name] = float(value)
         updates["tolerances"] = tols
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "output", None) is not None:
-        updates["output"] = args.output
-    if getattr(args, "format", None) is not None:
-        updates["fmt"] = args.format
-    if getattr(args, "ordering", None) is not None:
-        updates["ordering"] = args.ordering
-    if getattr(args, "shift", None) is not None:
-        updates["shift"] = args.shift
     cfg = replace(cfg, **updates)
     if cfg.seed is None and os.environ.get("DEFECTLAB_SEED"):
         cfg = replace(cfg, seed=int(os.environ["DEFECTLAB_SEED"]))

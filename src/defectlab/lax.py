@@ -15,11 +15,18 @@ constant.  Shifting c or reordering N translates the spectral parameter, so
 exchange relations hold for every convention; the shipped default
 (normal ordering, c = 1) is the one whose reference state satisfies
 N|vacuum> = 0 with the (1,1) vacuum weight lambda + i.
+
+The monodromy is never assembled from embedded matrices: each local factor
+(defect Lax operator or bulk R-matrix, on the auxiliary space and one slot of
+dimension d) is applied to a column block by contraction, O(dim * rank * d)
+per column and factor, so the full matrix costs O(dim^2 * rank * d) per
+factor instead of O(dim^3).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,17 +38,14 @@ from .special import (
 from .tensor import (
     COMPLEX,
     FockSpace,
-    as_matrix,
-    embed_pair,
+    apply_local,
     kron,
-    matrix_unit,
     partial_trace,
     partial_transpose,
     permutation_op,
+    require_budget,
     reversal_op,
 )
-
-DIMENSION_CAP = 20_000
 
 VARIANT_L = "L"
 VARIANT_LHAT = "Lhat"
@@ -103,6 +107,12 @@ class ChainSpec:
     def fock(self) -> FockSpace:
         return FockSpace(self.rank - 1, self.fock_cutoff)
 
+    def slot_dims(self) -> list:
+        """Dimensions of slots 1..sites+1: the Fock space at the defect,
+        rank elsewhere."""
+        d = math.comb(self.fock_cutoff + self.rank - 1, self.rank - 1)
+        return [d if p == self.defect_site else self.rank for p in range(1, self.sites + 2)]
+
 
 def r_matrix(rank: int, lam) -> np.ndarray:
     """R(lambda) = lambda + i P on the rank^2-dimensional double space."""
@@ -112,29 +122,36 @@ def r_matrix(rank: int, lam) -> np.ndarray:
     return complex(lam) * np.eye(n2, dtype=COMPLEX) + 1j * permutation_op(rank)
 
 
-def _check_fock(spec: LaxSpec, fock: FockSpace):
-    if fock.species != spec.rank - 1:
-        raise ValueError(
-            f"Fock space has {fock.species} species, rank {spec.rank} needs "
-            f"{spec.rank - 1}"
-        )
+def _oscillator_operator(rank: int, fock: FockSpace, head, coef, reverse: bool) -> np.ndarray:
+    """The pattern shared by the Lax and transmission operators on auxiliary
+    (x) Fock: ``head`` in auxiliary block (h, h),
+    ``coef`` times the identity in the other diagonal blocks (j, j), and
+    ``coef`` times a^(j-1) in block (h, j) and its adjoint in block (j, h),
+    for j = 2..rank.  h is 1; reversed, h is rank, j becomes rank+1-j, and
+    a^(j-1) and its adjoint trade blocks."""
+    if fock.species != rank - 1:
+        raise ValueError(f"Fock space has {fock.species} species, rank {rank} needs {rank - 1}")
+    n, d = rank, fock.dim
+    require_budget((n * d, n * d), "oscillator operator")
+    out = np.zeros((n, d, n, d), dtype=COMPLEX)
+    h = n - 1 if reverse else 0
+    out[h, :, h, :] = head
+    for j in range(2, n + 1):
+        jj = n - j if reverse else j - 1
+        a = fock.annihilator(j - 1)
+        up, down = (a.conj().T, a) if reverse else (a, a.conj().T)
+        out[jj, :, jj, :] = coef * np.eye(d)
+        out[h, :, jj, :] = coef * up
+        out[jj, :, h, :] = coef * down
+    return out.reshape(n * d, n * d)
 
 
 def l_matrix(spec: LaxSpec, fock: FockSpace, lam) -> np.ndarray:
     """Defect Lax operator on auxiliary (x) Fock."""
-    _check_fock(spec, fock)
-    n = spec.rank
-    lam = complex(lam)
     eye_f = np.eye(fock.dim, dtype=COMPLEX)
     num = fock.number_op(spec.ordering)
-    out = kron(matrix_unit(n, 1, 1), lam * eye_f + 1j * spec.shift * eye_f + 1j * num)
-    for j in range(2, n + 1):
-        a = fock.annihilator(j - 1)
-        out += 1j * kron(matrix_unit(n, j, j), eye_f)
-        out += 1j * (
-            kron(matrix_unit(n, 1, j), a) + kron(matrix_unit(n, j, 1), a.conj().T)
-        )
-    return out
+    head = complex(lam) * eye_f + 1j * spec.shift * eye_f + 1j * num
+    return _oscillator_operator(spec.rank, fock, head, 1j, reverse=False)
 
 
 def l_hat_matrix(spec: LaxSpec, fock: FockSpace, lam) -> np.ndarray:
@@ -145,21 +162,12 @@ def l_hat_matrix(spec: LaxSpec, fock: FockSpace, lam) -> np.ndarray:
     :func:`crossed_l_matrix` identically; the independent construction is the
     point of keeping both.
     """
-    _check_fock(spec, fock)
     n = spec.rank
     lam = complex(lam)
     eye_f = np.eye(fock.dim, dtype=COMPLEX)
     num = fock.number_op(spec.ordering)
     head = (-lam - 1j * n / 2) * eye_f + 1j * spec.shift * eye_f + 1j * num
-    out = kron(matrix_unit(n, n, n), head)
-    for j in range(2, n + 1):
-        jbar = n + 1 - j
-        a = fock.annihilator(j - 1)
-        out += 1j * kron(matrix_unit(n, jbar, jbar), eye_f)
-        out += 1j * (
-            kron(matrix_unit(n, jbar, n), a) + kron(matrix_unit(n, n, jbar), a.conj().T)
-        )
-    return out
+    return _oscillator_operator(n, fock, head, 1j, reverse=True)
 
 
 def crossed_l_matrix(spec: LaxSpec, fock: FockSpace, lam) -> np.ndarray:
@@ -252,17 +260,11 @@ def transmission_matrix(
     guard: float = DEFAULT_POLE_GUARD,
 ) -> np.ndarray:
     """Transmission matrix for right-movers on auxiliary (x) Fock."""
-    if fock.species != rank - 1:
-        raise ValueError("Fock species count must be rank - 1")
     lam = complex(lam)
     n = rank
     eye_f = np.eye(fock.dim, dtype=COMPLEX)
     nbar = nbar_op(fock, rank, nbar_ordering)
-    out = kron(matrix_unit(n, 1, 1), 1j * lam * eye_f + eye_f + nbar)
-    for j in range(2, n + 1):
-        a = fock.annihilator(j - 1)
-        out += kron(matrix_unit(n, j, j), eye_f)
-        out += kron(matrix_unit(n, 1, j), a) + kron(matrix_unit(n, j, 1), a.conj().T)
+    out = _oscillator_operator(n, fock, 1j * lam * eye_f + eye_f + nbar, 1, reverse=False)
     if include_prefactor:
         denom = guard_nonzero(
             1j * lam + n / 2 - 0.5, guard, what="transmission prefactor denominator"
@@ -280,21 +282,12 @@ def conjugate_transmission_matrix(
     guard: float = DEFAULT_POLE_GUARD,
 ) -> np.ndarray:
     """Transmission matrix for left-movers; reversed auxiliary indices."""
-    if fock.species != rank - 1:
-        raise ValueError("Fock species count must be rank - 1")
     lam = complex(lam)
     n = rank
     eye_f = np.eye(fock.dim, dtype=COMPLEX)
     nbar = nbar_op(fock, rank, nbar_ordering)
     head = (-1j * lam - n / 2 + 1) * eye_f + nbar
-    out = kron(matrix_unit(n, n, n), head)
-    for j in range(2, n + 1):
-        jbar = n + 1 - j
-        a = fock.annihilator(j - 1)
-        out += kron(matrix_unit(n, jbar, jbar), eye_f)
-        out += kron(matrix_unit(n, jbar, n), a) + kron(
-            matrix_unit(n, n, jbar), a.conj().T
-        )
+    out = _oscillator_operator(n, fock, head, 1, reverse=True)
     if include_prefactor:
         out = transmission_amplitude(rank, "+", lam, guard) * out
     return out
@@ -322,35 +315,38 @@ def crossed_transmission_matrix(
 # monodromy
 
 
-def monodromy(chain: ChainSpec, lam, cap: int = DIMENSION_CAP) -> np.ndarray:
-    """Ordered product over slots sites+1 down to 1; the defect slot carries
-    the Lax operator at lambda - theta, every bulk slot the R-matrix at
-    lambda.  Acts on auxiliary (x) slot_1 (x) ... (x) slot_{sites+1}."""
+def monodromy_apply(chain: ChainSpec, lam, x) -> np.ndarray:
+    """The monodromy at lambda applied to the columns of ``x``, which has
+    one row per state of auxiliary (x) slot_1 (x) ... (x) slot_{sites+1}.
+
+    The monodromy is the ordered product over slots sites+1 down to 1, so
+    the slot-1 factor acts first.  The defect slot carries the Lax operator
+    at lambda - theta, every bulk slot the R-matrix at lambda."""
     n = chain.rank
     fock = chain.fock()
-    site_dims = [
-        fock.dim if p == chain.defect_site else n for p in range(1, chain.sites + 2)
-    ]
-    quantum = int(np.prod(site_dims, dtype=np.int64))
-    if n * quantum > cap:
-        raise ValueError(
-            f"total dimension {n * quantum} exceeds cap {cap}; "
-            "reduce sites or the Fock cutoff"
-        )
-    out = np.eye(n * quantum, dtype=COMPLEX)
-    for p in range(chain.sites + 1, 0, -1):
+    dims = [n] + chain.slot_dims()
+    bulk = r_matrix(n, lam) if chain.sites else None
+    for p in range(1, chain.sites + 2):
         if p == chain.defect_site:
             factor = defect_lax(chain.lax, fock, complex(lam) - chain.theta)
         else:
-            factor = r_matrix(n, lam)
-        out = out @ embed_pair(factor, n, site_dims, p)
-    return out
+            factor = bulk
+        x = apply_local(factor, x, dims, (0, p))
+    return x
 
 
-def transfer_matrix(chain: ChainSpec, lam, cap: int = DIMENSION_CAP) -> np.ndarray:
+def monodromy(chain: ChainSpec, lam) -> np.ndarray:
+    """The full monodromy matrix on auxiliary (x) slot_1 (x) ... (x)
+    slot_{sites+1}: :func:`monodromy_apply` on the identity."""
+    dim = chain.rank * math.prod(chain.slot_dims())
+    require_budget((dim, dim), "monodromy")
+    return monodromy_apply(chain, lam, np.eye(dim, dtype=COMPLEX))
+
+
+def transfer_matrix(chain: ChainSpec, lam) -> np.ndarray:
     """Partial trace of the monodromy over the auxiliary space."""
     n = chain.rank
-    t = monodromy(chain, lam, cap)
+    t = monodromy(chain, lam)
     quantum = t.shape[0] // n
     return partial_trace(t, (n, quantum), 0)
 
@@ -378,6 +374,3 @@ def chain_vacuum(chain: ChainSpec) -> np.ndarray:
         out = np.kron(out, v)
     return out
 
-
-def rescale(spec: LaxSpec, **kwargs) -> LaxSpec:
-    return replace(spec, **kwargs)

@@ -1,8 +1,14 @@
-"""Dense tensor-product utilities and the truncated multi-species Fock space.
+"""Tensor-product utilities, local operator application, and the truncated
+multi-species Fock space.
 
 Matrices are plain complex128 ndarrays.  Auxiliary-space indices follow the
 physics convention and are 1-based in every public signature; array indices
-underneath are 0-based as usual.
+underneath are 0-based as usual.  An operator on two factors (dimensions
+d_a, d_b) of a dim-dimensional product space is applied to a block of n
+columns by contraction, :func:`apply_local`, at cost O(dim * n * d_a * d_b):
+a product of such factors costs O(dim^2 * d_a * d_b) per factor, not the
+O(dim^3) of multiplying full embeddings.  Dense arrays whose size follows
+from the input are checked against ``MATRIX_BYTE_BUDGET`` before allocation.
 """
 
 from __future__ import annotations
@@ -13,6 +19,19 @@ from functools import reduce
 import numpy as np
 
 COMPLEX = np.complex128
+
+MATRIX_BYTE_BUDGET = 1 << 28  # 256 MiB: the largest dense complex array built
+
+
+def require_budget(shape, what: str) -> None:
+    """Refuse, before allocating it, a dense complex array above the budget."""
+    nbytes = math.prod(int(k) for k in shape) * np.dtype(COMPLEX).itemsize
+    if nbytes > MATRIX_BYTE_BUDGET:
+        size = " x ".join(str(int(k)) for k in shape)
+        raise ValueError(
+            f"{what} needs a {size} complex array ({nbytes / 1e9:.3g} GB), over the "
+            f"{MATRIX_BYTE_BUDGET / 1e9:.3g} GB budget; reduce sites, rank or the Fock cutoff"
+        )
 
 
 def as_matrix(m) -> np.ndarray:
@@ -26,7 +45,10 @@ def kron(*factors) -> np.ndarray:
     """Kronecker product of one or more square matrices, left factor slowest."""
     if not factors:
         raise ValueError("kron of no factors")
-    return reduce(np.kron, (as_matrix(f) for f in factors))
+    factors = [as_matrix(f) for f in factors]
+    dim = math.prod(f.shape[0] for f in factors)
+    require_budget((dim, dim), "Kronecker product")
+    return reduce(np.kron, factors)
 
 
 def matrix_unit(n: int, k: int, l: int) -> np.ndarray:
@@ -40,6 +62,7 @@ def matrix_unit(n: int, k: int, l: int) -> np.ndarray:
 
 def permutation_op(n: int) -> np.ndarray:
     """P = sum_{kl} e_kl (x) e_lk; swaps the two n-dimensional factors."""
+    require_budget((n * n, n * n), "permutation operator")
     p = np.zeros((n * n, n * n), dtype=COMPLEX)
     for k in range(n):
         for l in range(n):
@@ -89,35 +112,42 @@ def partial_trace(m, dims, factor: int) -> np.ndarray:
     raise ValueError("factor must be 0 or 1")
 
 
-def embed_pair(op, aux_dim: int, site_dims, slot: int) -> np.ndarray:
-    """Embed an operator acting on (auxiliary, site ``slot``) into
-    auxiliary (x) site_1 (x) ... (x) site_K, auxiliary factor leftmost.
+def apply_local(op, x, dims, slots) -> np.ndarray:
+    """The embedding of ``op`` times ``x``, without forming the embedding.
 
-    slot is 1-based.  The embedding keeps the auxiliary space first and
-    inserts identities on all other sites.
-    """
-    site_dims = list(site_dims)
-    if not (1 <= slot <= len(site_dims)):
-        raise ValueError(f"slot {slot} out of range for {len(site_dims)} sites")
-    d_slot = site_dims[slot - 1]
+    ``x`` has one row per basis state of dims[0] (x) dims[1] (x) ...,
+    leftmost factor slowest, and any number of columns (1-d: one column).
+    ``op`` acts on factors ``slots = (a, b)``, 0-based, either order, its
+    left factor being ``a``; the others see the identity.  ``x`` is
+    transposed so that the two factors index the rows, multiplied by ``op``
+    in one BLAS product and transposed back: O(rows * columns * dims[a] *
+    dims[b]) work, and no array larger than ``x``."""
+    dims = tuple(int(d) for d in dims)
+    a, b = slots
+    if a == b or not (0 <= a < len(dims) and 0 <= b < len(dims)):
+        raise ValueError(f"slots {tuple(slots)} invalid for {len(dims)} factors")
     op = as_matrix(op)
-    if op.shape[0] != aux_dim * d_slot:
-        raise ValueError(
-            f"operator dim {op.shape[0]} != aux {aux_dim} x site {d_slot}"
-        )
-    pre = int(np.prod(site_dims[: slot - 1], dtype=np.int64))
-    post = int(np.prod(site_dims[slot:], dtype=np.int64))
-    blocks = op.reshape(aux_dim, d_slot, aux_dim, d_slot)
-    q = pre * d_slot * post
-    out = np.zeros((aux_dim * q, aux_dim * q), dtype=COMPLEX)
-    i_pre = np.eye(pre, dtype=COMPLEX)
-    i_post = np.eye(post, dtype=COMPLEX)
-    for i in range(aux_dim):
-        for j in range(aux_dim):
-            out[i * q : (i + 1) * q, j * q : (j + 1) * q] = kron(
-                i_pre, blocks[i, :, j, :], i_post
-            )
-    return out
+    pair = dims[a] * dims[b]
+    if op.shape[0] != pair:
+        raise ValueError(f"operator dim {op.shape[0]} != {dims[a]} x {dims[b]}")
+    x = np.asarray(x, dtype=COMPLEX)
+    rows = math.prod(dims)
+    if x.ndim not in (1, 2) or x.shape[0] != rows:
+        raise ValueError(f"block of shape {x.shape} does not have {rows} rows")
+    order = (a, b) + tuple(k for k in range(len(dims) + 1) if k not in (a, b))
+    moved = x.reshape(dims + (x.size // rows,)).transpose(order)
+    out = (op @ moved.reshape(pair, -1)).reshape(moved.shape)
+    return out.transpose(np.argsort(order)).reshape(x.shape)
+
+
+def embed_pair(op, aux_dim: int, site_dims, slot: int) -> np.ndarray:
+    """The full matrix of an operator on (auxiliary, site ``slot``, 1-based)
+    inside auxiliary (x) site_1 (x) ... (x) site_K.  Products should use
+    :func:`apply_local`, which never forms this matrix."""
+    site_dims = [int(d) for d in site_dims]
+    dim = aux_dim * math.prod(site_dims)
+    require_budget((dim, dim), "embedded operator")
+    return apply_local(op, np.eye(dim, dtype=COMPLEX), [aux_dim] + site_dims, (0, slot))
 
 
 def _compositions(m: int, total: int):
@@ -146,6 +176,8 @@ class FockSpace:
             raise ValueError("need at least one species")
         if cutoff < 1:
             raise ValueError("cutoff must be >= 1")
+        expected = math.comb(cutoff + species, species)
+        require_budget((expected, expected), f"Fock operator at cutoff {cutoff}")
         self.species = species
         self.cutoff = cutoff
         basis = []
@@ -154,7 +186,6 @@ class FockSpace:
         self.basis = tuple(basis)
         self.index = {occ: i for i, occ in enumerate(self.basis)}
         self.dim = len(self.basis)
-        expected = math.comb(cutoff + species, species)
         if self.dim != expected:
             raise AssertionError("basis enumeration does not match C(D+m,m)")
 

@@ -22,8 +22,9 @@ from defectlab.checks import (
     transmission_algebra_residual,
     ybe_residual,
 )
-from defectlab.lax import ChainSpec, LaxSpec, transfer_matrix
-from defectlab.tensor import FockSpace
+import defectlab.lax as lax
+from defectlab.lax import ChainSpec, LaxSpec, chain_vacuum, transfer_matrix
+from defectlab.tensor import FockSpace, aux_block_indices
 
 
 def _points(label, count, avoid=()):
@@ -140,6 +141,30 @@ def test_calibrate_ordering_rank3_class():
     assert "normal/1" in members
 
 
+@pytest.mark.parametrize("rank,candidates,classes", [(2, 6, 4), (3, 8, 6), (4, 8, 6)])
+def test_calibrate_ordering_evaluates_each_class_once(monkeypatch, rank, candidates, classes):
+    calls = []
+    original = checks.rll_residual
+
+    def counted(spec, *args):
+        calls.append(spec.effective_shift())
+        return original(spec, *args)
+
+    monkeypatch.setattr(checks, "rll_residual", counted)
+    _, rep = calibrate_ordering(rank, FockSpace(rank - 1, 2), seed=3, pairs=2)
+    assert len(calls) == 2 * classes and len(set(calls)) == classes
+    params = dict(rep.parameters)
+    residuals = {k: v for k, v in params.items() if k.startswith("residual ")}
+    assert len(residuals) == candidates  # every candidate is still reported
+    by_shift = {}
+    for key, value in residuals.items():
+        ordering, shift = key.split()[1].split("/")
+        spec = LaxSpec(rank, ordering=ordering, shift=float(shift))
+        by_shift.setdefault(spec.effective_shift(), set()).add(value)
+    assert len(by_shift) == classes
+    assert all(len(values) == 1 for values in by_shift.values())
+
+
 def test_calibrate_ordering_unreachable_tolerance():
     with pytest.raises(CalibrationError):
         calibrate_ordering(2, FockSpace(1, 3), seed=5, tol=0.0)
@@ -194,8 +219,6 @@ def test_transmission_algebra_direct_and_conjugate():
 
 
 def test_transmission_algebra_scalar_rescaling_invariance(monkeypatch):
-    import defectlab.lax as lax
-
     rank, fock = 2, FockSpace(1, 4)
     l1, l2 = 0.37 + 0.21j, -0.83 - 0.12j
     base = transmission_algebra_residual(rank, fock, l1, l2)
@@ -263,3 +286,108 @@ def test_faithful_columns_empty_margin_raises():
     chain = ChainSpec(rank=2, sites=0, fock_cutoff=1)
     with pytest.raises(ValueError):
         faithful_columns(chain, 2)
+
+
+# ---------------------------------------------------------------------------
+# residuals against dense products of kron-embedded operators
+
+
+def _dense_exchange(kron_embed, rank, fock, pair_op, x1, x2):
+    dims = (rank, rank, fock.dim)
+    p = kron_embed(pair_op, dims, (0, 1))
+    e1 = kron_embed(x1, dims, (0, 2))
+    e2 = kron_embed(x2, dims, (1, 2))
+    idx = aux_block_indices(rank * rank, fock.sub_cutoff_indices(1), fock.dim)
+    block = np.ix_(idx, idx)
+    return (p @ e1 @ e2)[block], (e2 @ e1 @ p)[block]
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+@pytest.mark.parametrize("matrix", ["R", "S"])
+def test_ybe_residual_against_dense(kron_embed, rank, matrix):
+    build = lax.r_matrix if matrix == "R" else lax.s_matrix
+    l1, l2 = 0.41 + 0.2j, -0.83 + 0.05j
+    eye = np.eye(rank)
+    m12 = np.kron(build(rank, l1 - l2), eye)
+    m13 = kron_embed(build(rank, l1), (rank, rank, rank), (0, 2))
+    m23 = np.kron(eye, build(rank, l2))
+    lhs = m12 @ m13 @ m23
+    dense = np.max(np.abs(lhs - m23 @ m13 @ m12))
+    got = ybe_residual(rank, l1, l2, matrix)
+    assert abs(got - dense) <= 1e-15 * np.max(np.abs(lhs))
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+@pytest.mark.parametrize("variant", ["L", "Lhat"])
+def test_rll_residual_against_dense(kron_embed, rank, variant):
+    fock = FockSpace(rank - 1, 3)
+    spec = LaxSpec(rank, variant=variant)
+    for l1, l2 in ((0.43 - 0.2j, -1.1 + 0.6j), (1.7 + 1.2j, -1.9 - 1.6j)):
+        lhs, rhs = _dense_exchange(
+            kron_embed, rank, fock, lax.r_matrix(rank, l1 - l2),
+            lax.defect_lax(spec, fock, l1), lax.defect_lax(spec, fock, l2),
+        )
+        got = rll_residual(spec, fock, l1, l2)
+        assert abs(got - np.max(np.abs(lhs - rhs))) <= 1e-15 * np.max(np.abs(lhs))
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("conjugate", [False, True])
+def test_transmission_algebra_residual_against_dense(kron_embed, rank, conjugate):
+    fock = FockSpace(rank - 1, 3)
+    build = lax.conjugate_transmission_matrix if conjugate else lax.transmission_matrix
+    l1, l2 = 0.37 + 0.21j, -0.83 - 0.12j
+    lhs, rhs = _dense_exchange(
+        kron_embed, rank, fock, lax.s_matrix(rank, l1 - l2),
+        build(rank, fock, l1), build(rank, fock, l2),
+    )
+    dense = np.max(np.abs(lhs - rhs)) / np.max(np.abs(lhs))
+    got = transmission_algebra_residual(rank, fock, l1, l2, conjugate)
+    assert abs(got - dense) <= 1e-15
+
+
+_CHAINS = [
+    ChainSpec(rank=2, sites=2, fock_cutoff=3, theta=0.2),
+    ChainSpec(rank=2, sites=2, fock_cutoff=3, defect_site=2, theta=-0.4 + 0.1j),
+    ChainSpec(rank=3, sites=1, fock_cutoff=2, theta=0.3, lax=LaxSpec(3, variant="Lhat")),
+    ChainSpec(rank=3, sites=2, fock_cutoff=2, defect_site=3, theta=0.1),
+]
+
+
+@pytest.mark.parametrize("chain", _CHAINS)
+def test_highest_weight_against_dense(dense_monodromy, chain):
+    n = chain.rank
+    omega = chain_vacuum(chain)
+    q = omega.size
+    lams = (0.37 + 0.11j, -1.1 + 0.6j)
+    dense = 0.0
+    for z in lams:
+        t = dense_monodromy(chain, z)
+        scale = max(1.0, (abs(z) + 2.0) ** (chain.sites + 1))
+        for k in range(1, n + 1):
+            for l in range(1, n + 1):
+                block = t[(k - 1) * q : k * q, (l - 1) * q : l * q]
+                expect = omega.conj() @ block @ omega
+                target = checks._local_vacuum_weight(chain, k, z) if k == l else 0.0
+                dense = max(dense, abs(expect - target) / scale)
+    got = check_highest_weight(chain, lams).residual
+    assert abs(got - dense) <= 1e-15
+
+
+@pytest.mark.parametrize("chain", _CHAINS)
+def test_transfer_commute_against_dense(dense_monodromy, chain):
+    n = chain.rank
+
+    def transfer(z):
+        t = dense_monodromy(chain, z)
+        q = t.shape[0] // n
+        return sum(t[k * q : (k + 1) * q, k * q : (k + 1) * q] for k in range(n))
+
+    l1, l2 = 0.6 + 0.3j, -0.9 + 0.1j
+    t1, t2 = transfer(l1), transfer(l2)
+    assert np.max(np.abs(transfer_matrix(chain, l1) - t1)) <= 1e-15 * np.max(np.abs(t1))
+    scale = max(1.0, np.max(np.abs(t1)) * np.max(np.abs(t2)))
+    cols = faithful_columns(chain, 2)
+    dense = np.max(np.abs((t1 @ t2 - t2 @ t1)[:, cols])) / scale
+    got = check_transfer_commute(chain, l1, l2).residual
+    assert abs(got - dense) <= 1e-15

@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from defectlab.bethe import BetheState, ground_state_seed
-from defectlab.cli import main
+from defectlab.cli import _load_config, build_parser, main
 
 AMP_HEADER = (
     "lambda,closed_form_re,closed_form_im,integral_re,integral_im,"
@@ -103,6 +104,31 @@ def test_check_runs_are_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_check_all_rank4_runs_are_byte_identical(tmp_path):
+    argv = ["check", "all", "--rank", "4", "--fock-cutoff", "2", "--sites", "2", "--seed", "3"]
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    assert main([*argv, "-o", str(a)]) == 0
+    assert main([*argv, "-o", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_check_over_the_byte_budget_is_refused_unallocated(capsys):
+    # dimension 4 * 84 * 4**4 = 86,016: the monodromy alone would take 118 GB
+    argv = ["check", "transfer-commute", "--rank", "4", "--fock-cutoff", "6", "--sites", "4", "--seed", "1"]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "monodromy needs a 86016 x 86016 complex array (118 GB)" in err
+    assert "budget" in err
+    assert peak < 10 * 2**20
+
+
 def test_check_tolerance_override_can_fail(tmp_path):
     code, text = run(
         tmp_path, "check", "oscillator", "--fock-cutoff", "3", "--tol", "oscillator=1e-300"
@@ -161,6 +187,32 @@ def test_config_file_with_flag_override(tmp_path):
     assert echo["rank"] == 2  # flag wins
     assert echo["fock_cutoff"] == 3
     assert echo["seed"] == 11
+
+
+def test_every_config_key_and_flag(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "rank": 3, "fock_cutoff": 4, "chain_sites": 1, "theta": [0.5, -0.25],
+        "lambda_grid": {"min": -1, "max": 2, "count": 7}, "tolerances": {"ybe": 1e-9},
+        "seed": 12, "output": "x.json", "format": "csv", "ordering": "antinormal", "shift": 2,
+    }))
+    parser = build_parser()
+    got = _load_config(parser.parse_args(["check", "ybe", "--config", str(cfg)]))
+    assert (got.rank, got.fock_cutoff, got.chain_sites, got.theta) == (3, 4, 1, 0.5 - 0.25j)
+    assert got.lambda_grid == (-1.0, 2.0, 7) and got.tolerances == {"ybe": 1e-9}
+    assert (got.seed, got.output, got.fmt, got.ordering, got.shift) == (
+        12, "x.json", "csv", "antinormal", 2.0)
+    flags = [
+        "check", "ybe", "--config", str(cfg), "--rank", "2", "--fock-cutoff", "3",
+        "--sites", "0", "--theta", "0.1+0.2j", "--grid", "0", "1", "3", "--tol", "rll=1e-7",
+        "--seed", "5", "-o", "y.json", "--format", "json", "--ordering", "normal", "--shift", "0.5",
+    ]
+    got = _load_config(parser.parse_args(flags))
+    assert (got.rank, got.fock_cutoff, got.chain_sites, got.theta) == (2, 3, 0, 0.1 + 0.2j)
+    assert got.lambda_grid == (0.0, 1.0, 3)
+    assert got.tolerances == {"ybe": 1e-9, "rll": 1e-7}
+    assert (got.seed, got.output, got.fmt, got.ordering, got.shift) == (
+        5, "y.json", "json", "normal", 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from defectlab.lax import (
     l_hat_matrix,
     l_matrix,
     monodromy,
+    monodromy_apply,
     monodromy_aux_block,
     r_matrix,
     s_amplitude,
@@ -284,7 +285,39 @@ def test_monodromy_aux_block():
     assert np.allclose(monodromy_aux_block(m, 2, 1, 2), 1j * fock.annihilator(1))
 
 
-def test_monodromy_dimension_cap():
-    chain = ChainSpec(rank=2, sites=3, fock_cutoff=2)
-    with pytest.raises(ValueError):
-        monodromy(chain, 0.1, cap=10)
+@pytest.mark.parametrize("variant", ["L", "Lhat"])
+@pytest.mark.parametrize("rank", [2, 3])
+def test_monodromy_against_kron_reference(dense_monodromy, variant, rank):
+    lam = 0.37 - 0.52j
+    for sites in (0, 1, 2):
+        for defect_site in range(1, sites + 2):
+            chain = ChainSpec(
+                rank=rank, sites=sites, fock_cutoff=2, defect_site=defect_site,
+                theta=0.3 + 0.1j, lax=LaxSpec(rank, variant=variant),
+            )
+            ref = dense_monodromy(chain, lam)
+            got = monodromy(chain, lam)
+            assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref)), (sites, defect_site)
+
+
+def test_monodromy_apply_on_a_column_block():
+    chain = ChainSpec(rank=3, sites=2, fock_cutoff=2, defect_site=2, theta=-0.2)
+    lam = 0.8 + 0.3j
+    full = monodromy(chain, lam)
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(full.shape[0], 5)) + 1j * rng.normal(size=(full.shape[0], 5))
+    got = monodromy_apply(chain, lam, x)
+    assert np.max(np.abs(got - full @ x)) <= 1e-14 * np.max(np.abs(full @ x))
+    vac = np.kron(np.eye(3)[:, 0], chain_vacuum(chain))
+    assert np.allclose(monodromy_apply(chain, lam, vac), full[:, np.argmax(vac)])
+
+
+def test_monodromy_byte_budget():
+    # dimension 4 * 84 * 4**4 = 86,016: one dense matrix would take 118 GB
+    chain = ChainSpec(rank=4, sites=4, fock_cutoff=6)
+    for build in (monodromy, transfer_matrix):
+        with pytest.raises(ValueError, match="86016 x 86016.*budget"):
+            build(chain, 0.1)
+    # a block of columns of the same chain stays affordable
+    vac = np.kron(np.eye(4)[:, 0], chain_vacuum(chain))
+    assert monodromy_apply(chain, 0.1, vac).shape == vac.shape

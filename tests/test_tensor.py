@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from defectlab.tensor import (
+    MATRIX_BYTE_BUDGET,
     FockSpace,
+    apply_local,
     aux_block_indices,
     dagger,
     embed_pair,
@@ -14,6 +16,7 @@ from defectlab.tensor import (
     partial_transpose,
     permutation_op,
     restrict,
+    require_budget,
     reversal_op,
 )
 
@@ -130,6 +133,62 @@ def test_embed_pair_slot_range():
         embed_pair(np.eye(4), 2, [2], 2)
     with pytest.raises(ValueError):
         embed_pair(np.eye(5), 2, [2], 1)
+
+
+# ---------------------------------------------------------------------------
+# local application
+
+
+@pytest.mark.parametrize(
+    "dims,slots",
+    [
+        ((2, 3, 2), (0, 1)),  # adjacent
+        ((2, 3, 2), (1, 2)),
+        ((2, 3, 2), (0, 2)),  # not adjacent
+        ((3, 2, 2, 2), (1, 3)),
+        ((2, 3, 2), (1, 0)),  # reversed
+        ((3, 2, 2, 2), (3, 0)),
+    ],
+)
+@pytest.mark.parametrize("columns", ["square", 5, 1, "vector"])
+def test_apply_local_against_kron_reference(kron_embed, dims, slots, columns):
+    rng = np.random.default_rng(len(dims) * 10 + slots[0] * 3 + slots[1])
+    pair = dims[slots[0]] * dims[slots[1]]
+    total = int(np.prod(dims))
+    op = rng.normal(size=(pair, pair)) + 1j * rng.normal(size=(pair, pair))
+    shape = {"square": (total, total), "vector": (total,)}.get(columns, (total, columns))
+    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    got = apply_local(op, x, dims, slots)
+    ref = kron_embed(op, dims, slots) @ x
+    assert got.shape == x.shape
+    assert np.max(np.abs(got - ref)) <= 1e-15 * pair * np.max(np.abs(op)) * np.max(np.abs(x))
+
+
+def test_apply_local_empty_block():
+    assert apply_local(np.eye(6), np.zeros((12, 0)), (2, 3, 2), (0, 1)).shape == (12, 0)
+
+
+def test_apply_local_rejects_bad_arguments():
+    x = np.eye(12)
+    with pytest.raises(ValueError):
+        apply_local(np.eye(4), x, (2, 3, 2), (0, 0))
+    with pytest.raises(ValueError):
+        apply_local(np.eye(4), x, (2, 3, 2), (0, 3))
+    with pytest.raises(ValueError):
+        apply_local(np.eye(6), x, (2, 3, 2), (0, 2))
+    with pytest.raises(ValueError):
+        apply_local(np.eye(4), np.eye(10), (2, 3, 2), (0, 2))
+
+
+def test_byte_budget_is_checked_before_allocation():
+    limit = MATRIX_BYTE_BUDGET // np.dtype(complex).itemsize
+    require_budget((limit,), "at the budget")
+    with pytest.raises(ValueError, match="budget"):
+        require_budget((limit + 1,), "over the budget")
+    with pytest.raises(ValueError, match="budget"):
+        kron(np.eye(100), np.eye(100), np.eye(100))
+    with pytest.raises(ValueError, match="budget"):
+        FockSpace(3, 200)  # refused before enumerating 1.4 million states
 
 
 # ---------------------------------------------------------------------------
