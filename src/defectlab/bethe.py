@@ -1,21 +1,24 @@
 """Nested Bethe equations for the chain with one transmitting impurity.
 
 Roots are organized by nesting level 1..rank-1; level 0 stands for the
-physical sites (rapidity 0 each) and level rank is empty.  The impurity
-enters the equations at one level through a one-sided factor, either
-lambda - theta + i/2 or 1/(lambda - theta - i/2).
+physical sites (rapidity 0 each) and level rank is empty.  The sites enter
+as one rapidity 0 of multiplicity ``sites``: one power e_1(lambda)^sites in
+the level-1 equations, one term sites * d/dlambda log e_1 in their Jacobian
+and one pole test.  The impurity enters the equations at one level through
+a one-sided factor, either lambda - theta + i/2 or 1/(lambda - theta - i/2).
 
 The equations are written multiplicatively.  With the self-term included on
 the right (its value at coinciding arguments is exactly -1) the conventional
 overall minus sign disappears, so a root set solves the system iff every
-log-ratio vanishes on the principal branch.
+log-ratio vanishes on the principal branch.  Residual, Jacobian and
+counting function are array expressions over lambda[:, None] - mu[None, :],
+one per pair of coupled levels.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -158,29 +161,34 @@ def defect_log_derivative(lam, sign: str):
     raise ValueError(f"sign must be '+' or '-', got {sign!r}")
 
 
+def _neighbours(state: BetheState, level: int) -> list:
+    """(level, rapidities, multiplicity) of the levels adjacent to ``level``
+    that hold rapidities: the sites are level 0, one rapidity 0 of
+    multiplicity ``sites``."""
+    out = []
+    if level > 1:
+        out.append((level - 1, state.roots[level - 2], 1))
+    elif state.sites:
+        out.append((0, np.zeros(1, dtype=COMPLEX), state.sites))
+    if level + 1 < state.rank:
+        out.append((level + 1, state.roots[level], 1))
+    return out
+
+
 def _guard_collisions(state: BetheState, guard: float = COLLISION_GUARD) -> None:
     for level, roots in enumerate(state.roots, start=1):
+        diff = roots[:, None] - roots[None, :]
+        np.fill_diagonal(diff, np.inf)
         if len(roots) > 1:
-            diff = roots[:, None] - roots[None, :]
-            np.fill_diagonal(diff, np.inf)
             dmin = float(np.min(np.abs(diff)))
             if dmin < guard:
                 raise RootCollisionError(
                     f"two level-{level} roots within {dmin:.3e} (< {guard:g})"
                 )
         # a root sitting on a log singularity of its own equation
-        for n, other in (
-            (1, state.level_roots(level - 1)),
-            (1, state.level_roots(level + 1)),
-            (2, roots),
-        ):
-            if len(other) == 0:
-                continue
-            d = np.abs(roots[:, None] - other[None, :] - 0.5j * n)
-            d = np.minimum(d, np.abs(roots[:, None] - other[None, :] + 0.5j * n))
-            if n == 2:
-                np.fill_diagonal(d, np.inf)
-            if d.size and float(np.min(d)) < guard:
+        poles = [(roots[:, None] - mu[None, :], 0.5j) for _, mu, _ in _neighbours(state, level)]
+        for d, pole in poles + [(diff, 1j)]:
+            if d.size and float(np.min(np.minimum(np.abs(d - pole), np.abs(d + pole)))) < guard:
                 raise RootCollisionError(
                     f"level-{level} root within {guard:g} of a scattering pole"
                 )
@@ -211,18 +219,13 @@ def _equation_ratio(state: BetheState, level: int) -> np.ndarray:
     if len(lam) == 0:
         return np.zeros(0, dtype=COMPLEX)
     lhs = np.ones(len(lam), dtype=COMPLEX)
-    for mu in state.level_roots(level - 1):
-        lhs = lhs * e_ratio(lam - mu, 1)
-    for nu in state.level_roots(level + 1):
-        lhs = lhs * e_ratio(lam - nu, 1)
+    for _, mu, mult in _neighbours(state, level):
+        lhs = lhs * np.prod(e_ratio(lam[:, None] - mu[None, :], 1), axis=1) ** mult
     if state.defect_sign is not None and level == state.defect_level:
         lhs = lhs * defect_factor(lam - state.theta, state.defect_sign)
-    rhs = np.ones(len(lam), dtype=COMPLEX)
-    for j, mu in enumerate(lam):
-        term = e_ratio(lam - mu, 2)
-        term[j] = -1.0  # self-term: e_2(0) = -1 exactly
-        rhs = rhs * term
-    return lhs / rhs
+    term = e_ratio(lam[:, None] - lam[None, :], 2)
+    np.fill_diagonal(term, -1.0)  # self-term: e_2(0) = -1 exactly
+    return lhs / np.prod(term, axis=1)
 
 
 def bae_residual(state: BetheState, guard: float = COLLISION_GUARD) -> BAEResidual:
@@ -244,27 +247,20 @@ def _jacobian(state: BetheState) -> np.ndarray:
     jac = np.zeros((total, total), dtype=COMPLEX)
     for level in range(1, state.rank):
         lam = state.level_roots(level)
-        base = offsets[level - 1]
-        for i, x in enumerate(lam):
-            row = base + i
-            diag = 0.0 + 0.0j
-            for adj in (level - 1, level + 1):
-                mu = state.level_roots(adj)
-                if len(mu) == 0:
-                    continue
-                g = e_ratio_log_derivative(x - mu, 1)
-                diag += np.sum(g)
-                if 1 <= adj <= state.rank - 1:
-                    jac[row, offsets[adj - 1] : offsets[adj]] -= g
-            if state.defect_sign is not None and level == state.defect_level:
-                diag += defect_log_derivative(x - state.theta, state.defect_sign)
-            for j, y in enumerate(lam):
-                if j == i:
-                    continue
-                g2 = e_ratio_log_derivative(x - y, 2)
-                diag -= g2
-                jac[row, base + j] += g2
-            jac[row, row] += diag
+        rows = slice(offsets[level - 1], offsets[level])
+        diag = np.zeros(len(lam), dtype=COMPLEX)
+        for adj, mu, mult in _neighbours(state, level):
+            g = e_ratio_log_derivative(lam[:, None] - mu[None, :], 1)
+            diag += mult * np.sum(g, axis=1)
+            if adj:
+                jac[rows, offsets[adj - 1] : offsets[adj]] -= g
+        if state.defect_sign is not None and level == state.defect_level:
+            diag += defect_log_derivative(lam - state.theta, state.defect_sign)
+        g2 = e_ratio_log_derivative(lam[:, None] - lam[None, :], 2)
+        np.fill_diagonal(g2, 0.0)
+        block = jac[rows, rows]
+        block += g2
+        block[np.diag_indices(len(lam))] += diag - np.sum(g2, axis=1)
     return jac
 
 
@@ -351,37 +347,35 @@ def defect_phase(lam):
     return np.arctan(2.0 * np.asarray(lam, dtype=float))
 
 
+def _coupled_sum(state: BetheState, level: int, lam: np.ndarray, kernel) -> np.ndarray:
+    """Sum of kernel(lam - mu, 1) over the adjacent levels' roots (the sites
+    with their multiplicity) minus kernel(lam - mu, 2) over the level's own."""
+    total = np.zeros_like(lam)
+    for _, mu, mult in _neighbours(state, level):
+        total += mult * np.sum(kernel(lam[..., None] - mu.real, 1), axis=-1)
+    own = state.level_roots(level).real
+    return total - np.sum(kernel(lam[..., None] - own, 2), axis=-1)
+
+
 def counting_function(state: BetheState, level: int, lam) -> np.ndarray:
     """Scaled phase sum whose values at the roots sit on the quantization
     ladder (half-odd integers for even counts)."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    total = np.zeros_like(lam)
-    for mu in state.level_roots(level - 1):
-        total += phase(lam - mu.real, 1)
-    for nu in state.level_roots(level + 1):
-        total += phase(lam - nu.real, 1)
-    for mu in state.level_roots(level):
-        total -= phase(lam - mu.real, 2)
+    total = _coupled_sum(state, level, lam, phase)
     if state.defect_sign is not None and level == state.defect_level:
         total += defect_phase(lam - state.theta)
     return total / (2.0 * np.pi)
 
 
+def _a_n(x, n):
+    return (1.0 / (2.0 * np.pi)) * n / (x * x + 0.25 * n * n)
+
+
 def counting_function_derivative(state: BetheState, level: int, lam) -> np.ndarray:
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    total = np.zeros_like(lam)
-
-    def a_n(x, n):
-        return (1.0 / (2.0 * np.pi)) * n / (x * x + 0.25 * n * n)
-
-    for mu in state.level_roots(level - 1):
-        total += a_n(lam - mu.real, 1)
-    for nu in state.level_roots(level + 1):
-        total += a_n(lam - nu.real, 1)
-    for mu in state.level_roots(level):
-        total -= a_n(lam - mu.real, 2)
+    total = _coupled_sum(state, level, lam, _a_n)
     if state.defect_sign is not None and level == state.defect_level:
-        total += 0.5 * a_n(lam - state.theta, 1)
+        total += 0.5 * _a_n(lam - state.theta, 1)
     return total
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from defectlab.bethe import (
     BetheState,
     ConvergenceError,
     RootCollisionError,
+    _equation_ratio,
+    _jacobian,
     bae_residual,
     counting_function,
     counting_function_derivative,
@@ -184,6 +188,146 @@ def test_nonconvergent_case_raises_with_trace():
 
 
 # ---------------------------------------------------------------------------
+# scalar-loop references: every site a separate rapidity 0, every factor a
+# Python complex
+
+
+def _g(z, n):
+    return -1j * n / (z * z + 0.25 * n * n)
+
+
+def _adjacent(state, level):
+    lower = [0j] * state.sites if level == 1 else list(state.roots[level - 2])
+    upper = list(state.roots[level]) if level < state.rank - 1 else []
+    return lower + upper
+
+
+def _has_defect(state, level):
+    return state.defect_sign is not None and level == state.defect_level
+
+
+def _ref_ratio(state, level):
+    lam = list(state.roots[level - 1])
+    out = []
+    for i, x in enumerate(lam):
+        lhs = 1.0 + 0j
+        for mu in _adjacent(state, level):
+            lhs *= (x - mu + 0.5j) / (x - mu - 0.5j)
+        if _has_defect(state, level):
+            z = x - state.theta
+            lhs *= z + 0.5j if state.defect_sign == "+" else 1.0 / (z - 0.5j)
+        rhs = 1.0 + 0j
+        for j, y in enumerate(lam):
+            rhs *= -1.0 if j == i else (x - y + 1j) / (x - y - 1j)
+        out.append(lhs / rhs)
+    return np.array(out, dtype=complex)
+
+
+def _ref_jacobian(state):
+    flat = [
+        (level, i, x) for level in range(1, state.rank) for i, x in enumerate(state.roots[level - 1])
+    ]
+    jac = np.zeros((len(flat), len(flat)), dtype=complex)
+    for r, (level, i, x) in enumerate(flat):
+        for c, (other, j, y) in enumerate(flat):
+            if other == level and j == i:
+                d = sum(_g(x - mu, 1) for mu in _adjacent(state, level))
+                if _has_defect(state, level):
+                    z = x - state.theta
+                    d += 1.0 / (z + 0.5j) if state.defect_sign == "+" else -1.0 / (z - 0.5j)
+                d -= sum(_g(x - w, 2) for k, w in enumerate(state.roots[level - 1]) if k != i)
+            elif other == level:
+                d = _g(x - y, 2)
+            elif abs(other - level) == 1:
+                d = -_g(x - y, 1)
+            else:
+                d = 0.0
+            jac[r, c] = d
+    return jac
+
+
+def _ref_counting(state, level, lam):
+    total = []
+    for x in lam:
+        t = sum(2.0 * np.arctan(2.0 * (x - mu.real)) for mu in _adjacent(state, level))
+        t -= sum(2.0 * np.arctan(x - mu.real) for mu in state.roots[level - 1])
+        if _has_defect(state, level):
+            t += np.arctan(2.0 * (x - state.theta))
+        total.append(t / (2.0 * np.pi))
+    return np.array(total)
+
+
+def _states():
+    """Rank 2 and 3, the impurity absent or at each level with each sign,
+    with and without sites, and with an empty level."""
+    rng = np.random.default_rng(11)
+
+    def roots(m):
+        return rng.uniform(-1.5, 1.5, m) + 1j * rng.uniform(-0.4, 0.4, m)
+
+    out = []
+    for sites in (0, 1, 5):
+        for sign in (None, "+", "-"):
+            out.append(
+                BetheState(rank=2, sites=sites, roots=(roots(3),), theta=0.3, defect_sign=sign)
+            )
+            for level in (1, 2):
+                # (3, 3): a transposed inter-level block keeps its shape
+                for counts in ((3, 3), (4, 2), (0, 2), (3, 0)):
+                    out.append(BetheState(
+                        rank=3, sites=sites, roots=tuple(roots(m) for m in counts),
+                        theta=-0.4, defect_sign=sign, defect_level=level,
+                    ))
+    return out
+
+
+def test_equation_ratio_and_jacobian_match_scalar_loops():
+    for st in _states():
+        for level in range(1, st.rank):
+            ref = _ref_ratio(st, level)
+            got = _equation_ratio(st, level)
+            assert got.shape == ref.shape
+            assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref)), (st, level)
+        ref = _ref_jacobian(st)
+        got = _jacobian(st)
+        assert got.shape == ref.shape
+        if ref.size:
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), st
+
+
+def test_jacobian_matches_central_differences_of_the_residual():
+    h = 1e-6
+    for st in _states():
+        flat = np.concatenate(st.roots)
+        if flat.size == 0:
+            continue
+        jac = _jacobian(st)
+        for k in range(flat.size):
+            for step in (h, 1j * h):
+                shifted = []
+                for sgn in (1, -1):
+                    x = flat.copy()
+                    x[k] += sgn * step
+                    levels = np.split(x, np.cumsum(st.magnon_counts())[:-1])
+                    trial = replace(st, roots=tuple(levels))
+                    shifted.append(np.concatenate(bae_residual(trial).per_level))
+                # the residual is holomorphic: both directions give the column
+                col = (shifted[0] - shifted[1]) / (2 * step)
+                assert np.max(np.abs(col - jac[:, k])) <= 1e-7 * np.max(np.abs(jac)), (st, k)
+
+
+def test_site_pole_is_guarded_only_with_sites():
+    for pole in (0.5j, -0.5j):
+        for sites in (1, 400):
+            st = BetheState(rank=2, sites=sites, roots=(np.array([pole, 0.7]),))
+            with pytest.raises(RootCollisionError, match="scattering pole"):
+                bae_residual(st)
+        bae_residual(BetheState(rank=2, sites=0, roots=(np.array([pole, 0.7]),)))
+        # level 2 does not couple to the sites
+        bae_residual(BetheState(rank=3, sites=4, roots=(np.array([0.7]), np.array([pole]))))
+
+
+# ---------------------------------------------------------------------------
 # counting function
 
 
@@ -201,6 +345,16 @@ def test_counting_ladder_spacing():
     h = counting_function(sol, 1, lam)
     assert np.all(np.diff(h) > 0)
     assert np.max(np.abs(np.diff(h) - 1.0)) < 5e-3
+
+
+def test_counting_function_matches_scalar_loop():
+    grid = np.linspace(-2.5, 2.5, 41)
+    for st in _states():
+        for level in range(1, st.rank):
+            ref = _ref_counting(st, level, grid)
+            got = counting_function(st, level, grid)
+            scale = max(1.0, np.max(np.abs(ref)))
+            assert np.max(np.abs(got - ref)) <= 1e-14 * scale, (st, level)
 
 
 def test_counting_derivative_positive_and_matches_difference():
