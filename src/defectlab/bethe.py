@@ -22,10 +22,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .kernels import defect_side
 from .tensor import COMPLEX
-
-DEFECT_PLUS = "+"
-DEFECT_MINUS = "-"
 
 COLLISION_GUARD = 1e-9
 
@@ -68,8 +66,8 @@ class BetheState:
             raise ValueError(
                 f"expected {self.rank - 1} root levels, got {len(self.roots)}"
             )
-        if self.defect_sign not in (None, DEFECT_PLUS, DEFECT_MINUS):
-            raise ValueError(f"defect_sign must be '+', '-' or None")
+        if self.defect_sign is not None:
+            defect_side(self.defect_sign)
         if not 1 <= self.defect_level <= self.rank - 1:
             raise ValueError(
                 f"defect_level must be in 1..{self.rank - 1}, got {self.defect_level}"
@@ -144,21 +142,16 @@ def e_ratio_log_derivative(lam, n: int):
 
 
 def defect_factor(lam, sign: str):
-    lam = np.asarray(lam, dtype=COMPLEX)
-    if sign == DEFECT_PLUS:
-        return lam + 0.5j
-    if sign == DEFECT_MINUS:
-        return 1.0 / (lam - 0.5j)
-    raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+    """(lam + side i/2) ** side: lam + i/2 for '+', 1/(lam - i/2) for '-'."""
+    side = defect_side(sign)
+    z = np.asarray(lam, dtype=COMPLEX) + side * 0.5j
+    return z if side > 0 else 1.0 / z
 
 
 def defect_log_derivative(lam, sign: str):
-    lam = np.asarray(lam, dtype=COMPLEX)
-    if sign == DEFECT_PLUS:
-        return 1.0 / (lam + 0.5j)
-    if sign == DEFECT_MINUS:
-        return -1.0 / (lam - 0.5j)
-    raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+    """side / (lam + side i/2)."""
+    side = defect_side(sign)
+    return side / (np.asarray(lam, dtype=COMPLEX) + side * 0.5j)
 
 
 def _neighbours(state: BetheState, level: int) -> list:
@@ -193,8 +186,8 @@ def _guard_collisions(state: BetheState, guard: float = COLLISION_GUARD) -> None
                     f"level-{level} root within {guard:g} of a scattering pole"
                 )
         if state.defect_sign is not None and level == state.defect_level:
-            shift = -0.5j if state.defect_sign == DEFECT_PLUS else 0.5j
-            d = np.abs(roots - state.theta - shift)
+            # the factor's zero ('+') or pole ('-'): lam - theta + side i/2 = 0
+            d = np.abs(roots - state.theta + defect_side(state.defect_sign) * 0.5j)
             if d.size and float(np.min(d)) < guard:
                 raise RootCollisionError(
                     f"level-{level} root within {guard:g} of the impurity pole"

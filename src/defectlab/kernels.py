@@ -6,6 +6,19 @@ which is exact algebra (no large-argument approximation) and immune to sinh
 overflow; omega = 0 takes the analytic limit through a mask, so no 0/0 is
 ever evaluated.  The Fourier sums evaluate cos/sin(outer(lam, omega)) in
 fixed row tiles, so their working memory does not grow with the lam grid.
+
+The impurity sign is decided here and nowhere else.  defect_side maps
+DEFECT_PLUS to side = +1 and DEFECT_MINUS to side = -1, and is the only
+place a sign string is validated.  Every sign-taking function reads side:
+
+- the one-sided factor exp(side omega/2) is supported on side omega <= 0,
+  so '+' lives on omega <= 0 and '-' on omega >= 0;
+- the amplitude level is 1 for '+' and rank-1 for '-': the amplitude
+  integrands use sigma0 at that level with the phase exp(side i u lamhat),
+  and the one-sided density kernel is R(k, level) times the one-sided
+  factor;
+- the Gamma arguments of the closed-form amplitudes (lax) have the slope
+  -side i/n in lambda.
 """
 
 from __future__ import annotations
@@ -15,6 +28,23 @@ import math
 import numpy as np
 
 _TILE = 16  # lam rows per Fourier tile
+
+DEFECT_PLUS = "+"
+DEFECT_MINUS = "-"
+
+
+def defect_side(sign) -> int:
+    """+1 for DEFECT_PLUS, -1 for DEFECT_MINUS; anything else is refused."""
+    if sign == DEFECT_PLUS:
+        return 1
+    if sign == DEFECT_MINUS:
+        return -1
+    raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+
+
+def _level(rank: int, side: int) -> int:
+    # amplitude level: 1 for '+', rank-1 for '-'
+    return 1 if side > 0 else rank - 1
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +85,7 @@ def _big_r(x, rank: int, j: int, jp: int):
     return _sinh_ratio(x, jlo - jhi, (jlo, rank - jhi), (1, rank))
 
 
-def _one_sided(omega, side: float):
+def _one_sided(omega, side: int):
     # exp(side omega/2) where side omega <= 0, zero elsewhere
     out = np.zeros(omega.shape)
     keep = ~(side * omega > 0.0)
@@ -63,8 +93,9 @@ def _one_sided(omega, side: float):
     return out
 
 
-# The public kernels below build on the private helpers above, never on each
-# other, so that a call to one of them is one grid evaluation.
+# The public kernels below build on the private helpers above and on
+# defect_side, never on each other, so that a call to one of them is one grid
+# evaluation.
 
 
 def sigma0_hat(omega, rank: int, k: int):
@@ -79,14 +110,9 @@ def a_hat(omega, n: int):
     return np.exp(-0.5 * n * np.abs(omega))
 
 
-def frak_a_hat_plus(omega):
-    # one-sided factor, supported on omega <= 0
-    return _one_sided(omega, 1.0)
-
-
-def frak_a_hat_minus(omega):
-    # one-sided factor, supported on omega >= 0
-    return _one_sided(omega, -1.0)
+def frak_a_hat(omega, sign: str):
+    # one-sided factor, supported on side omega <= 0
+    return _one_sided(omega, defect_side(sign))
 
 
 def r_hat(omega, rank: int, k: int):
@@ -95,12 +121,9 @@ def r_hat(omega, rank: int, k: int):
     return _big_r(x, rank, k, 1) * np.exp(-x) - _big_r(x, rank, k, 2) * np.exp(-0.5 * x)
 
 
-def rt_hat_plus(omega, rank: int, k: int):
-    return _big_r(np.abs(omega), rank, k, 1) * _one_sided(omega, 1.0)
-
-
-def rt_hat_minus(omega, rank: int, k: int):
-    return _big_r(np.abs(omega), rank, k, rank - 1) * _one_sided(omega, -1.0)
+def rt_hat(omega, rank: int, k: int, sign: str):
+    side = defect_side(sign)
+    return _big_r(np.abs(omega), rank, k, _level(rank, side)) * _one_sided(omega, side)
 
 
 # ---------------------------------------------------------------------------
@@ -116,36 +139,24 @@ def _over_u(u, at_zero, numerator):
     return out
 
 
-def amplitude_minus_integrand(u, lamhat: float, rank: int):
-    """Integrand of -log of the minus amplitude; the subtraction removes the
+def amplitude_integrand(u, lamhat: float, rank: int, sign: str):
+    """Integrand of side * log of the amplitude; the subtraction removes the
     1/u singularity so the u = 0 value is the analytic limit."""
-    c0 = 1.0 / rank
+    side = defect_side(sign)
+    level = _level(rank, side)
+    c0 = (rank - level) / rank
     return _over_u(
         u,
-        1.0 - 1j * lamhat / rank,
-        lambda x: np.exp(-1j * x * lamhat) * _sigma0(x, rank, rank - 1)
+        c0 * (rank + side * 1j * lamhat),
+        lambda x: np.exp(side * 1j * x * lamhat) * _sigma0(x, rank, level)
         - c0 * np.exp(-rank * x),
     )
 
 
-def amplitude_plus_integrand(u, lamhat: float, rank: int):
-    """Integrand of +log of the plus amplitude."""
-    c0 = (rank - 1.0) / rank
-    return _over_u(
-        u,
-        (rank - 1.0) * (1j * lamhat / rank + 1.0),
-        lambda x: np.exp(1j * x * lamhat) * _sigma0(x, rank, 1)
-        - c0 * np.exp(-rank * x),
-    )
-
-
-def amplitude_minus_logderiv_integrand(u, lamhat: float, rank: int):
-    """i * exp(-i u lamhat) * kernel; integrates to d/dlamhat of log."""
-    return 1j * np.exp(-1j * u * lamhat) * _sigma0(u, rank, rank - 1)
-
-
-def amplitude_plus_logderiv_integrand(u, lamhat: float, rank: int):
-    return 1j * np.exp(1j * u * lamhat) * _sigma0(u, rank, 1)
+def amplitude_logderiv_integrand(u, lamhat: float, rank: int, sign: str):
+    """i * exp(side i u lamhat) * kernel; integrates to d/dlamhat of log."""
+    side = defect_side(sign)
+    return 1j * np.exp(side * 1j * u * lamhat) * _sigma0(u, rank, _level(rank, side))
 
 
 def gamma_identity_integrand(x, mu: float):

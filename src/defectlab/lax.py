@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import defect_side
 from .special import (
     DEFAULT_POLE_GUARD,
     gamma_ratio,
@@ -209,6 +210,18 @@ def s_matrix(rank: int, lam, guard: float = DEFAULT_POLE_GUARD) -> np.ndarray:
     )
 
 
+def amplitude_gamma_args(rank: int, sign: str, lam) -> tuple:
+    """Gamma arguments (num, den) of the transmission amplitude T^+ or T^-.
+
+    With z = -side i lambda/n and a shift of 0 for '+' and 1/2 for '-',
+    num = z + 1/(2n) + shift and den = z - 1/(2n) + 1 - shift.
+    """
+    side = defect_side(sign)
+    z = -side * 1j * complex(lam) / rank
+    shift = 0.0 if side > 0 else 0.5
+    return z + 1 / (2 * rank) + shift, z - 1 / (2 * rank) + (1 - shift)
+
+
 def transmission_amplitude(
     rank: int, sign: str, lam, guard: float = DEFAULT_POLE_GUARD
 ) -> complex:
@@ -217,21 +230,8 @@ def transmission_amplitude(
     T^+(lambda) = Gamma(-i lambda/n + 1/(2n)) / Gamma(-i lambda/n - 1/(2n) + 1)
     T^-(lambda) = Gamma(i lambda/n + 1/(2n) + 1/2) / Gamma(i lambda/n - 1/(2n) + 1/2)
     """
-    lam = complex(lam)
-    n = rank
-    if sign == "+":
-        return gamma_ratio(
-            [-1j * lam / n + 1 / (2 * n)],
-            [-1j * lam / n - 1 / (2 * n) + 1],
-            guard=guard,
-        )
-    if sign == "-":
-        return gamma_ratio(
-            [1j * lam / n + 1 / (2 * n) + 0.5],
-            [1j * lam / n - 1 / (2 * n) + 0.5],
-            guard=guard,
-        )
-    raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+    num, den = amplitude_gamma_args(rank, sign, lam)
+    return gamma_ratio([num], [den], guard=guard)
 
 
 def nbar_op(fock: FockSpace, rank: int, ordering: str = ANTINORMAL) -> np.ndarray:

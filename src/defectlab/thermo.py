@@ -26,9 +26,6 @@ PANEL_WIDTH = 2.0
 PANEL_ORDER = 32
 TAIL_TARGET = 1e-10
 
-DEFECT_PLUS = "+"
-DEFECT_MINUS = "-"
-
 
 class TailBoundError(RuntimeError):
     """Truncated Fourier integral with a tail estimate above target."""
@@ -47,8 +44,8 @@ def _half_line_grid(cutoff: float, panel: float, order: int):
 class KernelTable:
     """On-demand evaluation of the Fourier-space kernels at a fixed rank.
 
-    Kernel ids: "sigma0:k", "a:n", "frak_a:+", "frak_a:-", "R:j,jp",
-    "r:k", "rt:+:k", "rt:-:k".
+    Kernel ids: "sigma0:k", "a:n", "frak_a:s", "R:j,jp", "r:k", "rt:s:k",
+    with s the impurity sign '+' or '-'.
     """
 
     rank: int
@@ -75,11 +72,7 @@ class KernelTable:
                 raise ValueError(f"a_n needs n >= 1, got {n}")
             return kernels.a_hat(omega, n)
         if name == "frak_a":
-            if parts[1] == DEFECT_PLUS:
-                return kernels.frak_a_hat_plus(omega)
-            if parts[1] == DEFECT_MINUS:
-                return kernels.frak_a_hat_minus(omega)
-            raise ValueError(f"frak_a sign must be '+' or '-', got {parts[1]!r}")
+            return kernels.frak_a_hat(omega, parts[1])
         if name == "R":
             j, jp = (int(s) for s in parts[1].split(","))
             if not (1 <= j <= self.rank and 1 <= jp <= self.rank):
@@ -90,13 +83,9 @@ class KernelTable:
             self._check_level(k)
             return kernels.r_hat(omega, self.rank, k)
         if name == "rt":
-            sign, k = parts[1], int(parts[2])
+            k = int(parts[2])
             self._check_level(k)
-            if sign == DEFECT_PLUS:
-                return kernels.rt_hat_plus(omega, self.rank, k)
-            if sign == DEFECT_MINUS:
-                return kernels.rt_hat_minus(omega, self.rank, k)
-            raise ValueError(f"rt sign must be '+' or '-', got {sign!r}")
+            return kernels.rt_hat(omega, self.rank, k, parts[1])
         raise ValueError(f"unknown kernel id {which!r}")
 
 
@@ -132,7 +121,7 @@ def _decay_rate(which: str, rank: int) -> float:
         return min(term1, term2)
     if name == "rt":
         k = int(parts[2])
-        return k / 2.0 if parts[1] == DEFECT_PLUS else (rank - k) / 2.0
+        return k / 2.0 if kernels.defect_side(parts[1]) > 0 else (rank - k) / 2.0
     raise ValueError(f"no decay rate for kernel {which!r}")
 
 
@@ -232,8 +221,7 @@ def density(
     the a-priori tail estimate (edge value over decay rate) must stay below
     tail_target or TailBoundError is raised.
     """
-    if sign not in (DEFECT_PLUS, DEFECT_MINUS):
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+    kernels.defect_side(sign)  # refuse a bad sign before it enters a kernel id
     if sites < 1:
         raise ValueError(f"sites must be >= 1, got {sites}")
     table._check_level(level)
@@ -249,21 +237,11 @@ def density(
                 bound,
             )
     nodes, weights = _half_line_grid(cutoff, PANEL_WIDTH, PANEL_ORDER)
-    bulk = kernels.fourier_cos_sum(
-        nodes, weights, table.evaluate(f"sigma0:{level}", nodes), lams
-    )
+    bulk = bulk_density(table, level, lams, cutoff)
     backflow = kernels.fourier_cos_sum(
         nodes, weights, table.evaluate(f"r:{level}", nodes), lams - hole
     )
-    if sign == DEFECT_MINUS:
-        defect = kernels.fourier_exp_sum(
-            nodes, weights, table.evaluate(f"rt:-:{level}", nodes), lams - theta
-        )
-    else:
-        # support on omega < 0: integrate over omega = -u
-        defect = kernels.fourier_exp_sum(
-            -nodes, weights, table.evaluate(f"rt:+:{level}", -nodes), lams - theta
-        )
+    defect = transmission_density(table, sign, lams - theta, level, cutoff)
     total = bulk + (backflow + defect) / sites
     return DensityProfile(
         rank=table.rank,
@@ -313,13 +291,10 @@ def amplitude_regularized(
     constant included.
     """
     nodes, weights = _half_line_grid(cutoff, PANEL_WIDTH, PANEL_ORDER)
-    if sign == DEFECT_MINUS:
-        vals = kernels.amplitude_minus_integrand(nodes, float(lamhat), table.rank)
-        return complex(-(weights @ vals))
-    if sign == DEFECT_PLUS:
-        vals = kernels.amplitude_plus_integrand(nodes, float(lamhat), table.rank)
-        return complex(weights @ vals)
-    raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+    total = weights @ kernels.amplitude_integrand(nodes, float(lamhat), table.rank, sign)
+    # the integrand is side * log T; negate rather than multiply by side, which
+    # would turn a -0.0 component into 0.0
+    return complex(total if kernels.defect_side(sign) > 0 else -total)
 
 
 def amplitude_log_derivative(
@@ -327,12 +302,7 @@ def amplitude_log_derivative(
 ) -> complex:
     """d/dlamhat log T, an absolutely convergent integral (no subtraction)."""
     nodes, weights = _half_line_grid(cutoff, PANEL_WIDTH, PANEL_ORDER)
-    if sign == DEFECT_MINUS:
-        vals = kernels.amplitude_minus_logderiv_integrand(nodes, float(lamhat), table.rank)
-    elif sign == DEFECT_PLUS:
-        vals = kernels.amplitude_plus_logderiv_integrand(nodes, float(lamhat), table.rank)
-    else:
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+    vals = kernels.amplitude_logderiv_integrand(nodes, float(lamhat), table.rank, sign)
     return complex(weights @ vals)
 
 
@@ -342,35 +312,24 @@ def amplitude_closed_form(table: KernelTable, sign: str, lamhat) -> complex:
 
 
 def amplitude_log_derivative_closed(table: KernelTable, sign: str, lamhat) -> complex:
-    """Digamma form of d/dlamhat log T."""
-    n = table.rank
-    z = complex(lamhat)
-    if sign == DEFECT_MINUS:
-        u = 1j * z / n
-        return (1j / n) * (psi(u + 0.5 / n + 0.5) - psi(u - 0.5 / n + 0.5))
-    if sign == DEFECT_PLUS:
-        u = -1j * z / n
-        return (-1j / n) * (psi(u + 0.5 / n) - psi(u - 0.5 / n + 1.0))
-    raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+    """Digamma form of d/dlamhat log T: the Gamma arguments of T move with
+    slope -side i/rank in lamhat."""
+    num, den = lax.amplitude_gamma_args(table.rank, sign, lamhat)
+    return (-kernels.defect_side(sign) * 1j / table.rank) * (psi(num) - psi(den))
 
 
 def transmission_density(
     table: KernelTable, sign: str, lams, level: int = 1, cutoff: float = OMEGA_CUTOFF
 ):
     """Real-space impurity term of the density (complex; the kernel is
-    one-sided in omega)."""
+    one-sided in omega, so the half-line nodes map to omega = -side u)."""
     table._check_level(level)
     lams = np.ascontiguousarray(np.atleast_1d(lams), dtype=float)
     nodes, weights = _half_line_grid(cutoff, PANEL_WIDTH, PANEL_ORDER)
-    if sign == DEFECT_MINUS:
-        return kernels.fourier_exp_sum(
-            nodes, weights, table.evaluate(f"rt:-:{level}", nodes), lams
-        )
-    if sign == DEFECT_PLUS:
-        return kernels.fourier_exp_sum(
-            -nodes, weights, table.evaluate(f"rt:+:{level}", -nodes), lams
-        )
-    raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+    omega = -kernels.defect_side(sign) * nodes
+    return kernels.fourier_exp_sum(
+        omega, weights, table.evaluate(f"rt:{sign}:{level}", omega), lams
+    )
 
 
 def quantization_phase_residual(

@@ -6,7 +6,6 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 import defectlab.lax as lax
 from defectlab.bethe import (
@@ -28,11 +27,7 @@ from defectlab.checks import (
     ybe_residual,
 )
 from defectlab.cli import main
-from defectlab.kernels import (
-    amplitude_minus_integrand,
-    amplitude_plus_integrand,
-    gl_panels,
-)
+from defectlab.kernels import gl_panels
 from defectlab.lax import ChainSpec, LaxSpec
 from defectlab.tensor import FockSpace
 from defectlab.thermo import (
@@ -51,15 +46,6 @@ SEED = 20240917
 def _verdict(number: int, label: str, ok: bool, detail: str):
     print(f"ACCEPTANCE {number:2d} {label}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"criterion {number} {label}: {detail}"
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _warm_jit():
-    # touch the compiled kernels once so timed criteria measure the
-    # computation, not compilation
-    u = np.array([0.0, 1.0])
-    amplitude_minus_integrand(u, 0.1, 2)
-    amplitude_plus_integrand(u, 0.1, 2)
 
 
 def _pairs(label: str, count: int):

@@ -5,7 +5,6 @@ import sys
 import tracemalloc
 
 import numpy as np
-import pytest
 
 from defectlab.bethe import BetheState, ground_state_seed
 from defectlab.cli import _load_config, build_parser, main
@@ -294,6 +293,17 @@ def test_bae_malformed_state(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"schema": 1, "rank": 2}))
     assert main(["bae", str(path)]) == 2
+
+
+def test_bae_bad_defect_sign_is_named(tmp_path, capsys):
+    state = json.loads(
+        BetheState(rank=2, sites=4, roots=(ground_state_seed(4),), defect_sign="+").to_json()
+    )
+    state["defect_sign"] = "plus"
+    path = tmp_path / "bad_sign.json"
+    path.write_text(json.dumps(state))
+    assert main(["bae", str(path)]) == 2
+    assert "'plus'" in capsys.readouterr().err
 
 
 def test_bae_nonconvergent_reports_trace(tmp_path):

@@ -5,25 +5,25 @@ import warnings
 import numpy as np
 import pytest
 
+from defectlab import bethe, lax, thermo
 from defectlab.kernels import (
+    DEFECT_MINUS,
+    DEFECT_PLUS,
     a_hat,
-    amplitude_minus_integrand,
-    amplitude_minus_logderiv_integrand,
-    amplitude_plus_integrand,
-    amplitude_plus_logderiv_integrand,
+    amplitude_integrand,
+    amplitude_logderiv_integrand,
     big_r_hat,
+    defect_side,
     fourier_cos_sum,
     fourier_exp_sum,
     fourier_sin_over_omega_sum,
-    frak_a_hat_minus,
-    frak_a_hat_plus,
+    frak_a_hat,
     gamma_identity_integrand,
     gamma_identity_derivative_integrand,
     gl_panels,
     half_line_grid,
     r_hat,
-    rt_hat_minus,
-    rt_hat_plus,
+    rt_hat,
     sigma0_hat,
 )
 
@@ -94,13 +94,13 @@ def test_a_hat_product_rule():
 
 def test_frak_a_support():
     w = np.linspace(-4, 4, 81)
-    plus = frak_a_hat_plus(w)
-    minus = frak_a_hat_minus(w)
+    plus = frak_a_hat(w, "+")
+    minus = frak_a_hat(w, "-")
     assert np.all(plus[w > 0] == 0.0)
     assert np.all(minus[w < 0] == 0.0)
     assert np.allclose(plus[w <= 0], np.exp(0.5 * w[w <= 0]))
     # mirror symmetry
-    assert np.allclose(frak_a_hat_plus(-w), minus)
+    assert np.allclose(frak_a_hat(-w, "+"), minus)
 
 
 def test_r_hat_is_the_advertised_combination():
@@ -115,11 +115,63 @@ def test_r_hat_is_the_advertised_combination():
 
 def test_rt_hat_support():
     w = np.linspace(-5, 5, 51)
-    plus = rt_hat_plus(w, 3, 1)
-    minus = rt_hat_minus(w, 3, 1)
+    plus = rt_hat(w, 3, 1, "+")
+    minus = rt_hat(w, 3, 1, "-")
     assert np.all(plus[w > 0] == 0.0)
     assert np.all(minus[w < 0] == 0.0)
     assert np.max(np.abs(plus)) > 0 and np.max(np.abs(minus)) > 0
+
+
+# ---------------------------------------------------------------------------
+# impurity sign
+
+
+def test_defect_side():
+    assert (DEFECT_PLUS, DEFECT_MINUS) == ("+", "-")
+    assert defect_side(DEFECT_PLUS) == 1 and defect_side(DEFECT_MINUS) == -1
+
+
+def _sign_calls(sign):
+    """(name, call, the sign as the refusal shows it) for every public entry
+    point that takes an impurity sign; a kernel id carries it as text."""
+    w = np.array([-1.0, 0.0, 1.0])
+    table = thermo.KernelTable(3)
+    yield "defect_side", lambda: defect_side(sign), sign
+    yield "frak_a_hat", lambda: frak_a_hat(w, sign), sign
+    yield "rt_hat", lambda: rt_hat(w, 3, 1, sign), sign
+    yield "amplitude_integrand", lambda: amplitude_integrand(w[1:], 0.3, 3, sign), sign
+    yield "amplitude_logderiv_integrand", (
+        lambda: amplitude_logderiv_integrand(w[1:], 0.3, 3, sign)
+    ), sign
+    yield "density", lambda: thermo.density(table, 1, sign, w), sign
+    yield "transmission_density", lambda: thermo.transmission_density(table, sign, w), sign
+    for name in (
+        "amplitude_regularized",
+        "amplitude_log_derivative",
+        "amplitude_closed_form",
+        "amplitude_log_derivative_closed",
+    ):
+        yield name, lambda fn=getattr(thermo, name): fn(table, sign, 0.3), sign
+    yield "evaluate frak_a", lambda: table.evaluate(f"frak_a:{sign}", w), f"{sign}"
+    yield "evaluate rt", lambda: table.evaluate(f"rt:{sign}:1", w), f"{sign}"
+    yield "transmission_amplitude", lambda: lax.transmission_amplitude(3, sign, 0.3), sign
+    yield "amplitude_gamma_args", lambda: lax.amplitude_gamma_args(3, sign, 0.3), sign
+    yield "defect_factor", lambda: bethe.defect_factor(0.3, sign), sign
+    yield "defect_log_derivative", lambda: bethe.defect_log_derivative(0.3, sign), sign
+    if sign is not None:  # a state without the impurity has defect_sign None
+        yield "BetheState", (
+            lambda: bethe.BetheState(rank=2, sites=2, roots=([0.1],), defect_sign=sign)
+        ), sign
+
+
+@pytest.mark.parametrize("sign", ["plus", "", None])
+def test_sign_entry_points_refuse_anything_but_plus_or_minus(sign):
+    calls = list(_sign_calls(sign))
+    assert len(calls) == 17 + (sign is not None)
+    for name, call, shown in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == f"sign must be '+' or '-', got {shown!r}", name
 
 
 # ---------------------------------------------------------------------------
@@ -177,17 +229,17 @@ def test_fourier_exp_sum_full_line():
 
 def test_amplitude_integrand_zero_limits():
     lamhat, rank = 1.7, 3
-    m = amplitude_minus_integrand(np.array([0.0]), lamhat, rank)[0]
+    m = amplitude_integrand(np.array([0.0]), lamhat, rank, "-")[0]
     assert abs(m - (1.0 - 1j * lamhat / rank)) < 1e-15
-    p = amplitude_plus_integrand(np.array([0.0]), lamhat, rank)[0]
+    p = amplitude_integrand(np.array([0.0]), lamhat, rank, "+")[0]
     assert abs(p - (rank - 1.0) * (1j * lamhat / rank + 1.0)) < 1e-15
 
 
 def test_amplitude_integrand_continuity_at_zero():
     lamhat, rank = -0.9, 2
-    for fn in (amplitude_minus_integrand, amplitude_plus_integrand):
-        v0 = fn(np.array([0.0]), lamhat, rank)[0]
-        v1 = fn(np.array([1e-8]), lamhat, rank)[0]
+    for sign in ("-", "+"):
+        v0 = amplitude_integrand(np.array([0.0]), lamhat, rank, sign)[0]
+        v1 = amplitude_integrand(np.array([1e-8]), lamhat, rank, sign)[0]
         assert abs(v0 - v1) < 1e-6
 
 
@@ -288,10 +340,10 @@ def _grid_cases():
                 lambda w, r=rank, k=k: _ref_r(w, r, k),
                 lambda w, r=rank, k=k: sum(map(abs, _ref_r_terms(w, r, k))),
             )
-            yield rt_hat_plus, (rank, k), (
+            yield rt_hat, (rank, k, "+"), (
                 lambda w, r=rank, k=k: _ref_big_r(abs(w), r, k, 1) * _ref_frak_plus(w)
             ), None
-            yield rt_hat_minus, (rank, k), (
+            yield rt_hat, (rank, k, "-"), (
                 lambda w, r=rank, k=k: _ref_big_r(abs(w), r, k, r - 1) * _ref_frak_minus(w)
             ), None
             for jp in range(1, rank + 1):
@@ -300,20 +352,19 @@ def _grid_cases():
                 ), None
     for n in (1, 2, 3):
         yield a_hat, (n,), lambda w, n=n: math.exp(-0.5 * n * abs(w)), None
-    yield frak_a_hat_plus, (), _ref_frak_plus, None
-    yield frak_a_hat_minus, (), _ref_frak_minus, None
+    yield frak_a_hat, ("+",), _ref_frak_plus, None
+    yield frak_a_hat, ("-",), _ref_frak_minus, None
 
 
 def _integrand_cases():
     for rank in RANKS:
         for lamhat in (-1.3, 0.0, 0.7):
-            for sign, amp, logderiv in (
-                (-1, amplitude_minus_integrand, amplitude_minus_logderiv_integrand),
-                (1, amplitude_plus_integrand, amplitude_plus_logderiv_integrand),
-            ):
-                args = (lamhat, rank)
-                yield amp, args, lambda x, a=args, s=sign: _ref_amp(x, *a, s)
-                yield logderiv, args, lambda x, a=args, s=sign: _ref_logderiv(x, *a, s)
+            for sign, side in (("-", -1), ("+", 1)):
+                args = (lamhat, rank, sign)
+                yield amplitude_integrand, args, lambda x, a=args, s=side: _ref_amp(x, *a[:2], s)
+                yield amplitude_logderiv_integrand, args, (
+                    lambda x, a=args, s=side: _ref_logderiv(x, *a[:2], s)
+                )
     for mu in (0.5, 1.0, 3.0):
         yield gamma_identity_integrand, (mu,), lambda t, mu=mu: _ref_gamma(t, mu)
         yield gamma_identity_derivative_integrand, (mu,), (

@@ -22,7 +22,7 @@ from defectlab.lax import (
     transmission_matrix,
 )
 from defectlab.special import PoleProximityError
-from defectlab.tensor import FockSpace, embed_pair, kron, matrix_unit
+from defectlab.tensor import FockSpace, embed_pair
 
 I = 1j
 
