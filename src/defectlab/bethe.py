@@ -26,6 +26,7 @@ from .kernels import defect_side
 from .tensor import COMPLEX
 
 COLLISION_GUARD = 1e-9
+LINE_SEARCH_DAMPING = 0.5  # step scale factor after a rejected trial
 
 
 class ConvergenceError(RuntimeError):
@@ -168,29 +169,29 @@ def _neighbours(state: BetheState, level: int) -> list:
     return out
 
 
-def _guard_collisions(state: BetheState, guard: float = COLLISION_GUARD) -> None:
+def _guard_collisions(state: BetheState) -> None:
     for level, roots in enumerate(state.roots, start=1):
         diff = roots[:, None] - roots[None, :]
         np.fill_diagonal(diff, np.inf)
         if len(roots) > 1:
             dmin = float(np.min(np.abs(diff)))
-            if dmin < guard:
+            if dmin < COLLISION_GUARD:
                 raise RootCollisionError(
-                    f"two level-{level} roots within {dmin:.3e} (< {guard:g})"
+                    f"two level-{level} roots within {dmin:.3e} (< {COLLISION_GUARD:g})"
                 )
         # a root sitting on a log singularity of its own equation
         poles = [(roots[:, None] - mu[None, :], 0.5j) for _, mu, _ in _neighbours(state, level)]
         for d, pole in poles + [(diff, 1j)]:
-            if d.size and float(np.min(np.minimum(np.abs(d - pole), np.abs(d + pole)))) < guard:
+            if np.minimum(np.abs(d - pole), np.abs(d + pole)).min(initial=np.inf) < COLLISION_GUARD:
                 raise RootCollisionError(
-                    f"level-{level} root within {guard:g} of a scattering pole"
+                    f"level-{level} root within {COLLISION_GUARD:g} of a scattering pole"
                 )
         if state.defect_sign is not None and level == state.defect_level:
             # the factor's zero ('+') or pole ('-'): lam - theta + side i/2 = 0
             d = np.abs(roots - state.theta + defect_side(state.defect_sign) * 0.5j)
-            if d.size and float(np.min(d)) < guard:
+            if d.size and float(np.min(d)) < COLLISION_GUARD:
                 raise RootCollisionError(
-                    f"level-{level} root within {guard:g} of the impurity pole"
+                    f"level-{level} root within {COLLISION_GUARD:g} of the impurity pole"
                 )
 
 
@@ -221,8 +222,8 @@ def _equation_ratio(state: BetheState, level: int) -> np.ndarray:
     return lhs / np.prod(term, axis=1)
 
 
-def bae_residual(state: BetheState, guard: float = COLLISION_GUARD) -> BAEResidual:
-    _guard_collisions(state, guard)
+def bae_residual(state: BetheState) -> BAEResidual:
+    _guard_collisions(state)
     per_level = tuple(
         np.log(_equation_ratio(state, level)) if len(state.roots[level - 1]) else np.zeros(0, dtype=COMPLEX)
         for level in range(1, state.rank)
@@ -270,13 +271,7 @@ def _unstack(state: BetheState, flat: np.ndarray) -> BetheState:
     return replace(state, roots=roots)
 
 
-def solve_bae(
-    state: BetheState,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-    damping: float = 0.5,
-    guard: float = COLLISION_GUARD,
-) -> BetheState:
+def solve_bae(state: BetheState, tol: float = 1e-10, max_iter: int = 200) -> BetheState:
     """Damped Newton iteration on the stacked log-ratio system.
 
     The step is halved whenever the residual norm would grow; failure to
@@ -286,7 +281,7 @@ def solve_bae(
     trace: list[float] = []
     if sum(state.magnon_counts()) == 0:
         return current
-    res = bae_residual(current, guard)
+    res = bae_residual(current)
     fval = np.concatenate(res.per_level)
     norm = float(np.max(np.abs(fval)))
     trace.append(norm)
@@ -303,15 +298,15 @@ def solve_bae(
         for _ in range(40):
             trial = _unstack(current, flat + scale * step)
             try:
-                trial_res = bae_residual(trial, guard)
+                trial_res = bae_residual(trial)
             except RootCollisionError:
-                scale *= damping
+                scale *= LINE_SEARCH_DAMPING
                 continue
             trial_f = np.concatenate(trial_res.per_level)
             trial_norm = float(np.max(np.abs(trial_f)))
             if trial_norm < norm or trial_norm <= tol:
                 break
-            scale *= damping
+            scale *= LINE_SEARCH_DAMPING
         else:
             raise ConvergenceError(
                 f"line search stalled at residual {norm:.3e}", trace

@@ -365,7 +365,7 @@ def check_highest_weight(
     # column l is e_l (x) Omega, which T maps to sum_k e_k (x) T_kl Omega
     columns = np.kron(np.eye(n, dtype=COMPLEX), omega[:, None])
     for z in lams:
-        applied = lax.monodromy_apply(chain, z, columns).reshape(n, omega.size, n)
+        applied = lax.monodromy(chain, z, columns).reshape(n, omega.size, n)
         expects = omega.conj() @ applied
         targets = np.diag([_local_vacuum_weight(chain, k, z) for k in range(1, n + 1)])
         scale = max(1.0, (abs(z) + 2.0) ** scale_pow)

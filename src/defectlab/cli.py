@@ -86,6 +86,10 @@ class RunConfig:
         if int(self.lambda_grid[2]) < 2:
             raise ValueError("lambda grid needs at least 2 points")
         for name, value in self.tolerances.items():
+            if name not in DEFAULT_TOLERANCES:
+                raise ValueError(
+                    f"unknown tolerance {name!r}; known: {', '.join(sorted(DEFAULT_TOLERANCES))}"
+                )
             if value <= 0:
                 raise ValueError(f"tolerance {name} must be positive, got {value}")
 
@@ -142,6 +146,11 @@ def _load_config(args) -> RunConfig:
     if args.config:
         with open(args.config) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("the config file must hold a JSON object")
+        unknown = sorted(set(data) - {key for key, _, _, _ in _SOURCES.values()})
+        if unknown:
+            raise ValueError(f"unknown config key {', '.join(map(repr, unknown))}")
         cfg = replace(cfg, **{
             target: convert(data[key]) if convert else data[key]
             for target, (key, convert, _, _) in _SOURCES.items()

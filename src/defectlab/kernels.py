@@ -159,8 +159,9 @@ def amplitude_logderiv_integrand(u, lamhat: float, rank: int, sign: str):
     return 1j * np.exp(side * 1j * u * lamhat) * _sigma0(u, rank, _level(rank, side))
 
 
-def gamma_identity_integrand(x, mu: float):
-    """(exp(-mu x/2) sech(x/2) - exp(-2x)) / x with its x = 0 limit."""
+def gamma_identity_integrand(x, mu):
+    """(exp(-mu x/2) sech(x/2) - exp(-2x)) / x with its x = 0 limit; mu real
+    or complex."""
     return _over_u(
         x,
         2.0 - 0.5 * mu,
@@ -168,7 +169,8 @@ def gamma_identity_integrand(x, mu: float):
     )
 
 
-def gamma_identity_derivative_integrand(x, mu: float):
+def gamma_identity_derivative_integrand(x, mu):
+    """exp(-mu x/2) sech(x/2); mu real or complex."""
     return np.exp(-0.5 * mu * x) / np.cosh(0.5 * x)
 
 

@@ -16,11 +16,11 @@ exchange relations hold for every convention; the shipped default
 (normal ordering, c = 1) is the one whose reference state satisfies
 N|vacuum> = 0 with the (1,1) vacuum weight lambda + i.
 
-The monodromy is never assembled from embedded matrices: each local factor
-(defect Lax operator or bulk R-matrix, on the auxiliary space and one slot of
-dimension d) is applied to a column block by contraction, O(dim * rank * d)
-per column and factor, so the full matrix costs O(dim^2 * rank * d) per
-factor instead of O(dim^3).
+The monodromy exists only as an action on a block of columns: each local
+factor (defect Lax operator or bulk R-matrix, on the auxiliary space and one
+slot of dimension d) is applied by contraction, O(dim * rank * d) per column
+and factor.  The transfer matrix, its trace over the auxiliary space, is
+summed one auxiliary block at a time, so no dim x dim array is ever formed.
 """
 
 from __future__ import annotations
@@ -31,22 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import defect_side
-from .special import (
-    DEFAULT_POLE_GUARD,
-    gamma_ratio,
-    guard_nonzero,
-)
-from .tensor import (
-    COMPLEX,
-    FockSpace,
-    apply_local,
-    kron,
-    partial_trace,
-    partial_transpose,
-    permutation_op,
-    require_budget,
-    reversal_op,
-)
+from .special import gamma_ratio, guard_nonzero
+from .tensor import COMPLEX, FockSpace, apply_local, permutation_op, require_budget
 
 VARIANT_L = "L"
 VARIANT_LHAT = "Lhat"
@@ -171,12 +157,18 @@ def l_hat_matrix(spec: LaxSpec, fock: FockSpace, lam) -> np.ndarray:
     return _oscillator_operator(n, fock, head, 1j, reverse=True)
 
 
+def _cross(raw: np.ndarray, rank: int) -> np.ndarray:
+    """V_1 raw^{t_1} V_1, V the reversal k -> rank+1-k of the auxiliary
+    index: entry ((a,i),(b,j)) is raw[(rank-1-b, i), (rank-1-a, j)], 0-based."""
+    d = raw.shape[0] // rank
+    t = raw.reshape(rank, d, rank, d)[::-1, :, ::-1, :]
+    return t.transpose(2, 1, 0, 3).reshape(rank * d, rank * d)
+
+
 def crossed_l_matrix(spec: LaxSpec, fock: FockSpace, lam) -> np.ndarray:
     """V_1 L^{t_1}(-lambda - i rank/2) V_1, the crossing transform of L."""
     n = spec.rank
-    raw = l_matrix(spec, fock, -complex(lam) - 1j * n / 2)
-    v1 = kron(reversal_op(n), np.eye(fock.dim, dtype=COMPLEX))
-    return v1 @ partial_transpose(raw, (n, fock.dim), 0) @ v1
+    return _cross(l_matrix(spec, fock, -complex(lam) - 1j * n / 2), n)
 
 
 def defect_lax(spec: LaxSpec, fock: FockSpace, lam) -> np.ndarray:
@@ -190,21 +182,20 @@ def defect_lax(spec: LaxSpec, fock: FockSpace, lam) -> np.ndarray:
 # scattering and transmission amplitudes
 
 
-def s_amplitude(rank: int, lam, guard: float = DEFAULT_POLE_GUARD) -> complex:
+def s_amplitude(rank: int, lam) -> complex:
     """Scalar soliton-soliton amplitude, a ratio of four Gamma functions."""
     z = 1j * complex(lam) / rank
     return gamma_ratio(
         [z + 1, -z + 1 - 1 / rank],
         [-z + 1, z + 1 - 1 / rank],
-        guard=guard,
     )
 
 
-def s_matrix(rank: int, lam, guard: float = DEFAULT_POLE_GUARD) -> np.ndarray:
+def s_matrix(rank: int, lam) -> np.ndarray:
     """Full two-particle S-matrix S(lambda)/(i lambda + 1) (i lambda + P)."""
     lam = complex(lam)
-    guard_nonzero(1j * lam + 1, guard, what="S-matrix prefactor i*lambda + 1")
-    scalar = s_amplitude(rank, lam, guard) / (1j * lam + 1)
+    guard_nonzero(1j * lam + 1, what="S-matrix prefactor i*lambda + 1")
+    scalar = s_amplitude(rank, lam) / (1j * lam + 1)
     return scalar * (
         1j * lam * np.eye(rank * rank, dtype=COMPLEX) + permutation_op(rank)
     )
@@ -222,16 +213,14 @@ def amplitude_gamma_args(rank: int, sign: str, lam) -> tuple:
     return z + 1 / (2 * rank) + shift, z - 1 / (2 * rank) + (1 - shift)
 
 
-def transmission_amplitude(
-    rank: int, sign: str, lam, guard: float = DEFAULT_POLE_GUARD
-) -> complex:
+def transmission_amplitude(rank: int, sign: str, lam) -> complex:
     """Closed-form transmission amplitude T^+ or T^-.
 
     T^+(lambda) = Gamma(-i lambda/n + 1/(2n)) / Gamma(-i lambda/n - 1/(2n) + 1)
     T^-(lambda) = Gamma(i lambda/n + 1/(2n) + 1/2) / Gamma(i lambda/n - 1/(2n) + 1/2)
     """
     num, den = amplitude_gamma_args(rank, sign, lam)
-    return gamma_ratio([num], [den], guard=guard)
+    return gamma_ratio([num], [den])
 
 
 def nbar_op(fock: FockSpace, rank: int, ordering: str = ANTINORMAL) -> np.ndarray:
@@ -257,7 +246,6 @@ def transmission_matrix(
     lam,
     nbar_ordering: str = ANTINORMAL,
     include_prefactor: bool = True,
-    guard: float = DEFAULT_POLE_GUARD,
 ) -> np.ndarray:
     """Transmission matrix for right-movers on auxiliary (x) Fock."""
     lam = complex(lam)
@@ -266,10 +254,8 @@ def transmission_matrix(
     nbar = nbar_op(fock, rank, nbar_ordering)
     out = _oscillator_operator(n, fock, 1j * lam * eye_f + eye_f + nbar, 1, reverse=False)
     if include_prefactor:
-        denom = guard_nonzero(
-            1j * lam + n / 2 - 0.5, guard, what="transmission prefactor denominator"
-        )
-        out = (transmission_amplitude(rank, "-", lam, guard) / denom) * out
+        denom = guard_nonzero(1j * lam + n / 2 - 0.5, what="transmission prefactor denominator")
+        out = (transmission_amplitude(rank, "-", lam) / denom) * out
     return out
 
 
@@ -279,7 +265,6 @@ def conjugate_transmission_matrix(
     lam,
     nbar_ordering: str = ANTINORMAL,
     include_prefactor: bool = True,
-    guard: float = DEFAULT_POLE_GUARD,
 ) -> np.ndarray:
     """Transmission matrix for left-movers; reversed auxiliary indices."""
     lam = complex(lam)
@@ -289,7 +274,7 @@ def conjugate_transmission_matrix(
     head = (-1j * lam - n / 2 + 1) * eye_f + nbar
     out = _oscillator_operator(n, fock, head, 1, reverse=True)
     if include_prefactor:
-        out = transmission_amplitude(rank, "+", lam, guard) * out
+        out = transmission_amplitude(rank, "+", lam) * out
     return out
 
 
@@ -299,23 +284,19 @@ def crossed_transmission_matrix(
     lam,
     nbar_ordering: str = ANTINORMAL,
     include_prefactor: bool = True,
-    guard: float = DEFAULT_POLE_GUARD,
 ) -> np.ndarray:
     """V_1 T^{t_1}(-lambda + i rank/2) V_1; equals the conjugate matrix up to
     a constant that the crossing check measures rather than assumes."""
     n = rank
-    raw = transmission_matrix(
-        rank, fock, -complex(lam) + 1j * n / 2, nbar_ordering, include_prefactor, guard
-    )
-    v1 = kron(reversal_op(n), np.eye(fock.dim, dtype=COMPLEX))
-    return v1 @ partial_transpose(raw, (n, fock.dim), 0) @ v1
+    lam_crossed = -complex(lam) + 1j * n / 2
+    return _cross(transmission_matrix(rank, fock, lam_crossed, nbar_ordering, include_prefactor), n)
 
 
 # ---------------------------------------------------------------------------
 # monodromy
 
 
-def monodromy_apply(chain: ChainSpec, lam, x) -> np.ndarray:
+def monodromy(chain: ChainSpec, lam, x) -> np.ndarray:
     """The monodromy at lambda applied to the columns of ``x``, which has
     one row per state of auxiliary (x) slot_1 (x) ... (x) slot_{sites+1}.
 
@@ -335,26 +316,22 @@ def monodromy_apply(chain: ChainSpec, lam, x) -> np.ndarray:
     return x
 
 
-def monodromy(chain: ChainSpec, lam) -> np.ndarray:
-    """The full monodromy matrix on auxiliary (x) slot_1 (x) ... (x)
-    slot_{sites+1}: :func:`monodromy_apply` on the identity."""
-    dim = chain.rank * math.prod(chain.slot_dims())
-    require_budget((dim, dim), "monodromy")
-    return monodromy_apply(chain, lam, np.eye(dim, dtype=COMPLEX))
-
-
 def transfer_matrix(chain: ChainSpec, lam) -> np.ndarray:
-    """Partial trace of the monodromy over the auxiliary space."""
+    """Trace of the monodromy over the auxiliary space: the sum over k of
+    row block k of the monodromy applied to e_k (x) 1.  One auxiliary block
+    is held at a time, dim x dim/rank, so the full monodromy never is."""
     n = chain.rank
-    t = monodromy(chain, lam)
-    quantum = t.shape[0] // n
-    return partial_trace(t, (n, quantum), 0)
-
-
-def monodromy_aux_block(t: np.ndarray, rank: int, k: int, l: int) -> np.ndarray:
-    """Auxiliary (k,l) block of a monodromy matrix, 1-based indices."""
-    quantum = t.shape[0] // rank
-    return t[(k - 1) * quantum : k * quantum, (l - 1) * quantum : l * quantum]
+    q = math.prod(chain.slot_dims())
+    require_budget((n * q, q), "monodromy block")
+    out = np.zeros((q, q), dtype=COMPLEX)
+    # one buffer holds every e_k (x) 1 in turn: a fresh dim x q array per
+    # block costs page faults that showed as time at rank 4, cutoff 2
+    cols = np.zeros((n, q, q), dtype=COMPLEX)
+    for k in range(n):
+        cols[k - 1] = 0  # clear block k-1; for k = 0 that block is still zero
+        np.fill_diagonal(cols[k], 1)
+        out += monodromy(chain, lam, cols.reshape(n * q, q))[k * q : (k + 1) * q]
+    return out
 
 
 def chain_vacuum(chain: ChainSpec) -> np.ndarray:

@@ -5,10 +5,10 @@ Matrices are plain complex128 ndarrays.  Auxiliary-space indices follow the
 physics convention and are 1-based in every public signature; array indices
 underneath are 0-based as usual.  An operator on two factors (dimensions
 d_a, d_b) of a dim-dimensional product space is applied to a block of n
-columns by contraction, :func:`apply_local`, at cost O(dim * n * d_a * d_b):
-a product of such factors costs O(dim^2 * d_a * d_b) per factor, not the
-O(dim^3) of multiplying full embeddings.  Dense arrays whose size follows
-from the input are checked against ``MATRIX_BYTE_BUDGET`` before allocation.
+columns by contraction, :func:`apply_local`, at cost O(dim * n * d_a * d_b)
+per factor, not the O(dim^2 * n) of multiplying a full embedding.  Dense
+arrays whose size follows from the input are checked against
+``MATRIX_BYTE_BUDGET`` before allocation.
 """
 
 from __future__ import annotations
@@ -70,46 +70,8 @@ def permutation_op(n: int) -> np.ndarray:
     return p
 
 
-def reversal_op(n: int) -> np.ndarray:
-    """Anti-diagonal of ones; maps basis vector k to n+1-k."""
-    return np.fliplr(np.eye(n, dtype=COMPLEX))
-
-
 def dagger(m) -> np.ndarray:
     return as_matrix(m).conj().T
-
-
-def partial_transpose(m, dims, factor: int) -> np.ndarray:
-    """Transpose in one tensor factor of a two-factor operator.
-
-    dims is (d0, d1) with d0*d1 matching the matrix; factor is 0 or 1.
-    """
-    d0, d1 = dims
-    a = as_matrix(m)
-    if a.shape[0] != d0 * d1:
-        raise ValueError(f"dims {dims} incompatible with shape {a.shape}")
-    t = a.reshape(d0, d1, d0, d1)
-    if factor == 0:
-        t = t.transpose(2, 1, 0, 3)
-    elif factor == 1:
-        t = t.transpose(0, 3, 2, 1)
-    else:
-        raise ValueError("factor must be 0 or 1")
-    return t.reshape(d0 * d1, d0 * d1)
-
-
-def partial_trace(m, dims, factor: int) -> np.ndarray:
-    """Trace out one factor of a two-factor operator."""
-    d0, d1 = dims
-    a = as_matrix(m)
-    if a.shape[0] != d0 * d1:
-        raise ValueError(f"dims {dims} incompatible with shape {a.shape}")
-    t = a.reshape(d0, d1, d0, d1)
-    if factor == 0:
-        return np.einsum("abad->bd", t)
-    if factor == 1:
-        return np.einsum("abcb->ac", t)
-    raise ValueError("factor must be 0 or 1")
 
 
 def apply_local(op, x, dims, slots) -> np.ndarray:

@@ -372,14 +372,8 @@ def check_gamma_identity(mu, tol: float = 1e-8) -> CheckReport:
         raise ValueError(f"Re mu must be positive, got {mu_c}")
     cutoff = max(OMEGA_CUTOFF, 200.0 / (mu_c.real + 1.0))
     nodes, weights = _half_line_grid(cutoff, PANEL_WIDTH, PANEL_ORDER)
-    if mu_c.imag == 0.0:
-        deriv_vals = kernels.gamma_identity_derivative_integrand(nodes, mu_c.real)
-        reg_vals = kernels.gamma_identity_integrand(nodes, mu_c.real)
-    else:
-        deriv_vals = np.exp(-0.5 * mu_c * nodes) / np.cosh(0.5 * nodes)
-        reg_vals = (
-            np.exp(-0.5 * mu_c * nodes) / np.cosh(0.5 * nodes) - np.exp(-2.0 * nodes)
-        ) / nodes
+    deriv_vals = kernels.gamma_identity_derivative_integrand(nodes, mu)
+    reg_vals = kernels.gamma_identity_integrand(nodes, mu)
     deriv_quad = complex(weights @ deriv_vals)
     deriv_target = psi((mu_c + 3.0) / 4.0) - psi((mu_c + 1.0) / 4.0)
     deriv_residual = abs(deriv_quad - deriv_target)

@@ -374,17 +374,33 @@ def test_highest_weight_against_dense(dense_monodromy, chain):
     assert abs(got - dense) <= 1e-15
 
 
+def _dense_transfer(dense_monodromy, chain, z):
+    """Partial trace over the auxiliary space of the dense reference monodromy."""
+    t = dense_monodromy(chain, z)
+    q = t.shape[0] // chain.rank
+    return sum(t[k * q : (k + 1) * q, k * q : (k + 1) * q] for k in range(chain.rank))
+
+
+@pytest.mark.parametrize("variant", ["L", "Lhat"])
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_transfer_matrix_against_dense_trace(dense_monodromy, rank, variant):
+    lam = 0.6 + 0.3j
+    cutoff = 2 if rank < 4 else 1  # the kron-built reference at rank 4, cutoff 2 takes seconds
+    for sites in (0, 1, 2):
+        for defect_site in range(1, sites + 2):
+            chain = ChainSpec(
+                rank=rank, sites=sites, fock_cutoff=cutoff, defect_site=defect_site,
+                theta=0.3 - 0.2j, lax=LaxSpec(rank, variant=variant),
+            )
+            ref = _dense_transfer(dense_monodromy, chain, lam)
+            got = transfer_matrix(chain, lam)
+            assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref)), (sites, defect_site)
+
+
 @pytest.mark.parametrize("chain", _CHAINS)
 def test_transfer_commute_against_dense(dense_monodromy, chain):
-    n = chain.rank
-
-    def transfer(z):
-        t = dense_monodromy(chain, z)
-        q = t.shape[0] // n
-        return sum(t[k * q : (k + 1) * q, k * q : (k + 1) * q] for k in range(n))
-
     l1, l2 = 0.6 + 0.3j, -0.9 + 0.1j
-    t1, t2 = transfer(l1), transfer(l2)
+    t1, t2 = (_dense_transfer(dense_monodromy, chain, z) for z in (l1, l2))
     assert np.max(np.abs(transfer_matrix(chain, l1) - t1)) <= 1e-15 * np.max(np.abs(t1))
     scale = max(1.0, np.max(np.abs(t1)) * np.max(np.abs(t2)))
     cols = faithful_columns(chain, 2)

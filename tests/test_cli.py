@@ -5,6 +5,7 @@ import sys
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from defectlab.bethe import BetheState, ground_state_seed
 from defectlab.cli import _load_config, build_parser, main
@@ -113,7 +114,8 @@ def test_check_all_rank4_runs_are_byte_identical(tmp_path):
 
 
 def test_check_over_the_byte_budget_is_refused_unallocated(capsys):
-    # dimension 4 * 84 * 4**4 = 86,016: the monodromy alone would take 118 GB
+    # dimension 4 * 84 * 4**4 = 86,016: one auxiliary block of the monodromy
+    # would take 29.6 GB
     argv = ["check", "transfer-commute", "--rank", "4", "--fock-cutoff", "6", "--sites", "4", "--seed", "1"]
     tracemalloc.start()
     try:
@@ -123,7 +125,7 @@ def test_check_over_the_byte_budget_is_refused_unallocated(capsys):
         tracemalloc.stop()
     assert code == 2
     err = capsys.readouterr().err
-    assert "monodromy needs a 86016 x 86016 complex array (118 GB)" in err
+    assert "monodromy block needs a 86016 x 21504 complex array (29.6 GB)" in err
     assert "budget" in err
     assert peak < 10 * 2**20
 
@@ -164,6 +166,25 @@ def test_check_rll_alternative_convention_passes(tmp_path):
 def test_bad_tol_flag(capsys):
     assert main(["check", "oscillator", "--tol", "oscillator"]) == 2
     assert "NAME=VALUE" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, config, named",
+    [
+        ([], {"fock_cutof": 3}, "'fock_cutof'"),
+        ([], {"tolerances": {"ybee": 1e-9}}, "'ybee'"),
+        (["--tol", "oscilator=1e-30"], None, "'oscilator'"),
+        ([], [3], "JSON object"),
+    ],
+    ids=["config-key", "config-tolerance", "tol-flag", "not-an-object"],
+)
+def test_unknown_config_key_or_tolerance_is_refused(tmp_path, capsys, argv, config, named):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(path)]
+    assert main(["check", "oscillator", "--fock-cutoff", "2", *argv]) == 2
+    assert named in capsys.readouterr().err
 
 
 def test_unknown_suite_is_usage_error(capsys):

@@ -12,8 +12,6 @@ from defectlab.lax import (
     l_hat_matrix,
     l_matrix,
     monodromy,
-    monodromy_apply,
-    monodromy_aux_block,
     r_matrix,
     s_amplitude,
     s_matrix,
@@ -217,6 +215,32 @@ def test_crossed_transmission_runs():
     assert np.max(np.abs(m)) > 0
 
 
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+@pytest.mark.parametrize("cutoff", [1, 2, 3])
+def test_crossed_builders_against_kron_form(rank, cutoff):
+    # V_1 X^{t_1} V_1 written out: the partial transpose as a sum of
+    # e_ba (x) X_ab and V_1 as the reversal matrix (x) 1, both from np.kron
+    fock = FockSpace(rank - 1, cutoff)
+    d = fock.dim
+    e = np.eye(rank)
+    v1 = np.kron(np.fliplr(e), np.eye(d))
+
+    def crossed(x):
+        xt = sum(
+            np.kron(np.outer(e[b], e[a]), x[a * d : (a + 1) * d, b * d : (b + 1) * d])
+            for a in range(rank)
+            for b in range(rank)
+        )
+        return v1 @ xt @ v1
+
+    spec = LaxSpec(rank)
+    lam = 0.31 - 0.4j
+    raw_l = l_matrix(spec, fock, -lam - 1j * rank / 2)
+    assert np.array_equal(crossed_l_matrix(spec, fock, lam), crossed(raw_l))
+    raw_t = transmission_matrix(rank, fock, -lam + 1j * rank / 2)
+    assert np.array_equal(crossed_transmission_matrix(rank, fock, lam), crossed(raw_t))
+
+
 # ---------------------------------------------------------------------------
 # chain, monodromy, transfer
 
@@ -230,10 +254,15 @@ def test_chain_spec_validation():
         ChainSpec(rank=2, sites=0, fock_cutoff=2, lax=LaxSpec(3))
 
 
+def _full_monodromy(chain, lam):
+    dim = chain.rank * int(np.prod(chain.slot_dims()))
+    return monodromy(chain, lam, np.eye(dim))
+
+
 def test_monodromy_sites0_is_defect_lax():
     chain = ChainSpec(rank=2, sites=0, fock_cutoff=3, theta=0.2)
     lam = 0.7 - 0.1j
-    got = monodromy(chain, lam)
+    got = _full_monodromy(chain, lam)
     expected = l_matrix(chain.lax, chain.fock(), lam - chain.theta)
     assert np.allclose(got, expected)
 
@@ -246,7 +275,7 @@ def test_monodromy_sites1_explicit_product():
     expected = embed_pair(r_matrix(2, lam), 2, dims, 2) @ embed_pair(
         l_matrix(chain.lax, fock, lam - chain.theta), 2, dims, 1
     )
-    assert np.allclose(monodromy(chain, lam), expected)
+    assert np.allclose(_full_monodromy(chain, lam), expected)
 
 
 def test_transfer_vacuum_eigenvalue_sites0():
@@ -278,11 +307,12 @@ def test_transfer_vacuum_with_bulk_sites():
 
 
 def test_monodromy_aux_block():
+    # sites 0: the monodromy is L, whose auxiliary (1,2) block is i a^(1);
+    # column block 2 is the monodromy applied to e_2 (x) 1
     chain = ChainSpec(rank=2, sites=0, fock_cutoff=2)
-    lam = 0.4
-    m = monodromy(chain, lam)
     fock = chain.fock()
-    assert np.allclose(monodromy_aux_block(m, 2, 1, 2), 1j * fock.annihilator(1))
+    cols = monodromy(chain, 0.4, np.kron(np.eye(2)[:, [1]], np.eye(fock.dim)))
+    assert np.allclose(cols[: fock.dim], 1j * fock.annihilator(1))
 
 
 @pytest.mark.parametrize("variant", ["L", "Lhat"])
@@ -296,28 +326,28 @@ def test_monodromy_against_kron_reference(dense_monodromy, variant, rank):
                 theta=0.3 + 0.1j, lax=LaxSpec(rank, variant=variant),
             )
             ref = dense_monodromy(chain, lam)
-            got = monodromy(chain, lam)
+            got = _full_monodromy(chain, lam)
             assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref)), (sites, defect_site)
 
 
-def test_monodromy_apply_on_a_column_block():
+def test_monodromy_apply_on_a_column_block(dense_monodromy):
     chain = ChainSpec(rank=3, sites=2, fock_cutoff=2, defect_site=2, theta=-0.2)
     lam = 0.8 + 0.3j
-    full = monodromy(chain, lam)
+    full = dense_monodromy(chain, lam)
     rng = np.random.default_rng(8)
     x = rng.normal(size=(full.shape[0], 5)) + 1j * rng.normal(size=(full.shape[0], 5))
-    got = monodromy_apply(chain, lam, x)
+    got = monodromy(chain, lam, x)
     assert np.max(np.abs(got - full @ x)) <= 1e-14 * np.max(np.abs(full @ x))
     vac = np.kron(np.eye(3)[:, 0], chain_vacuum(chain))
-    assert np.allclose(monodromy_apply(chain, lam, vac), full[:, np.argmax(vac)])
+    assert np.allclose(monodromy(chain, lam, vac), full[:, np.argmax(vac)])
 
 
 def test_monodromy_byte_budget():
-    # dimension 4 * 84 * 4**4 = 86,016: one dense matrix would take 118 GB
+    # dimension 4 * 84 * 4**4 = 86,016: one auxiliary block of the monodromy
+    # would take 29.6 GB, and the transfer matrix refuses it unallocated
     chain = ChainSpec(rank=4, sites=4, fock_cutoff=6)
-    for build in (monodromy, transfer_matrix):
-        with pytest.raises(ValueError, match="86016 x 86016.*budget"):
-            build(chain, 0.1)
+    with pytest.raises(ValueError, match="monodromy block needs a 86016 x 21504 .*budget"):
+        transfer_matrix(chain, 0.1)
     # a block of columns of the same chain stays affordable
     vac = np.kron(np.eye(4)[:, 0], chain_vacuum(chain))
-    assert monodromy_apply(chain, 0.1, vac).shape == vac.shape
+    assert monodromy(chain, 0.1, vac).shape == vac.shape

@@ -12,12 +12,9 @@ from defectlab.tensor import (
     embed_pair,
     kron,
     matrix_unit,
-    partial_trace,
-    partial_transpose,
     permutation_op,
     restrict,
     require_budget,
-    reversal_op,
 )
 
 
@@ -48,34 +45,6 @@ def test_permutation_swaps_simple_tensors():
     w = rng.normal(size=n)
     assert np.allclose(p @ np.kron(v, w), np.kron(w, v))
     assert np.allclose(p @ p, np.eye(n * n))
-
-
-def test_reversal_op():
-    v = reversal_op(4)
-    assert np.allclose(v @ v, np.eye(4))
-    e = np.zeros(4)
-    e[0] = 1.0
-    assert np.allclose(v @ e, np.eye(4)[:, 3])
-
-
-def test_partial_transpose_factors():
-    rng = np.random.default_rng(2)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    m = np.kron(a, b)
-    assert np.allclose(partial_transpose(m, (2, 3), 0), np.kron(a.T, b))
-    assert np.allclose(partial_transpose(m, (2, 3), 1), np.kron(a, b.T))
-    # involution
-    assert np.allclose(partial_transpose(partial_transpose(m, (2, 3), 0), (2, 3), 0), m)
-
-
-def test_partial_trace_factors():
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    m = np.kron(a, b)
-    assert np.allclose(partial_trace(m, (2, 3), 0), np.trace(a) * b)
-    assert np.allclose(partial_trace(m, (2, 3), 1), np.trace(b) * a)
 
 
 def test_dagger():
