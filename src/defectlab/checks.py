@@ -94,6 +94,15 @@ def cheb(m) -> float:
     return float(np.max(np.abs(m))) if m.size else 0.0
 
 
+def worst_of(*residuals: float) -> float:
+    """The largest residual, or a NaN if any is one.  max() keeps a NaN only
+    in first place (nan > x is False), and a NaN residual must fail."""
+    for r in residuals:
+        if r != r:
+            return r
+    return max(residuals)
+
+
 def rng_for(seed: int, label: str) -> np.random.Generator:
     """Deterministic per-check generator: the label is folded in via CRC32 so
     distinct checks draw independent, reproducible streams."""
@@ -228,9 +237,9 @@ def calibrate_ordering(
     by_shift = {}  # candidates with equal effective shift build the same L
     for cand in candidates:
         if cand.effective_shift() not in by_shift:
-            by_shift[cand.effective_shift()] = max(
+            by_shift[cand.effective_shift()] = worst_of(*(
                 rll_residual(cand, fock, a, b) for a, b in zip(points[0::2], points[1::2])
-            )
+            ))
     results = [(cand, by_shift[cand.effective_shift()]) for cand in candidates]
     passing = [(c, r) for c, r in results if r <= tol]
     if not passing:
@@ -278,21 +287,21 @@ def check_oscillator_algebra(fock: FockSpace, tol: float = 1e-13) -> CheckReport
     num = fock.number_op(NORMAL)
     sub = fock.sub_cutoff_indices(1)
     ladders = [(fock.annihilator(j), fock.creator(j)) for j in range(1, m + 1)]
-    worst = 0.0
+    residuals = []
     for i, (ai, adi) in enumerate(ladders):
         for j, (aj, adj) in enumerate(ladders):
             comm = ai @ adj - adj @ ai
             target = eye if i == j else np.zeros_like(eye)
-            worst = max(worst, cheb(restrict(comm - target, sub)))
-            worst = max(worst, cheb(ai @ aj - aj @ ai))
-            worst = max(worst, cheb(adi @ adj - adj @ adi))
+            residuals.append(cheb(restrict(comm - target, sub)))
+            residuals.append(cheb(ai @ aj - aj @ ai))
+            residuals.append(cheb(adi @ adj - adj @ adi))
     for a, ad in ladders:
-        worst = max(worst, cheb(num @ a - a @ num + a))
-        worst = max(worst, cheb(num @ ad - ad @ num - ad))
+        residuals.append(cheb(num @ a - a @ num + a))
+        residuals.append(cheb(num @ ad - ad @ num - ad))
     return CheckReport.from_residual(
         "oscillator-algebra",
         [("species", m), ("cutoff", fock.cutoff)],
-        worst,
+        worst_of(*residuals),
         tol,
         "mixed commutator on total occupation <= cutoff-1, rest full space",
     )
@@ -309,7 +318,7 @@ def check_lax_crossing(
     for z in lams:
         explicit = lax.l_hat_matrix(spec, fock, z)
         transformed = lax.crossed_l_matrix(spec, fock, z)
-        worst = max(worst, cheb(explicit - transformed))
+        worst = worst_of(worst, cheb(explicit - transformed))
     return CheckReport.from_residual(
         "lax-crossing",
         [
@@ -359,8 +368,8 @@ def check_highest_weight(
     omega = lax.chain_vacuum(chain)
     worst = 0.0
     for j in range(1, fock.species + 1):
-        worst = max(worst, cheb(fock.annihilator(j) @ fock.vacuum()))
-    worst = max(worst, cheb(fock.number_op(NORMAL) @ fock.vacuum()))
+        worst = worst_of(worst, cheb(fock.annihilator(j) @ fock.vacuum()))
+    worst = worst_of(worst, cheb(fock.number_op(NORMAL) @ fock.vacuum()))
     scale_pow = chain.sites + 1
     # column l is e_l (x) Omega, which T maps to sum_k e_k (x) T_kl Omega
     columns = np.kron(np.eye(n, dtype=COMPLEX), omega[:, None])
@@ -369,7 +378,7 @@ def check_highest_weight(
         expects = omega.conj() @ applied
         targets = np.diag([_local_vacuum_weight(chain, k, z) for k in range(1, n + 1)])
         scale = max(1.0, (abs(z) + 2.0) ** scale_pow)
-        worst = max(worst, cheb(expects - targets) / scale)
+        worst = worst_of(worst, cheb(expects - targets) / scale)
     return CheckReport.from_residual(
         "highest-weight",
         [
@@ -483,12 +492,12 @@ def check_transmission_crossing(
             (v_rhs[mask].conj() @ v_lhs[mask]) / (v_rhs[mask].conj() @ v_rhs[mask])
         )
         fit = cheb(v_lhs - c * v_rhs) / cheb(v_lhs)
-        worst_fit = max(worst_fit, fit)
+        worst_fit = worst_of(worst_fit, fit)
         constants.append(c)
     constants = np.asarray(constants)
     center = complex(np.median(constants.real), np.median(constants.imag))
     spread = float(np.max(np.abs(constants - center)))
-    residual = max(spread, worst_fit)
+    residual = worst_of(spread, worst_fit)
     return CheckReport.from_residual(
         "transmission-crossing",
         [

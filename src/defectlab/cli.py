@@ -10,6 +10,7 @@ via repr, and JSON keys are sorted.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import os
 import sys
@@ -83,13 +84,21 @@ class RunConfig:
             raise ValueError(f"fock-cutoff must be >= 1, got {self.fock_cutoff}")
         if self.chain_sites < 0:
             raise ValueError(f"sites must be >= 0, got {self.chain_sites}")
-        if int(self.lambda_grid[2]) < 2:
+        lo, hi, count = self.lambda_grid
+        # a NaN or an infinity here would only show later as NaN residuals
+        for name, value in (("theta", self.theta), ("shift", self.shift),
+                            ("lambda grid min", lo), ("lambda grid max", hi)):
+            if not cmath.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if int(count) < 2:
             raise ValueError("lambda grid needs at least 2 points")
         for name, value in self.tolerances.items():
             if name not in DEFAULT_TOLERANCES:
                 raise ValueError(
                     f"unknown tolerance {name!r}; known: {', '.join(sorted(DEFAULT_TOLERANCES))}"
                 )
+            if not cmath.isfinite(value):
+                raise ValueError(f"tolerance {name} must be finite, got {value}")
             if value <= 0:
                 raise ValueError(f"tolerance {name} must be positive, got {value}")
 
@@ -324,7 +333,7 @@ def _amplitude_rows(cfg: RunConfig, sign: str):
             continue
         logderiv_residual = abs(deriv_quad - deriv_closed)
         rel = abs(integral - closed) / max(abs(closed), 1e-300)
-        worst = max(worst, rel, logderiv_residual)
+        worst = checks.worst_of(worst, rel, logderiv_residual)
         rows.append((lam, closed, integral, logderiv_residual, sign, "ok"))
     return rows, worst
 
@@ -336,7 +345,7 @@ def cmd_amplitudes(cfg: RunConfig, sign: str) -> int:
     for s in signs:
         new_rows, w = _amplitude_rows(cfg, s)
         rows.extend(new_rows)
-        worst = max(worst, w)
+        worst = checks.worst_of(worst, w)
     tol = cfg.tol("amplitudes")
     if (cfg.fmt or "csv") == "json":
         payload = {

@@ -102,19 +102,6 @@ def sigma0_hat(omega, rank: int, k: int):
     return _sigma0(np.abs(omega), rank, k)
 
 
-def big_r_hat(omega, rank: int, j: int, jp: int):
-    return _big_r(np.abs(omega), rank, j, jp)
-
-
-def a_hat(omega, n: int):
-    return np.exp(-0.5 * n * np.abs(omega))
-
-
-def frak_a_hat(omega, sign: str):
-    # one-sided factor, supported on side omega <= 0
-    return _one_sided(omega, defect_side(sign))
-
-
 def r_hat(omega, rank: int, k: int):
     # impurity correction to the level-k density: R(k,1) a_2 - R(k,2) a_1
     x = np.abs(omega)

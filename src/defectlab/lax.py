@@ -49,7 +49,6 @@ class LaxSpec:
     variant: str = VARIANT_L
     ordering: str = NORMAL
     shift: float = 1.0
-    rapidity: complex = 0j
 
     def __post_init__(self):
         if self.rank < 2:
@@ -226,18 +225,13 @@ def transmission_amplitude(rank: int, sign: str, lam) -> complex:
 def nbar_op(fock: FockSpace, rank: int, ordering: str = ANTINORMAL) -> np.ndarray:
     """Shifted number operator entering the transmission matrices.
 
-    The antinormal reading realizes sum_j a_j adag_j + rank/2 - 3/2 on the
-    diagonal; the normal reading drops the species count.  Either choice is a
+    The number operator in the given ordering (FockSpace.number_op) plus
+    rank/2 - 3/2: antinormal realizes sum_j a_j adag_j + rank/2 - 3/2 on the
+    diagonal, normal drops the species count.  Either choice is a
     spectral-parameter translation of the other, so the exchange and crossing
     checks hold for both; antinormal is the default.
     """
-    base = fock.number_op(NORMAL)
-    shift = rank / 2 - 1.5
-    if ordering == ANTINORMAL:
-        shift += fock.species
-    elif ordering != NORMAL:
-        raise ValueError(f"unknown ordering {ordering!r}")
-    return base + shift * np.eye(fock.dim, dtype=COMPLEX)
+    return fock.number_op(ordering) + (rank / 2 - 1.5) * np.eye(fock.dim, dtype=COMPLEX)
 
 
 def transmission_matrix(

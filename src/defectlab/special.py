@@ -29,19 +29,21 @@ def pole_distance(z) -> float:
     return min(abs(z + n) for n in candidates)
 
 
-def guard_pole(z, guard: float = DEFAULT_POLE_GUARD, what: str = "Gamma argument"):
+def guard_pole(z, what: str = "Gamma argument"):
     d = pole_distance(z)
-    if d <= guard:
+    if d <= DEFAULT_POLE_GUARD:
         raise PoleProximityError(
-            f"{what} {complex(z):.6g} lies within {guard:g} of a pole "
+            f"{what} {complex(z):.6g} lies within {DEFAULT_POLE_GUARD:g} of a pole "
             f"(distance {d:.3e})"
         )
     return z
 
 
-def guard_nonzero(z, guard: float = DEFAULT_POLE_GUARD, what: str = "prefactor"):
-    if abs(complex(z)) <= guard:
-        raise PoleProximityError(f"{what} vanishes (|{complex(z):.6g}| <= {guard:g})")
+def guard_nonzero(z, what: str = "prefactor"):
+    if abs(complex(z)) <= DEFAULT_POLE_GUARD:
+        raise PoleProximityError(
+            f"{what} vanishes (|{complex(z):.6g}| <= {DEFAULT_POLE_GUARD:g})"
+        )
     return z
 
 
@@ -49,7 +51,7 @@ def log_gamma(z):
     return _loggamma(complex(z))
 
 
-def gamma_ratio(numerator, denominator, guard: float = DEFAULT_POLE_GUARD) -> complex:
+def gamma_ratio(numerator, denominator) -> complex:
     """prod Gamma(numerator) / prod Gamma(denominator), via log-Gamma.
 
     Parameters
@@ -61,9 +63,9 @@ def gamma_ratio(numerator, denominator, guard: float = DEFAULT_POLE_GUARD) -> co
     """
     total = 0.0 + 0.0j
     for z in numerator:
-        total += _loggamma(guard_pole(z, guard))
+        total += _loggamma(guard_pole(z))
     for z in denominator:
-        total -= _loggamma(guard_pole(z, guard))
+        total -= _loggamma(guard_pole(z))
     return complex(np.exp(total))
 
 

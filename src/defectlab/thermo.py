@@ -1,6 +1,10 @@
-"""Continuum-limit machinery: kernel tables, root densities, hole
-dispersion, and the transmitting-impurity amplitudes as regularized
-integrals checked against their Gamma-ratio closed forms.
+"""Continuum-limit machinery: root densities, hole dispersion, and the
+transmitting-impurity amplitudes as regularized integrals checked against
+their Gamma-ratio closed forms.
+
+Every quantity here is a half-line quadrature of one of the Fourier kernels
+in :mod:`defectlab.kernels` (sigma0_hat, r_hat, rt_hat or an amplitude
+integrand), called directly at the rank a :class:`KernelTable` holds.
 
 Fourier convention, fixed globally: fhat(omega) = integral dlam
 e^{i omega lam} f(lam), inverted by (1/2pi) integral domega
@@ -18,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels, lax
-from .checks import CheckReport
+from .checks import CheckReport, worst_of
 from .special import log_gamma, psi
 
 OMEGA_CUTOFF = 80.0
@@ -42,11 +46,8 @@ def _half_line_grid(cutoff: float, panel: float, order: int):
 
 @dataclass(frozen=True)
 class KernelTable:
-    """On-demand evaluation of the Fourier-space kernels at a fixed rank.
-
-    Kernel ids: "sigma0:k", "a:n", "frak_a:s", "R:j,jp", "r:k", "rt:s:k",
-    with s the impurity sign '+' or '-'.
-    """
+    """The rank at which the Fourier-space kernels are evaluated; every
+    function below reads its rank and has it validate the level."""
 
     rank: int
 
@@ -57,78 +58,6 @@ class KernelTable:
     def _check_level(self, k: int):
         if not 1 <= k <= self.rank - 1:
             raise ValueError(f"level must be in 1..{self.rank - 1}, got {k}")
-
-    def evaluate(self, which: str, omega) -> np.ndarray:
-        omega = np.ascontiguousarray(np.atleast_1d(omega), dtype=float)
-        parts = which.split(":")
-        name = parts[0]
-        if name == "sigma0":
-            k = int(parts[1])
-            self._check_level(k)
-            return kernels.sigma0_hat(omega, self.rank, k)
-        if name == "a":
-            n = int(parts[1])
-            if n < 1:
-                raise ValueError(f"a_n needs n >= 1, got {n}")
-            return kernels.a_hat(omega, n)
-        if name == "frak_a":
-            return kernels.frak_a_hat(omega, parts[1])
-        if name == "R":
-            j, jp = (int(s) for s in parts[1].split(","))
-            if not (1 <= j <= self.rank and 1 <= jp <= self.rank):
-                raise ValueError(f"R indices must be in 1..{self.rank}")
-            return kernels.big_r_hat(omega, self.rank, j, jp)
-        if name == "r":
-            k = int(parts[1])
-            self._check_level(k)
-            return kernels.r_hat(omega, self.rank, k)
-        if name == "rt":
-            k = int(parts[2])
-            self._check_level(k)
-            return kernels.rt_hat(omega, self.rank, k, parts[1])
-        raise ValueError(f"unknown kernel id {which!r}")
-
-
-def kernel(table: KernelTable, which: str, omega):
-    """Scalar-friendly wrapper around KernelTable.evaluate."""
-    out = table.evaluate(which, omega)
-    if np.isscalar(omega) or np.ndim(omega) == 0:
-        return float(out[0])
-    return out
-
-
-def a_n_realspace(n: int, lam):
-    """(1/2pi) n / (lam^2 + n^2/4), the real-space mate of ahat_n."""
-    lam = np.asarray(lam, dtype=float)
-    return (1.0 / (2.0 * math.pi)) * n / (lam * lam + 0.25 * n * n)
-
-
-# ---------------------------------------------------------------------------
-# decay bookkeeping for truncated transforms
-
-
-def _decay_rate(which: str, rank: int) -> float:
-    parts = which.split(":")
-    name = parts[0]
-    if name == "sigma0":
-        return int(parts[1]) / 2.0
-    if name == "r":
-        k = int(parts[1])
-        term1 = 1.0 + (k - 1) / 2.0
-        term2 = 0.5 + abs(k - 2) / 2.0
-        if rank == 2:
-            return term1  # the second term vanishes identically
-        return min(term1, term2)
-    if name == "rt":
-        k = int(parts[2])
-        return k / 2.0 if kernels.defect_side(parts[1]) > 0 else (rank - k) / 2.0
-    raise ValueError(f"no decay rate for kernel {which!r}")
-
-
-def _tail_bound(table: KernelTable, which: str, cutoff: float) -> float:
-    alpha = _decay_rate(which, table.rank)
-    edge = float(np.max(np.abs(table.evaluate(which, np.array([cutoff, -cutoff])))))
-    return edge / alpha
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +127,10 @@ class DensityProfile:
 
 def bulk_density(table: KernelTable, level: int, lams, cutoff: float = OMEGA_CUTOFF):
     """Inverse transform of sigma0hat; even kernel, cosine form."""
+    table._check_level(level)
     lams = np.ascontiguousarray(np.atleast_1d(lams), dtype=float)
     nodes, weights = _half_line_grid(cutoff, PANEL_WIDTH, PANEL_ORDER)
-    values = table.evaluate(f"sigma0:{level}", nodes)
+    values = kernels.sigma0_hat(nodes, table.rank, level)
     return kernels.fourier_cos_sum(nodes, weights, values, lams)
 
 
@@ -213,38 +143,51 @@ def density(
     theta: float = 0.0,
     sites: int = 100,
     cutoff: float = OMEGA_CUTOFF,
-    tail_target: float = TAIL_TARGET,
 ) -> DensityProfile:
     """Single-hole density with the impurity correction.
 
     Each component is an inverse Fourier transform truncated at the cutoff;
-    the a-priori tail estimate (edge value over decay rate) must stay below
-    tail_target or TailBoundError is raised.
+    the a-priori tail estimate of each kernel (its largest value at
+    +-cutoff over its decay rate) must stay below TAIL_TARGET or
+    TailBoundError is raised.
     """
-    kernels.defect_side(sign)  # refuse a bad sign before it enters a kernel id
+    side = kernels.defect_side(sign)  # refuse a bad sign before anything else
     if sites < 1:
         raise ValueError(f"sites must be >= 1, got {sites}")
     table._check_level(level)
+    n = table.rank
     lams = np.ascontiguousarray(np.atleast_1d(lams), dtype=float)
+    edges = np.array([cutoff, -cutoff])
+    # (label, kernel at +-cutoff, decay rate); R(j, jp) decays like
+    # exp(-|j - jp| |omega|/2), and the one-sided factor adds 1/2
+    tails = (
+        (f"sigma0:{level}", kernels.sigma0_hat(edges, n, level), level / 2.0),
+        (f"r:{level}", kernels.r_hat(edges, n, level), min(1 + level, 1 + abs(level - 2)) / 2.0),
+        (
+            f"rt:{sign}:{level}",
+            kernels.rt_hat(edges, n, level, sign),
+            (level if side > 0 else n - level) / 2.0,
+        ),
+    )
     worst_tail = 0.0
-    for which in (f"sigma0:{level}", f"r:{level}", f"rt:{sign}:{level}"):
-        bound = _tail_bound(table, which, cutoff)
-        worst_tail = max(worst_tail, bound)
-        if bound > tail_target:
+    for label, edge, rate in tails:
+        bound = float(np.max(np.abs(edge))) / rate
+        if not bound <= TAIL_TARGET:  # a NaN estimate fails too
             raise TailBoundError(
-                f"kernel {which} tail estimate {bound:.3e} exceeds {tail_target:g} "
+                f"kernel {label} tail estimate {bound:.3e} exceeds {TAIL_TARGET:g} "
                 f"at cutoff {cutoff:g}",
                 bound,
             )
+        worst_tail = max(worst_tail, bound)
     nodes, weights = _half_line_grid(cutoff, PANEL_WIDTH, PANEL_ORDER)
     bulk = bulk_density(table, level, lams, cutoff)
     backflow = kernels.fourier_cos_sum(
-        nodes, weights, table.evaluate(f"r:{level}", nodes), lams - hole
+        nodes, weights, kernels.r_hat(nodes, n, level), lams - hole
     )
     defect = transmission_density(table, sign, lams - theta, level, cutoff)
     total = bulk + (backflow + defect) / sites
     return DensityProfile(
-        rank=table.rank,
+        rank=n,
         level=level,
         sign=sign,
         lams=lams,
@@ -259,7 +202,7 @@ def density(
     )
 
 
-def hole_dispersion(table: KernelTable, level: int, lam, cutoff: float = OMEGA_CUTOFF):
+def hole_dispersion(table: KernelTable, level: int, lam):
     """Energy and momentum of a hole in the level sea.
 
     epsilon(lam) equals the bulk density; p(lam) = 2pi * integral of the
@@ -267,8 +210,8 @@ def hole_dispersion(table: KernelTable, level: int, lam, cutoff: float = OMEGA_C
     """
     table._check_level(level)
     lams = np.ascontiguousarray(np.atleast_1d(lam), dtype=float)
-    nodes, weights = _half_line_grid(cutoff, PANEL_WIDTH, PANEL_ORDER)
-    values = table.evaluate(f"sigma0:{level}", nodes)
+    nodes, weights = _half_line_grid(OMEGA_CUTOFF, PANEL_WIDTH, PANEL_ORDER)
+    values = kernels.sigma0_hat(nodes, table.rank, level)
     eps = kernels.fourier_cos_sum(nodes, weights, values, lams)
     mom = kernels.fourier_sin_over_omega_sum(nodes, weights, values, lams)
     if np.isscalar(lam) or np.ndim(lam) == 0:
@@ -280,9 +223,7 @@ def hole_dispersion(table: KernelTable, level: int, lam, cutoff: float = OMEGA_C
 # transmission amplitudes
 
 
-def amplitude_regularized(
-    table: KernelTable, sign: str, lamhat: float, cutoff: float = OMEGA_CUTOFF
-) -> complex:
+def amplitude_regularized(table: KernelTable, sign: str, lamhat: float) -> complex:
     """log of the transmission amplitude as a regularized integral.
 
     The 1/omega singularity of the bare exponent is removed by subtracting
@@ -290,18 +231,16 @@ def amplitude_regularized(
     specific damping the result matches the Gamma-ratio closed form exactly,
     constant included.
     """
-    nodes, weights = _half_line_grid(cutoff, PANEL_WIDTH, PANEL_ORDER)
+    nodes, weights = _half_line_grid(OMEGA_CUTOFF, PANEL_WIDTH, PANEL_ORDER)
     total = weights @ kernels.amplitude_integrand(nodes, float(lamhat), table.rank, sign)
     # the integrand is side * log T; negate rather than multiply by side, which
     # would turn a -0.0 component into 0.0
     return complex(total if kernels.defect_side(sign) > 0 else -total)
 
 
-def amplitude_log_derivative(
-    table: KernelTable, sign: str, lamhat: float, cutoff: float = OMEGA_CUTOFF
-) -> complex:
+def amplitude_log_derivative(table: KernelTable, sign: str, lamhat: float) -> complex:
     """d/dlamhat log T, an absolutely convergent integral (no subtraction)."""
-    nodes, weights = _half_line_grid(cutoff, PANEL_WIDTH, PANEL_ORDER)
+    nodes, weights = _half_line_grid(OMEGA_CUTOFF, PANEL_WIDTH, PANEL_ORDER)
     vals = kernels.amplitude_logderiv_integrand(nodes, float(lamhat), table.rank, sign)
     return complex(weights @ vals)
 
@@ -328,7 +267,7 @@ def transmission_density(
     nodes, weights = _half_line_grid(cutoff, PANEL_WIDTH, PANEL_ORDER)
     omega = -kernels.defect_side(sign) * nodes
     return kernels.fourier_exp_sum(
-        omega, weights, table.evaluate(f"rt:{sign}:{level}", omega), lams
+        omega, weights, kernels.rt_hat(omega, table.rank, level, sign), lams
     )
 
 
@@ -337,18 +276,17 @@ def quantization_phase_residual(
     sign: str,
     lamhat0: float,
     lamhat1: float,
-    panels: int = 32,
-    order: int = 16,
 ) -> float:
     """Consistency of the impurity density term with the amplitude.
 
-    2pi * integral of the impurity density over [lamhat0, lamhat1] must
-    equal -i [log T(lamhat1) - log T(lamhat0)].  The anchor is a finite
+    2pi * integral of the impurity density over [lamhat0, lamhat1], by a
+    32-panel order-16 Gauss-Legendre rule, must equal
+    -i [log T(lamhat1) - log T(lamhat0)].  The anchor is a finite
     point: log |T| grows logarithmically toward -infinity, so only
     differences are well defined.
     """
-    edges = np.linspace(float(lamhat0), float(lamhat1), panels + 1)
-    x_nodes, x_weights = kernels.gl_panels(edges, order)
+    edges = np.linspace(float(lamhat0), float(lamhat1), 33)
+    x_nodes, x_weights = kernels.gl_panels(edges, 16)
     rt_vals = transmission_density(table, sign, x_nodes)
     lhs = 2.0 * math.pi * complex(x_weights @ rt_vals)
     rhs = -1j * (
@@ -388,7 +326,7 @@ def check_gamma_identity(mu, tol: float = 1e-8) -> CheckReport:
             ("regularized_residual", reg_residual),
             ("cutoff", cutoff),
         ],
-        max(deriv_residual, reg_residual),
+        worst_of(deriv_residual, reg_residual),
         tol,
         "half-line quadrature vs digamma and log-Gamma closed forms",
     )

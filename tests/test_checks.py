@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from defectlab.checks import (
     rng_for,
     sample_points,
     transmission_algebra_residual,
+    worst_of,
     ybe_residual,
 )
 import defectlab.lax as lax
@@ -197,6 +199,22 @@ def test_highest_weight():
 def test_highest_weight_defect_in_middle():
     chain = ChainSpec(rank=2, sites=2, fock_cutoff=3, defect_site=2, theta=-0.4)
     assert check_highest_weight(chain).passed
+
+
+def test_worst_of_keeps_a_nan_in_any_place():
+    nan = float("nan")
+    assert worst_of(0.0, 2.0, 1.0) == 2.0
+    for residuals in ((nan, 1.0, 0.5), (1.0, nan, 0.5), (1.0, 0.5, nan)):
+        assert math.isnan(worst_of(*residuals))
+
+
+def test_nan_residual_fails_its_check():
+    # max(worst, nan) keeps worst, so a NaN that is not first once read as 0.0
+    nan = float("nan")
+    crossing = check_lax_crossing(LaxSpec(2, shift=nan), FockSpace(1, 3), _points("cross-nan", 3))
+    highest = check_highest_weight(ChainSpec(rank=2, sites=1, fock_cutoff=3, theta=nan))
+    for rep in (crossing, highest):
+        assert math.isnan(rep.residual) and not rep.passed, rep.name
 
 
 # ---------------------------------------------------------------------------

@@ -281,6 +281,44 @@ def test_amplitudes_bad_grid(capsys):
     assert main(["amplitudes", "--grid", "0", "1", "1"]) == 2
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_amplitudes_nan_rows_fail(tmp_path):
+    # every row overflows to NaN; the worst residual is NaN, not 0.0
+    code, text = run(
+        tmp_path, "amplitudes", "--rank", "2", "--sign", "+",
+        "--grid", "1e308", "1.7e308", "3", "--format", "json",
+    )
+    assert code == 1
+    payload = json.loads(text)
+    assert np.isnan(payload["max_residual"])
+    assert all(np.isnan(r["logderiv_residual"]) for r in payload["rows"])
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["--theta", "nan"], "theta"),
+        (["--theta", "1+infj"], "theta"),
+        (["--shift", "nan"], "shift"),
+        (["--shift=-inf"], "shift"),
+        (["--grid", "nan", "1", "3"], "lambda grid min"),
+        (["--grid", "0", "inf", "3"], "lambda grid max"),
+        (["--tol", "crossing=inf"], "tolerance crossing"),
+        (["--tol", "crossing=nan"], "tolerance crossing"),
+    ],
+)
+def test_non_finite_config_value_is_refused(capsys, argv, named):
+    assert main(["check", "crossing", "--seed", "1", *argv]) == 2
+    assert f"{named} must be finite" in capsys.readouterr().err
+
+
+def test_non_finite_config_file_value_is_refused(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"theta": [0.0, float("inf")], "tolerances": {"ybe": 1e-9}}))
+    assert main(["check", "ybe", "--seed", "1", "--config", str(path)]) == 2
+    assert "theta must be finite" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # bae command
 

@@ -9,15 +9,12 @@ from defectlab import bethe, lax, thermo
 from defectlab.kernels import (
     DEFECT_MINUS,
     DEFECT_PLUS,
-    a_hat,
     amplitude_integrand,
     amplitude_logderiv_integrand,
-    big_r_hat,
     defect_side,
     fourier_cos_sum,
     fourier_exp_sum,
     fourier_sin_over_omega_sum,
-    frak_a_hat,
     gamma_identity_integrand,
     gamma_identity_derivative_integrand,
     gl_panels,
@@ -60,56 +57,16 @@ def test_sigma0_no_overflow_at_large_argument():
     assert abs(big[0] - math.exp(-400.0)) < 1e-180
 
 
-def test_big_r_symmetry_and_limit():
-    w = np.linspace(0.0, 10.0, 50)
-    for rank in (3, 4):
-        for j in range(1, rank + 1):
-            for jp in range(1, rank + 1):
-                assert np.allclose(
-                    big_r_hat(w, rank, j, jp), big_r_hat(w, rank, jp, j)
-                )
-    assert abs(big_r_hat(np.array([0.0]), 4, 2, 3)[0] - 2 * (4 - 3) / 4) < 1e-15
-    # index at the rank kills the kernel
-    assert np.all(big_r_hat(w, 3, 3, 1) == 0.0)
-
-
-def test_big_r_matches_hyperbolic_ratio():
-    w = np.linspace(0.1, 15.0, 60)
-    rank, j, jp = 4, 2, 3
-    jlo, jhi = min(j, jp), max(j, jp)
-    direct = (
-        np.exp(0.5 * w)
-        * np.sinh(0.5 * jlo * w)
-        * np.sinh(0.5 * (rank - jhi) * w)
-        / (np.sinh(0.5 * w) * np.sinh(0.5 * rank * w))
-    )
-    assert np.max(np.abs(big_r_hat(w, rank, j, jp) - direct)) < 1e-13
-
-
-def test_a_hat_product_rule():
-    w = np.linspace(-10, 10, 41)
-    assert np.allclose(a_hat(w, 1) * a_hat(w, 2), a_hat(w, 3))
-    assert a_hat(np.array([0.0]), 5)[0] == 1.0
-
-
-def test_frak_a_support():
-    w = np.linspace(-4, 4, 81)
-    plus = frak_a_hat(w, "+")
-    minus = frak_a_hat(w, "-")
-    assert np.all(plus[w > 0] == 0.0)
-    assert np.all(minus[w < 0] == 0.0)
-    assert np.allclose(plus[w <= 0], np.exp(0.5 * w[w <= 0]))
-    # mirror symmetry
-    assert np.allclose(frak_a_hat(-w, "+"), minus)
-
-
 def test_r_hat_is_the_advertised_combination():
+    # R(k,1) a_2 - R(k,2) a_1, with R and a_n = exp(-n|w|/2) written out
     w = np.linspace(-6, 6, 61)
     for rank in (3, 4):
         for k in range(1, rank):
-            combo = big_r_hat(w, rank, k, 1) * a_hat(w, 2) - big_r_hat(
-                w, rank, k, 2
-            ) * a_hat(w, 1)
+            combo = [
+                _ref_big_r(abs(x), rank, k, 1) * math.exp(-abs(x))
+                - _ref_big_r(abs(x), rank, k, 2) * math.exp(-0.5 * abs(x))
+                for x in w
+            ]
             assert np.allclose(r_hat(w, rank, k), combo)
 
 
@@ -133,11 +90,10 @@ def test_defect_side():
 
 def _sign_calls(sign):
     """(name, call, the sign as the refusal shows it) for every public entry
-    point that takes an impurity sign; a kernel id carries it as text."""
+    point that takes an impurity sign."""
     w = np.array([-1.0, 0.0, 1.0])
     table = thermo.KernelTable(3)
     yield "defect_side", lambda: defect_side(sign), sign
-    yield "frak_a_hat", lambda: frak_a_hat(w, sign), sign
     yield "rt_hat", lambda: rt_hat(w, 3, 1, sign), sign
     yield "amplitude_integrand", lambda: amplitude_integrand(w[1:], 0.3, 3, sign), sign
     yield "amplitude_logderiv_integrand", (
@@ -152,8 +108,6 @@ def _sign_calls(sign):
         "amplitude_log_derivative_closed",
     ):
         yield name, lambda fn=getattr(thermo, name): fn(table, sign, 0.3), sign
-    yield "evaluate frak_a", lambda: table.evaluate(f"frak_a:{sign}", w), f"{sign}"
-    yield "evaluate rt", lambda: table.evaluate(f"rt:{sign}:1", w), f"{sign}"
     yield "transmission_amplitude", lambda: lax.transmission_amplitude(3, sign, 0.3), sign
     yield "amplitude_gamma_args", lambda: lax.amplitude_gamma_args(3, sign, 0.3), sign
     yield "defect_factor", lambda: bethe.defect_factor(0.3, sign), sign
@@ -167,7 +121,7 @@ def _sign_calls(sign):
 @pytest.mark.parametrize("sign", ["plus", "", None])
 def test_sign_entry_points_refuse_anything_but_plus_or_minus(sign):
     calls = list(_sign_calls(sign))
-    assert len(calls) == 17 + (sign is not None)
+    assert len(calls) == 14 + (sign is not None)
     for name, call, shown in calls:
         with pytest.raises(ValueError) as info:
             call()
@@ -200,7 +154,7 @@ def test_fourier_cos_sum_lorentzian():
     nodes, weights = half_line_grid()
     lams = np.linspace(-3, 3, 25)
     for n in (1, 2):
-        got = fourier_cos_sum(nodes, weights, a_hat(nodes, n), lams)
+        got = fourier_cos_sum(nodes, weights, np.exp(-0.5 * n * nodes), lams)
         expected = (1.0 / (2 * np.pi)) * n / (lams**2 + 0.25 * n * n)
         assert np.max(np.abs(got - expected)) < 1e-13
 
@@ -209,7 +163,7 @@ def test_fourier_sin_over_omega_arctan():
     # 2 int_0^inf exp(-w) sin(w lam)/w dw = 2 arctan(lam)
     nodes, weights = half_line_grid()
     lams = np.linspace(-2, 2, 21)
-    got = fourier_sin_over_omega_sum(nodes, weights, a_hat(nodes, 2), lams)
+    got = fourier_sin_over_omega_sum(nodes, weights, np.exp(-nodes), lams)
     assert np.max(np.abs(got - 2 * np.arctan(lams))) < 1e-13
 
 
@@ -217,7 +171,7 @@ def test_fourier_exp_sum_full_line():
     edges = np.linspace(-80.0, 80.0, 81)
     nodes, weights = gl_panels(edges, order=32)
     lams = np.linspace(-2, 2, 9)
-    got = fourier_exp_sum(nodes, weights, a_hat(nodes, 2), lams)
+    got = fourier_exp_sum(nodes, weights, np.exp(-np.abs(nodes)), lams)
     expected = (1.0 / (2 * np.pi)) * 2.0 / (lams**2 + 1.0)
     assert np.max(np.abs(got - expected)) < 1e-13
     assert np.max(np.abs(got.imag)) < 1e-14
@@ -346,14 +300,6 @@ def _grid_cases():
             yield rt_hat, (rank, k, "-"), (
                 lambda w, r=rank, k=k: _ref_big_r(abs(w), r, k, r - 1) * _ref_frak_minus(w)
             ), None
-            for jp in range(1, rank + 1):
-                yield big_r_hat, (rank, k, jp), (
-                    lambda w, r=rank, j=k, jp=jp: _ref_big_r(abs(w), r, j, jp)
-                ), None
-    for n in (1, 2, 3):
-        yield a_hat, (n,), lambda w, n=n: math.exp(-0.5 * n * abs(w)), None
-    yield frak_a_hat, ("+",), _ref_frak_plus, None
-    yield frak_a_hat, ("-",), _ref_frak_minus, None
 
 
 def _integrand_cases():
@@ -404,7 +350,7 @@ def test_kernels_raise_no_floating_point_warnings():
         for fn, args, _ in _integrand_cases():
             assert np.all(np.isfinite(fn(u, *args)))
         for fn in (fourier_cos_sum, fourier_sin_over_omega_sum, fourier_exp_sum):
-            assert np.all(np.isfinite(fn(nodes, weights, a_hat(nodes, 1), omega)))
+            assert np.all(np.isfinite(fn(nodes, weights, np.exp(-0.5 * nodes), omega)))
 
 
 @pytest.mark.parametrize("count", [0, 1, 31, 32, 33, 201])

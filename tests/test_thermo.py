@@ -6,11 +6,11 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gamma as sp_gamma
 
-from defectlab.kernels import gl_panels
+from defectlab.bethe import _a_n
+from defectlab.kernels import gl_panels, r_hat, rt_hat, sigma0_hat
 from defectlab.thermo import (
     KernelTable,
     TailBoundError,
-    a_n_realspace,
     amplitude_closed_form,
     amplitude_log_derivative,
     amplitude_log_derivative_closed,
@@ -19,7 +19,6 @@ from defectlab.thermo import (
     check_gamma_identity,
     density,
     hole_dispersion,
-    kernel,
     quantization_phase_residual,
     transmission_density,
 )
@@ -28,27 +27,8 @@ from defectlab.thermo import (
 def test_kernel_table_validation():
     with pytest.raises(ValueError):
         KernelTable(1)
-    t = KernelTable(3)
     with pytest.raises(ValueError):
-        t.evaluate("sigma0:3", 0.0)  # level must be < rank
-    with pytest.raises(ValueError):
-        t.evaluate("a:0", 0.0)
-    with pytest.raises(ValueError):
-        t.evaluate("frak_a:0", 0.0)
-    with pytest.raises(ValueError):
-        t.evaluate("R:0,1", 0.0)
-    with pytest.raises(ValueError):
-        t.evaluate("rt:*:1", 0.0)
-    with pytest.raises(ValueError):
-        t.evaluate("nope", 0.0)
-
-
-def test_kernel_scalar_wrapper():
-    t = KernelTable(2)
-    v = kernel(t, "sigma0:1", 0.0)
-    assert isinstance(v, float) and v == 0.5
-    arr = kernel(t, "sigma0:1", np.array([0.0, 1.0]))
-    assert arr.shape == (2,)
+        bulk_density(KernelTable(3), 3, 0.0)  # level must be < rank
 
 
 def test_fourier_convention_against_independent_quadrature():
@@ -59,7 +39,7 @@ def test_fourier_convention_against_independent_quadrature():
             val, _ = quad(
                 lambda w: math.exp(-0.5 * n * w), 0, 60, weight="cos", wvar=lam
             )
-            assert abs(val / math.pi - a_n_realspace(n, lam)) < 1e-10
+            assert abs(val / math.pi - _a_n(lam, n)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +155,47 @@ def test_density_tail_bound_error():
     with pytest.raises(TailBoundError) as exc:
         density(t, 1, "-", [0.0], cutoff=30.0)
     assert exc.value.achieved > 1e-10
+
+
+def _expected_tails(rank, level, sign, cutoff):
+    """(label, kernel at +-cutoff, decay rate) of each density kernel, the
+    rates read off the closed forms: sigma0 ~ exp(-k w/2); r = R(k,1) a_2 -
+    R(k,2) a_1 with R(j,jp) ~ exp(-|j-jp| w/2); rt = R(k, 1 or rank-1) times
+    the one-sided factor exp(-|w|/2)."""
+    edges = np.array([cutoff, -cutoff])
+    out_level = 1 if sign == "+" else rank - 1
+    return [
+        (f"sigma0:{level}", sigma0_hat(edges, rank, level), level / 2),
+        (f"r:{level}", r_hat(edges, rank, level), min((level + 1) / 2, (abs(level - 2) + 1) / 2)),
+        (
+            f"rt:{sign}:{level}",
+            rt_hat(edges, rank, level, sign),
+            (abs(level - out_level) + 1) / 2,
+        ),
+    ]
+
+
+def test_density_tail_bound_is_edge_over_decay_rate():
+    dominant = set()
+    for rank in (2, 3, 4, 5):
+        for level in range(1, rank):
+            for sign in ("+", "-"):
+                for cutoff in (20.0, 30.0, 50.0, 80.0, 120.0):
+                    tails = _expected_tails(rank, level, sign, cutoff)
+                    bounds = [(label, float(np.max(np.abs(v))) / rate) for label, v, rate in tails]
+                    label, worst = max(bounds, key=lambda lb: lb[1])
+                    dominant.add(label.split(":")[0])
+                    failing = [lb for lb in bounds if lb[1] > 1e-10]
+                    if failing:
+                        with pytest.raises(TailBoundError) as exc:
+                            density(KernelTable(rank), level, sign, [0.0], cutoff=cutoff)
+                        # the first kernel over target is the one reported
+                        assert exc.value.achieved == pytest.approx(failing[0][1], rel=1e-12)
+                        assert f"kernel {failing[0][0]} tail" in str(exc.value)
+                    else:
+                        prof = density(KernelTable(rank), level, sign, [0.0], cutoff=cutoff)
+                        assert prof.tail_bound == pytest.approx(worst, rel=1e-12)
+    assert dominant == {"sigma0", "r", "rt"}
 
 
 def test_transmission_density_real_part_rank2():
