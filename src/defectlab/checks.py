@@ -4,8 +4,11 @@ Every check computes both sides of an identity, takes the Chebyshev norm
 (largest absolute entry) of the difference, and wraps the verdict in a
 :class:`CheckReport`.  Products of operators that act on two tensor factors
 are applied by contraction (:func:`defectlab.tensor.apply_local`) to just
-the columns a check reads.  Identities that create one oscillator quantum
-are compared on the sub-cutoff block, where truncation is exact.
+the columns a check reads.  The Yang-Baxter equation, RLL and the
+transmission algebra share the form P12 X1 X2 = X2 X1 P12 and one routine
+that evaluates it, after checking its column block against the byte budget.
+Identities that create one oscillator quantum are compared on the
+sub-cutoff block, where truncation is exact.
 """
 
 from __future__ import annotations
@@ -24,14 +27,7 @@ from .lax import (
     ChainSpec,
     LaxSpec,
 )
-from .tensor import (
-    COMPLEX,
-    FockSpace,
-    apply_local,
-    aux_block_indices,
-    kron,
-    restrict,
-)
+from .tensor import COMPLEX, FockSpace, apply_local, require_budget
 
 
 class CalibrationError(RuntimeError):
@@ -124,19 +120,17 @@ def sample_points(rng, count, box=2.0, avoid=(), min_dist=0.05):
 
 
 def ybe_residual(rank: int, lam1, lam2, matrix: str = "R") -> float:
+    """Chebyshev residual of R12 R13 R23 - R23 R13 R12 (or the same for S):
+    RLL with the matrix itself as the Lax operator on a fundamental site."""
     if matrix == "R":
         build = lambda z: lax.r_matrix(rank, z)
     elif matrix == "S":
         build = lambda z: lax.s_matrix(rank, z)
     else:
         raise ValueError(f"matrix must be 'R' or 'S', got {matrix!r}")
-    n = rank
-    eye = np.eye(n, dtype=COMPLEX)
-    m12 = kron(build(lam1 - lam2), eye)
-    m23 = kron(eye, build(lam2))
-    m13 = apply_local(build(lam1), np.eye(n**3, dtype=COMPLEX), (n, n, n), (0, 2))
-    lhs = m12 @ m13 @ m23
-    rhs = m23 @ m13 @ m12
+    lhs, rhs = _exchange_sides(
+        rank, build(lam1 - lam2), build(lam1), build(lam2), rank, range(rank)
+    )
     return cheb(lhs - rhs)
 
 
@@ -155,15 +149,16 @@ def check_ybe(rank: int, lam1, lam2, tol: float = 1e-12, matrix: str = "R") -> C
 # exchange relation with the defect
 
 
-def _exchange_sides(n: int, pair_op, x1, x2, fock: FockSpace):
-    """Both sides of P12 X1 X2 = X2 X1 P12 on aux1 (x) aux2 (x) Fock, on the
-    sub-cutoff block.  P12 acts on the two auxiliary spaces, X1 and X2 on
-    one auxiliary space each and the Fock space.  A column of a product
-    depends only on the same column of its rightmost factor, so the factors
-    are applied to the block's columns alone."""
-    dims = (n, n, fock.dim)
-    idx = aux_block_indices(n * n, fock.sub_cutoff_indices(1), fock.dim)
-    cols = np.zeros((n * n * fock.dim, len(idx)), dtype=COMPLEX)
+def _exchange_sides(n: int, pair_op, x1, x2, d: int, keep):
+    """Both sides of P12 X1 X2 = X2 X1 P12 on aux1 (x) aux2 (x) V, dim V = d,
+    on the columns and rows whose V index is in ``keep``.  P12 acts on the
+    two auxiliary spaces, X1 and X2 on one auxiliary space each and V.  A
+    column of a product depends only on the same column of its rightmost
+    factor, so the factors are applied to the block's columns alone."""
+    dims = (n, n, d)
+    idx = (np.arange(n * n)[:, None] * d + np.asarray(keep, dtype=np.intp)[None, :]).ravel()
+    require_budget((n * n * d, len(idx)), "exchange-relation column block")
+    cols = np.zeros((n * n * d, len(idx)), dtype=COMPLEX)
     cols[idx, np.arange(len(idx))] = 1.0
     on_p, on_1, on_2 = (0, 1), (0, 2), (1, 2)
     lhs = apply_local(pair_op, apply_local(x1, apply_local(x2, cols, dims, on_2), dims, on_1), dims, on_p)
@@ -179,7 +174,8 @@ def rll_residual(spec: LaxSpec, fock: FockSpace, lam1, lam2) -> float:
         lax.r_matrix(n, complex(lam1) - complex(lam2)),
         lax.defect_lax(spec, fock, lam1),
         lax.defect_lax(spec, fock, lam2),
-        fock,
+        fock.dim,
+        fock.sub_cutoff_indices(1),
     )
     return cheb(lhs - rhs)
 
@@ -292,7 +288,7 @@ def check_oscillator_algebra(fock: FockSpace, tol: float = 1e-13) -> CheckReport
         for j, (aj, adj) in enumerate(ladders):
             comm = ai @ adj - adj @ ai
             target = eye if i == j else np.zeros_like(eye)
-            residuals.append(cheb(restrict(comm - target, sub)))
+            residuals.append(cheb((comm - target)[np.ix_(sub, sub)]))
             residuals.append(cheb(ai @ aj - aj @ ai))
             residuals.append(cheb(adi @ adj - adj @ adi))
     for a, ad in ladders:
@@ -404,7 +400,6 @@ def transmission_algebra_residual(
     lam1,
     lam2,
     conjugate: bool = False,
-    nbar_ordering: str = ANTINORMAL,
     include_prefactor: bool = True,
 ) -> float:
     """Normalized Chebyshev residual of S12 T1 T2 - T2 T1 S12.
@@ -415,15 +410,12 @@ def transmission_algebra_residual(
     """
     n = rank
     if conjugate:
-        build = lambda z: lax.conjugate_transmission_matrix(
-            n, fock, z, nbar_ordering, include_prefactor
-        )
+        build = lambda z: lax.conjugate_transmission_matrix(n, fock, z, include_prefactor)
     else:
-        build = lambda z: lax.transmission_matrix(
-            n, fock, z, nbar_ordering, include_prefactor
-        )
+        build = lambda z: lax.transmission_matrix(n, fock, z, include_prefactor)
     lhs, rhs = _exchange_sides(
-        n, lax.s_matrix(n, complex(lam1) - complex(lam2)), build(lam1), build(lam2), fock
+        n, lax.s_matrix(n, complex(lam1) - complex(lam2)), build(lam1), build(lam2),
+        fock.dim, fock.sub_cutoff_indices(1),
     )
     return cheb(lhs - rhs) / cheb(lhs)
 
@@ -434,22 +426,17 @@ def check_transmission_algebra(
     lam1,
     lam2,
     conjugate: bool = False,
-    nbar_ordering: str = ANTINORMAL,
     tol: float = 1e-10,
 ) -> CheckReport:
-    res = transmission_algebra_residual(
-        rank, fock, lam1, lam2, conjugate, nbar_ordering, include_prefactor=True
-    )
-    bare = transmission_algebra_residual(
-        rank, fock, lam1, lam2, conjugate, nbar_ordering, include_prefactor=False
-    )
+    res = transmission_algebra_residual(rank, fock, lam1, lam2, conjugate, include_prefactor=True)
+    bare = transmission_algebra_residual(rank, fock, lam1, lam2, conjugate, include_prefactor=False)
     which = "conjugate" if conjugate else "direct"
     return CheckReport.from_residual(
         "transmission-algebra",
         [
             ("rank", rank),
             ("matrix", which),
-            ("nbar_ordering", nbar_ordering),
+            ("nbar_ordering", ANTINORMAL),
             ("cutoff", fock.cutoff),
             ("lambda1", complex(lam1)),
             ("lambda2", complex(lam2)),
@@ -465,29 +452,27 @@ def check_transmission_crossing(
     rank: int,
     fock: FockSpace,
     grid: Sequence[float] | None = None,
-    nbar_ordering: str = ANTINORMAL,
     tol: float = 1e-8,
-    entry_floor: float = 1e-9,
 ) -> CheckReport:
     """Measure the proportionality constant between the conjugate
     transmission matrix and the crossing transform of the direct one.
 
-    The constant is fit per grid point by least squares over matrix entries;
-    the reported residual is the spread of the fitted constant across the
-    grid plus the worst per-point fit error, so a lambda-dependent ratio
-    cannot pass.
+    The constant is fit per grid point by least squares over the matrix
+    entries above 1e-9 of the largest; the reported residual is the spread
+    of the fitted constant across the grid plus the worst per-point fit
+    error, so a lambda-dependent ratio cannot pass.
     """
     if grid is None:
         grid = np.linspace(-3.0, 3.0, 20)
     constants = []
     worst_fit = 0.0
     for lam in grid:
-        lhs = lax.conjugate_transmission_matrix(rank, fock, lam, nbar_ordering)
-        rhs = lax.crossed_transmission_matrix(rank, fock, lam, nbar_ordering)
+        lhs = lax.conjugate_transmission_matrix(rank, fock, lam)
+        rhs = lax.crossed_transmission_matrix(rank, fock, lam)
         v_rhs = rhs.ravel()
         v_lhs = lhs.ravel()
         scale = np.max(np.abs(v_rhs))
-        mask = np.abs(v_rhs) > entry_floor * scale
+        mask = np.abs(v_rhs) > 1e-9 * scale
         c = complex(
             (v_rhs[mask].conj() @ v_lhs[mask]) / (v_rhs[mask].conj() @ v_rhs[mask])
         )
@@ -503,7 +488,7 @@ def check_transmission_crossing(
         [
             ("rank", rank),
             ("cutoff", fock.cutoff),
-            ("nbar_ordering", nbar_ordering),
+            ("nbar_ordering", ANTINORMAL),
             ("grid_points", len(list(grid))),
             ("constant", center),
             ("constant_spread", spread),

@@ -334,7 +334,9 @@ def _amplitude_rows(cfg: RunConfig, sign: str):
         logderiv_residual = abs(deriv_quad - deriv_closed)
         rel = abs(integral - closed) / max(abs(closed), 1e-300)
         worst = checks.worst_of(worst, rel, logderiv_residual)
-        rows.append((lam, closed, integral, logderiv_residual, sign, "ok"))
+        finite = all(map(cmath.isfinite, (closed, integral, logderiv_residual)))
+        status = "ok" if finite else "nonfinite"
+        rows.append((lam, closed, integral, logderiv_residual, sign, status))
     return rows, worst
 
 

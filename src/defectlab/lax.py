@@ -222,30 +222,25 @@ def transmission_amplitude(rank: int, sign: str, lam) -> complex:
     return gamma_ratio([num], [den])
 
 
-def nbar_op(fock: FockSpace, rank: int, ordering: str = ANTINORMAL) -> np.ndarray:
-    """Shifted number operator entering the transmission matrices.
-
-    The number operator in the given ordering (FockSpace.number_op) plus
-    rank/2 - 3/2: antinormal realizes sum_j a_j adag_j + rank/2 - 3/2 on the
-    diagonal, normal drops the species count.  Either choice is a
-    spectral-parameter translation of the other, so the exchange and crossing
-    checks hold for both; antinormal is the default.
-    """
-    return fock.number_op(ordering) + (rank / 2 - 1.5) * np.eye(fock.dim, dtype=COMPLEX)
+def nbar_op(fock: FockSpace, rank: int) -> np.ndarray:
+    """Shifted number operator entering the transmission matrices: the
+    antinormal number operator (FockSpace.number_op) plus rank/2 - 3/2,
+    which realizes sum_j a_j adag_j + rank/2 - 3/2 on the diagonal.  The
+    normal ordering would be a spectral-parameter translation of it."""
+    return fock.number_op(ANTINORMAL) + (rank / 2 - 1.5) * np.eye(fock.dim, dtype=COMPLEX)
 
 
 def transmission_matrix(
     rank: int,
     fock: FockSpace,
     lam,
-    nbar_ordering: str = ANTINORMAL,
     include_prefactor: bool = True,
 ) -> np.ndarray:
     """Transmission matrix for right-movers on auxiliary (x) Fock."""
     lam = complex(lam)
     n = rank
     eye_f = np.eye(fock.dim, dtype=COMPLEX)
-    nbar = nbar_op(fock, rank, nbar_ordering)
+    nbar = nbar_op(fock, rank)
     out = _oscillator_operator(n, fock, 1j * lam * eye_f + eye_f + nbar, 1, reverse=False)
     if include_prefactor:
         denom = guard_nonzero(1j * lam + n / 2 - 0.5, what="transmission prefactor denominator")
@@ -257,14 +252,13 @@ def conjugate_transmission_matrix(
     rank: int,
     fock: FockSpace,
     lam,
-    nbar_ordering: str = ANTINORMAL,
     include_prefactor: bool = True,
 ) -> np.ndarray:
     """Transmission matrix for left-movers; reversed auxiliary indices."""
     lam = complex(lam)
     n = rank
     eye_f = np.eye(fock.dim, dtype=COMPLEX)
-    nbar = nbar_op(fock, rank, nbar_ordering)
+    nbar = nbar_op(fock, rank)
     head = (-1j * lam - n / 2 + 1) * eye_f + nbar
     out = _oscillator_operator(n, fock, head, 1, reverse=True)
     if include_prefactor:
@@ -272,18 +266,12 @@ def conjugate_transmission_matrix(
     return out
 
 
-def crossed_transmission_matrix(
-    rank: int,
-    fock: FockSpace,
-    lam,
-    nbar_ordering: str = ANTINORMAL,
-    include_prefactor: bool = True,
-) -> np.ndarray:
+def crossed_transmission_matrix(rank: int, fock: FockSpace, lam) -> np.ndarray:
     """V_1 T^{t_1}(-lambda + i rank/2) V_1; equals the conjugate matrix up to
     a constant that the crossing check measures rather than assumes."""
     n = rank
     lam_crossed = -complex(lam) + 1j * n / 2
-    return _cross(transmission_matrix(rank, fock, lam_crossed, nbar_ordering, include_prefactor), n)
+    return _cross(transmission_matrix(rank, fock, lam_crossed), n)
 
 
 # ---------------------------------------------------------------------------

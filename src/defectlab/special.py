@@ -9,6 +9,8 @@ around the pole set {0, -1, -2, ...}.
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 from scipy.special import digamma as _digamma
 from scipy.special import loggamma as _loggamma
@@ -30,6 +32,8 @@ def pole_distance(z) -> float:
 
 
 def guard_pole(z, what: str = "Gamma argument"):
+    if not cmath.isfinite(z):
+        raise ValueError(f"{what} must be finite, got {complex(z)}")
     d = pole_distance(z)
     if d <= DEFAULT_POLE_GUARD:
         raise PoleProximityError(

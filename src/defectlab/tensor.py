@@ -1,5 +1,5 @@
-"""Tensor-product utilities, local operator application, and the truncated
-multi-species Fock space.
+"""Local operator application, the dense-array byte budget, the
+permutation operator, and the truncated multi-species Fock space.
 
 Matrices are plain complex128 ndarrays.  Auxiliary-space indices follow the
 physics convention and are 1-based in every public signature; array indices
@@ -14,7 +14,6 @@ arrays whose size follows from the input are checked against
 from __future__ import annotations
 
 import math
-from functools import reduce
 
 import numpy as np
 
@@ -41,25 +40,6 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def kron(*factors) -> np.ndarray:
-    """Kronecker product of one or more square matrices, left factor slowest."""
-    if not factors:
-        raise ValueError("kron of no factors")
-    factors = [as_matrix(f) for f in factors]
-    dim = math.prod(f.shape[0] for f in factors)
-    require_budget((dim, dim), "Kronecker product")
-    return reduce(np.kron, factors)
-
-
-def matrix_unit(n: int, k: int, l: int) -> np.ndarray:
-    """e_{kl} on an n-dimensional space, 1-based indices."""
-    if not (1 <= k <= n and 1 <= l <= n):
-        raise ValueError(f"matrix unit indices ({k},{l}) out of range for n={n}")
-    m = np.zeros((n, n), dtype=COMPLEX)
-    m[k - 1, l - 1] = 1.0
-    return m
-
-
 def permutation_op(n: int) -> np.ndarray:
     """P = sum_{kl} e_kl (x) e_lk; swaps the two n-dimensional factors."""
     require_budget((n * n, n * n), "permutation operator")
@@ -68,10 +48,6 @@ def permutation_op(n: int) -> np.ndarray:
         for l in range(n):
             p[k * n + l, l * n + k] = 1.0
     return p
-
-
-def dagger(m) -> np.ndarray:
-    return as_matrix(m).conj().T
 
 
 def apply_local(op, x, dims, slots) -> np.ndarray:
@@ -172,7 +148,7 @@ class FockSpace:
         return a
 
     def creator(self, j: int) -> np.ndarray:
-        return dagger(self.annihilator(j))
+        return self.annihilator(j).conj().T
 
     def total_occupation(self) -> np.ndarray:
         return np.diag([float(sum(occ)) for occ in self.basis]).astype(COMPLEX)
@@ -198,18 +174,3 @@ class FockSpace:
             dtype=np.intp,
         )
 
-
-def restrict(matrix, indices) -> np.ndarray:
-    """Submatrix on the given row/column index set."""
-    m = as_matrix(matrix)
-    idx = np.asarray(indices, dtype=np.intp)
-    return m[np.ix_(idx, idx)]
-
-
-def aux_block_indices(aux_dim: int, fock_indices, fock_dim: int) -> np.ndarray:
-    """Indices selecting (every auxiliary index) x (given Fock indices) in a
-    matrix on auxiliary (x) Fock, auxiliary slowest."""
-    fock_indices = np.asarray(fock_indices, dtype=np.intp)
-    return (
-        np.arange(aux_dim, dtype=np.intp)[:, None] * fock_dim + fock_indices[None, :]
-    ).ravel()

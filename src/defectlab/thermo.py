@@ -154,6 +154,9 @@ def density(
     side = kernels.defect_side(sign)  # refuse a bad sign before anything else
     if sites < 1:
         raise ValueError(f"sites must be >= 1, got {sites}")
+    for name, value in (("hole", hole), ("theta", theta)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     table._check_level(level)
     n = table.rank
     lams = np.ascontiguousarray(np.atleast_1d(lams), dtype=float)

@@ -26,7 +26,8 @@ from defectlab.checks import (
 )
 import defectlab.lax as lax
 from defectlab.lax import ChainSpec, LaxSpec, chain_vacuum, transfer_matrix
-from defectlab.tensor import FockSpace, aux_block_indices
+import defectlab.tensor as tensor
+from defectlab.tensor import FockSpace
 
 
 def _points(label, count, avoid=()):
@@ -85,10 +86,11 @@ def test_ybe_detects_broken_r(monkeypatch):
     # non-vacuity: perturbing the permutation part must produce a large
     # residual (note lam + 2iP would still pass, being a rescaling of lam)
     import defectlab.lax as lax
-    from defectlab.tensor import kron, matrix_unit, permutation_op
+    from defectlab.tensor import permutation_op
 
     def fake_r(rank, lam):
-        bad = kron(matrix_unit(rank, 1, 1), matrix_unit(rank, 2, 2))
+        e = np.eye(rank)
+        bad = np.kron(np.outer(e[0], e[0]), np.outer(e[1], e[1]))  # e_11 (x) e_22
         return (
             complex(lam) * np.eye(rank * rank) + 1j * permutation_op(rank) + 0.3 * bad
         )
@@ -255,11 +257,10 @@ def test_transmission_algebra_scalar_rescaling_invariance(monkeypatch):
 def test_transmission_crossing_constant_is_rank():
     for rank in (2, 3):
         fock = FockSpace(rank - 1, 4)
-        for ordering in ("antinormal", "normal"):
-            rep = check_transmission_crossing(rank, fock, nbar_ordering=ordering)
-            assert rep.passed, (rank, ordering, rep.residual)
-            const = dict(rep.parameters)["constant"]
-            assert abs(const - rank) < 1e-8
+        rep = check_transmission_crossing(rank, fock)
+        assert rep.passed, (rank, rep.residual)
+        const = dict(rep.parameters)["constant"]
+        assert abs(const - rank) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +316,14 @@ def _dense_exchange(kron_embed, rank, fock, pair_op, x1, x2):
     p = kron_embed(pair_op, dims, (0, 1))
     e1 = kron_embed(x1, dims, (0, 2))
     e2 = kron_embed(x2, dims, (1, 2))
-    idx = aux_block_indices(rank * rank, fock.sub_cutoff_indices(1), fock.dim)
+    # (aux1, aux2, Fock) with the Fock occupation at most cutoff - 1
+    idx = [
+        (a * rank + b) * fock.dim + f
+        for a in range(rank)
+        for b in range(rank)
+        for f, occ in enumerate(fock.basis)
+        if sum(occ) < fock.cutoff
+    ]
     block = np.ix_(idx, idx)
     return (p @ e1 @ e2)[block], (e2 @ e1 @ p)[block]
 
@@ -362,6 +370,34 @@ def test_transmission_algebra_residual_against_dense(kron_embed, rank, conjugate
     dense = np.max(np.abs(lhs - rhs)) / np.max(np.abs(lhs))
     got = transmission_algebra_residual(rank, fock, l1, l2, conjugate)
     assert abs(got - dense) <= 1e-15
+
+
+def _block_bytes(rank, d, keep):
+    """Bytes of the n^2 d x n^2 |keep| complex column block."""
+    return (rank * rank * d) * (rank * rank * keep) * 16
+
+
+@pytest.mark.parametrize(
+    "residual, block",
+    [
+        (lambda: ybe_residual(2, 0.3, -0.4, "R"), _block_bytes(2, 2, 2)),
+        (lambda: ybe_residual(3, 0.3, -0.4, "S"), _block_bytes(3, 3, 3)),
+        (lambda: rll_residual(LaxSpec(2), FockSpace(1, 3), 0.3, -0.4), _block_bytes(2, 4, 3)),
+        (
+            lambda: transmission_algebra_residual(3, FockSpace(2, 2), 0.3, -0.4, True),
+            _block_bytes(3, 6, 3),
+        ),
+    ],
+    ids=["ybe-R", "ybe-S", "rll", "transmission-algebra"],
+)
+def test_exchange_column_block_is_checked_against_the_budget(monkeypatch, residual, block):
+    # at a budget of exactly the column block everything the residual builds
+    # fits, so one byte less refuses the column block and nothing else
+    monkeypatch.setattr(tensor, "MATRIX_BYTE_BUDGET", block)
+    residual()
+    monkeypatch.setattr(tensor, "MATRIX_BYTE_BUDGET", block - 1)
+    with pytest.raises(ValueError, match="exchange-relation column block needs"):
+        residual()
 
 
 _CHAINS = [

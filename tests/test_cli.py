@@ -130,6 +130,24 @@ def test_check_over_the_byte_budget_is_refused_unallocated(capsys):
     assert peak < 10 * 2**20
 
 
+@pytest.mark.parametrize("suite", ["rll", "transmission-algebra"])
+def test_exchange_relation_over_the_byte_budget_is_refused_unallocated(capsys, suite):
+    # rank 5, cutoff 7: Fock dimension 330, 210 of its states below the
+    # cutoff; the two operators (1650 x 1650 each) fit, the column block not
+    argv = ["check", suite, "--rank", "5", "--fock-cutoff", "7", "--seed", "1"]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "exchange-relation column block needs a 8250 x 5250 complex array (0.693 GB)" in err
+    assert "budget" in err
+    assert peak < 200 * 2**20
+
+
 def test_check_tolerance_override_can_fail(tmp_path):
     code, text = run(
         tmp_path, "check", "oscillator", "--fock-cutoff", "3", "--tol", "oscillator=1e-300"
@@ -292,6 +310,7 @@ def test_amplitudes_nan_rows_fail(tmp_path):
     payload = json.loads(text)
     assert np.isnan(payload["max_residual"])
     assert all(np.isnan(r["logderiv_residual"]) for r in payload["rows"])
+    assert all(r["status"] == "nonfinite" for r in payload["rows"])
 
 
 @pytest.mark.parametrize(
@@ -421,6 +440,13 @@ def test_density_json(tmp_path):
 
 def test_density_bad_level(capsys):
     assert main(["density", "--rank", "2", "--level", "5"]) == 2
+
+
+@pytest.mark.parametrize("hole", ["nan", "inf"])
+def test_density_rejects_non_finite_hole(tmp_path, capsys, hole):
+    code, text = run(tmp_path, "density", "--hole", hole, "--grid", "-1", "1", "3")
+    assert code == 2 and text == ""
+    assert f"hole must be finite, got {float(hole)}" in capsys.readouterr().err
 
 
 def test_density_rejects_complex_theta(tmp_path, capsys):

@@ -179,6 +179,12 @@ def test_transmission_amplitude_pole_raises():
         transmission_amplitude(2, "x", 0.0)
 
 
+def test_transmission_amplitude_refuses_nan_by_name():
+    with pytest.raises(ValueError, match=r"Gamma argument must be finite, got \(nan") as exc:
+        transmission_amplitude(2, "+", float("nan"))
+    assert not isinstance(exc.value, PoleProximityError)
+
+
 def test_transmission_matrix_structure():
     rank = 3
     fock = FockSpace(rank - 1, 3)
@@ -210,7 +216,7 @@ def test_conjugate_transmission_zero_pattern():
 def test_crossed_transmission_runs():
     rank = 2
     fock = FockSpace(1, 3)
-    m = crossed_transmission_matrix(rank, fock, 0.25, include_prefactor=False)
+    m = crossed_transmission_matrix(rank, fock, 0.25)
     assert m.shape == (rank * fock.dim, rank * fock.dim)
     assert np.max(np.abs(m)) > 0
 

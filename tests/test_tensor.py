@@ -7,34 +7,10 @@ from defectlab.tensor import (
     MATRIX_BYTE_BUDGET,
     FockSpace,
     apply_local,
-    aux_block_indices,
-    dagger,
     embed_pair,
-    kron,
-    matrix_unit,
     permutation_op,
-    restrict,
     require_budget,
 )
-
-
-def test_kron_matches_numpy():
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = rng.normal(size=(3, 3))
-    c = rng.normal(size=(2, 2))
-    assert np.allclose(kron(a, b, c), np.kron(np.kron(a, b), c))
-
-
-def test_matrix_unit_entries():
-    e = matrix_unit(3, 2, 3)
-    expected = np.zeros((3, 3))
-    expected[1, 2] = 1.0
-    assert np.array_equal(e, expected)
-    with pytest.raises(ValueError):
-        matrix_unit(3, 0, 1)
-    with pytest.raises(ValueError):
-        matrix_unit(3, 1, 4)
 
 
 def test_permutation_swaps_simple_tensors():
@@ -45,11 +21,6 @@ def test_permutation_swaps_simple_tensors():
     w = rng.normal(size=n)
     assert np.allclose(p @ np.kron(v, w), np.kron(w, v))
     assert np.allclose(p @ p, np.eye(n * n))
-
-
-def test_dagger():
-    m = np.array([[1 + 2j, 3], [4j, 5]])
-    assert np.allclose(dagger(m), m.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +126,6 @@ def test_byte_budget_is_checked_before_allocation():
     with pytest.raises(ValueError, match="budget"):
         require_budget((limit + 1,), "over the budget")
     with pytest.raises(ValueError, match="budget"):
-        kron(np.eye(100), np.eye(100), np.eye(100))
-    with pytest.raises(ValueError, match="budget"):
         FockSpace(3, 200)  # refused before enumerating 1.4 million states
 
 
@@ -204,7 +173,7 @@ def test_ladder_commutators_on_subblock():
             ai, adj = f.annihilator(i), f.creator(j)
             comm = ai @ adj - adj @ ai
             target = np.eye(f.dim) if i == j else np.zeros((f.dim, f.dim))
-            assert np.max(np.abs(restrict(comm - target, sub))) < 1e-13
+            assert np.max(np.abs((comm - target)[np.ix_(sub, sub)])) < 1e-13
 
 
 def test_number_operator_both_orderings():
@@ -227,9 +196,3 @@ def test_sub_cutoff_indices():
     sub = f.sub_cutoff_indices(1)
     assert all(sum(f.basis[i]) <= 2 for i in sub)
     assert len(sub) == math.comb(2 + 2, 2)
-
-
-def test_aux_block_indices():
-    f = FockSpace(1, 2)
-    idx = aux_block_indices(2, [0, 1], f.dim)
-    assert list(idx) == [0, 1, 3, 4]

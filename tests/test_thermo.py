@@ -148,6 +148,10 @@ def test_density_input_validation():
         density(t, 2, "-", [0.0])
     with pytest.raises(ValueError):
         density(t, 1, "-", [0.0], sites=0)
+    for field in ("hole", "theta"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"{field} must be finite, got {value}"):
+                density(t, 1, "-", [0.0], **{field: value})
 
 
 def test_density_tail_bound_error():
@@ -300,3 +304,8 @@ def test_gamma_identity_rejects_nonpositive_real_part():
         check_gamma_identity(-1.0)
     with pytest.raises(ValueError):
         check_gamma_identity(0.0)
+
+
+def test_gamma_identity_refuses_nan_by_name():
+    with pytest.raises(ValueError, match=r"digamma argument must be finite, got \(nan"):
+        check_gamma_identity(float("nan"))
