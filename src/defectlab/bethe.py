@@ -1,10 +1,9 @@
 """Nested Bethe equations for the chain with one transmitting impurity.
 
-Roots are organized by nesting level 1..rank-1; level 0 stands for the
-physical sites (rapidity 0 each) and level rank is empty.  The sites enter
-as one rapidity 0 of multiplicity ``sites``: one power e_1(lambda)^sites in
-the level-1 equations, one term sites * d/dlambda log e_1 in their Jacobian
-and one pole test.  The impurity enters the equations at one level through
+Roots are organized by nesting level 1..rank-1; the physical sites act as a
+level 0 next to level 1.  They enter as one rapidity 0 of multiplicity
+``sites``: one power e_1(lambda)^sites in the level-1 equations, one term
+sites * d/dlambda log e_1 in their Jacobian and one pole test.  The impurity enters the equations at one level through
 a one-sided factor, either lambda - theta + i/2 or 1/(lambda - theta - i/2).
 
 The equations are written multiplicatively.  With the self-term included on
@@ -77,15 +76,6 @@ class BetheState:
 
     def magnon_counts(self) -> tuple:
         return tuple(len(r) for r in self.roots)
-
-    def level_roots(self, level: int) -> np.ndarray:
-        """Roots at a nesting level, with the boundary conventions: level 0
-        returns the site rapidities (all zero), level rank is empty."""
-        if level == 0:
-            return np.zeros(self.sites, dtype=COMPLEX)
-        if level == self.rank:
-            return np.zeros(0, dtype=COMPLEX)
-        return self.roots[level - 1]
 
     def to_dict(self) -> dict:
         return {
@@ -209,7 +199,7 @@ class BAEResidual:
 
 def _equation_ratio(state: BetheState, level: int) -> np.ndarray:
     """LHS/RHS of the level equations, elementwise over that level's roots."""
-    lam = state.level_roots(level)
+    lam = state.roots[level - 1]
     if len(lam) == 0:
         return np.zeros(0, dtype=COMPLEX)
     lhs = np.ones(len(lam), dtype=COMPLEX)
@@ -240,7 +230,7 @@ def _jacobian(state: BetheState) -> np.ndarray:
     offsets = np.concatenate([[0], np.cumsum(counts)])
     jac = np.zeros((total, total), dtype=COMPLEX)
     for level in range(1, state.rank):
-        lam = state.level_roots(level)
+        lam = state.roots[level - 1]
         rows = slice(offsets[level - 1], offsets[level])
         diag = np.zeros(len(lam), dtype=COMPLEX)
         for adj, mu, mult in _neighbours(state, level):
@@ -338,10 +328,12 @@ def defect_phase(lam):
 def _coupled_sum(state: BetheState, level: int, lam: np.ndarray, kernel) -> np.ndarray:
     """Sum of kernel(lam - mu, 1) over the adjacent levels' roots (the sites
     with their multiplicity) minus kernel(lam - mu, 2) over the level's own."""
+    if not 1 <= level <= state.rank - 1:
+        raise ValueError(f"level must be in 1..{state.rank - 1}, got {level}")
     total = np.zeros_like(lam)
     for _, mu, mult in _neighbours(state, level):
         total += mult * np.sum(kernel(lam[..., None] - mu.real, 1), axis=-1)
-    own = state.level_roots(level).real
+    own = state.roots[level - 1].real
     return total - np.sum(kernel(lam[..., None] - own, 2), axis=-1)
 
 

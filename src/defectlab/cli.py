@@ -131,7 +131,8 @@ def _complex_pair(value) -> complex:
 
 
 # RunConfig field -> (config-file key, converter, flag attribute, converter);
-# a converter of None takes the value as it is, and --tol merges separately
+# a converter of None takes the value as it is, and --tol merges separately.
+# A subcommand that does not take a flag has no attribute for it.
 _SOURCES = {
     "rank": ("rank", int, "rank", None),
     "fock_cutoff": ("fock_cutoff", int, "fock_cutoff", None),
@@ -345,9 +346,16 @@ def cmd_amplitudes(cfg: RunConfig, sign: str) -> int:
     rows = []
     worst = 0.0
     for s in signs:
-        new_rows, w = _amplitude_rows(cfg, s)
+        # an overflow shows as a nonfinite row, named on stderr below
+        with np.errstate(over="ignore", invalid="ignore"):
+            new_rows, w = _amplitude_rows(cfg, s)
         rows.extend(new_rows)
         worst = checks.worst_of(worst, w)
+    nonfinite = [
+        f"lambda {lam!r} sign {s}" for lam, _, _, _, s, status in rows if status == "nonfinite"
+    ]
+    if nonfinite:
+        print(f"warning: amplitude rows not finite: {', '.join(nonfinite)}", file=sys.stderr)
     tol = cfg.tol("amplitudes")
     if (cfg.fmt or "csv") == "json":
         payload = {
@@ -467,17 +475,27 @@ def cmd_density(cfg: RunConfig, level: int, sign: str, sites: int, hole: float) 
 # argument plumbing
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="JSON config file; flags override it")
-    sub.add_argument("--rank", type=int)
-    sub.add_argument("--fock-cutoff", type=int, dest="fock_cutoff")
-    sub.add_argument("--sites", type=int)
-    sub.add_argument("--theta", help="impurity rapidity, e.g. 0.3 or 0.3+0.2j")
-    sub.add_argument("--grid", nargs=3, metavar=("MIN", "MAX", "COUNT"))
-    sub.add_argument("--tol", action="append", metavar="NAME=VALUE")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--output", "-o")
-    sub.add_argument("--format", choices=("json", "csv"))
+# every flag a subcommand may take, in the order they are registered; each
+# subcommand takes --config, --output and the ones it reads, so argparse
+# refuses the rest
+_FLAGS = (
+    (("--config",), dict(help="JSON config file; flags override it")),
+    (("--rank",), dict(type=int)),
+    (("--fock-cutoff",), dict(type=int, dest="fock_cutoff")),
+    (("--sites",), dict(type=int)),
+    (("--theta",), dict(help="impurity rapidity, e.g. 0.3 or 0.3+0.2j")),
+    (("--grid",), dict(nargs=3, metavar=("MIN", "MAX", "COUNT"))),
+    (("--tol",), dict(action="append", metavar="NAME=VALUE")),
+    (("--seed",), dict(type=int)),
+    (("--output", "-o"), {}),
+    (("--format",), dict(choices=("json", "csv"))),
+)
+
+
+def _add_flags(sub, *names):
+    for flags, kwargs in _FLAGS:
+        if flags[0] in ("--config", "--output", *names):
+            sub.add_argument(*flags, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -489,20 +507,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run a named check suite")
     p_check.add_argument("suite", choices=SUITES + ("all",))
-    _add_common(p_check)
+    _add_flags(p_check, "--rank", "--fock-cutoff", "--sites", "--theta", "--tol", "--seed")
     p_check.add_argument("--ordering", choices=(lax.NORMAL, lax.ANTINORMAL))
     p_check.add_argument("--shift", type=float)
 
     p_amp = sub.add_parser("amplitudes", help="scan transmission amplitudes on a grid")
-    _add_common(p_amp)
+    _add_flags(p_amp, "--rank", "--grid", "--tol", "--format")
     p_amp.add_argument("--sign", default="both", choices=("+", "-", "plus", "minus", "both"))
 
     p_bae = sub.add_parser("bae", help="solve the nested equations from a JSON state file")
     p_bae.add_argument("input", help="BetheState JSON file")
-    _add_common(p_bae)
+    _add_flags(p_bae, "--tol")
 
     p_den = sub.add_parser("density", help="single-hole density profile with the impurity")
-    _add_common(p_den)
+    _add_flags(p_den, "--rank", "--theta", "--grid", "--format")
     p_den.add_argument("--level", type=int, default=1)
     p_den.add_argument("--sign", default="+", choices=("+", "-", "plus", "minus"))
     p_den.add_argument("--density-sites", type=int, default=100, dest="density_sites")

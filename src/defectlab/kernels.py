@@ -182,15 +182,6 @@ def fourier_cos_sum(nodes, weights, values, lams):
     return cos_part / math.pi
 
 
-def fourier_sin_over_omega_sum(nodes, weights, values, lams):
-    """2 sum_i w_i v_i sin(omega_i lam_j)/omega_i, one value per lam; a node
-    at omega = 0 contributes its limit w_i v_i lam_j."""
-    wv = weights * values
-    nz = nodes != 0.0
-    (sin_part,) = _tiled(nodes[nz], wv[nz] / nodes[nz], lams, np.sin)
-    return (sin_part + lams * wv[~nz].sum()) * 2.0
-
-
 def fourier_exp_sum(nodes, weights, values, lams):
     """(1/(2 pi)) sum_i w_i v_i exp(-i omega_i lam_j), complex output."""
     cos_part, sin_part = _tiled(nodes, weights * values, lams, np.cos, np.sin)

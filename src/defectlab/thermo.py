@@ -1,6 +1,6 @@
-"""Continuum-limit machinery: root densities, hole dispersion, and the
-transmitting-impurity amplitudes as regularized integrals checked against
-their Gamma-ratio closed forms.
+"""Continuum-limit machinery: root densities and the transmitting-impurity
+amplitudes as regularized integrals checked against their Gamma-ratio closed
+forms.
 
 Every quantity here is a half-line quadrature of one of the Fourier kernels
 in :mod:`defectlab.kernels` (sigma0_hat, r_hat, rt_hat or an amplitude
@@ -203,23 +203,6 @@ def density(
         sites=int(sites),
         tail_bound=worst_tail,
     )
-
-
-def hole_dispersion(table: KernelTable, level: int, lam):
-    """Energy and momentum of a hole in the level sea.
-
-    epsilon(lam) equals the bulk density; p(lam) = 2pi * integral of the
-    bulk density from 0 to lam, odd by construction (p(0) = 0).
-    """
-    table._check_level(level)
-    lams = np.ascontiguousarray(np.atleast_1d(lam), dtype=float)
-    nodes, weights = _half_line_grid(OMEGA_CUTOFF, PANEL_WIDTH, PANEL_ORDER)
-    values = kernels.sigma0_hat(nodes, table.rank, level)
-    eps = kernels.fourier_cos_sum(nodes, weights, values, lams)
-    mom = kernels.fourier_sin_over_omega_sum(nodes, weights, values, lams)
-    if np.isscalar(lam) or np.ndim(lam) == 0:
-        return float(eps[0]), float(mom[0])
-    return eps, mom
 
 
 # ---------------------------------------------------------------------------

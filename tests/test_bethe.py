@@ -65,13 +65,6 @@ def test_state_validation():
         BetheState(rank=2, sites=2, roots=([0.1],), defect_sign="+", defect_level=2)
 
 
-def test_level_roots_boundaries():
-    st = BetheState(rank=3, sites=4, roots=([0.1, 0.2], [0.3]))
-    assert np.array_equal(st.level_roots(0), np.zeros(4, dtype=complex))
-    assert len(st.level_roots(3)) == 0
-    assert st.magnon_counts() == (2, 1)
-
-
 def test_json_round_trip():
     st = BetheState(
         rank=3,
@@ -355,6 +348,18 @@ def test_counting_function_matches_scalar_loop():
             got = counting_function(st, level, grid)
             scale = max(1.0, np.max(np.abs(ref)))
             assert np.max(np.abs(got - ref)) <= 1e-14 * scale, (st, level)
+
+
+@pytest.mark.parametrize(
+    "fn, level",
+    [(counting_function, 2), (counting_function_derivative, 0), (counting_function, 3)],
+    ids=["level-rank", "level-0", "past-rank"],
+)
+def test_counting_functions_refuse_non_equation_levels(fn, level):
+    # rank 2 has equations at level 1 only
+    st = BetheState(rank=2, sites=4, roots=(ground_state_seed(4),), theta=0.3, defect_sign="+")
+    with pytest.raises(ValueError, match=f"level must be in 1..1, got {level}"):
+        fn(st, level, np.linspace(-1.0, 1.0, 5))
 
 
 def test_counting_derivative_positive_and_matches_difference():

@@ -1,14 +1,17 @@
+import inspect
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from defectlab import bethe, checks, thermo
 from defectlab.bethe import BetheState, ground_state_seed
-from defectlab.cli import _load_config, build_parser, main
+from defectlab.cli import DEFAULT_TOLERANCES, _load_config, build_parser, main
 
 AMP_HEADER = (
     "lambda,closed_form_re,closed_form_im,integral_re,integral_im,"
@@ -235,22 +238,85 @@ def test_every_config_key_and_flag(tmp_path):
         "seed": 12, "output": "x.json", "format": "csv", "ordering": "antinormal", "shift": 2,
     }))
     parser = build_parser()
-    got = _load_config(parser.parse_args(["check", "ybe", "--config", str(cfg)]))
-    assert (got.rank, got.fock_cutoff, got.chain_sites, got.theta) == (3, 4, 1, 0.5 - 0.25j)
-    assert got.lambda_grid == (-1.0, 2.0, 7) and got.tolerances == {"ybe": 1e-9}
-    assert (got.seed, got.output, got.fmt, got.ordering, got.shift) == (
-        12, "x.json", "csv", "antinormal", 2.0)
-    flags = [
+    # config files are shared: every subcommand accepts every known key
+    for command in (["check", "ybe"], ["amplitudes"], ["bae", "st.json"], ["density"]):
+        got = _load_config(parser.parse_args([*command, "--config", str(cfg)]))
+        assert (got.rank, got.fock_cutoff, got.chain_sites, got.theta) == (3, 4, 1, 0.5 - 0.25j)
+        assert got.lambda_grid == (-1.0, 2.0, 7) and got.tolerances == {"ybe": 1e-9}
+        assert (got.seed, got.output, got.fmt, got.ordering, got.shift) == (
+            12, "x.json", "csv", "antinormal", 2.0)
+    # each subcommand's flags override the file
+    got = _load_config(parser.parse_args([
         "check", "ybe", "--config", str(cfg), "--rank", "2", "--fock-cutoff", "3",
-        "--sites", "0", "--theta", "0.1+0.2j", "--grid", "0", "1", "3", "--tol", "rll=1e-7",
-        "--seed", "5", "-o", "y.json", "--format", "json", "--ordering", "normal", "--shift", "0.5",
-    ]
-    got = _load_config(parser.parse_args(flags))
+        "--sites", "0", "--theta", "0.1+0.2j", "--tol", "rll=1e-7", "--seed", "5",
+        "-o", "y.json", "--ordering", "normal", "--shift", "0.5",
+    ]))
     assert (got.rank, got.fock_cutoff, got.chain_sites, got.theta) == (2, 3, 0, 0.1 + 0.2j)
-    assert got.lambda_grid == (0.0, 1.0, 3)
     assert got.tolerances == {"ybe": 1e-9, "rll": 1e-7}
-    assert (got.seed, got.output, got.fmt, got.ordering, got.shift) == (
-        5, "y.json", "json", "normal", 0.5)
+    assert (got.seed, got.output, got.ordering, got.shift) == (5, "y.json", "normal", 0.5)
+    assert (got.lambda_grid, got.fmt) == ((-1.0, 2.0, 7), "csv")
+    got = _load_config(parser.parse_args([
+        "amplitudes", "--config", str(cfg), "--rank", "2", "--grid", "0", "1", "3",
+        "--tol", "amplitudes=1e-7", "--format", "json", "-o", "y.csv",
+    ]))
+    assert (got.rank, got.lambda_grid, got.fmt, got.output) == (2, (0.0, 1.0, 3), "json", "y.csv")
+    assert got.tolerances == {"ybe": 1e-9, "amplitudes": 1e-7}
+    got = _load_config(parser.parse_args(
+        ["bae", "st.json", "--config", str(cfg), "--tol", "bae=1e-8", "-o", "y.json"]
+    ))
+    assert (got.tolerances, got.output) == ({"ybe": 1e-9, "bae": 1e-8}, "y.json")
+    got = _load_config(parser.parse_args([
+        "density", "--config", str(cfg), "--rank", "2", "--theta", "0.7",
+        "--grid", "0", "1", "3", "--format", "json", "-o", "y.json",
+    ]))
+    assert (got.rank, got.theta, got.lambda_grid) == (2, 0.7 + 0j, (0.0, 1.0, 3))
+    assert (got.fmt, got.output) == ("json", "y.json")
+
+
+# every (subcommand, flag) pair that the subcommand does not read
+REFUSED_FLAGS = [
+    ("check", "--grid"), ("check", "--format"),
+    ("amplitudes", "--fock-cutoff"), ("amplitudes", "--sites"), ("amplitudes", "--theta"),
+    ("amplitudes", "--seed"),
+    ("bae", "--rank"), ("bae", "--fock-cutoff"), ("bae", "--sites"), ("bae", "--theta"),
+    ("bae", "--grid"), ("bae", "--seed"), ("bae", "--format"),
+    ("density", "--fock-cutoff"), ("density", "--sites"), ("density", "--seed"),
+    ("density", "--tol"),
+]
+FLAG_VALUES = {"--grid": ["0", "1", "3"], "--format": ["json"], "--tol": ["amplitudes=1"]}
+
+
+@pytest.mark.parametrize("command, flag", REFUSED_FLAGS, ids=[f"{c}{f}" for c, f in REFUSED_FLAGS])
+def test_flag_a_subcommand_does_not_read_is_refused(tmp_path, capsys, command, flag):
+    # each of these runs exits 0 when the flag is ignored
+    if command == "bae":
+        st = BetheState(rank=2, sites=4, roots=(ground_state_seed(4),), theta=0.3, defect_sign="+")
+        head = ["bae", str(_write_state(tmp_path, st))]
+    else:
+        head = [command, "oscillator"] if command == "check" else [command]
+    assert main([*head, flag, *FLAG_VALUES.get(flag, ["2"])]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"unrecognized arguments: {flag}" in err
+
+
+def test_library_tolerance_defaults_match_the_cli_table():
+    defaults = {
+        checks.check_ybe: "ybe",
+        checks.check_rll: "rll",
+        checks.calibrate_ordering: "calibrate-ordering",
+        checks.check_oscillator_algebra: "oscillator",
+        checks.check_lax_crossing: "crossing",
+        checks.check_transmission_algebra: "transmission-algebra",
+        checks.check_transmission_crossing: "transmission-crossing",
+        checks.check_transfer_commute: "transfer-commute",
+        checks.check_highest_weight: "highest-weight",
+        thermo.check_gamma_identity: "gamma-identity",
+        bethe.solve_bae: "bae",
+    }
+    for fn, name in defaults.items():
+        tol = inspect.signature(fn).parameters["tol"].default
+        assert tol == DEFAULT_TOLERANCES[name], (fn.__name__, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -299,35 +365,44 @@ def test_amplitudes_bad_grid(capsys):
     assert main(["amplitudes", "--grid", "0", "1", "1"]) == 2
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
-def test_amplitudes_nan_rows_fail(tmp_path):
+def test_amplitudes_nan_rows_fail(tmp_path, capsys):
     # every row overflows to NaN; the worst residual is NaN, not 0.0
-    code, text = run(
-        tmp_path, "amplitudes", "--rank", "2", "--sign", "+",
-        "--grid", "1e308", "1.7e308", "3", "--format", "json",
-    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run(
+            tmp_path, "amplitudes", "--rank", "2", "--sign", "+",
+            "--grid", "1e308", "1.7e308", "3", "--format", "json",
+        )
     assert code == 1
     payload = json.loads(text)
     assert np.isnan(payload["max_residual"])
     assert all(np.isnan(r["logderiv_residual"]) for r in payload["rows"])
     assert all(r["status"] == "nonfinite" for r in payload["rows"])
+    # one line that names the rows, no numpy RuntimeWarning
+    assert capsys.readouterr().err == (
+        "warning: amplitude rows not finite: lambda 1e+308 sign +, "
+        "lambda 1.35e+308 sign +, lambda 1.7e+308 sign +\n"
+    )
+
+
+CROSSING = ["check", "crossing", "--seed", "1"]
 
 
 @pytest.mark.parametrize(
     "argv, named",
     [
-        (["--theta", "nan"], "theta"),
-        (["--theta", "1+infj"], "theta"),
-        (["--shift", "nan"], "shift"),
-        (["--shift=-inf"], "shift"),
-        (["--grid", "nan", "1", "3"], "lambda grid min"),
-        (["--grid", "0", "inf", "3"], "lambda grid max"),
-        (["--tol", "crossing=inf"], "tolerance crossing"),
-        (["--tol", "crossing=nan"], "tolerance crossing"),
+        ([*CROSSING, "--theta", "nan"], "theta"),
+        ([*CROSSING, "--theta", "1+infj"], "theta"),
+        ([*CROSSING, "--shift", "nan"], "shift"),
+        ([*CROSSING, "--shift=-inf"], "shift"),
+        (["amplitudes", "--grid", "nan", "1", "3"], "lambda grid min"),
+        (["amplitudes", "--grid", "0", "inf", "3"], "lambda grid max"),
+        ([*CROSSING, "--tol", "crossing=inf"], "tolerance crossing"),
+        ([*CROSSING, "--tol", "crossing=nan"], "tolerance crossing"),
     ],
 )
 def test_non_finite_config_value_is_refused(capsys, argv, named):
-    assert main(["check", "crossing", "--seed", "1", *argv]) == 2
+    assert main(argv) == 2
     assert f"{named} must be finite" in capsys.readouterr().err
 
 

@@ -14,7 +14,6 @@ from defectlab.kernels import (
     defect_side,
     fourier_cos_sum,
     fourier_exp_sum,
-    fourier_sin_over_omega_sum,
     gamma_identity_integrand,
     gamma_identity_derivative_integrand,
     gl_panels,
@@ -157,14 +156,6 @@ def test_fourier_cos_sum_lorentzian():
         got = fourier_cos_sum(nodes, weights, np.exp(-0.5 * n * nodes), lams)
         expected = (1.0 / (2 * np.pi)) * n / (lams**2 + 0.25 * n * n)
         assert np.max(np.abs(got - expected)) < 1e-13
-
-
-def test_fourier_sin_over_omega_arctan():
-    # 2 int_0^inf exp(-w) sin(w lam)/w dw = 2 arctan(lam)
-    nodes, weights = half_line_grid()
-    lams = np.linspace(-2, 2, 21)
-    got = fourier_sin_over_omega_sum(nodes, weights, np.exp(-nodes), lams)
-    assert np.max(np.abs(got - 2 * np.arctan(lams))) < 1e-13
 
 
 def test_fourier_exp_sum_full_line():
@@ -349,14 +340,14 @@ def test_kernels_raise_no_floating_point_warnings():
             assert np.all(np.isfinite(fn(omega, *args)))
         for fn, args, _ in _integrand_cases():
             assert np.all(np.isfinite(fn(u, *args)))
-        for fn in (fourier_cos_sum, fourier_sin_over_omega_sum, fourier_exp_sum):
+        for fn in (fourier_cos_sum, fourier_exp_sum):
             assert np.all(np.isfinite(fn(nodes, weights, np.exp(-0.5 * nodes), omega)))
 
 
 @pytest.mark.parametrize("count", [0, 1, 31, 32, 33, 201])
 def test_fourier_sums_match_per_lambda_dot_products(count):
-    # lam counts on, just below and just above multiples of the row tile; a
-    # node at omega = 0 exercises the sin(omega lam)/omega limit
+    # lam counts on, just below and just above multiples of the row tile, with
+    # a node at omega = 0
     half_nodes, half_weights = half_line_grid()
     nodes = np.concatenate(([0.0], half_nodes))
     weights = np.concatenate(([0.01], half_weights))
@@ -365,8 +356,6 @@ def test_fourier_sums_match_per_lambda_dot_products(count):
     lams = np.linspace(-5.0, 5.0, count)
     terms = {
         fourier_cos_sum: lambda lam: wv * np.cos(nodes * lam) / math.pi,
-        fourier_sin_over_omega_sum: lambda lam: 2.0
-        * np.concatenate(([wv[0] * lam], wv[1:] * np.sin(half_nodes * lam) / half_nodes)),
         fourier_exp_sum: lambda lam: wv * np.exp(-1j * nodes * lam) / (2 * math.pi),
     }
     for fn, term in terms.items():

@@ -18,7 +18,6 @@ from defectlab.thermo import (
     bulk_density,
     check_gamma_identity,
     density,
-    hole_dispersion,
     quantization_phase_residual,
     transmission_density,
 )
@@ -77,29 +76,6 @@ def test_bulk_density_normalization():
         for k in range(1, rank):
             total = weights @ bulk_density(t, k, nodes)
             assert abs(total - (rank - k) / rank) < 1e-6, (rank, k)
-
-
-def test_hole_dispersion_rank2_closed_forms():
-    t = KernelTable(2)
-    lams = np.linspace(-4, 4, 41)
-    eps, mom = hole_dispersion(t, 1, lams)
-    assert np.max(np.abs(eps - 1.0 / (2 * np.cosh(np.pi * lams)))) < 1e-12
-    assert np.max(np.abs(mom - np.arctan(np.sinh(np.pi * lams)))) < 1e-12
-
-
-def test_hole_dispersion_parity_and_range():
-    for rank in (2, 3):
-        t = KernelTable(rank)
-        for k in range(1, rank):
-            lams = np.linspace(-3, 3, 13)
-            eps, mom = hole_dispersion(t, k, lams)
-            assert np.allclose(mom, -mom[::-1], atol=1e-13)
-            assert np.allclose(eps, eps[::-1], atol=1e-13)
-            # momentum saturates at pi (rank-k)/rank
-            _, edge = hole_dispersion(t, k, 30.0)
-            assert abs(edge - np.pi * (rank - k) / rank) < 1e-10
-    e0, p0 = hole_dispersion(KernelTable(2), 1, 0.0)
-    assert isinstance(e0, float) and isinstance(p0, float) and p0 == 0.0
 
 
 def test_density_profile_composition_and_serialization():
