@@ -199,7 +199,6 @@ def _config_echo(cfg: RunConfig) -> dict:
         "fock_cutoff": cfg.fock_cutoff,
         "chain_sites": cfg.chain_sites,
         "theta": [cfg.theta.real, cfg.theta.imag],
-        "lambda_grid": list(cfg.lambda_grid),
         "seed": cfg.seed,
         "ordering": cfg.ordering,
         "shift": cfg.shift,
@@ -383,20 +382,8 @@ def cmd_amplitudes(cfg: RunConfig, sign: str) -> int:
             "logderiv_residual,sign,status"
         ]
         for lam, closed, integral, deriv, s, status in rows:
-            lines.append(
-                ",".join(
-                    [
-                        repr(float(lam)),
-                        repr(float(closed.real)),
-                        repr(float(closed.imag)),
-                        repr(float(integral.real)),
-                        repr(float(integral.imag)),
-                        repr(float(deriv)),
-                        s,
-                        status,
-                    ]
-                )
-            )
+            values = (lam, closed.real, closed.imag, integral.real, integral.imag, deriv)
+            lines.append(",".join([repr(float(v)) for v in values] + [s, status]))
         _write_text(cfg, "\n".join(lines) + "\n")
     return EXIT_OK if worst <= tol else EXIT_FAIL
 
@@ -544,6 +531,15 @@ def main(argv=None) -> int:
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: bad configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if cfg.output:
+        existed = os.path.exists(cfg.output)
+        try:
+            open(cfg.output, "a").close()  # fail before the computation, not after
+        except OSError as exc:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        if not existed:
+            os.remove(cfg.output)
     try:
         if args.command == "check":
             return cmd_check(args.suite, cfg)

@@ -19,8 +19,8 @@ N|vacuum> = 0 with the (1,1) vacuum weight lambda + i.
 The monodromy exists only as an action on a block of columns: each local
 factor (defect Lax operator or bulk R-matrix, on the auxiliary space and one
 slot of dimension d) is applied by contraction, O(dim * rank * d) per column
-and factor.  The transfer matrix, its trace over the auxiliary space, is
-summed one auxiliary block at a time, so no dim x dim array is ever formed.
+and factor.  The transfer matrix, its auxiliary trace, likewise acts only on
+blocks of quantum-space columns: no dim x dim or q x q (q = dim/rank) array.
 """
 
 from __future__ import annotations
@@ -298,21 +298,18 @@ def monodromy(chain: ChainSpec, lam, x) -> np.ndarray:
     return x
 
 
-def transfer_matrix(chain: ChainSpec, lam) -> np.ndarray:
-    """Trace of the monodromy over the auxiliary space: the sum over k of
-    row block k of the monodromy applied to e_k (x) 1.  One auxiliary block
-    is held at a time, dim x dim/rank, so the full monodromy never is."""
+def transfer(chain: ChainSpec, lam, x) -> np.ndarray:
+    """The transfer matrix applied to the q x m block ``x`` of quantum-space
+    columns: the sum over k of row block k of the monodromy applied to
+    e_k (x) x, one rank*q x m block at a time."""
     n = chain.rank
-    q = math.prod(chain.slot_dims())
-    require_budget((n * q, q), "monodromy block")
-    out = np.zeros((q, q), dtype=COMPLEX)
-    # one buffer holds every e_k (x) 1 in turn: a fresh dim x q array per
-    # block costs page faults that showed as time at rank 4, cutoff 2
-    cols = np.zeros((n, q, q), dtype=COMPLEX)
+    q, m = np.shape(x)
+    require_budget((n * q, m), "monodromy block")
+    out = np.zeros((q, m), dtype=COMPLEX)
     for k in range(n):
-        cols[k - 1] = 0  # clear block k-1; for k = 0 that block is still zero
-        np.fill_diagonal(cols[k], 1)
-        out += monodromy(chain, lam, cols.reshape(n * q, q))[k * q : (k + 1) * q]
+        cols = np.zeros((n, q, m), dtype=COMPLEX)
+        cols[k] = x
+        out += monodromy(chain, lam, cols.reshape(n * q, m))[k * q : (k + 1) * q]
     return out
 
 

@@ -231,11 +231,6 @@ def amplitude_log_derivative(table: KernelTable, sign: str, lamhat: float) -> co
     return complex(weights @ vals)
 
 
-def amplitude_closed_form(table: KernelTable, sign: str, lamhat) -> complex:
-    """Gamma-ratio closed form of the transmission amplitude."""
-    return lax.transmission_amplitude(table.rank, sign, lamhat)
-
-
 def amplitude_log_derivative_closed(table: KernelTable, sign: str, lamhat) -> complex:
     """Digamma form of d/dlamhat log T: the Gamma arguments of T move with
     slope -side i/rank in lamhat."""

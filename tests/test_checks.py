@@ -25,7 +25,7 @@ from defectlab.checks import (
     ybe_residual,
 )
 import defectlab.lax as lax
-from defectlab.lax import ChainSpec, LaxSpec, chain_vacuum, transfer_matrix
+from defectlab.lax import ChainSpec, LaxSpec, chain_vacuum, transfer
 import defectlab.tensor as tensor
 from defectlab.tensor import FockSpace
 
@@ -275,13 +275,14 @@ def test_transfer_commute_passes():
         assert rep.passed, rep.residual
 
 
-def test_transfer_commute_restriction_not_vacuous():
+def test_transfer_commute_restriction_not_vacuous(monkeypatch):
     # on the full truncated space the commutator picks up the cutoff shell;
     # the faithful-column restriction is what makes the identity exact
     chain = ChainSpec(rank=2, sites=2, fock_cutoff=3, theta=0.15)
     l1, l2 = 0.6 + 0.3j, -0.9 + 0.1j
-    t1 = transfer_matrix(chain, l1)
-    t2 = transfer_matrix(chain, l2)
+    eye = np.eye(chain_vacuum(chain).size)
+    t1 = transfer(chain, l1, eye)
+    t2 = transfer(chain, l2, eye)
     comm = t1 @ t2 - t2 @ t1
     scale = max(1.0, np.max(np.abs(t1)) * np.max(np.abs(t2)))
     full = np.max(np.abs(comm)) / scale
@@ -289,6 +290,11 @@ def test_transfer_commute_restriction_not_vacuous():
     restricted = np.max(np.abs(comm[:, cols])) / scale
     assert full > 1e-4
     assert restricted < 1e-12
+    # given every column, the check measures that shell and fails
+    monkeypatch.setattr(checks, "faithful_columns", lambda chain, margin: np.arange(len(eye)))
+    report = check_transfer_commute(chain, l1, l2)
+    assert not report.passed
+    assert abs(report.residual - full) <= 1e-12 * full
 
 
 def test_faithful_columns_membership():
@@ -447,7 +453,7 @@ def test_transfer_matrix_against_dense_trace(dense_monodromy, rank, variant):
                 theta=0.3 - 0.2j, lax=LaxSpec(rank, variant=variant),
             )
             ref = _dense_transfer(dense_monodromy, chain, lam)
-            got = transfer_matrix(chain, lam)
+            got = transfer(chain, lam, np.eye(ref.shape[0]))
             assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref)), (sites, defect_site)
 
 
@@ -455,9 +461,13 @@ def test_transfer_matrix_against_dense_trace(dense_monodromy, rank, variant):
 def test_transfer_commute_against_dense(dense_monodromy, chain):
     l1, l2 = 0.6 + 0.3j, -0.9 + 0.1j
     t1, t2 = (_dense_transfer(dense_monodromy, chain, z) for z in (l1, l2))
-    assert np.max(np.abs(transfer_matrix(chain, l1) - t1)) <= 1e-15 * np.max(np.abs(t1))
-    scale = max(1.0, np.max(np.abs(t1)) * np.max(np.abs(t2)))
     cols = faithful_columns(chain, 2)
-    dense = np.max(np.abs((t1 @ t2 - t2 @ t1)[:, cols])) / scale
-    got = check_transfer_commute(chain, l1, l2).residual
-    assert abs(got - dense) <= 1e-15
+    x = np.eye(t1.shape[0])[:, cols]
+    # each product on the faithful columns, against the dense one, relative
+    # to its size: a round-off residual alone would say nothing of them
+    for got, dense in (
+        (transfer(chain, l1, transfer(chain, l2, x)), (t1 @ t2)[:, cols]),
+        (transfer(chain, l2, transfer(chain, l1, x)), (t2 @ t1)[:, cols]),
+    ):
+        assert np.max(np.abs(got - dense)) <= 1e-14 * np.max(np.abs(dense))
+    assert check_transfer_commute(chain, l1, l2).passed

@@ -117,8 +117,9 @@ def test_check_all_rank4_runs_are_byte_identical(tmp_path):
 
 
 def test_check_over_the_byte_budget_is_refused_unallocated(capsys):
-    # dimension 4 * 84 * 4**4 = 86,016: one auxiliary block of the monodromy
-    # would take 29.6 GB
+    # dimension 4 * 84 * 4**4 = 86,016, of which 35 * 4**4 = 8,960 quantum-space
+    # columns are faithful: one auxiliary block of the monodromy on them would
+    # take 12.3 GB, and the columns themselves 3.1 GB
     argv = ["check", "transfer-commute", "--rank", "4", "--fock-cutoff", "6", "--sites", "4", "--seed", "1"]
     tracemalloc.start()
     try:
@@ -128,9 +129,49 @@ def test_check_over_the_byte_budget_is_refused_unallocated(capsys):
         tracemalloc.stop()
     assert code == 2
     err = capsys.readouterr().err
-    assert "monodromy block needs a 86016 x 21504 complex array (29.6 GB)" in err
+    assert "monodromy block needs a 86016 x 8960 complex array (12.3 GB)" in err
     assert "budget" in err
     assert peak < 10 * 2**20
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("target", ["missing-dir/x.json", "."])
+def test_unwritable_output_is_refused_before_computing(tmp_path, capsys, monkeypatch, source, target):
+    path = str(tmp_path / target)
+    argv = ["check", "oscillator", "--fock-cutoff", "2"]
+    if source == "flag":
+        argv += ["-o", path]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"output": path}))
+        argv += ["--config", str(cfg)]
+    monkeypatch.setattr(checks, "check_oscillator_algebra", lambda *a, **k: pytest.fail("computed"))
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+
+
+def test_output_probe_leaves_no_file_and_keeps_an_old_one(tmp_path):
+    # the budget refusal comes after the probe: a new path stays absent, an
+    # existing file keeps its bytes
+    argv = ["check", "transfer-commute", "--rank", "4", "--fock-cutoff", "6", "--sites", "4", "--seed", "1"]
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text("kept")
+    assert main([*argv, "-o", str(new)]) == 2
+    assert not new.exists()
+    assert main([*argv, "-o", str(old)]) == 2
+    assert old.read_text() == "kept"
+
+
+def test_check_config_echo_omits_the_lambda_grid(tmp_path):
+    # no check suite reads the grid, so the report does not echo it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lambda_grid": {"min": -1, "max": 2, "count": 7}, "seed": 3}))
+    code, text = run(tmp_path, "check", "ybe", "--config", str(cfg))
+    assert code == 0
+    echo = json.loads(text)["config"]
+    assert sorted(echo) == ["chain_sites", "fock_cutoff", "ordering", "rank", "seed", "shift", "theta"]
 
 
 @pytest.mark.parametrize("suite", ["rll", "transmission-algebra"])

@@ -103,7 +103,6 @@ def _sign_calls(sign):
     for name in (
         "amplitude_regularized",
         "amplitude_log_derivative",
-        "amplitude_closed_form",
         "amplitude_log_derivative_closed",
     ):
         yield name, lambda fn=getattr(thermo, name): fn(table, sign, 0.3), sign
@@ -120,7 +119,7 @@ def _sign_calls(sign):
 @pytest.mark.parametrize("sign", ["plus", "", None])
 def test_sign_entry_points_refuse_anything_but_plus_or_minus(sign):
     calls = list(_sign_calls(sign))
-    assert len(calls) == 14 + (sign is not None)
+    assert len(calls) == 13 + (sign is not None)
     for name, call, shown in calls:
         with pytest.raises(ValueError) as info:
             call()

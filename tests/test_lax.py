@@ -15,7 +15,7 @@ from defectlab.lax import (
     r_matrix,
     s_amplitude,
     s_matrix,
-    transfer_matrix,
+    transfer,
     transmission_amplitude,
     transmission_matrix,
 )
@@ -291,9 +291,8 @@ def test_transfer_vacuum_eigenvalue_sites0():
         theta = 0.3
         chain = ChainSpec(rank=rank, sites=0, fock_cutoff=3, theta=theta)
         lam = 0.9 + 0.2j
-        t = transfer_matrix(chain, lam)
         vac = chain_vacuum(chain)
-        out = t @ vac
+        out = transfer(chain, lam, vac[:, None])[:, 0]
         expected = (lam - theta + 1j) + 1j * (rank - 1)
         assert np.allclose(out, expected * vac)
 
@@ -304,9 +303,8 @@ def test_transfer_vacuum_with_bulk_sites():
     rank, sites = 2, 2
     chain = ChainSpec(rank=rank, sites=sites, fock_cutoff=2, theta=0.0)
     lam = 0.37 + 0.11j
-    t = transfer_matrix(chain, lam)
     vac = chain_vacuum(chain)
-    out = t @ vac
+    out = transfer(chain, lam, vac[:, None])[:, 0]
     expected = (lam + 1j) ** sites * (lam + 1j) + 1j * lam**sites
     overlap = vac.conj() @ out
     assert abs(overlap - expected) < 1e-12 * (abs(lam) + 2) ** (sites + 1)
@@ -349,11 +347,13 @@ def test_monodromy_apply_on_a_column_block(dense_monodromy):
 
 
 def test_monodromy_byte_budget():
-    # dimension 4 * 84 * 4**4 = 86,016: one auxiliary block of the monodromy
-    # would take 29.6 GB, and the transfer matrix refuses it unallocated
+    # dimension 4 * 84 * 4**4 = 86,016: the transfer matrix on the 21,504
+    # identity columns of the quantum space would hold a 29.6 GB block, and
+    # refuses it before allocating it (x itself is a broadcast view, no bytes)
     chain = ChainSpec(rank=4, sites=4, fock_cutoff=6)
+    x = np.broadcast_to(np.zeros((1, 1)), (21504, 21504))
     with pytest.raises(ValueError, match="monodromy block needs a 86016 x 21504 .*budget"):
-        transfer_matrix(chain, 0.1)
+        transfer(chain, 0.1, x)
     # a block of columns of the same chain stays affordable
     vac = np.kron(np.eye(4)[:, 0], chain_vacuum(chain))
     assert monodromy(chain, 0.1, vac).shape == vac.shape
