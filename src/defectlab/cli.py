@@ -317,21 +317,19 @@ def cmd_check(suite: str, cfg: RunConfig) -> int:
 # amplitude scan
 
 
-def _amplitude_rows(cfg: RunConfig, sign: str):
-    table = thermo.KernelTable(cfg.rank)
+def _amplitude_rows(table, sign: str, lams, log_t, dlog_t):
     rows = []
     worst = 0.0
-    for lam in cfg.grid():
+    for lam, log_i, dlog_i in zip(lams, log_t, dlog_t):
         lam = float(lam)
         try:
-            closed = lax.transmission_amplitude(cfg.rank, sign, lam)
-            integral = complex(np.exp(thermo.amplitude_regularized(table, sign, lam)))
-            deriv_quad = thermo.amplitude_log_derivative(table, sign, lam)
+            closed = lax.transmission_amplitude(table.rank, sign, lam)
             deriv_closed = thermo.amplitude_log_derivative_closed(table, sign, lam)
         except PoleProximityError:
             rows.append((lam, complex("nan+nanj"), complex("nan+nanj"), float("nan"), sign, "pole"))
             continue
-        logderiv_residual = abs(deriv_quad - deriv_closed)
+        integral = complex(np.exp(log_i))
+        logderiv_residual = abs(complex(dlog_i) - deriv_closed)
         rel = abs(integral - closed) / max(abs(closed), 1e-300)
         worst = checks.worst_of(worst, rel, logderiv_residual)
         finite = all(map(cmath.isfinite, (closed, integral, logderiv_residual)))
@@ -342,14 +340,17 @@ def _amplitude_rows(cfg: RunConfig, sign: str):
 
 def cmd_amplitudes(cfg: RunConfig, sign: str) -> int:
     signs = ("-", "+") if sign == "both" else (sign,)
+    table = thermo.KernelTable(cfg.rank)
+    lams = cfg.grid()
     rows = []
     worst = 0.0
-    for s in signs:
-        # an overflow shows as a nonfinite row, named on stderr below
-        with np.errstate(over="ignore", invalid="ignore"):
-            new_rows, w = _amplitude_rows(cfg, s)
-        rows.extend(new_rows)
-        worst = checks.worst_of(worst, w)
+    # an overflow shows as a nonfinite row, named on stderr below
+    with np.errstate(over="ignore", invalid="ignore"):
+        logs = thermo.amplitude_quadrature(table, signs, lams)
+        for s in signs:
+            new_rows, w = _amplitude_rows(table, s, lams, *logs[s])
+            rows.extend(new_rows)
+            worst = checks.worst_of(worst, w)
     nonfinite = [
         f"lambda {lam!r} sign {s}" for lam, _, _, _, s, status in rows if status == "nonfinite"
     ]
@@ -436,26 +437,32 @@ def cmd_density(cfg: RunConfig, level: int, sign: str, sites: int, hole: float) 
         return EXIT_USAGE
     table = thermo.KernelTable(cfg.rank)
     try:
-        profile = thermo.density(
-            table,
-            level,
-            sign,
-            cfg.grid(),
-            hole=hole,
-            theta=cfg.theta.real,
-            sites=sites,
-        )
+        # an overflow shows as a nonfinite row, named on stderr below
+        with np.errstate(over="ignore", invalid="ignore"):
+            profile = thermo.density(
+                table,
+                level,
+                sign,
+                cfg.grid(),
+                hole=hole,
+                theta=cfg.theta.real,
+                sites=sites,
+            )
     except thermo.TailBoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # total is finite exactly where every component is
+    nonfinite = [f"lambda {float(lam)!r}" for lam in profile.lams[~np.isfinite(profile.total)]]
+    if nonfinite:
+        print(f"warning: density rows not finite: {', '.join(nonfinite)}", file=sys.stderr)
     if (cfg.fmt or "csv") == "json":
         _write_text(cfg, profile.to_json())
     else:
         _write_text(cfg, profile.to_csv())
-    return EXIT_OK
+    return EXIT_FAIL if nonfinite else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +492,29 @@ def _add_flags(sub, *names):
             sub.add_argument(*flags, **kwargs)
 
 
+class _NumberLiteral:
+    """Stands in for argparse's negative-number pattern, which takes '-1e-3'
+    or '-inf' for a flag: an argument that Python reads as a number is a
+    value.  argparse only calls its match method."""
+
+    @staticmethod
+    def match(text: str) -> bool:
+        try:
+            complex(text)
+        except ValueError:
+            return False
+        return True
+
+
+class _Parser(argparse.ArgumentParser):
+    # add_parser builds the subcommand parsers with this class too
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NumberLiteral
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="defectlab",
         description="certify the impurity chain operator identities and scan its amplitudes",
     )

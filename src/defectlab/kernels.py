@@ -4,8 +4,21 @@ Everything here is grid arithmetic on numpy arrays.  The hyperbolic ratios
 are computed in the exponentially scaled form exp(..)*expm1(..)/expm1(..),
 which is exact algebra (no large-argument approximation) and immune to sinh
 overflow; omega = 0 takes the analytic limit through a mask, so no 0/0 is
-ever evaluated.  The Fourier sums evaluate cos/sin(outer(lam, omega)) in
-fixed row tiles, so their working memory does not grow with the lam grid.
+ever evaluated.
+
+A Fourier sum over a lam grid is one cos pass and one sin pass: the caller
+folds every sum it needs into one column of a (nodes x k) coefficient matrix,
+and fourier_cos_sin forms cos/sin(outer(lam, omega)) in fixed tiles of _TILE
+rows and multiplies each tile by every column.  Its working memory does not
+grow with the lam grid, and every product has _TILE rows (the last tile is
+padded with zero rows), so a lam row's value does not depend on the other
+lams of the grid, finite or not.  A shift such as lam - h is folded in by
+angle addition, cos omega(lam - h) = cos omega lam cos omega h +
+sin omega lam sin omega h, with the omega h factors in the coefficients.
+
+The quadrature nodes are Gauss-Legendre nodes, strictly inside their
+panels, so a half-line node is never 0; amplitude_columns refuses one, since
+its split terms have no limit there.
 
 The impurity sign is decided here and nowhere else.  defect_side maps
 DEFECT_PLUS to side = +1 and DEFECT_MINUS to side = -1, and is the only
@@ -126,24 +139,21 @@ def _over_u(u, at_zero, numerator):
     return out
 
 
-def amplitude_integrand(u, lamhat: float, rank: int, sign: str):
-    """Integrand of side * log of the amplitude; the subtraction removes the
-    1/u singularity so the u = 0 value is the analytic limit."""
+def amplitude_columns(u, rank: int, sign: str):
+    """The lamhat-independent factors of the amplitude integrands on nodes
+    u > 0: (sigma0(u)/u, sigma0(u), c0 exp(-rank u)/u), sigma0 at the
+    sign's level and c0 = sigma0(0).
+
+    side log T integrates exp(side i u lamhat) sigma0(u)/u - c0 exp(-rank u)/u
+    and d/dlamhat log T integrates i exp(side i u lamhat) sigma0(u).  Only the
+    difference in the first has a limit at u = 0, so a node u <= 0 is refused.
+    """
     side = defect_side(sign)
+    if not np.all(u > 0.0):
+        raise ValueError("amplitude nodes must be strictly positive")
     level = _level(rank, side)
-    c0 = (rank - level) / rank
-    return _over_u(
-        u,
-        c0 * (rank + side * 1j * lamhat),
-        lambda x: np.exp(side * 1j * x * lamhat) * _sigma0(x, rank, level)
-        - c0 * np.exp(-rank * x),
-    )
-
-
-def amplitude_logderiv_integrand(u, lamhat: float, rank: int, sign: str):
-    """i * exp(side i u lamhat) * kernel; integrates to d/dlamhat of log."""
-    side = defect_side(sign)
-    return 1j * np.exp(side * 1j * u * lamhat) * _sigma0(u, rank, _level(rank, side))
+    kern = _sigma0(u, rank, level)
+    return kern / u, kern, ((rank - level) / rank) * np.exp(-rank * u) / u
 
 
 def gamma_identity_integrand(x, mu):
@@ -165,27 +175,28 @@ def gamma_identity_derivative_integrand(x, mu):
 # Fourier sums over row tiles of the lam grid
 
 
-def _tiled(nodes, coef, lams, *trigs):
-    """sum_i coef_i trig(nodes_i lam_j) for every lam_j and each trig, with
-    the outer product formed _TILE rows at a time."""
-    outs = [np.empty(lams.shape[0], dtype=np.result_type(coef, float)) for _ in trigs]
-    for s in range(0, lams.shape[0], _TILE):
-        arg = np.multiply.outer(lams[s : s + _TILE], nodes)
-        for trig, out in zip(trigs, outs):
-            out[s : s + _TILE] = trig(arg) @ coef
-    return outs
-
-
-def fourier_cos_sum(nodes, weights, values, lams):
-    """(1/pi) sum_i w_i v_i cos(omega_i lam_j), one value per lam."""
-    (cos_part,) = _tiled(nodes, weights * values, lams, np.cos)
-    return cos_part / math.pi
-
-
-def fourier_exp_sum(nodes, weights, values, lams):
-    """(1/(2 pi)) sum_i w_i v_i exp(-i omega_i lam_j), complex output."""
-    cos_part, sin_part = _tiled(nodes, weights * values, lams, np.cos, np.sin)
-    return (cos_part - 1j * sin_part) / (2.0 * math.pi)
+def fourier_cos_sin(nodes, coef, lams):
+    """(cos(outer(lams, nodes)) @ coef, sin(outer(lams, nodes)) @ coef) for
+    a (nodes x k) coefficient matrix: one cos and one sin pass over the grid,
+    _TILE lam rows at a time.  Each tile is multiplied by one column at a
+    time: a matrix-vector product sums with several accumulators, a few
+    times more accurately than a matrix product's one running sum, and costs
+    little next to the trig."""
+    count = lams.shape[0]
+    columns = np.ascontiguousarray(coef.T)
+    cos_out = np.empty((count, len(columns)))
+    sin_out = np.empty((count, len(columns)))
+    arg = np.empty((_TILE, nodes.shape[0]))
+    trig = np.empty((_TILE, nodes.shape[0]))
+    for s in range(0, count, _TILE):
+        rows = min(_TILE, count - s)
+        trig[rows:] = 0.0  # only the last tile is short
+        np.multiply.outer(lams[s : s + rows], nodes, out=arg[:rows])
+        for fn, out in ((np.cos, cos_out), (np.sin, sin_out)):
+            fn(arg[:rows], out=trig[:rows])
+            for j, column in enumerate(columns):
+                out[s : s + rows, j] = (trig @ column)[:rows]
+    return cos_out, sin_out
 
 
 # ---------------------------------------------------------------------------

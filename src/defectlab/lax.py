@@ -21,6 +21,7 @@ factor (defect Lax operator or bulk R-matrix, on the auxiliary space and one
 slot of dimension d) is applied by contraction, O(dim * rank * d) per column
 and factor.  The transfer matrix, its auxiliary trace, likewise acts only on
 blocks of quantum-space columns: no dim x dim or q x q (q = dim/rank) array.
+Both build the local factors at lambda once per call.
 """
 
 from __future__ import annotations
@@ -278,38 +279,46 @@ def crossed_transmission_matrix(rank: int, fock: FockSpace, lam) -> np.ndarray:
 # monodromy
 
 
+def _local_factors(chain: ChainSpec, lam) -> tuple:
+    """(dims, factors): the dimensions of auxiliary (x) slot_1 (x) ... and the
+    monodromy's local factor of each slot, slot 1 first.  The defect slot
+    carries the Lax operator at lambda - theta, every bulk slot the same
+    R-matrix at lambda."""
+    bulk = r_matrix(chain.rank, lam) if chain.sites else None
+    defect = defect_lax(chain.lax, chain.fock(), complex(lam) - chain.theta)
+    factors = [defect if p == chain.defect_site else bulk for p in range(1, chain.sites + 2)]
+    return [chain.rank] + chain.slot_dims(), factors
+
+
+def _apply_factors(dims, factors, x) -> np.ndarray:
+    for p, factor in enumerate(factors, 1):
+        x = apply_local(factor, x, dims, (0, p))
+    return x
+
+
 def monodromy(chain: ChainSpec, lam, x) -> np.ndarray:
     """The monodromy at lambda applied to the columns of ``x``, which has
     one row per state of auxiliary (x) slot_1 (x) ... (x) slot_{sites+1}.
 
     The monodromy is the ordered product over slots sites+1 down to 1, so
-    the slot-1 factor acts first.  The defect slot carries the Lax operator
-    at lambda - theta, every bulk slot the R-matrix at lambda."""
-    n = chain.rank
-    fock = chain.fock()
-    dims = [n] + chain.slot_dims()
-    bulk = r_matrix(n, lam) if chain.sites else None
-    for p in range(1, chain.sites + 2):
-        if p == chain.defect_site:
-            factor = defect_lax(chain.lax, fock, complex(lam) - chain.theta)
-        else:
-            factor = bulk
-        x = apply_local(factor, x, dims, (0, p))
-    return x
+    the slot-1 factor acts first."""
+    return _apply_factors(*_local_factors(chain, lam), x)
 
 
 def transfer(chain: ChainSpec, lam, x) -> np.ndarray:
     """The transfer matrix applied to the q x m block ``x`` of quantum-space
     columns: the sum over k of row block k of the monodromy applied to
-    e_k (x) x, one rank*q x m block at a time."""
+    e_k (x) x, one rank*q x m block at a time, with the local factors built
+    once for all k."""
     n = chain.rank
     q, m = np.shape(x)
     require_budget((n * q, m), "monodromy block")
+    dims, factors = _local_factors(chain, lam)
     out = np.zeros((q, m), dtype=COMPLEX)
     for k in range(n):
         cols = np.zeros((n, q, m), dtype=COMPLEX)
         cols[k] = x
-        out += monodromy(chain, lam, cols.reshape(n * q, m))[k * q : (k + 1) * q]
+        out += _apply_factors(dims, factors, cols.reshape(n * q, m))[k * q : (k + 1) * q]
     return out
 
 

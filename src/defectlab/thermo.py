@@ -2,9 +2,14 @@
 amplitudes as regularized integrals checked against their Gamma-ratio closed
 forms.
 
-Every quantity here is a half-line quadrature of one of the Fourier kernels
-in :mod:`defectlab.kernels` (sigma0_hat, r_hat, rt_hat or an amplitude
-integrand), called directly at the rank a :class:`KernelTable` holds.
+Every quantity here is a half-line quadrature of the Fourier kernels in
+:mod:`defectlab.kernels` (sigma0_hat, r_hat, rt_hat and amplitude_columns),
+called directly at the rank a :class:`KernelTable` holds, on Gauss-Legendre
+nodes, which are strictly positive.  A call over a lam grid evaluates each
+kernel once on the nodes and makes one cos and one sin pass over the
+(lam x node) grid (kernels.fourier_cos_sin), every sum it needs one
+coefficient column: the density's bulk, backflow and impurity terms, the
+amplitude's log and log-derivative of every requested sign.
 
 Fourier convention, fixed globally: fhat(omega) = integral dlam
 e^{i omega lam} f(lam), inverted by (1/2pi) integral domega
@@ -125,15 +130,6 @@ class DensityProfile:
         return "\n".join(lines) + "\n"
 
 
-def bulk_density(table: KernelTable, level: int, lams, cutoff: float = OMEGA_CUTOFF):
-    """Inverse transform of sigma0hat; even kernel, cosine form."""
-    table._check_level(level)
-    lams = np.ascontiguousarray(np.atleast_1d(lams), dtype=float)
-    nodes, weights = _half_line_grid(cutoff, PANEL_WIDTH, PANEL_ORDER)
-    values = kernels.sigma0_hat(nodes, table.rank, level)
-    return kernels.fourier_cos_sum(nodes, weights, values, lams)
-
-
 def density(
     table: KernelTable,
     level: int,
@@ -183,11 +179,19 @@ def density(
             )
         worst_tail = max(worst_tail, bound)
     nodes, weights = _half_line_grid(cutoff, PANEL_WIDTH, PANEL_ORDER)
-    bulk = bulk_density(table, level, lams, cutoff)
-    backflow = kernels.fourier_cos_sum(
-        nodes, weights, kernels.r_hat(nodes, n, level), lams - hole
-    )
-    defect = transmission_density(table, sign, lams - theta, level, cutoff)
+    # the impurity kernel is one-sided in omega: the half-line nodes map to
+    # omega = -side u, so its phase exp(-i omega (lam - theta)) is
+    # exp(side i u (lam - theta))
+    bulk_w = weights * kernels.sigma0_hat(nodes, n, level)
+    back_w = weights * kernels.r_hat(nodes, n, level)
+    rt_w = weights * kernels.rt_hat(-side * nodes, n, level, sign)
+    cos_h, sin_h = np.cos(hole * nodes), np.sin(hole * nodes)
+    cos_t, sin_t = np.cos(theta * nodes), np.sin(theta * nodes)
+    coef = np.column_stack((bulk_w, back_w * cos_h, back_w * sin_h, rt_w * cos_t, rt_w * sin_t))
+    c, s = kernels.fourier_cos_sin(nodes, coef, lams)
+    bulk = c[:, 0] / math.pi
+    backflow = (c[:, 1] + s[:, 2]) / math.pi
+    defect = (c[:, 3] + s[:, 4] + 1j * side * (s[:, 3] - c[:, 4])) / (2.0 * math.pi)
     total = bulk + (backflow + defect) / sites
     return DensityProfile(
         rank=n,
@@ -209,26 +213,38 @@ def density(
 # transmission amplitudes
 
 
-def amplitude_regularized(table: KernelTable, sign: str, lamhat: float) -> complex:
-    """log of the transmission amplitude as a regularized integral.
+def amplitude_quadrature(table: KernelTable, signs, lamhats) -> dict:
+    """log T and d/dlamhat log T of each sign in ``signs`` on the lamhat
+    grid, as {sign: (log_t, dlog_t)}, from one cos and one sin pass.
 
-    The 1/omega singularity of the bare exponent is removed by subtracting
-    c0 * e^{-rank |omega|} with c0 the kernel's omega -> 0 limit; with this
-    specific damping the result matches the Gamma-ratio closed form exactly,
-    constant included.
+    side log T is a regularized integral: the 1/omega singularity of the
+    bare exponent is removed by subtracting c0 * e^{-rank |omega|} with c0 the
+    kernel's omega -> 0 limit; with this specific damping the result matches
+    the Gamma-ratio closed form exactly, constant included.  d/dlamhat log T
+    is absolutely convergent (no subtraction).
     """
+    lamhats = np.ascontiguousarray(np.atleast_1d(lamhats), dtype=float)
     nodes, weights = _half_line_grid(OMEGA_CUTOFF, PANEL_WIDTH, PANEL_ORDER)
-    total = weights @ kernels.amplitude_integrand(nodes, float(lamhat), table.rank, sign)
-    # the integrand is side * log T; negate rather than multiply by side, which
-    # would turn a -0.0 component into 0.0
-    return complex(total if kernels.defect_side(sign) > 0 else -total)
-
-
-def amplitude_log_derivative(table: KernelTable, sign: str, lamhat: float) -> complex:
-    """d/dlamhat log T, an absolutely convergent integral (no subtraction)."""
-    nodes, weights = _half_line_grid(OMEGA_CUTOFF, PANEL_WIDTH, PANEL_ORDER)
-    vals = kernels.amplitude_logderiv_integrand(nodes, float(lamhat), table.rank, sign)
-    return complex(weights @ vals)
+    sides = [kernels.defect_side(sign) for sign in signs]
+    columns, subtractions = [], []
+    for sign, side in zip(signs, sides):
+        over_u, kern, sub = kernels.amplitude_columns(nodes, table.rank, sign)
+        # the columns carry the side of the phase exp(side i u lamhat), so the
+        # sin pass sums its imaginary part term by term
+        columns += [side * weights * over_u, side * weights * kern]
+        subtractions.append(weights @ sub)
+    c, s = kernels.fourier_cos_sin(nodes, np.column_stack(columns), lamhats)
+    out = {}
+    for i, (sign, side, sub) in enumerate(zip(signs, sides, subtractions)):
+        # side log T, set part by part so that no sign of a zero is lost
+        total = np.empty(lamhats.shape, dtype=complex)
+        total.real = side * c[:, 2 * i] - sub
+        total.imag = s[:, 2 * i]
+        dlog_t = -s[:, 2 * i + 1] + 1j * side * c[:, 2 * i + 1]
+        # negate rather than multiply by side, which would turn a -0.0
+        # component into 0.0
+        out[sign] = (total if side > 0 else -total, dlog_t)
+    return out
 
 
 def amplitude_log_derivative_closed(table: KernelTable, sign: str, lamhat) -> complex:
@@ -236,20 +252,6 @@ def amplitude_log_derivative_closed(table: KernelTable, sign: str, lamhat) -> co
     slope -side i/rank in lamhat."""
     num, den = lax.amplitude_gamma_args(table.rank, sign, lamhat)
     return (-kernels.defect_side(sign) * 1j / table.rank) * (psi(num) - psi(den))
-
-
-def transmission_density(
-    table: KernelTable, sign: str, lams, level: int = 1, cutoff: float = OMEGA_CUTOFF
-):
-    """Real-space impurity term of the density (complex; the kernel is
-    one-sided in omega, so the half-line nodes map to omega = -side u)."""
-    table._check_level(level)
-    lams = np.ascontiguousarray(np.atleast_1d(lams), dtype=float)
-    nodes, weights = _half_line_grid(cutoff, PANEL_WIDTH, PANEL_ORDER)
-    omega = -kernels.defect_side(sign) * nodes
-    return kernels.fourier_exp_sum(
-        omega, weights, kernels.rt_hat(omega, table.rank, level, sign), lams
-    )
 
 
 def quantization_phase_residual(
@@ -268,12 +270,10 @@ def quantization_phase_residual(
     """
     edges = np.linspace(float(lamhat0), float(lamhat1), 33)
     x_nodes, x_weights = kernels.gl_panels(edges, 16)
-    rt_vals = transmission_density(table, sign, x_nodes)
+    rt_vals = density(table, 1, sign, x_nodes).defect
     lhs = 2.0 * math.pi * complex(x_weights @ rt_vals)
-    rhs = -1j * (
-        amplitude_regularized(table, sign, lamhat1)
-        - amplitude_regularized(table, sign, lamhat0)
-    )
+    log_t, _ = amplitude_quadrature(table, (sign,), [lamhat0, lamhat1])[sign]
+    rhs = -1j * (log_t[1] - log_t[0])
     return abs(lhs - rhs)
 
 

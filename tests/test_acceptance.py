@@ -32,11 +32,10 @@ from defectlab.lax import ChainSpec, LaxSpec
 from defectlab.tensor import FockSpace
 from defectlab.thermo import (
     KernelTable,
-    amplitude_log_derivative,
     amplitude_log_derivative_closed,
-    amplitude_regularized,
-    bulk_density,
+    amplitude_quadrature,
     check_gamma_identity,
+    density,
 )
 
 SEED = 20240917
@@ -155,12 +154,12 @@ def test_criterion_06_amplitude_scan():
     worst_deriv = 0.0
     for rank in (2, 3, 4):
         table = KernelTable(rank)
+        both = amplitude_quadrature(table, ("+", "-"), grid)
         for sign in ("+", "-"):
-            for lam in grid:
+            for lam, log_t, dq in zip(grid, *both[sign]):
                 closed = lax.transmission_amplitude(rank, sign, float(lam))
-                integral = np.exp(amplitude_regularized(table, sign, float(lam)))
+                integral = np.exp(log_t)
                 worst_amp = max(worst_amp, abs(integral - closed) / abs(closed))
-                dq = amplitude_log_derivative(table, sign, float(lam))
                 dc = amplitude_log_derivative_closed(table, sign, float(lam))
                 worst_deriv = max(worst_deriv, abs(dq - dc))
     elapsed = time.perf_counter() - start
@@ -191,14 +190,14 @@ def test_criterion_07_gamma_identity():
 
 def test_criterion_08_densities():
     lams = np.linspace(-5.0, 5.0, 101)
-    got = bulk_density(KernelTable(2), 1, lams)
+    got = density(KernelTable(2), 1, "+", lams).bulk
     bulk_err = float(np.max(np.abs(got - 1.0 / (2.0 * np.cosh(np.pi * lams)))))
     nodes, weights = gl_panels(np.linspace(-40.0, 40.0, 81), order=16)
     norm_err = 0.0
     for rank in (2, 3, 4):
         table = KernelTable(rank)
         for k in range(1, rank):
-            total = float(weights @ bulk_density(table, k, nodes))
+            total = float(weights @ density(table, k, "+", nodes).bulk)
             norm_err = max(norm_err, abs(total - (rank - k) / rank))
     ok = bulk_err <= 1e-8 and norm_err <= 1e-6
     _verdict(
@@ -240,7 +239,7 @@ def test_criterion_09_bethe():
     sol = solve_bae(big)
     grid = np.linspace(-2.0, 2.0, 41)
     deriv = counting_function_derivative(sol, 1, grid) / sites
-    sigma_err = float(np.max(np.abs(deriv - bulk_density(KernelTable(2), 1, grid))))
+    sigma_err = float(np.max(np.abs(deriv - density(KernelTable(2), 1, "+", grid).bulk)))
     ok = oracle_err <= 1e-10 and res4 <= 1e-10 and sigma_err <= 2e-3
     _verdict(
         9,

@@ -426,6 +426,20 @@ def test_amplitudes_nan_rows_fail(tmp_path, capsys):
     )
 
 
+def test_amplitudes_keep_the_negative_zero_at_the_origin(tmp_path):
+    code, text = run(tmp_path, "amplitudes", "--rank", "2", "--grid", "-1", "1", "3")
+    assert code == 0
+    rows = [row.split(",") for row in text.strip().split("\n")[1:]]
+    assert {r[6]: r[4] for r in rows if r[0] == "0.0"} == {"-": "-0.0", "+": "0.0"}
+
+
+@pytest.mark.parametrize("lo", ["-1e-3", "-1E-3", "-.5e1", "-1.", "-2"])
+def test_amplitudes_take_a_negative_grid_bound_in_any_float_notation(tmp_path, lo):
+    code, text = run(tmp_path, "amplitudes", "--rank", "2", "--grid", lo, "1", "3")
+    assert code == 0
+    assert float(text.split("\n")[1].split(",")[0]) == float(lo)
+
+
 CROSSING = ["check", "crossing", "--seed", "1"]
 
 
@@ -569,6 +583,40 @@ def test_density_rejects_complex_theta(tmp_path, capsys):
     code, text = run(tmp_path, "density", "--rank", "2", "--theta", "0.3+0.2j")
     assert code == 2 and text == ""
     assert "real theta" in capsys.readouterr().err
+
+
+
+def test_density_takes_negative_values_in_scientific_notation(tmp_path):
+    code, text = run(
+        tmp_path, "density", "--grid", "-1e-3", "1", "3",
+        "--theta", "-2.5e-1", "--hole", "-1E-1", "--format", "json",
+    )
+    assert code == 0
+    payload = json.loads(text)
+    assert (payload["lambda"][0], payload["theta"], payload["hole"]) == (-1e-3, -0.25, -0.1)
+
+
+def test_negative_infinity_reaches_the_finiteness_check(tmp_path, capsys):
+    # '-inf' is a value, not an unknown flag
+    code, text = run(tmp_path, "density", "--hole", "-inf", "--grid", "-1", "1", "3")
+    assert code == 2 and text == ""
+    assert "hole must be finite, got -inf" in capsys.readouterr().err
+
+
+def test_density_nonfinite_rows_fail(tmp_path, capsys):
+    # lam * omega overflows on two of the three rows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run(tmp_path, "density", "--rank", "2", "--grid", "0", "1.7e308", "3")
+    assert code == 1
+    header, *rows = text.strip().split("\n")
+    assert header == DEN_HEADER and len(rows) == 3
+    assert all(np.isfinite(float(v)) for v in rows[0].split(","))
+    assert all(np.isnan(float(v)) for row in rows[1:] for v in row.split(",")[1:])
+    # one line that names the rows, no numpy RuntimeWarning
+    assert capsys.readouterr().err == (
+        "warning: density rows not finite: lambda 8.5e+307, lambda 1.7e+308\n"
+    )
 
 
 # ---------------------------------------------------------------------------

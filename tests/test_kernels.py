@@ -9,11 +9,9 @@ from defectlab import bethe, lax, thermo
 from defectlab.kernels import (
     DEFECT_MINUS,
     DEFECT_PLUS,
-    amplitude_integrand,
-    amplitude_logderiv_integrand,
+    amplitude_columns,
     defect_side,
-    fourier_cos_sum,
-    fourier_exp_sum,
+    fourier_cos_sin,
     gamma_identity_integrand,
     gamma_identity_derivative_integrand,
     gl_panels,
@@ -94,18 +92,12 @@ def _sign_calls(sign):
     table = thermo.KernelTable(3)
     yield "defect_side", lambda: defect_side(sign), sign
     yield "rt_hat", lambda: rt_hat(w, 3, 1, sign), sign
-    yield "amplitude_integrand", lambda: amplitude_integrand(w[1:], 0.3, 3, sign), sign
-    yield "amplitude_logderiv_integrand", (
-        lambda: amplitude_logderiv_integrand(w[1:], 0.3, 3, sign)
-    ), sign
+    yield "amplitude_columns", lambda: amplitude_columns(w[2:], 3, sign), sign
     yield "density", lambda: thermo.density(table, 1, sign, w), sign
-    yield "transmission_density", lambda: thermo.transmission_density(table, sign, w), sign
-    for name in (
-        "amplitude_regularized",
-        "amplitude_log_derivative",
-        "amplitude_log_derivative_closed",
-    ):
-        yield name, lambda fn=getattr(thermo, name): fn(table, sign, 0.3), sign
+    yield "amplitude_quadrature", lambda: thermo.amplitude_quadrature(table, (sign,), w), sign
+    yield "amplitude_log_derivative_closed", (
+        lambda: thermo.amplitude_log_derivative_closed(table, sign, 0.3)
+    ), sign
     yield "transmission_amplitude", lambda: lax.transmission_amplitude(3, sign, 0.3), sign
     yield "amplitude_gamma_args", lambda: lax.amplitude_gamma_args(3, sign, 0.3), sign
     yield "defect_factor", lambda: bethe.defect_factor(0.3, sign), sign
@@ -119,7 +111,7 @@ def _sign_calls(sign):
 @pytest.mark.parametrize("sign", ["plus", "", None])
 def test_sign_entry_points_refuse_anything_but_plus_or_minus(sign):
     calls = list(_sign_calls(sign))
-    assert len(calls) == 13 + (sign is not None)
+    assert len(calls) == 10 + (sign is not None)
     for name, call, shown in calls:
         with pytest.raises(ValueError) as info:
             call()
@@ -148,20 +140,24 @@ def test_half_line_grid_integrates_exponential():
 
 
 def test_fourier_cos_sum_lorentzian():
-    # (1/pi) int_0^inf exp(-n w/2) cos(w lam) dw = (1/(2 pi)) n/(lam^2+n^2/4)
+    # (1/pi) int_0^inf exp(-n w/2) cos(w lam) dw = (1/(2 pi)) n/(lam^2+n^2/4),
+    # both n in one pass, one column each
     nodes, weights = half_line_grid()
     lams = np.linspace(-3, 3, 25)
-    for n in (1, 2):
-        got = fourier_cos_sum(nodes, weights, np.exp(-0.5 * n * nodes), lams)
+    coef = np.column_stack([weights * np.exp(-0.5 * n * nodes) for n in (1, 2)])
+    cos_part, _ = fourier_cos_sin(nodes, coef, lams)
+    for col, n in enumerate((1, 2)):
         expected = (1.0 / (2 * np.pi)) * n / (lams**2 + 0.25 * n * n)
-        assert np.max(np.abs(got - expected)) < 1e-13
+        assert np.max(np.abs(cos_part[:, col] / np.pi - expected)) < 1e-13
 
 
 def test_fourier_exp_sum_full_line():
+    # (1/(2 pi)) sum w exp(-|omega|) exp(-i omega lam) over the full line
     edges = np.linspace(-80.0, 80.0, 81)
     nodes, weights = gl_panels(edges, order=32)
     lams = np.linspace(-2, 2, 9)
-    got = fourier_exp_sum(nodes, weights, np.exp(-np.abs(nodes)), lams)
+    cos_part, sin_part = fourier_cos_sin(nodes, (weights * np.exp(-np.abs(nodes)))[:, None], lams)
+    got = (cos_part[:, 0] - 1j * sin_part[:, 0]) / (2 * np.pi)
     expected = (1.0 / (2 * np.pi)) * 2.0 / (lams**2 + 1.0)
     assert np.max(np.abs(got - expected)) < 1e-13
     assert np.max(np.abs(got.imag)) < 1e-14
@@ -171,20 +167,40 @@ def test_fourier_exp_sum_full_line():
 # amplitude and identity integrands
 
 
+def test_amplitude_columns_refuse_a_node_without_positive_u():
+    # sigma0/u and c0 exp(-rank u)/u have no limit at u = 0, only their
+    # difference has; the Gauss-Legendre nodes never reach it
+    for sign in ("-", "+"):
+        for u in ([0.0], [0.5, 0.0], [-1e-3]):
+            with pytest.raises(ValueError, match="amplitude nodes must be strictly positive"):
+                amplitude_columns(np.array(u), 3, sign)
+    assert half_line_grid()[0].min() > 0.0
+
+
+def _integrand_from_columns(u, lamhat, rank, sign, side):
+    # the integrand of side log T, exp(side i u lamhat) sigma0/u - c0 exp(-rank u)/u
+    over_u, _, sub = amplitude_columns(np.array([u]), rank, sign)
+    return cmath.exp(side * 1j * u * lamhat) * over_u[0] - sub[0]
+
+
 def test_amplitude_integrand_zero_limits():
+    # the split columns still combine to the analytic u = 0 limit
     lamhat, rank = 1.7, 3
-    m = amplitude_integrand(np.array([0.0]), lamhat, rank, "-")[0]
-    assert abs(m - (1.0 - 1j * lamhat / rank)) < 1e-15
-    p = amplitude_integrand(np.array([0.0]), lamhat, rank, "+")[0]
-    assert abs(p - (rank - 1.0) * (1j * lamhat / rank + 1.0)) < 1e-15
+    m = _integrand_from_columns(1e-8, lamhat, rank, "-", -1)
+    assert abs(m - (1.0 - 1j * lamhat / rank)) < 1e-6
+    p = _integrand_from_columns(1e-8, lamhat, rank, "+", 1)
+    assert abs(p - (rank - 1.0) * (1j * lamhat / rank + 1.0)) < 1e-6
 
 
 def test_amplitude_integrand_continuity_at_zero():
     lamhat, rank = -0.9, 2
-    for sign in ("-", "+"):
-        v0 = amplitude_integrand(np.array([0.0]), lamhat, rank, sign)[0]
-        v1 = amplitude_integrand(np.array([1e-8]), lamhat, rank, sign)[0]
-        assert abs(v0 - v1) < 1e-6
+    for sign, side in (("-", -1), ("+", 1)):
+        limit = _ref_amp(0.0, lamhat, rank, side)
+        for u in (1e-4, 1e-6, 1e-8):
+            # O(u) from the slope, plus the cancellation of two O(1/u) terms
+            got = _integrand_from_columns(u, lamhat, rank, sign, side)
+            assert abs(got - limit) < 10 * u + 1e-7
+            assert abs(got - _ref_amp(u, lamhat, rank, side)) < 1e-7
 
 
 def test_gamma_identity_integrand_limit():
@@ -261,11 +277,6 @@ def _ref_amp(x, lamhat, rank, sign):
     return (cmath.exp(sign * 1j * x * lamhat) * kern - c0 * math.exp(-rank * x)) / x
 
 
-def _ref_logderiv(x, lamhat, rank, sign):
-    level = rank - 1 if sign < 0 else 1
-    return 1j * cmath.exp(sign * 1j * x * lamhat) * _ref_sigma0(x, rank, level)
-
-
 def _ref_gamma(t, mu):
     if t == 0.0:
         return 2.0 - 0.5 * mu
@@ -292,15 +303,14 @@ def _grid_cases():
             ), None
 
 
+def _ref_amp_columns(x, rank, sign):
+    # the lamhat-independent factors: sigma0/x, sigma0, c0 exp(-rank x)/x
+    level = rank - 1 if sign < 0 else 1
+    kern = _ref_sigma0(x, rank, level)
+    return kern / x, kern, (rank - level) / rank * math.exp(-rank * x) / x
+
+
 def _integrand_cases():
-    for rank in RANKS:
-        for lamhat in (-1.3, 0.0, 0.7):
-            for sign, side in (("-", -1), ("+", 1)):
-                args = (lamhat, rank, sign)
-                yield amplitude_integrand, args, lambda x, a=args, s=side: _ref_amp(x, *a[:2], s)
-                yield amplitude_logderiv_integrand, args, (
-                    lambda x, a=args, s=side: _ref_logderiv(x, *a[:2], s)
-                )
     for mu in (0.5, 1.0, 3.0):
         yield gamma_identity_integrand, (mu,), lambda t, mu=mu: _ref_gamma(t, mu)
         yield gamma_identity_derivative_integrand, (mu,), (
@@ -329,6 +339,17 @@ def test_integrands_match_scalar_reference():
         _assert_matches(fn(u, *args), HALF_LINE, ref)
 
 
+def test_amplitude_columns_match_scalar_reference():
+    positive = tuple(x for x in HALF_LINE if x > 0.0)
+    for rank in RANKS:
+        for sign, side in (("-", -1), ("+", 1)):
+            got = amplitude_columns(np.array(positive), rank, sign)
+            for col in range(3):
+                _assert_matches(
+                    got[col], positive, lambda x, c=col: _ref_amp_columns(x, rank, side)[c]
+                )
+
+
 def test_kernels_raise_no_floating_point_warnings():
     omega, u = np.array(OMEGAS), np.array(HALF_LINE)
     nodes = np.concatenate(([0.0], half_line_grid()[0]))
@@ -339,29 +360,88 @@ def test_kernels_raise_no_floating_point_warnings():
             assert np.all(np.isfinite(fn(omega, *args)))
         for fn, args, _ in _integrand_cases():
             assert np.all(np.isfinite(fn(u, *args)))
-        for fn in (fourier_cos_sum, fourier_exp_sum):
-            assert np.all(np.isfinite(fn(nodes, weights, np.exp(-0.5 * nodes), omega)))
+        for rank in RANKS:
+            for sign in ("-", "+"):
+                assert all(np.all(np.isfinite(c)) for c in amplitude_columns(u[1:], rank, sign))
+        coef = np.column_stack((weights, np.exp(-0.5 * nodes)))
+        assert all(np.all(np.isfinite(p)) for p in fourier_cos_sin(nodes, coef, omega))
 
 
-@pytest.mark.parametrize("count", [0, 1, 31, 32, 33, 201])
+TILE_COUNTS = [1, 15, 16, 17, 201]  # one row; just below, on and above a tile; many tiles
+
+
+@pytest.mark.parametrize("count", [0, 1, 15, 16, 17, 31, 32, 33, 201])
 def test_fourier_sums_match_per_lambda_dot_products(count):
     # lam counts on, just below and just above multiples of the row tile, with
-    # a node at omega = 0
+    # a node at omega = 0 and three coefficient columns in one pass
     half_nodes, half_weights = half_line_grid()
     nodes = np.concatenate(([0.0], half_nodes))
     weights = np.concatenate(([0.01], half_weights))
-    values = sigma0_hat(nodes, 3, 1)
-    wv = weights * values
+    coef = weights[:, None] * np.column_stack(
+        (sigma0_hat(nodes, 3, 1), r_hat(nodes, 3, 1), rt_hat(-nodes, 3, 2, "+"))
+    )
     lams = np.linspace(-5.0, 5.0, count)
-    terms = {
-        fourier_cos_sum: lambda lam: wv * np.cos(nodes * lam) / math.pi,
-        fourier_exp_sum: lambda lam: wv * np.exp(-1j * nodes * lam) / (2 * math.pi),
-    }
-    for fn, term in terms.items():
-        got = fn(nodes, weights, values, lams)
-        assert got.shape == (count,)
-        for g, lam in zip(got, lams):
-            t = term(lam)
-            # the tiled matrix product and this per-lam sum add the same 1,281
-            # terms in different orders; a tiling slip would be O(1)
-            assert abs(g - t.sum()) <= 2e-15 * np.abs(t).sum(), (fn.__name__, lam)
+    cos_part, sin_part = fourier_cos_sin(nodes, coef, lams)
+    assert cos_part.shape == sin_part.shape == (count, 3)
+    for got, trig in ((cos_part, np.cos), (sin_part, np.sin)):
+        for row, lam in zip(got, lams):
+            for g, column in zip(row, coef.T):
+                t = column * trig(nodes * lam)
+                # the tiled matrix product and this per-lam sum add the same
+                # 1,281 terms in different orders; a tiling slip would be O(1)
+                assert abs(g - t.sum()) <= 2e-15 * np.abs(t).sum(), (trig.__name__, lam)
+
+
+def _ref_columns(nodes, ref):
+    return np.array([ref(x) for x in nodes])
+
+
+@pytest.mark.parametrize("count", TILE_COUNTS)
+def test_amplitude_quadrature_matches_per_lambda_reference_sums(count):
+    # each batched value against the dot product of the weights with the
+    # scalar reference integrand at that lamhat; the bound is relative to
+    # the sizes of the terms the batched sum adds
+    nodes, weights = half_line_grid()
+    lams = np.linspace(-5.0, 5.0, count)
+    for rank in (2, 3, 4):
+        got = thermo.amplitude_quadrature(thermo.KernelTable(rank), ("-", "+"), lams)
+        for sign, side in (("-", -1), ("+", 1)):
+            cols = [_ref_columns(nodes, lambda x, c=c: _ref_amp_columns(x, rank, side)[c]) for c in range(3)]
+            over_u, kern, sub = (weights * c for c in cols)
+            log_size = np.abs(over_u).sum() + np.abs(sub).sum()
+            log_t, dlog_t = got[sign]
+            assert log_t.shape == dlog_t.shape == (count,)
+            for lam, lg, dl in zip(lams, log_t, dlog_t):
+                phase = np.exp(side * 1j * nodes * lam)
+                want = (phase * over_u - sub).sum()  # side log T
+                assert abs(lg - side * want) <= 2e-15 * log_size, (rank, sign, lam)
+                want = (1j * phase * kern).sum()
+                assert abs(dl - want) <= 2e-15 * np.abs(kern).sum(), (rank, sign, lam)
+
+
+@pytest.mark.parametrize("count", TILE_COUNTS)
+def test_density_matches_per_lambda_reference_sums(count):
+    # the three components, shifts folded in by angle addition, against the
+    # per-lam dot products of the reference kernels with exp(i u (lam - shift))
+    nodes, weights = half_line_grid()
+    lams = np.linspace(-5.0, 5.0, count)
+    hole, theta = 0.4, -0.7
+    for rank in (2, 3, 4):
+        for level in range(1, rank):
+            bulk_w = weights * _ref_columns(nodes, lambda x: _ref_sigma0(x, rank, level))
+            back_w = weights * _ref_columns(nodes, lambda x: _ref_r(x, rank, level))
+            for sign, side in (("-", -1), ("+", 1)):
+                frak = _ref_frak_plus if side > 0 else _ref_frak_minus
+                out_level = 1 if side > 0 else rank - 1
+                rt_w = weights * _ref_columns(
+                    nodes, lambda x: _ref_big_r(x, rank, level, out_level) * frak(-side * x)
+                )
+                prof = thermo.density(thermo.KernelTable(rank), level, sign, lams, hole, theta)
+                for i, lam in enumerate(lams):
+                    for got, w, phase, norm in (
+                        (prof.bulk[i], bulk_w, np.cos(nodes * lam), math.pi),
+                        (prof.hole_backflow[i], back_w, np.cos(nodes * (lam - hole)), math.pi),
+                        (prof.defect[i], rt_w, np.exp(side * 1j * nodes * (lam - theta)), 2 * math.pi),
+                    ):
+                        t = w * phase / norm
+                        assert abs(got - t.sum()) <= 2e-15 * np.abs(w).sum() / norm, (rank, level, sign, lam)

@@ -12,22 +12,32 @@ from defectlab.lax import transmission_amplitude
 from defectlab.thermo import (
     KernelTable,
     TailBoundError,
-    amplitude_log_derivative,
     amplitude_log_derivative_closed,
-    amplitude_regularized,
-    bulk_density,
+    amplitude_quadrature,
     check_gamma_identity,
     density,
     quantization_phase_residual,
-    transmission_density,
 )
+
+
+def _bulk(table, level, lams):
+    # the bulk component does not depend on the impurity sign
+    return density(table, level, "+", lams).bulk
+
+
+def _log_t(table, sign, lamhat):
+    return complex(amplitude_quadrature(table, (sign,), lamhat)[sign][0][0])
+
+
+def _dlog_t(table, sign, lamhat):
+    return complex(amplitude_quadrature(table, (sign,), lamhat)[sign][1][0])
 
 
 def test_kernel_table_validation():
     with pytest.raises(ValueError):
         KernelTable(1)
     with pytest.raises(ValueError):
-        bulk_density(KernelTable(3), 3, 0.0)  # level must be < rank
+        _bulk(KernelTable(3), 3, 0.0)  # level must be < rank
 
 
 def test_fourier_convention_against_independent_quadrature():
@@ -48,7 +58,7 @@ def test_fourier_convention_against_independent_quadrature():
 def test_bulk_density_rank2_closed_form():
     t = KernelTable(2)
     lams = np.linspace(-5, 5, 101)
-    got = bulk_density(t, 1, lams)
+    got = _bulk(t, 1, lams)
     expected = 1.0 / (2.0 * np.cosh(np.pi * lams))
     assert np.max(np.abs(got - expected)) < 1e-12
 
@@ -56,7 +66,7 @@ def test_bulk_density_rank2_closed_form():
 def test_bulk_density_rank3_at_origin():
     # sum over residues collapses to the digamma reflection value 1/sqrt(3)
     t = KernelTable(3)
-    got = float(bulk_density(t, 1, 0.0)[0])
+    got = float(_bulk(t, 1, 0.0)[0])
     assert abs(got - 1.0 / math.sqrt(3.0)) < 1e-12
     # dual quadrature: adaptive scheme on the same kernel
     ref, _ = quad(
@@ -74,7 +84,7 @@ def test_bulk_density_normalization():
     for rank in (2, 3, 4):
         t = KernelTable(rank)
         for k in range(1, rank):
-            total = weights @ bulk_density(t, k, nodes)
+            total = weights @ _bulk(t, k, nodes)
             assert abs(total - (rank - k) / rank) < 1e-6, (rank, k)
 
 
@@ -183,8 +193,8 @@ def test_transmission_density_real_part_rank2():
     # real part of its transform is half the bulk density
     t = KernelTable(2)
     lams = np.linspace(-3, 3, 25)
-    td = transmission_density(t, "-", lams)
-    assert np.max(np.abs(td.real - 0.5 * bulk_density(t, 1, lams))) < 1e-13
+    td = density(t, 1, "-", lams).defect
+    assert np.max(np.abs(td.real - 0.5 * _bulk(t, 1, lams))) < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -192,21 +202,24 @@ def test_transmission_density_real_part_rank2():
 
 
 def test_amplitude_regularized_matches_closed_form():
+    lamhats = (-3.7, -0.9, 0.0, 0.6, 2.4)
     for rank in (2, 3, 4):
         t = KernelTable(rank)
+        both = amplitude_quadrature(t, ("+", "-"), lamhats)
         for sign in ("+", "-"):
-            for lamhat in (-3.7, -0.9, 0.0, 0.6, 2.4):
-                reg = np.exp(amplitude_regularized(t, sign, lamhat))
+            for lamhat, log_t in zip(lamhats, both[sign][0]):
+                reg = np.exp(log_t)
                 closed = transmission_amplitude(rank, sign, lamhat)
                 assert abs(reg - closed) / abs(closed) < 1e-10, (rank, sign, lamhat)
 
 
 def test_amplitude_log_derivative_matches_digamma():
+    lamhats = (-1.4, 0.0, 2.2)
     for rank in (2, 3):
         t = KernelTable(rank)
+        both = amplitude_quadrature(t, ("+", "-"), lamhats)
         for sign in ("+", "-"):
-            for lamhat in (-1.4, 0.0, 2.2):
-                quad_v = amplitude_log_derivative(t, sign, lamhat)
+            for lamhat, quad_v in zip(lamhats, both[sign][1]):
                 closed = amplitude_log_derivative_closed(t, sign, lamhat)
                 assert abs(quad_v - closed) < 1e-10
 
@@ -216,10 +229,10 @@ def test_amplitude_log_derivative_consistent_with_difference():
     h = 1e-5
     for sign in ("+", "-"):
         num = (
-            amplitude_regularized(t, sign, 0.8 + h)
-            - amplitude_regularized(t, sign, 0.8 - h)
+            _log_t(t, sign, 0.8 + h)
+            - _log_t(t, sign, 0.8 - h)
         ) / (2 * h)
-        assert abs(num - amplitude_log_derivative(t, sign, 0.8)) < 1e-8
+        assert abs(num - _dlog_t(t, sign, 0.8)) < 1e-8
 
 
 def test_amplitude_unitarity_product_at_origin():
@@ -227,7 +240,7 @@ def test_amplitude_unitarity_product_at_origin():
     for rank in (2, 3, 4):
         t = KernelTable(rank)
         prod = np.exp(
-            amplitude_regularized(t, "+", 0.0) + amplitude_regularized(t, "-", 0.0)
+            _log_t(t, "+", 0.0) + _log_t(t, "-", 0.0)
         )
         closed = 2 ** (1 - 2 / rank) * sp_gamma(1 / rank) / sp_gamma(1 - 1 / rank)
         assert abs(prod - closed) < 1e-10
@@ -236,11 +249,54 @@ def test_amplitude_unitarity_product_at_origin():
 def test_amplitude_sign_validation():
     t = KernelTable(2)
     with pytest.raises(ValueError):
-        amplitude_regularized(t, "0", 0.0)
+        amplitude_quadrature(t, ("0",), 0.0)
     with pytest.raises(ValueError):
-        amplitude_log_derivative(t, "0", 0.0)
+        amplitude_quadrature(t, ("+", "0"), 0.0)
     with pytest.raises(ValueError):
         amplitude_log_derivative_closed(t, "0", 0.0)
+
+
+def test_amplitude_quadrature_signs_are_independent_columns():
+    # both signs in one pass give each sign's values alone, and the order of
+    # the signs does not matter
+    t = KernelTable(3)
+    lams = np.linspace(-4.0, 4.0, 37)
+    both = amplitude_quadrature(t, ("-", "+"), lams)
+    swapped = amplitude_quadrature(t, ("+", "-"), lams)
+    for sign in ("+", "-"):
+        alone = amplitude_quadrature(t, (sign,), lams)[sign]
+        for got in (both[sign], swapped[sign]):
+            assert np.array_equal(got[0], alone[0]) and np.array_equal(got[1], alone[1])
+
+
+def test_amplitude_imaginary_zero_keeps_its_sign_at_origin():
+    # side log T is summed, then negated for '-': at lamhat = 0 its imaginary
+    # part is +0.0, so log T^- has -0.0 and T^+ keeps +0.0
+    for rank in (2, 3, 4):
+        q = amplitude_quadrature(KernelTable(rank), ("-", "+"), [0.0])
+        assert math.copysign(1.0, q["-"][0][0].imag) == -1.0
+        assert math.copysign(1.0, q["+"][0][0].imag) == 1.0
+        assert math.copysign(1.0, np.exp(q["-"][0][0]).imag) == -1.0
+
+
+def test_nonfinite_lambda_leaves_the_other_rows_of_its_tile_alone():
+    # at 8.5e307 and 1.7e308 lam * omega overflows and the rows are NaN; the
+    # lam = 0 row shares their tile and must equal lam = 0 computed alone
+    t = KernelTable(2)
+    grid = np.linspace(0.0, 1.7e308, 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        prof = density(t, 1, "+", grid, hole=0.3, theta=-0.4)
+        amps = amplitude_quadrature(t, ("-", "+"), grid)
+    alone = density(t, 1, "+", [0.0], hole=0.3, theta=-0.4)
+    for field in ("bulk", "hole_backflow", "defect", "total"):
+        got, want = getattr(prof, field), getattr(alone, field)
+        assert got[0].tobytes() == want[0].tobytes(), field
+        assert not np.any(np.isfinite(got[1:])), field
+    amps_alone = amplitude_quadrature(t, ("-", "+"), [0.0])
+    for sign in ("-", "+"):
+        for got, want in zip(amps[sign], amps_alone[sign]):
+            assert got[0].tobytes() == want[0].tobytes(), sign
+            assert not np.any(np.isfinite(got[1:])), sign
 
 
 def test_quantization_phase_residual():
