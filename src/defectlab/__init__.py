@@ -4,7 +4,7 @@ truncated spaces, identity checks, nested Bethe solving, and continuum
 densities/amplitudes."""
 
 from .bethe import BAEResidual, BetheState, ConvergenceError, RootCollisionError, solve_bae
-from .checks import CalibrationError, CheckReport
+from .checks import CheckReport
 from .lax import ChainSpec, LaxSpec
 from .special import PoleProximityError
 from .tensor import FockSpace
@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BAEResidual",
     "BetheState",
-    "CalibrationError",
     "ChainSpec",
     "CheckReport",
     "ConvergenceError",

@@ -26,25 +26,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-SUITES = (
-    "ybe",
-    "rll",
-    "oscillator",
-    "crossing",
-    "transmission-algebra",
-    "transmission-crossing",
-    "transfer-commute",
-    "highest-weight",
-    "gamma-identity",
-)
-RANDOMIZED_SUITES = {
-    "ybe",
-    "rll",
-    "crossing",
-    "transmission-algebra",
-    "transfer-commute",
-}
-
 DEFAULT_TOLERANCES = {
     "ybe": 1e-12,
     "rll": 1e-10,
@@ -60,7 +41,7 @@ DEFAULT_TOLERANCES = {
     "bae": 1e-10,
 }
 
-GAMMA_MU_VALUES = (0.5, 1.0, 2.0, 5.0, 20.0)
+GAMMA_MU_VALUES = (0.5, 1.0, 2.0, 5.0, 20.0, 3.0 + 0.7j)
 
 
 @dataclass(frozen=True)
@@ -78,6 +59,8 @@ class RunConfig:
     shift: float = 1.0
 
     def __post_init__(self):
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.rank < 2:
             raise ValueError(f"rank must be >= 2, got {self.rank}")
         if self.fock_cutoff < 1:
@@ -193,6 +176,17 @@ def _write_text(cfg: RunConfig, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _write_json(cfg: RunConfig, payload: dict) -> None:
+    _write_text(cfg, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def _write_csv(cfg: RunConfig, header: str, rows) -> None:
+    """One line per row: numbers by repr(float(v)), strings as they are."""
+    lines = [header]
+    lines += [",".join([v if isinstance(v, str) else repr(float(v)) for v in row]) for row in rows]
+    _write_text(cfg, "\n".join(lines) + "\n")
+
+
 def _config_echo(cfg: RunConfig) -> dict:
     return {
         "rank": cfg.rank,
@@ -216,83 +210,78 @@ def _sample_pairs(rng, count, separation=0.02, avoid_diff=()):
     while len(pairs) < count:
         a = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         b = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        d = a - b
-        if abs(d) < separation:
-            continue
-        if any(abs(d - s) < separation for s in avoid_diff):
-            continue
-        pairs.append((a, b))
+        if all(abs(a - b - s) >= separation for s in (0.0, *avoid_diff)):
+            pairs.append((a, b))
     return pairs
 
 
-def _suite_reports(suite: str, cfg: RunConfig) -> list[checks.CheckReport]:
-    reports: list[checks.CheckReport] = []
-    seed = cfg.seed if cfg.seed is not None else 0
-    if suite == "ybe":
-        rng = checks.rng_for(seed, "cli-ybe")
-        for a, b in _sample_pairs(rng, 4):
-            reports.append(checks.check_ybe(cfg.rank, a, b, cfg.tol("ybe")))
-        for a, b in _sample_pairs(rng, 2, avoid_diff=(1j, -1j)):
-            reports.append(checks.check_ybe(cfg.rank, a, b, cfg.tol("ybe"), matrix="S"))
-    elif suite == "rll":
-        fock = cfg.fock()
-        spec = cfg.lax_spec()
-        rng = checks.rng_for(seed, "cli-rll")
-        for a, b in _sample_pairs(rng, 2):
-            reports.append(checks.check_rll(spec, fock, a, b, cfg.tol("rll")))
-            reports.append(
-                checks.check_rll(replace(spec, variant=lax.VARIANT_LHAT), fock, a, b, cfg.tol("rll"))
-            )
-        _, calib = checks.calibrate_ordering(
-            cfg.rank, fock, seed, tol=cfg.tol("calibrate-ordering")
+def _ybe(cfg, rng):
+    tol = cfg.tol("ybe")
+    return [checks.check_ybe(cfg.rank, a, b, tol) for a, b in _sample_pairs(rng, 4)] + [
+        checks.check_ybe(cfg.rank, a, b, tol, matrix="S")
+        for a, b in _sample_pairs(rng, 2, avoid_diff=(1j, -1j))
+    ]
+
+
+def _rll(cfg, rng):
+    fock, spec, tol = cfg.fock(), cfg.lax_spec(), cfg.tol("rll")
+    reports = [
+        checks.check_rll(variant, fock, a, b, tol)
+        for a, b in _sample_pairs(rng, 2)
+        for variant in (spec, replace(spec, variant=lax.VARIANT_LHAT))
+    ]
+    _, calib = checks.calibrate_ordering(
+        cfg.rank, fock, cfg.seed, tol=cfg.tol("calibrate-ordering")
+    )
+    return reports + [calib]
+
+
+def _transmission_algebra(cfg, rng):
+    fock, tol = cfg.fock(), cfg.tol("transmission-algebra")
+    return [
+        checks.check_transmission_algebra(cfg.rank, fock, a, b, conjugate, tol=tol)
+        for conjugate in (False, True)
+        for a, b in _sample_pairs(rng, 2, avoid_diff=(1j, -1j))
+    ]
+
+
+def _transfer_commute(cfg, rng):
+    chain, tol = cfg.chain(), cfg.tol("transfer-commute")
+    return [checks.check_transfer_commute(chain, a, b, tol) for a, b in _sample_pairs(rng, 2)]
+
+
+# suite -> (draws random points, runner(cfg, rng) returning its reports); a
+# randomized suite draws from rng_for(seed, "cli-<suite>"), the others get None
+SUITES = {
+    "ybe": (True, _ybe),
+    "rll": (True, _rll),
+    "oscillator": (False, lambda cfg, rng: [
+        checks.check_oscillator_algebra(cfg.fock(), cfg.tol("oscillator"))
+    ]),
+    "crossing": (True, lambda cfg, rng: [
+        checks.check_lax_crossing(
+            cfg.lax_spec(), cfg.fock(), checks.sample_points(rng, 10), cfg.tol("crossing")
         )
-        reports.append(calib)
-    elif suite == "oscillator":
-        reports.append(checks.check_oscillator_algebra(cfg.fock(), cfg.tol("oscillator")))
-    elif suite == "crossing":
-        rng = checks.rng_for(seed, "cli-crossing")
-        lams = checks.sample_points(rng, 10)
-        reports.append(
-            checks.check_lax_crossing(cfg.lax_spec(), cfg.fock(), lams, cfg.tol("crossing"))
+    ]),
+    "transmission-algebra": (True, _transmission_algebra),
+    "transmission-crossing": (False, lambda cfg, rng: [
+        checks.check_transmission_crossing(
+            cfg.rank, cfg.fock(), tol=cfg.tol("transmission-crossing")
         )
-    elif suite == "transmission-algebra":
-        fock = cfg.fock()
-        rng = checks.rng_for(seed, "cli-transmission-algebra")
-        for conjugate in (False, True):
-            for a, b in _sample_pairs(rng, 2, avoid_diff=(1j, -1j)):
-                reports.append(
-                    checks.check_transmission_algebra(
-                        cfg.rank, fock, a, b, conjugate, tol=cfg.tol("transmission-algebra")
-                    )
-                )
-    elif suite == "transmission-crossing":
-        reports.append(
-            checks.check_transmission_crossing(
-                cfg.rank, cfg.fock(), tol=cfg.tol("transmission-crossing")
-            )
-        )
-    elif suite == "transfer-commute":
-        chain = cfg.chain()
-        rng = checks.rng_for(seed, "cli-transfer-commute")
-        for a, b in _sample_pairs(rng, 2):
-            reports.append(
-                checks.check_transfer_commute(chain, a, b, cfg.tol("transfer-commute"))
-            )
-    elif suite == "highest-weight":
-        reports.append(checks.check_highest_weight(cfg.chain(), tol=cfg.tol("highest-weight")))
-    elif suite == "gamma-identity":
-        for mu in GAMMA_MU_VALUES:
-            reports.append(thermo.check_gamma_identity(mu, cfg.tol("gamma-identity")))
-        reports.append(thermo.check_gamma_identity(3.0 + 0.7j, cfg.tol("gamma-identity")))
-    else:
-        raise ValueError(f"unknown suite {suite!r}")
-    return reports
+    ]),
+    "transfer-commute": (True, _transfer_commute),
+    "highest-weight": (False, lambda cfg, rng: [
+        checks.check_highest_weight(cfg.chain(), tol=cfg.tol("highest-weight"))
+    ]),
+    "gamma-identity": (False, lambda cfg, rng: [
+        thermo.check_gamma_identity(mu, cfg.tol("gamma-identity")) for mu in GAMMA_MU_VALUES
+    ]),
+}
 
 
 def cmd_check(suite: str, cfg: RunConfig) -> int:
-    suites = SUITES if suite == "all" else (suite,)
-    needs_seed = any(s in RANDOMIZED_SUITES for s in suites)
-    if needs_seed and cfg.seed is None:
+    suites = list(SUITES) if suite == "all" else [suite]
+    if cfg.seed is None and any(SUITES[s][0] for s in suites):
         print(
             "error: randomized checks need a seed (--seed, config file, or DEFECTLAB_SEED)",
             file=sys.stderr,
@@ -300,7 +289,8 @@ def cmd_check(suite: str, cfg: RunConfig) -> int:
         return EXIT_USAGE
     reports = []
     for s in suites:
-        reports.extend(_suite_reports(s, cfg))
+        randomized, runner = SUITES[s]
+        reports += runner(cfg, checks.rng_for(cfg.seed, f"cli-{s}") if randomized else None)
     reports.sort(key=lambda r: (r.name, repr(r.parameters)))
     payload = {
         "schema": 1,
@@ -309,7 +299,7 @@ def cmd_check(suite: str, cfg: RunConfig) -> int:
         "checks": [r.to_dict() for r in reports],
         "all_passed": all(r.passed for r in reports),
     }
-    _write_text(cfg, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_json(cfg, payload)
     return EXIT_OK if payload["all_passed"] else EXIT_FAIL
 
 
@@ -358,7 +348,7 @@ def cmd_amplitudes(cfg: RunConfig, sign: str) -> int:
         print(f"warning: amplitude rows not finite: {', '.join(nonfinite)}", file=sys.stderr)
     tol = cfg.tol("amplitudes")
     if (cfg.fmt or "csv") == "json":
-        payload = {
+        _write_json(cfg, {
             "schema": 1,
             "rank": cfg.rank,
             "sign": sign,
@@ -375,17 +365,17 @@ def cmd_amplitudes(cfg: RunConfig, sign: str) -> int:
                 }
                 for lam, closed, integral, deriv, s, status in rows
             ],
-        }
-        _write_text(cfg, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        })
     else:
-        lines = [
+        _write_csv(
+            cfg,
             "lambda,closed_form_re,closed_form_im,integral_re,integral_im,"
-            "logderiv_residual,sign,status"
-        ]
-        for lam, closed, integral, deriv, s, status in rows:
-            values = (lam, closed.real, closed.imag, integral.real, integral.imag, deriv)
-            lines.append(",".join([repr(float(v)) for v in values] + [s, status]))
-        _write_text(cfg, "\n".join(lines) + "\n")
+            "logderiv_residual,sign,status",
+            [
+                (lam, closed.real, closed.imag, integral.real, integral.imag, deriv, s, status)
+                for lam, closed, integral, deriv, s, status in rows
+            ],
+        )
     return EXIT_OK if worst <= tol else EXIT_FAIL
 
 
@@ -407,23 +397,21 @@ def cmd_bae(input_path: str, cfg: RunConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except bethe.ConvergenceError as exc:
-        payload = {
+        _write_json(cfg, {
             "schema": 1,
             "converged": False,
             "error": str(exc),
             "trace": [float(x) for x in exc.trace],
-        }
-        _write_text(cfg, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        })
         return EXIT_FAIL
     residual = bethe.bae_residual(solved).max_abs
-    payload = {
+    _write_json(cfg, {
         "schema": 1,
         "converged": True,
         "residual": residual,
         "tolerance": tol,
         "state": solved.to_dict(),
-    }
-    _write_text(cfg, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    })
     return EXIT_OK if residual <= tol else EXIT_FAIL
 
 
@@ -451,17 +439,19 @@ def cmd_density(cfg: RunConfig, level: int, sign: str, sites: int, hole: float) 
     except thermo.TailBoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     # total is finite exactly where every component is
     nonfinite = [f"lambda {float(lam)!r}" for lam in profile.lams[~np.isfinite(profile.total)]]
     if nonfinite:
         print(f"warning: density rows not finite: {', '.join(nonfinite)}", file=sys.stderr)
     if (cfg.fmt or "csv") == "json":
-        _write_text(cfg, profile.to_json())
+        _write_json(cfg, profile.to_dict())
     else:
-        _write_text(cfg, profile.to_csv())
+        _write_csv(
+            cfg,
+            "lambda,sigma_re,sigma_im,bulk,hole_backflow,defect_re,defect_im",
+            zip(profile.lams, profile.total.real, profile.total.imag, profile.bulk,
+                profile.hole_backflow, profile.defect.real, profile.defect.imag),
+        )
     return EXIT_FAIL if nonfinite else EXIT_OK
 
 
@@ -521,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="run a named check suite")
-    p_check.add_argument("suite", choices=SUITES + ("all",))
+    p_check.add_argument("suite", choices=[*SUITES, "all"])
     _add_flags(p_check, "--rank", "--fock-cutoff", "--sites", "--theta", "--tol", "--seed")
     p_check.add_argument("--ordering", choices=(lax.NORMAL, lax.ANTINORMAL))
     p_check.add_argument("--shift", type=float)

@@ -219,7 +219,10 @@ def gl_panels(edges, order: int = 32):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def half_line_grid(cutoff: float = 80.0, panel: float = 2.0, order: int = 32):
+OMEGA_CUTOFF = 80.0
+
+
+def half_line_grid(cutoff: float = OMEGA_CUTOFF, panel: float = 2.0, order: int = 32):
     """Uniform composite rule on [0, cutoff]; the integrands here decay at
     least like exp(-x/2), so the default cutoff leaves a tail below 1e-17."""
     count = max(1, int(math.ceil(cutoff / panel)))

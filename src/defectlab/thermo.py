@@ -19,7 +19,6 @@ a_n(lam) = (1/2pi) n/(lam^2 + n^2/4) <-> ahat_n = e^{-n|omega|/2}.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -30,9 +29,6 @@ from . import kernels, lax
 from .checks import CheckReport, worst_of
 from .special import log_gamma, psi
 
-OMEGA_CUTOFF = 80.0
-PANEL_WIDTH = 2.0
-PANEL_ORDER = 32
 TAIL_TARGET = 1e-10
 
 
@@ -45,8 +41,8 @@ class TailBoundError(RuntimeError):
 
 
 @lru_cache(maxsize=8)
-def _half_line_grid(cutoff: float, panel: float, order: int):
-    return kernels.half_line_grid(cutoff, panel, order)
+def _half_line_grid(cutoff: float = kernels.OMEGA_CUTOFF):
+    return kernels.half_line_grid(cutoff)
 
 
 @dataclass(frozen=True)
@@ -107,28 +103,6 @@ class DensityProfile:
             "defect": [[float(z.real), float(z.imag)] for z in self.defect],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-    def to_csv(self) -> str:
-        lines = ["lambda,sigma_re,sigma_im,bulk,hole_backflow,defect_re,defect_im"]
-        for i in range(len(self.lams)):
-            lines.append(
-                ",".join(
-                    repr(float(v))
-                    for v in (
-                        self.lams[i],
-                        self.total[i].real,
-                        self.total[i].imag,
-                        self.bulk[i],
-                        self.hole_backflow[i],
-                        self.defect[i].real,
-                        self.defect[i].imag,
-                    )
-                )
-            )
-        return "\n".join(lines) + "\n"
-
 
 def density(
     table: KernelTable,
@@ -138,7 +112,7 @@ def density(
     hole: float = 0.0,
     theta: float = 0.0,
     sites: int = 100,
-    cutoff: float = OMEGA_CUTOFF,
+    cutoff: float = kernels.OMEGA_CUTOFF,
 ) -> DensityProfile:
     """Single-hole density with the impurity correction.
 
@@ -178,7 +152,7 @@ def density(
                 bound,
             )
         worst_tail = max(worst_tail, bound)
-    nodes, weights = _half_line_grid(cutoff, PANEL_WIDTH, PANEL_ORDER)
+    nodes, weights = _half_line_grid(cutoff)
     # the impurity kernel is one-sided in omega: the half-line nodes map to
     # omega = -side u, so its phase exp(-i omega (lam - theta)) is
     # exp(side i u (lam - theta))
@@ -224,7 +198,7 @@ def amplitude_quadrature(table: KernelTable, signs, lamhats) -> dict:
     is absolutely convergent (no subtraction).
     """
     lamhats = np.ascontiguousarray(np.atleast_1d(lamhats), dtype=float)
-    nodes, weights = _half_line_grid(OMEGA_CUTOFF, PANEL_WIDTH, PANEL_ORDER)
+    nodes, weights = _half_line_grid()
     sides = [kernels.defect_side(sign) for sign in signs]
     columns, subtractions = [], []
     for sign, side in zip(signs, sides):
@@ -289,8 +263,8 @@ def check_gamma_identity(mu, tol: float = 1e-8) -> CheckReport:
     mu_c = complex(mu)
     if mu_c.real <= 0:
         raise ValueError(f"Re mu must be positive, got {mu_c}")
-    cutoff = max(OMEGA_CUTOFF, 200.0 / (mu_c.real + 1.0))
-    nodes, weights = _half_line_grid(cutoff, PANEL_WIDTH, PANEL_ORDER)
+    cutoff = max(kernels.OMEGA_CUTOFF, 200.0 / (mu_c.real + 1.0))
+    nodes, weights = _half_line_grid(cutoff)
     deriv_vals = kernels.gamma_identity_derivative_integrand(nodes, mu)
     reg_vals = kernels.gamma_identity_integrand(nodes, mu)
     deriv_quad = complex(weights @ deriv_vals)

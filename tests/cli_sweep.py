@@ -1,6 +1,6 @@
 """Byte-identity sweep of the defectlab CLI.
 
-INVOCATIONS lists about ninety CLI invocations: every check suite, ``check
+INVOCATIONS lists 106 CLI invocations: every check suite, ``check
 all`` at ranks 2-4, amplitude scans and density profiles in CSV and JSON,
 Bethe solves from state files, and the refusals.  The runner calls
 ``defectlab.cli.main`` in-process for each one, inside a scratch directory
@@ -232,9 +232,9 @@ def run_case(main, case: dict) -> dict:
     }
 
 
-def run_sweep(main=None) -> list[dict]:
-    if main is None:
-        from defectlab.cli import main
+def run_sweep() -> list[dict]:
+    from defectlab.cli import main
+
     return [run_case(main, case) for case in INVOCATIONS]
 
 
@@ -254,11 +254,10 @@ def differences(recorded: list[dict], got: list[dict]) -> list[str]:
     return lines
 
 
-def main(argv=None) -> int:
+def main() -> int:
     sys.path.insert(0, str(HERE.parent / "src"))
-    write = "--write" in (argv if argv is not None else sys.argv[1:])
     got = run_sweep()
-    if write:
+    if "--write" in sys.argv[1:]:
         payload = {"environment": environment(), "invocations": got}
         DIGESTS.write_text(json.dumps(payload, indent=1) + "\n")
         print(f"wrote {len(got)} invocations to {DIGESTS}")

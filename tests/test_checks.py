@@ -6,7 +6,6 @@ import pytest
 
 import defectlab.checks as checks
 from defectlab.checks import (
-    CalibrationError,
     check_highest_weight,
     check_lax_crossing,
     check_oscillator_algebra,
@@ -39,8 +38,10 @@ def test_rng_for_deterministic_and_label_separated():
     a = rng_for(3, "x").normal(size=4)
     b = rng_for(3, "x").normal(size=4)
     c = rng_for(3, "y").normal(size=4)
+    d = rng_for(3 + 2**32, "x").normal(size=4)  # every bit of the seed counts
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+    assert not np.array_equal(a, d)
 
 
 def test_sample_points_avoidance():
@@ -170,8 +171,12 @@ def test_calibrate_ordering_evaluates_each_class_once(monkeypatch, rank, candida
 
 
 def test_calibrate_ordering_unreachable_tolerance():
-    with pytest.raises(CalibrationError):
-        calibrate_ordering(2, FockSpace(1, 3), seed=5, tol=0.0)
+    # no candidate passes: the canonical spec comes back with a failed report
+    spec, rep = calibrate_ordering(2, FockSpace(1, 3), seed=5, tol=0.0)
+    params = dict(rep.parameters)
+    assert spec == LaxSpec(2) and not rep.passed
+    assert rep.residual == params["residual normal/1"] > 0.0
+    assert params["winner"] == "normal/1" and params["equivalence_class"] == ""
 
 
 # ---------------------------------------------------------------------------

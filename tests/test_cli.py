@@ -200,6 +200,38 @@ def test_check_tolerance_override_can_fail(tmp_path):
     assert not json.loads(text)["all_passed"]
 
 
+@pytest.mark.parametrize("suite, cutoff", [("rll", "5"), ("all", "3")])
+def test_failing_calibration_prints_its_report(capsys, suite, cutoff):
+    code = main([
+        "check", suite, "--fock-cutoff", cutoff, "--seed", "1",
+        "--tol", "calibrate-ordering=1e-300",
+    ])
+    out = capsys.readouterr().out
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["all_passed"] is False
+    failed = [c for c in payload["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["calibrate-ordering"]
+    assert dict(failed[0]["parameters"])["winner"] == "normal/1"
+
+
+@pytest.mark.parametrize("source", ["flag", "config", "environment"])
+def test_negative_seed_is_refused(tmp_path, capsys, monkeypatch, source):
+    argv = ["check", "ybe"]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    elif source == "config":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": -1}))
+        argv += ["--config", str(config)]
+    else:
+        monkeypatch.setenv("DEFECTLAB_SEED", "-1")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "seed must be >= 0, got -1" in captured.err
+
+
 def test_check_rll_alternative_convention_passes(tmp_path):
     # reordering/shifting only translates the spectral parameter, so the
     # exchange relation holds and the run must exit 0
@@ -566,6 +598,32 @@ def test_density_json(tmp_path):
     assert code == 0
     payload = json.loads(text)
     assert payload["schema"] == 1 and payload["level"] == 2 and payload["sign"] == "+"
+
+
+def test_density_csv_and_json_carry_the_library_profile(tmp_path):
+    argv = (
+        "density", "--sign", "minus", "--hole", "0.4", "--theta", "0.2",
+        "--density-sites", "50", "--grid", "-2", "2", "9",
+    )
+    code, csv_text = run(tmp_path, *argv)
+    assert code == 0
+    code, json_text = run(tmp_path, *argv, "--format", "json")
+    assert code == 0
+    prof = thermo.density(
+        thermo.KernelTable(2), 1, "-", np.linspace(-2, 2, 9), hole=0.4, theta=0.2, sites=50
+    )
+    payload = json.loads(json_text)
+    assert payload == prof.to_dict()
+    header, *rows = csv_text.strip().split("\n")
+    assert header == DEN_HEADER
+    # repr round-trips, so every CSV field reads back as the JSON float
+    assert [[float(x) for x in row.split(",")] for row in rows] == [
+        [lam, *sigma, bulk, back, *defect]
+        for lam, sigma, bulk, back, defect in zip(
+            payload["lambda"], payload["sigma"], payload["bulk"],
+            payload["hole_backflow"], payload["defect"],
+        )
+    ]
 
 
 def test_density_bad_level(capsys):

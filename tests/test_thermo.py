@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -88,22 +87,13 @@ def test_bulk_density_normalization():
             assert abs(total - (rank - k) / rank) < 1e-6, (rank, k)
 
 
-def test_density_profile_composition_and_serialization():
+def test_density_profile_composition():
     t = KernelTable(2)
     lams = np.linspace(-2, 2, 9)
     prof = density(t, 1, "-", lams, hole=0.4, theta=0.2, sites=50)
     recomposed = prof.bulk + (prof.hole_backflow + prof.defect) / prof.sites
     assert np.allclose(prof.total, recomposed)
     assert prof.tail_bound < 1e-10
-    d = prof.to_dict()
-    assert d["schema"] == 1 and d["sites"] == 50
-    json.loads(prof.to_json())
-    csv = prof.to_csv()
-    header, *rows = csv.strip().split("\n")
-    assert header == "lambda,sigma_re,sigma_im,bulk,hole_backflow,defect_re,defect_im"
-    assert len(rows) == len(lams)
-    first = [float(x) for x in rows[0].split(",")]
-    assert first[0] == lams[0]
 
 
 def test_density_backflow_is_centered_on_hole():
