@@ -1,6 +1,6 @@
 """Byte-identity sweep of the defectlab CLI.
 
-INVOCATIONS lists 106 CLI invocations: every check suite, ``check
+INVOCATIONS lists 119 CLI invocations: every check suite, ``check
 all`` at ranks 2-4, amplitude scans and density profiles in CSV and JSON,
 Bethe solves from state files, and the refusals.  The runner calls
 ``defectlab.cli.main`` in-process for each one, inside a scratch directory
@@ -24,6 +24,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import platform
 import sys
@@ -51,21 +52,32 @@ def _case(*argv, env=None, files=None):
     return {"argv": list(argv), "env": env or {}, "files": files or {}}
 
 
-def _state(rank, sites, roots, theta=0.0, sign=None):
-    """A BetheState file; roots holds one list of real rapidities per level."""
+def _state(rank, sites, roots, theta=0.0, sign=None, level=1):
+    """A BetheState file; roots holds one list of rapidities per level."""
     return json.dumps({
         "schema": 1,
         "rank": rank,
         "sites": sites,
         "theta": theta,
         "defect_sign": sign,
-        "roots": [[[x, 0.0] for x in level] for level in roots],
+        "defect_level": level,
+        "roots": [[[complex(x).real, complex(x).imag] for x in lv] for lv in roots],
     })
+
+
+def _ground_state(sites):
+    """Quantiles of the half-filled rank-2 root density 1/(2 cosh pi lambda),
+    the seed roots of the benchmark's bae states."""
+    return [
+        math.asinh(math.tan(2.0 * math.pi * ((j - 0.5) / sites - 0.25))) / math.pi
+        for j in range(1, sites // 2 + 1)
+    ]
 
 
 CALIBRATION_FAILS = ("--tol", "calibrate-ordering=1e-300")
 PAIR = [-0.28, 0.28]
 QUARTET = [-0.65, -0.16, 0.16, 0.65]
+NESTED = [[-0.5, 0.0, 0.5], [0.1]]
 
 INVOCATIONS = [
     # every suite alone, at the defaults and at rank 3
@@ -129,6 +141,17 @@ INVOCATIONS = [
           files={"state.json": _state(2, 4, [PAIR], 0.3, "+").replace('"+"', '"plus"')}),
     _case("bae", "missing.json"),
     _case("bae", "state.json", "--theta", "0.5", files={"state.json": _state(2, 4, [PAIR], 0.3, "+")}),
+    _case("bae", "state.json", files={"state.json": _state(3, 6, NESTED, 0.2, "+")}),
+    _case("bae", "state.json", files={"state.json": _state(3, 6, NESTED, -0.4, "-", level=2)}),
+    _case("bae", "state.json", files={"state.json": _state(2, 400, [_ground_state(400)], 0.7, "-")}),
+    _case("bae", "state.json", files={"state.json": _state(2, 20, [_ground_state(20)])}),
+    # roots on a pole of their own equation: own level, '-' impurity, level 1 from level 2
+    _case("bae", "state.json", files={"state.json": _state(2, 2, [[0.2, 0.2 + 1j]])}),
+    _case("bae", "state.json", files={"state.json": _state(2, 4, [[0.3 + 0.5j, -0.4]], 0.3, "-")}),
+    _case("bae", "state.json", files={"state.json": _state(3, 4, [[0.1, -0.4], [0.1 + 0.5j]])}),
+    # mistyped state files
+    _case("bae", "state.json", files={"state.json": "[1, 2]"}),
+    _case("bae", "state.json", files={"state.json": _state(2, 4, [PAIR], None, "+")}),
     # output files
     _case("check", "oscillator", "--fock-cutoff", "2", "-o", "report.json"),
     _case("amplitudes", "--grid", "-1", "1", "5", "--output", "scan.csv"),
@@ -141,6 +164,9 @@ INVOCATIONS = [
     _case("check", "oscillator", "--config", "bad.json", files={"bad.json": "[1, 2]"}),
     _case("check", "oscillator", "--config", "bad.json", files={"bad.json": "{"}),
     _case("check", "oscillator", "--config", "missing.json"),
+    *(_case("amplitudes", "--config", "bad.json", files={"bad.json": text}) for text in (
+        '{"theta": 0.3}', '{"rank": null}', '{"lambda_grid": [1, 2, 3]}', '{"tolerances": [1]}',
+    )),
     _case("check", "ybe", "--seed", "1", "--tol", "ybee=1e-3"),
     _case("check", "ybe", "--seed", "1", "--tol", "ybe"),
     _case("check", "ybe", "--seed", "1", "--tol", "ybe=-1"),
