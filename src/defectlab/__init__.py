@@ -3,7 +3,7 @@ with one transmitting oscillator impurity: exact operator constructions on
 truncated spaces, identity checks, nested Bethe solving, and continuum
 densities/amplitudes."""
 
-from .bethe import BAEResidual, BetheState, ConvergenceError, RootCollisionError, solve_bae
+from .bethe import BetheState, ConvergenceError, RootCollisionError, solve_bae
 from .checks import CheckReport
 from .lax import ChainSpec, LaxSpec
 from .special import PoleProximityError
@@ -13,7 +13,6 @@ from .thermo import DensityProfile, KernelTable, TailBoundError
 __version__ = "0.1.0"
 
 __all__ = [
-    "BAEResidual",
     "BetheState",
     "ChainSpec",
     "CheckReport",

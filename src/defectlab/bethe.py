@@ -1,17 +1,19 @@
 """Nested Bethe equations for the chain with one transmitting impurity.
 
-Roots are organized by nesting level 1..rank-1; the physical sites act as a
-level 0 next to level 1.  They enter as one rapidity 0 of multiplicity
-``sites``: one power e_1(lambda)^sites in the level-1 equations, one term
-sites * d/dlambda log e_1 in their Jacobian and one pole test.  The impurity enters the equations at one level through
-a one-sided factor, either lambda - theta + i/2 or 1/(lambda - theta - i/2).
+Roots are organized by nesting level 1..rank-1.  ``_factors`` is the one
+declaration of which factors enter each level's equation: e_1 over the
+adjacent levels (the physical sites act as a level 0 next to level 1, one
+rapidity 0 of multiplicity ``sites``), the impurity's one-sided factor at
+theta on one level, either lambda - theta + i/2 or 1/(lambda - theta - i/2),
+and e_2 over the level's own roots.  The residual, the Jacobian, the
+collision guard and the counting functions each loop over that list, so a
+change of convention (the self-term sign, the impurity factor) edits
+``_factors`` and the impurity kernels only.
 
 The equations are written multiplicatively.  With the self-term included on
 the right (its value at coinciding arguments is exactly -1) the conventional
 overall minus sign disappears, so a root set solves the system iff every
-log-ratio vanishes on the principal branch.  Residual, Jacobian and
-counting function are array expressions over lambda[:, None] - mu[None, :],
-one per pair of coupled levels.
+log-ratio vanishes on the principal branch.
 """
 
 from __future__ import annotations
@@ -132,6 +134,15 @@ def e_ratio_log_derivative(lam, n: int):
     return -1j * n / (lam * lam + 0.25 * n * n)
 
 
+def phase(lam, n: int):
+    """Odd phase 2 arctan(2 lam / n) of the elementary ratio on the axis."""
+    return 2.0 * np.arctan(2.0 * np.asarray(lam, dtype=float) / n)
+
+
+def _a_n(x, n):
+    return (1.0 / (2.0 * np.pi)) * n / (x * x + 0.25 * n * n)
+
+
 def defect_factor(lam, sign: str):
     """(lam + side i/2) ** side: lam + i/2 for '+', 1/(lam - i/2) for '-'."""
     side = defect_side(sign)
@@ -145,17 +156,46 @@ def defect_log_derivative(lam, sign: str):
     return side / (np.asarray(lam, dtype=COMPLEX) + side * 0.5j)
 
 
-def _neighbours(state: BetheState, level: int) -> list:
-    """(level, rapidities, multiplicity) of the levels adjacent to ``level``
-    that hold rapidities: the sites are level 0, one rapidity 0 of
-    multiplicity ``sites``."""
+def defect_phase(lam, sign: str):
+    """Odd phase of the one-sided impurity factor on the real axis; both
+    signs carry the same real-axis phase arctan(2 lam)."""
+    defect_side(sign)
+    return np.arctan(2.0 * np.asarray(lam, dtype=float))
+
+
+def _defect_density(lam, sign: str):
+    """d/dlam defect_phase / 2 pi: half of _a_n(lam, 1), for either sign."""
+    return 0.5 * _a_n(lam, 1)
+
+
+# the kernels of each kind of factor, all called as kernel(lam - mu, argument):
+# value, log-derivative, real-axis phase, and that phase's derivative / 2 pi
+_SCATTERING = (e_ratio, e_ratio_log_derivative, phase, _a_n)
+_IMPURITY = (defect_factor, defect_log_derivative, defect_phase, _defect_density)
+
+
+def _factors(state: BetheState, level: int) -> list:
+    """Every factor of the level-``level`` equation, in the order it folds
+    in, as (kernels, argument, rapidities mu, power, level of mu):
+
+    - e_1 over each adjacent level's roots; the sites are level 0, one
+      rapidity 0 to the power ``sites``;
+    - the impurity's one-sided factor at theta on ``defect_level`` (level
+      None: it is no root);
+    - e_2 over the level's own roots, self-term included, as the divisor.
+    """
+    if not 1 <= level <= state.rank - 1:
+        raise ValueError(f"level must be in 1..{state.rank - 1}, got {level}")
     out = []
     if level > 1:
-        out.append((level - 1, state.roots[level - 2], 1))
+        out.append((_SCATTERING, 1, state.roots[level - 2], 1, level - 1))
     elif state.sites:
-        out.append((0, np.zeros(1, dtype=COMPLEX), state.sites))
+        out.append((_SCATTERING, 1, np.zeros(1, dtype=COMPLEX), state.sites, 0))
     if level + 1 < state.rank:
-        out.append((level + 1, state.roots[level], 1))
+        out.append((_SCATTERING, 1, state.roots[level], 1, level + 1))
+    if state.defect_sign is not None and level == state.defect_level:
+        out.append((_IMPURITY, state.defect_sign, np.full(1, state.theta, dtype=COMPLEX), 1, None))
+    out.append((_SCATTERING, 2, state.roots[level - 1], -1, level))
     return out
 
 
@@ -169,96 +209,58 @@ def _guard_collisions(state: BetheState) -> None:
                 raise RootCollisionError(
                     f"two level-{level} roots within {dmin:.3e} (< {COLLISION_GUARD:g})"
                 )
-        # a root sitting on a log singularity of its own equation
-        poles = [(roots[:, None] - mu[None, :], 0.5j) for _, mu, _ in _neighbours(state, level)]
-        for d, pole in poles + [(diff, 1j)]:
-            if np.minimum(np.abs(d - pole), np.abs(d + pole)).min(initial=np.inf) < COLLISION_GUARD:
-                raise RootCollisionError(
-                    f"level-{level} root within {COLLISION_GUARD:g} of a scattering pole"
-                )
-        if state.defect_sign is not None and level == state.defect_level:
-            # the factor's zero ('+') or pole ('-'): lam - theta + side i/2 = 0
-            d = np.abs(roots - state.theta + defect_side(state.defect_sign) * 0.5j)
-            if d.size and float(np.min(d)) < COLLISION_GUARD:
-                raise RootCollisionError(
-                    f"level-{level} root within {COLLISION_GUARD:g} of the impurity pole"
-                )
+        # a root on a log singularity of its own equation: the zero and the
+        # pole of e_n at -+ i n/2, the impurity factor's zero ('+') or pole
+        # ('-') at lam - theta = -side i/2; diff's inf diagonal is no pole
+        for kernels, arg, mu, _, source in _factors(state, level):
+            d = diff if source == level else roots[:, None] - mu[None, :]
+            if kernels is _IMPURITY:
+                near = np.abs(d + defect_side(arg) * 0.5j).min(initial=np.inf)
+                what = "the impurity pole"
+            else:
+                near = np.minimum(np.abs(d - 0.5j * arg), np.abs(d + 0.5j * arg)).min(initial=np.inf)
+                what = "a scattering pole"
+            if near < COLLISION_GUARD:
+                raise RootCollisionError(f"level-{level} root within {COLLISION_GUARD:g} of {what}")
 
 
-@dataclass(frozen=True)
-class BAEResidual:
-    """Principal log-ratio of each equation; all zero at an exact solution."""
-
-    per_level: tuple
-
-    @property
-    def max_abs(self) -> float:
-        vals = [np.max(np.abs(r)) if len(r) else 0.0 for r in self.per_level]
-        return float(max(vals)) if vals else 0.0
-
-
-def _equation_ratio(state: BetheState, level: int) -> np.ndarray:
-    """LHS/RHS of the level equations, elementwise over that level's roots."""
-    lam = state.roots[level - 1]
-    if len(lam) == 0:
-        return np.zeros(0, dtype=COMPLEX)
-    lhs = np.ones(len(lam), dtype=COMPLEX)
-    for _, mu, mult in _neighbours(state, level):
-        lhs = lhs * np.prod(e_ratio(lam[:, None] - mu[None, :], 1), axis=1) ** mult
-    if state.defect_sign is not None and level == state.defect_level:
-        lhs = lhs * defect_factor(lam - state.theta, state.defect_sign)
-    term = e_ratio(lam[:, None] - lam[None, :], 2)
-    np.fill_diagonal(term, -1.0)  # self-term: e_2(0) = -1 exactly
-    return lhs / np.prod(term, axis=1)
-
-
-def bae_residual(state: BetheState) -> BAEResidual:
+def bae_residual(state: BetheState) -> np.ndarray:
+    """Principal log-ratio of each root's equation, level 1 first; all zero
+    at an exact solution."""
     _guard_collisions(state)
-    per_level = tuple(
-        np.log(_equation_ratio(state, level)) if len(state.roots[level - 1]) else np.zeros(0, dtype=COMPLEX)
-        for level in range(1, state.rank)
-    )
-    return BAEResidual(per_level=per_level)
+    out = []
+    for level, lam in enumerate(state.roots, start=1):
+        ratio = np.ones(len(lam), dtype=COMPLEX)
+        for (value, *_), arg, mu, power, source in _factors(state, level):
+            term = value(lam[:, None] - mu[None, :], arg)
+            if source == level:
+                np.fill_diagonal(term, -1.0)  # self-term: e_2(0) = -1 exactly
+                ratio = ratio / np.prod(term, axis=1)
+            else:
+                ratio = ratio * np.prod(term, axis=1) ** power
+        out.append(np.log(ratio))
+    return np.concatenate(out)
 
 
 def _jacobian(state: BetheState) -> np.ndarray:
-    """Complex Jacobian of the stacked log-ratios with respect to the stacked
-    roots.  Exact: the derivative of the principal log of a product is the
-    sum of the factor log-derivatives wherever the product is nonzero."""
-    counts = state.magnon_counts()
-    total = sum(counts)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    jac = np.zeros((total, total), dtype=COMPLEX)
-    for level in range(1, state.rank):
-        lam = state.roots[level - 1]
+    """Complex Jacobian of bae_residual with respect to the stacked roots.
+    Exact: the derivative of the principal log of a product is the sum of
+    the factor log-derivatives wherever the product is nonzero."""
+    offsets = np.concatenate([[0], np.cumsum(state.magnon_counts())])
+    jac = np.zeros((offsets[-1], offsets[-1]), dtype=COMPLEX)
+    for level, lam in enumerate(state.roots, start=1):
         rows = slice(offsets[level - 1], offsets[level])
         diag = np.zeros(len(lam), dtype=COMPLEX)
-        for adj, mu, mult in _neighbours(state, level):
-            g = e_ratio_log_derivative(lam[:, None] - mu[None, :], 1)
-            diag += mult * np.sum(g, axis=1)
-            if adj:
-                jac[rows, offsets[adj - 1] : offsets[adj]] -= g
-        if state.defect_sign is not None and level == state.defect_level:
-            diag += defect_log_derivative(lam - state.theta, state.defect_sign)
-        g2 = e_ratio_log_derivative(lam[:, None] - lam[None, :], 2)
-        np.fill_diagonal(g2, 0.0)
-        block = jac[rows, rows]
-        block += g2
-        block[np.diag_indices(len(lam))] += diag - np.sum(g2, axis=1)
+        for (_, log_derivative, *_), arg, mu, power, source in _factors(state, level):
+            g = log_derivative(lam[:, None] - mu[None, :], arg)
+            if source == level:
+                np.fill_diagonal(g, 0.0)  # the self-term is constant
+            diag += power * np.sum(g, axis=1)
+            if source:
+                block = jac[rows, offsets[source - 1] : offsets[source]]
+                block -= power * g
+        jac[rows, rows][np.diag_indices(len(lam))] += diag
     return jac
-
-
-def _stack(state: BetheState) -> np.ndarray:
-    return np.concatenate([r for r in state.roots]) if sum(state.magnon_counts()) else np.zeros(0, dtype=COMPLEX)
-
-
-def _unstack(state: BetheState, flat: np.ndarray) -> BetheState:
-    counts = state.magnon_counts()
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    roots = tuple(
-        flat[offsets[k] : offsets[k + 1]].copy() for k in range(len(counts))
-    )
-    return replace(state, roots=roots)
 
 
 def solve_bae(state: BetheState, tol: float = 1e-10, max_iter: int = 200) -> BetheState:
@@ -267,14 +269,13 @@ def solve_bae(state: BetheState, tol: float = 1e-10, max_iter: int = 200) -> Bet
     The step is halved whenever the residual norm would grow; failure to
     converge raises ConvergenceError carrying the residual trace.
     """
-    current = state
-    trace: list[float] = []
     if sum(state.magnon_counts()) == 0:
-        return current
-    res = bae_residual(current)
-    fval = np.concatenate(res.per_level)
+        return state
+    splits = np.cumsum(state.magnon_counts())[:-1]
+    current, flat = state, np.concatenate(state.roots)
+    fval = bae_residual(current)
     norm = float(np.max(np.abs(fval)))
-    trace.append(norm)
+    trace = [norm]
     for _ in range(max_iter):
         if norm <= tol:
             return current
@@ -284,24 +285,21 @@ def solve_bae(state: BetheState, tol: float = 1e-10, max_iter: int = 200) -> Bet
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"singular Jacobian: {exc}", trace) from exc
         scale = 1.0
-        flat = _stack(current)
         for _ in range(40):
-            trial = _unstack(current, flat + scale * step)
+            trial_flat = flat + scale * step
+            trial = replace(current, roots=tuple(np.split(trial_flat, splits)))
             try:
-                trial_res = bae_residual(trial)
+                trial_f = bae_residual(trial)
             except RootCollisionError:
                 scale *= LINE_SEARCH_DAMPING
                 continue
-            trial_f = np.concatenate(trial_res.per_level)
             trial_norm = float(np.max(np.abs(trial_f)))
             if trial_norm < norm or trial_norm <= tol:
                 break
             scale *= LINE_SEARCH_DAMPING
         else:
-            raise ConvergenceError(
-                f"line search stalled at residual {norm:.3e}", trace
-            )
-        current, fval, norm = trial, trial_f, trial_norm
+            raise ConvergenceError(f"line search stalled at residual {norm:.3e}", trace)
+        current, flat, fval, norm = trial, trial_flat, trial_f, trial_norm
         trace.append(norm)
     if norm <= tol:
         return current
@@ -314,48 +312,21 @@ def solve_bae(state: BetheState, tol: float = 1e-10, max_iter: int = 200) -> Bet
 # counting function
 
 
-def phase(lam, n: int):
-    """Odd phase 2 arctan(2 lam / n) of the elementary ratio on the axis."""
-    return 2.0 * np.arctan(2.0 * np.asarray(lam, dtype=float) / n)
-
-
-def defect_phase(lam):
-    """Odd phase of the one-sided impurity factor on the real axis; both
-    signs carry the same real-axis phase arctan(2 lam)."""
-    return np.arctan(2.0 * np.asarray(lam, dtype=float))
-
-
-def _coupled_sum(state: BetheState, level: int, lam: np.ndarray, kernel) -> np.ndarray:
-    """Sum of kernel(lam - mu, 1) over the adjacent levels' roots (the sites
-    with their multiplicity) minus kernel(lam - mu, 2) over the level's own."""
-    if not 1 <= level <= state.rank - 1:
-        raise ValueError(f"level must be in 1..{state.rank - 1}, got {level}")
-    total = np.zeros_like(lam)
-    for _, mu, mult in _neighbours(state, level):
-        total += mult * np.sum(kernel(lam[..., None] - mu.real, 1), axis=-1)
-    own = state.roots[level - 1].real
-    return total - np.sum(kernel(lam[..., None] - own, 2), axis=-1)
-
-
 def counting_function(state: BetheState, level: int, lam) -> np.ndarray:
     """Scaled phase sum whose values at the roots sit on the quantization
     ladder (half-odd integers for even counts)."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    total = _coupled_sum(state, level, lam, phase)
-    if state.defect_sign is not None and level == state.defect_level:
-        total += defect_phase(lam - state.theta)
+    total = np.zeros_like(lam)
+    for (_, _, kernel, _), arg, mu, power, _ in _factors(state, level):
+        total += power * np.sum(kernel(lam[..., None] - mu.real, arg), axis=-1)
     return total / (2.0 * np.pi)
-
-
-def _a_n(x, n):
-    return (1.0 / (2.0 * np.pi)) * n / (x * x + 0.25 * n * n)
 
 
 def counting_function_derivative(state: BetheState, level: int, lam) -> np.ndarray:
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    total = _coupled_sum(state, level, lam, _a_n)
-    if state.defect_sign is not None and level == state.defect_level:
-        total += 0.5 * _a_n(lam - state.theta, 1)
+    total = np.zeros_like(lam)
+    for (*_, kernel), arg, mu, power, _ in _factors(state, level):
+        total += power * np.sum(kernel(lam[..., None] - mu.real, arg), axis=-1)
     return total
 
 

@@ -404,7 +404,7 @@ def cmd_bae(input_path: str, cfg: RunConfig) -> int:
             "trace": [float(x) for x in exc.trace],
         })
         return EXIT_FAIL
-    residual = bethe.bae_residual(solved).max_abs
+    residual = float(np.max(np.abs(bethe.bae_residual(solved)), initial=0.0))
     _write_json(cfg, {
         "schema": 1,
         "converged": True,

@@ -102,6 +102,7 @@ def _sign_calls(sign):
     yield "amplitude_gamma_args", lambda: lax.amplitude_gamma_args(3, sign, 0.3), sign
     yield "defect_factor", lambda: bethe.defect_factor(0.3, sign), sign
     yield "defect_log_derivative", lambda: bethe.defect_log_derivative(0.3, sign), sign
+    yield "defect_phase", lambda: bethe.defect_phase(0.3, sign), sign
     if sign is not None:  # a state without the impurity has defect_sign None
         yield "BetheState", (
             lambda: bethe.BetheState(rank=2, sites=2, roots=([0.1],), defect_sign=sign)
@@ -111,7 +112,7 @@ def _sign_calls(sign):
 @pytest.mark.parametrize("sign", ["plus", "", None])
 def test_sign_entry_points_refuse_anything_but_plus_or_minus(sign):
     calls = list(_sign_calls(sign))
-    assert len(calls) == 10 + (sign is not None)
+    assert len(calls) == 11 + (sign is not None)
     for name, call, shown in calls:
         with pytest.raises(ValueError) as info:
             call()
