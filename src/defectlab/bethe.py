@@ -42,6 +42,10 @@ class RootCollisionError(RuntimeError):
     """Two roots (or a root and a pole) closer than the collision guard."""
 
 
+def _root_levels(levels) -> tuple:
+    return tuple(np.array([complex(re, im) for re, im in lv], dtype=COMPLEX) for lv in levels)
+
+
 @dataclass
 class BetheState:
     """Root configuration of the nested system.
@@ -65,15 +69,11 @@ class BetheState:
         if self.sites < 0:
             raise ValueError(f"sites must be >= 0, got {self.sites}")
         if len(self.roots) != self.rank - 1:
-            raise ValueError(
-                f"expected {self.rank - 1} root levels, got {len(self.roots)}"
-            )
+            raise ValueError(f"expected {self.rank - 1} root levels, got {len(self.roots)}")
         if self.defect_sign is not None:
             defect_side(self.defect_sign)
         if not 1 <= self.defect_level <= self.rank - 1:
-            raise ValueError(
-                f"defect_level must be in 1..{self.rank - 1}, got {self.defect_level}"
-            )
+            raise ValueError(f"defect_level must be in 1..{self.rank - 1}, got {self.defect_level}")
         self.roots = tuple(np.asarray(r, dtype=COMPLEX).ravel() for r in self.roots)
 
     def magnon_counts(self) -> tuple:
@@ -87,35 +87,32 @@ class BetheState:
             "theta": float(self.theta),
             "defect_sign": self.defect_sign,
             "defect_level": self.defect_level,
-            "roots": [
-                [[float(z.real), float(z.imag)] for z in level] for level in self.roots
-            ],
+            "roots": [[[float(z.real), float(z.imag)] for z in lv] for lv in self.roots],
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     @classmethod
-    def from_dict(cls, data: dict) -> "BetheState":
+    def from_dict(cls, data) -> "BetheState":
+        """A ValueError names the key that is missing or of the wrong type."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a state must be a JSON object, got {type(data).__name__}")
         if data.get("schema") != 1:
             raise ValueError(f"unsupported schema {data.get('schema')!r}")
-        try:
-            roots = tuple(
-                np.array([complex(re, im) for re, im in level], dtype=COMPLEX)
-                for level in data["roots"]
-            )
-        except (TypeError, ValueError):
-            raise ValueError(
-                "roots must be a list of levels, each a list of [re, im] pairs"
-            ) from None
-        return cls(
-            rank=int(data["rank"]),
-            sites=int(data["sites"]),
-            roots=roots,
-            theta=float(data["theta"]),
-            defect_sign=data.get("defect_sign"),
-            defect_level=int(data.get("defect_level", 1)),
-        )
+        data, fields = {"defect_level": 1, **data}, {}
+        for key, convert, what in (
+            ("rank", int, "an integer"), ("sites", int, "an integer"),
+            ("theta", float, "a real number"), ("defect_level", int, "an integer"),
+            ("roots", _root_levels, "a list of levels, each a list of [re, im] pairs"),
+        ):
+            if key not in data:
+                raise ValueError(f"missing key {key!r}")
+            try:
+                fields[key] = convert(data[key])
+            except (TypeError, ValueError):
+                raise ValueError(f"{key} must be {what}") from None
+        return cls(defect_sign=data.get("defect_sign"), **fields)
 
     @classmethod
     def from_json(cls, text: str) -> "BetheState":
@@ -180,8 +177,7 @@ def _factors(state: BetheState, level: int) -> list:
 
     - e_1 over each adjacent level's roots; the sites are level 0, one
       rapidity 0 to the power ``sites``;
-    - the impurity's one-sided factor at theta on ``defect_level`` (level
-      None: it is no root);
+    - the impurity's one-sided factor at theta on ``defect_level``, level None;
     - e_2 over the level's own roots, self-term included, as the divisor.
     """
     if not 1 <= level <= state.rank - 1:
@@ -203,12 +199,9 @@ def _guard_collisions(state: BetheState) -> None:
     for level, roots in enumerate(state.roots, start=1):
         diff = roots[:, None] - roots[None, :]
         np.fill_diagonal(diff, np.inf)
-        if len(roots) > 1:
-            dmin = float(np.min(np.abs(diff)))
-            if dmin < COLLISION_GUARD:
-                raise RootCollisionError(
-                    f"two level-{level} roots within {dmin:.3e} (< {COLLISION_GUARD:g})"
-                )
+        dmin = float(np.abs(diff).min(initial=np.inf))
+        if dmin < COLLISION_GUARD:
+            raise RootCollisionError(f"two level-{level} roots within {dmin:.3e} (< {COLLISION_GUARD:g})")
         # a root on a log singularity of its own equation: the zero and the
         # pole of e_n at -+ i n/2, the impurity factor's zero ('+') or pole
         # ('-') at lam - theta = -side i/2; diff's inf diagonal is no pole
@@ -303,9 +296,7 @@ def solve_bae(state: BetheState, tol: float = 1e-10, max_iter: int = 200) -> Bet
         trace.append(norm)
     if norm <= tol:
         return current
-    raise ConvergenceError(
-        f"no convergence after {max_iter} iterations (residual {norm:.3e})", trace
-    )
+    raise ConvergenceError(f"no convergence after {max_iter} iterations (residual {norm:.3e})", trace)
 
 
 # ---------------------------------------------------------------------------

@@ -251,7 +251,8 @@ def calibrate_ordering(
         (
             "note",
             "residual ties across candidates (shift acts as a spectral "
-            "translation); winner fixed by vacuum conditions",
+            "translation); winner fixed by vacuum conditions"
+            if passing else "no candidate passed; the canonical normal/1 spec is returned",
         ),
     ]
     report = CheckReport.from_residual(

@@ -144,11 +144,14 @@ def _load_config(args) -> RunConfig:
         unknown = sorted(set(data) - {key for key, _, _, _ in _SOURCES.values()})
         if unknown:
             raise ValueError(f"unknown config key {', '.join(map(repr, unknown))}")
-        cfg = replace(cfg, **{
-            target: convert(data[key]) if convert else data[key]
-            for target, (key, convert, _, _) in _SOURCES.items()
-            if key in data
-        })
+        values = {}
+        for target, (key, convert, _, _) in _SOURCES.items():
+            if key in data:
+                try:
+                    values[target] = convert(data[key]) if convert else data[key]
+                except (TypeError, ValueError, KeyError, AttributeError):
+                    raise ValueError(f"config key {key!r} cannot take {json.dumps(data[key])}") from None
+        cfg = replace(cfg, **values)
     updates = {}
     for target, (_, _, attr, convert) in _SOURCES.items():
         given = getattr(args, attr, None) if attr else None
@@ -387,7 +390,7 @@ def cmd_bae(input_path: str, cfg: RunConfig) -> int:
     try:
         with open(input_path) as fh:
             state = bethe.BetheState.from_json(fh.read())
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot read state file: {exc}", file=sys.stderr)
         return EXIT_USAGE
     tol = cfg.tol("bae")

@@ -93,6 +93,21 @@ def test_from_dict_rejects_flat_root_levels():
         )
 
 
+@pytest.mark.parametrize(
+    "data, named",
+    [
+        ([1, 2], "a state must be a JSON object, got list"),
+        ({"schema": 1, "rank": 2, "theta": 0.0, "roots": [[]]}, "missing key 'sites'"),
+        ({"schema": 1, "rank": 2, "sites": 4, "theta": None, "roots": [[]]}, "theta must be a real"),
+        ({"schema": 1, "rank": "2x", "sites": 4, "theta": 0.0, "roots": [[]]}, "rank must be an integer"),
+    ],
+    ids=["not-an-object", "missing-key", "mistyped-theta", "mistyped-rank"],
+)
+def test_from_dict_names_the_missing_or_mistyped_key(data, named):
+    with pytest.raises(ValueError, match=named):
+        BetheState.from_dict(data)
+
+
 # ---------------------------------------------------------------------------
 # residuals and the solver
 
@@ -314,6 +329,52 @@ def test_site_pole_is_guarded_only_with_sites():
         bae_residual(BetheState(rank=2, sites=0, roots=(np.array([pole, 0.7]),)))
         # level 2 does not couple to the sites
         bae_residual(BetheState(rank=3, sites=4, roots=(np.array([0.7]), np.array([pole]))))
+
+
+THETA = 0.3
+POLES = {
+    # kind of factor: (a root on that factor's pole, the same root on a level
+    # without that factor, the pole the refusal names)
+    "sites-rank2": (dict(rank=2, sites=4, roots=([0.5j, 0.7],)),
+                    dict(rank=2, sites=0, roots=([0.5j, 0.7],)), "a scattering pole"),
+    "sites-rank3": (dict(rank=3, sites=4, roots=([-0.5j, 0.7], [0.1])),
+                    dict(rank=3, sites=4, roots=([0.7], [-0.5j, 0.1])), "a scattering pole"),
+    "adjacent-level-rank3": (dict(rank=3, sites=0, roots=([0.3], [0.3 + 0.5j])),
+                             dict(rank=4, sites=0, roots=([0.3], [], [0.3 + 0.5j])),
+                             "a scattering pole"),
+    "adjacent-level-rank4": (dict(rank=4, sites=2, roots=([0.9], [0.3 - 0.5j], [0.3])),
+                             dict(rank=4, sites=2, roots=([0.9, 0.3 - 0.5j], [], [0.3])),
+                             "a scattering pole"),
+    "own-level-plus-i": (dict(rank=2, sites=2, roots=([0.2, 0.2 + 1j],)),
+                         dict(rank=3, sites=2, roots=([0.2], [0.2 + 1j])), "a scattering pole"),
+    "own-level-minus-i": (dict(rank=3, sites=2, roots=([0.9], [0.2, 0.2 - 1j])),
+                          dict(rank=3, sites=2, roots=([0.2 - 1j, 0.9], [0.2])),
+                          "a scattering pole"),
+    "impurity-plus-rank2": (dict(rank=2, sites=2, roots=([THETA - 0.5j],), defect_sign="+"),
+                            dict(rank=2, sites=2, roots=([THETA - 0.5j],), defect_sign="-"),
+                            "the impurity pole"),
+    "impurity-minus-rank2": (dict(rank=2, sites=2, roots=([THETA + 0.5j],), defect_sign="-"),
+                             dict(rank=2, sites=2, roots=([THETA + 0.5j],), defect_sign="+"),
+                             "the impurity pole"),
+    "impurity-minus-rank3": (dict(rank=3, sites=2, roots=([THETA + 0.5j], [0.8]), defect_sign="-"),
+                             dict(rank=3, sites=2, roots=([0.8], [THETA + 0.5j]), defect_sign="-"),
+                             "the impurity pole"),
+    "impurity-level2-plus": (
+        dict(rank=3, sites=2, roots=([0.7], [THETA - 0.5j]), defect_sign="+", defect_level=2),
+        dict(rank=3, sites=2, roots=([0.7], [THETA - 0.5j]), defect_sign="+", defect_level=1),
+        "the impurity pole"),
+    "impurity-level2-minus": (
+        dict(rank=3, sites=2, roots=([0.7], [THETA + 0.5j]), defect_sign="-", defect_level=2),
+        dict(rank=3, sites=2, roots=([0.7], [THETA + 0.5j]), defect_sign="-", defect_level=1),
+        "the impurity pole"),
+}
+
+
+@pytest.mark.parametrize("on_pole, elsewhere, what", POLES.values(), ids=POLES.keys())
+def test_guard_refuses_a_root_on_each_kind_of_factor_pole(on_pole, elsewhere, what):
+    with pytest.raises(RootCollisionError, match=what):
+        bae_residual(BetheState(theta=THETA, **on_pole))
+    assert np.all(np.isfinite(bae_residual(BetheState(theta=THETA, **elsewhere))))
 
 
 # ---------------------------------------------------------------------------

@@ -212,7 +212,9 @@ def test_failing_calibration_prints_its_report(capsys, suite, cutoff):
     assert payload["all_passed"] is False
     failed = [c for c in payload["checks"] if not c["passed"]]
     assert [c["name"] for c in failed] == ["calibrate-ordering"]
-    assert dict(failed[0]["parameters"])["winner"] == "normal/1"
+    params = dict(failed[0]["parameters"])
+    assert params["winner"] == "normal/1"
+    assert params["note"] == "no candidate passed; the canonical normal/1 spec is returned"
 
 
 @pytest.mark.parametrize("source", ["flag", "config", "environment"])
@@ -290,6 +292,26 @@ def test_bad_config_file(tmp_path, capsys):
     cfg.write_text("{not json")
     assert main(["check", "oscillator", "--config", str(cfg)]) == 2
     assert "configuration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config, named",
+    [
+        ({"theta": 0.3}, "'theta' cannot take 0.3"),
+        ({"rank": None}, "'rank' cannot take null"),
+        ({"lambda_grid": [1, 2, 3]}, "'lambda_grid' cannot take [1, 2, 3]"),
+        ({"tolerances": [1]}, "'tolerances' cannot take [1]"),
+        ({"seed": "x"}, "'seed' cannot take \"x\""),
+    ],
+    ids=["theta-number", "rank-null", "grid-list", "tolerances-list", "seed-string"],
+)
+def test_mistyped_config_value_is_refused_with_its_key(tmp_path, capsys, config, named):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["amplitudes", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad configuration: config key {named}\n"
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -504,6 +526,9 @@ def test_non_finite_config_file_value_is_refused(tmp_path, capsys):
 # bae command
 
 
+STATE = {"schema": 1, "rank": 2, "sites": 4, "theta": 0.3, "defect_sign": "+", "roots": [[]]}
+
+
 def _write_state(tmp_path, state, name="state.json"):
     path = tmp_path / name
     path.write_text(state.to_json())
@@ -533,6 +558,29 @@ def test_bae_malformed_state(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"schema": 1, "rank": 2}))
     assert main(["bae", str(path)]) == 2
+    assert capsys.readouterr().err == "error: cannot read state file: missing key 'sites'\n"
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("[1, 2]", "a state must be a JSON object, got list"),
+        ('"state"', "a state must be a JSON object, got str"),
+        (json.dumps({**STATE, "theta": None}), "theta must be a real number"),
+        (json.dumps({**STATE, "sites": [4]}), "sites must be an integer"),
+        (json.dumps({**STATE, "defect_level": "one"}), "defect_level must be an integer"),
+        (json.dumps({**STATE, "roots": 0.3}), "roots must be a list of levels"),
+    ],
+    ids=["list", "string", "theta-null", "sites-list", "defect-level-string", "roots-number"],
+)
+def test_bae_mistyped_state_file_is_refused(tmp_path, capsys, text, named):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["bae", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read state file: {named}")
+    assert captured.err.count("\n") == 1
 
 
 def test_bae_bad_defect_sign_is_named(tmp_path, capsys):
