@@ -177,7 +177,7 @@ def _factors(state: BetheState, level: int) -> list:
 
     - e_1 over each adjacent level's roots; the sites are level 0, one
       rapidity 0 to the power ``sites``;
-    - the impurity's one-sided factor at theta on ``defect_level``, level None;
+    - the impurity's one-sided factor at theta on ``defect_level`` (level None);
     - e_2 over the level's own roots, self-term included, as the divisor.
     """
     if not 1 <= level <= state.rank - 1:

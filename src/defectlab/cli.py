@@ -150,7 +150,8 @@ def _load_config(args) -> RunConfig:
                 try:
                     values[target] = convert(data[key]) if convert else data[key]
                 except (TypeError, ValueError, KeyError, AttributeError):
-                    raise ValueError(f"config key {key!r} cannot take {json.dumps(data[key])}") from None
+                    shown = json.dumps(data[key])
+                    raise ValueError(f"config key {key!r} cannot take {shown}") from None
         cfg = replace(cfg, **values)
     updates = {}
     for target, (_, _, attr, convert) in _SOURCES.items():
