@@ -8,7 +8,9 @@ that holds the case's input files, and records argv, the exit code, and the
 sha256 of stdout, of stderr and of every file the invocation wrote.  An
 exception that escapes ``main`` is recorded by its type name in place of
 the exit code; a Python warning is appended to stderr by category and
-message, without its source location.
+message, without its source location.  The sweep runs in a child process
+whose BLAS uses one thread: the 400-site solve factors a 400 x 400
+Jacobian, and a threaded BLAS rounds it differently with each thread count.
 
 ``cli_sweep.json`` holds the recorded digests together with the numpy
 version, the Python version and the platform that produced them, since a
@@ -27,6 +29,7 @@ import json
 import math
 import os
 import platform
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -258,10 +261,24 @@ def run_case(main, case: dict) -> dict:
     }
 
 
-def run_sweep() -> list[dict]:
+ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
+def _run_here() -> list[dict]:
     from defectlab.cli import main
 
     return [run_case(main, case) for case in INVOCATIONS]
+
+
+def run_sweep() -> list[dict]:
+    """Every invocation's record, from a child process with one-thread BLAS."""
+    child = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--emit"],
+        env={**os.environ, **ONE_THREAD}, capture_output=True, text=True,
+    )
+    if child.returncode != 0:
+        raise RuntimeError(f"the sweep's child process failed:\n{child.stderr}")
+    return json.loads(child.stdout)
 
 
 def load() -> dict:
@@ -282,6 +299,9 @@ def differences(recorded: list[dict], got: list[dict]) -> list[str]:
 
 def main() -> int:
     sys.path.insert(0, str(HERE.parent / "src"))
+    if "--emit" in sys.argv[1:]:
+        print(json.dumps(_run_here()))
+        return 0
     got = run_sweep()
     if "--write" in sys.argv[1:]:
         payload = {"environment": environment(), "invocations": got}
