@@ -1,6 +1,6 @@
 """Byte-identity sweep of the defectlab CLI.
 
-INVOCATIONS lists 119 CLI invocations: every check suite, ``check
+INVOCATIONS lists 144 CLI invocations: every check suite, ``check
 all`` at ranks 2-4, amplitude scans and density profiles in CSV and JSON,
 Bethe solves from state files, and the refusals.  The runner calls
 ``defectlab.cli.main`` in-process for each one, inside a scratch directory
@@ -155,6 +155,8 @@ INVOCATIONS = [
     # mistyped state files
     _case("bae", "state.json", files={"state.json": "[1, 2]"}),
     _case("bae", "state.json", files={"state.json": _state(2, 4, [PAIR], None, "+")}),
+    *(_case("bae", "state.json", files={"state.json": _state(*args, [PAIR], theta, "+")})
+      for args, theta in (((2.7, 4.9), 0.3), ((True, 4), 0.3), ((2, 4), "0.3"), ((2, 4), 10 ** 400))),
     # output files
     _case("check", "oscillator", "--fock-cutoff", "2", "-o", "report.json"),
     _case("amplitudes", "--grid", "-1", "1", "5", "--output", "scan.csv"),
@@ -170,6 +172,24 @@ INVOCATIONS = [
     *(_case("amplitudes", "--config", "bad.json", files={"bad.json": text}) for text in (
         '{"theta": 0.3}', '{"rank": null}', '{"lambda_grid": [1, 2, 3]}', '{"tolerances": [1]}',
     )),
+    # config values of another JSON type than their key's
+    *(_case("check", "oscillator", "--config", "bad.json", files={"bad.json": json.dumps(value)})
+      for value in ({"output": 5}, {"ordering": 5}, {"fock_cutoff": 2.5}, {"seed": 1.5},
+                    {"rank": "3"}, {"shift": "1"}, {"shift": 10 ** 400}, {"output": None},
+                    {"tolerances": {"ybe": True}})),
+    *(_case("amplitudes", *grid, "--config", "bad.json", files={"bad.json": json.dumps(value)})
+      for grid, value in (
+          (("--grid", "-1", "1", "3"), {"format": 5}),
+          (("--grid", "-1", "1", "3"), {"format": "JSON"}),
+          (("--grid", "-1", "1", "3"), {"format": None}),
+          ((), {"lambda_grid": {"min": -1, "max": 1, "count": 3.9}}),
+          ((), {"lambda_grid": {"min": -1, "max": 1, "count": 3, "step": 1}}),
+      )),
+    # flag and environment values that do not convert
+    _case("check", "ybe", env={"DEFECTLAB_SEED": "1.5"}),
+    _case("check", "ybe", "--seed", "1", "--tol", "ybe=abc"),
+    _case("amplitudes", "--grid", "0", "1", "3.5"),
+    _case("density", "--theta", "x", "--grid", "-1", "1", "3"),
     _case("check", "ybe", "--seed", "1", "--tol", "ybee=1e-3"),
     _case("check", "ybe", "--seed", "1", "--tol", "ybe"),
     _case("check", "ybe", "--seed", "1", "--tol", "ybe=-1"),
@@ -189,7 +209,7 @@ INVOCATIONS = [
     _case("density", "--sites", "50", "--grid", "-1", "1", "3"),
     _case("density", "--sign", "both"),
     _case(),
-    _case("check", "--help"),
+    *(_case(command, "--help") for command in ("check", "amplitudes", "bae", "density")),
 ]
 
 
