@@ -113,24 +113,48 @@ def _complex_pair(value) -> complex:
     return complex(re, im)
 
 
-# RunConfig field -> (config-file key, converter, flag attribute, converter);
-# a converter of None takes the value as it is, and --tol merges separately.
-# A subcommand that does not take a flag has no attribute for it.
-_SOURCES = {
-    "rank": ("rank", int, "rank", None),
-    "fock_cutoff": ("fock_cutoff", int, "fock_cutoff", None),
-    "chain_sites": ("chain_sites", int, "sites", None),
-    "theta": ("theta", _complex_pair, "theta", complex),
-    "lambda_grid": (
-        "lambda_grid", lambda g: (float(g["min"]), float(g["max"]), int(g["count"])),
-        "grid", lambda g: (float(g[0]), float(g[1]), int(g[2])),
-    ),
-    "tolerances": ("tolerances", lambda t: {k: float(v) for k, v in t.items()}, None, None),
-    "seed": ("seed", int, "seed", None),
-    "output": ("output", None, "output", None),
-    "fmt": ("format", None, "format", None),
-    "ordering": ("ordering", None, "ordering", None),
-    "shift": ("shift", float, "shift", None),
+def _same(value):
+    return value
+
+
+def _choice(*options) -> tuple:
+    return _same, dict(choices=options), None
+
+
+def _tolerance_flag(item: str) -> tuple:
+    name, _, value = item.partition("=")
+    if not value:
+        raise ValueError(f"--tol expects NAME=VALUE, got {item!r}")
+    return name, float(value)
+
+
+# a value kind: (strict reader of a config-file value, the flag's argparse
+# options, reader of what argparse parsed or None to take it as parsed)
+_INTEGER = int, dict(type=int), None
+_REAL = float, dict(type=float), None
+_TEXT = _same, {}, None
+_THETA = _complex_pair, dict(help="impurity rapidity, e.g. 0.3 or 0.3+0.2j"), complex
+_GRID = (lambda g: (float(g["min"]), float(g["max"]), int(g["count"])),
+         dict(nargs=3, metavar=("MIN", "MAX", "COUNT")),
+         lambda g: (float(g[0]), float(g[1]), int(g[2])))
+_TOLERANCES = (lambda t: {k: float(v) for k, v in t.items()},
+               dict(action="append", metavar="NAME=VALUE"),
+               lambda items: dict(map(_tolerance_flag, items)))
+
+# RunConfig field -> (config-file key, flag spellings, the subcommands that take
+# the flag, value kind, echoed in the check report), in flag registration order
+_SETTINGS = {
+    "rank": ("rank", ("--rank",), "check amplitudes density", _INTEGER, True),
+    "fock_cutoff": ("fock_cutoff", ("--fock-cutoff",), "check", _INTEGER, True),
+    "chain_sites": ("chain_sites", ("--sites",), "check", _INTEGER, True),
+    "theta": ("theta", ("--theta",), "check density", _THETA, True),
+    "lambda_grid": ("lambda_grid", ("--grid",), "amplitudes density", _GRID, False),
+    "tolerances": ("tolerances", ("--tol",), "check amplitudes bae", _TOLERANCES, False),
+    "seed": ("seed", ("--seed",), "check", _INTEGER, True),
+    "output": ("output", ("--output", "-o"), "check amplitudes bae density", _TEXT, False),
+    "fmt": ("format", ("--format",), "amplitudes density", _choice("json", "csv"), False),
+    "ordering": ("ordering", ("--ordering",), "check", _choice(lax.NORMAL, lax.ANTINORMAL), True),
+    "shift": ("shift", ("--shift",), "check", _REAL, True),
 }
 
 
@@ -141,31 +165,25 @@ def _load_config(args) -> RunConfig:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError("the config file must hold a JSON object")
-        unknown = sorted(set(data) - {key for key, _, _, _ in _SOURCES.values()})
+        unknown = sorted(set(data) - {key for key, *_ in _SETTINGS.values()})
         if unknown:
             raise ValueError(f"unknown config key {', '.join(map(repr, unknown))}")
         values = {}
-        for target, (key, convert, _, _) in _SOURCES.items():
+        for name, (key, _, _, (read, _, _), _) in _SETTINGS.items():
             if key in data:
                 try:
-                    values[target] = convert(data[key]) if convert else data[key]
+                    values[name] = read(data[key])
                 except (TypeError, ValueError, KeyError, AttributeError):
                     shown = json.dumps(data[key])
                     raise ValueError(f"config key {key!r} cannot take {shown}") from None
         cfg = replace(cfg, **values)
     updates = {}
-    for target, (_, _, attr, convert) in _SOURCES.items():
-        given = getattr(args, attr, None) if attr else None
+    for name, (_, flags, _, (_, _, from_flag), _) in _SETTINGS.items():
+        given = getattr(args, flags[0][2:].replace("-", "_"), None)  # argparse's dest
         if given is not None:
-            updates[target] = convert(given) if convert else given
-    if getattr(args, "tol", None):
-        tols = dict(cfg.tolerances)
-        for item in args.tol:
-            name, _, value = item.partition("=")
-            if not value:
-                raise ValueError(f"--tol expects NAME=VALUE, got {item!r}")
-            tols[name] = float(value)
-        updates["tolerances"] = tols
+            updates[name] = from_flag(given) if from_flag else given
+    if "tolerances" in updates:  # --tol adds to the file's tolerances
+        updates["tolerances"] = {**cfg.tolerances, **updates["tolerances"]}
     cfg = replace(cfg, **updates)
     if cfg.seed is None and os.environ.get("DEFECTLAB_SEED"):
         cfg = replace(cfg, seed=int(os.environ["DEFECTLAB_SEED"]))
@@ -192,15 +210,8 @@ def _write_csv(cfg: RunConfig, header: str, rows) -> None:
 
 
 def _config_echo(cfg: RunConfig) -> dict:
-    return {
-        "rank": cfg.rank,
-        "fock_cutoff": cfg.fock_cutoff,
-        "chain_sites": cfg.chain_sites,
-        "theta": [cfg.theta.real, cfg.theta.imag],
-        "seed": cfg.seed,
-        "ordering": cfg.ordering,
-        "shift": cfg.shift,
-    }
+    echo = {key: getattr(cfg, name) for name, (key, *_, echo) in _SETTINGS.items() if echo}
+    return {**echo, "theta": [cfg.theta.real, cfg.theta.imag]}
 
 
 # ---------------------------------------------------------------------------
@@ -463,29 +474,6 @@ def cmd_density(cfg: RunConfig, level: int, sign: str, sites: int, hole: float) 
 # argument plumbing
 
 
-# every flag a subcommand may take, in the order they are registered; each
-# subcommand takes --config, --output and the ones it reads, so argparse
-# refuses the rest
-_FLAGS = (
-    (("--config",), dict(help="JSON config file; flags override it")),
-    (("--rank",), dict(type=int)),
-    (("--fock-cutoff",), dict(type=int, dest="fock_cutoff")),
-    (("--sites",), dict(type=int)),
-    (("--theta",), dict(help="impurity rapidity, e.g. 0.3 or 0.3+0.2j")),
-    (("--grid",), dict(nargs=3, metavar=("MIN", "MAX", "COUNT"))),
-    (("--tol",), dict(action="append", metavar="NAME=VALUE")),
-    (("--seed",), dict(type=int)),
-    (("--output", "-o"), {}),
-    (("--format",), dict(choices=("json", "csv"))),
-)
-
-
-def _add_flags(sub, *names):
-    for flags, kwargs in _FLAGS:
-        if flags[0] in ("--config", "--output", *names):
-            sub.add_argument(*flags, **kwargs)
-
-
 class _NumberLiteral:
     """Stands in for argparse's negative-number pattern, which takes '-1e-3'
     or '-inf' for a flag: an argument that Python reads as a number is a
@@ -500,41 +488,33 @@ class _NumberLiteral:
         return True
 
 
-class _Parser(argparse.ArgumentParser):
-    # add_parser builds the subcommand parsers with this class too
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = _NumberLiteral
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="defectlab",
         description="certify the impurity chain operator identities and scan its amplitudes",
     )
+    parser._negative_number_matcher = _NumberLiteral
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_check = sub.add_parser("check", help="run a named check suite")
+    for command, text in (
+        ("check", "run a named check suite"),
+        ("amplitudes", "scan transmission amplitudes on a grid"),
+        ("bae", "solve the nested equations from a JSON state file"),
+        ("density", "single-hole density profile with the impurity"),
+    ):
+        p = sub.add_parser(command, help=text)
+        p._negative_number_matcher = _NumberLiteral
+        p.add_argument("--config", help="JSON config file; flags override it")
+        for _, flags, commands, (_, options, _), _ in _SETTINGS.values():
+            if command in commands.split():
+                p.add_argument(*flags, **options)
+    p_check, p_amp, p_bae, p_den = sub.choices.values()
     p_check.add_argument("suite", choices=[*SUITES, "all"])
-    _add_flags(p_check, "--rank", "--fock-cutoff", "--sites", "--theta", "--tol", "--seed")
-    p_check.add_argument("--ordering", choices=(lax.NORMAL, lax.ANTINORMAL))
-    p_check.add_argument("--shift", type=float)
-
-    p_amp = sub.add_parser("amplitudes", help="scan transmission amplitudes on a grid")
-    _add_flags(p_amp, "--rank", "--grid", "--tol", "--format")
     p_amp.add_argument("--sign", default="both", choices=("+", "-", "plus", "minus", "both"))
-
-    p_bae = sub.add_parser("bae", help="solve the nested equations from a JSON state file")
     p_bae.add_argument("input", help="BetheState JSON file")
-    _add_flags(p_bae, "--tol")
-
-    p_den = sub.add_parser("density", help="single-hole density profile with the impurity")
-    _add_flags(p_den, "--rank", "--theta", "--grid", "--format")
     p_den.add_argument("--level", type=int, default=1)
     p_den.add_argument("--sign", default="+", choices=("+", "-", "plus", "minus"))
     p_den.add_argument("--density-sites", type=int, default=100, dest="density_sites")
     p_den.add_argument("--hole", type=float, default=0.0)
-
     return parser
 
 
