@@ -42,8 +42,33 @@ class RootCollisionError(RuntimeError):
     """Two roots (or a root and a pole) closer than the collision guard."""
 
 
-def _root_levels(levels) -> tuple:
-    return tuple(np.array([complex(re, im) for re, im in lv], dtype=COMPLEX) for lv in levels)
+def _json(value, *types):
+    """value if its type is one of types, else TypeError: the strict JSON reader, in
+    which a bool is no integer, a string no number, and no float is truncated."""
+    if type(value) not in types:
+        raise TypeError(value)
+    return value
+
+
+def _integer(value) -> int:
+    return _json(value, int)
+
+
+def _real(value) -> float:
+    return float(_json(value, int, float))
+
+
+def _pair(value) -> complex:
+    re, im = _json(value, list)
+    return complex(_real(re), _real(im))
+
+
+def _read(read, value, message: str):
+    """read(value), or a ValueError with the message if it cannot."""
+    try:
+        return read(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(message) from None
 
 
 @dataclass
@@ -101,17 +126,15 @@ class BetheState:
         if data.get("schema") != 1:
             raise ValueError(f"unsupported schema {data.get('schema')!r}")
         data, fields = {"defect_level": 1, **data}, {}
-        for key, convert, what in (
-            ("rank", int, "an integer"), ("sites", int, "an integer"),
-            ("theta", float, "a real number"), ("defect_level", int, "an integer"),
-            ("roots", _root_levels, "a list of levels, each a list of [re, im] pairs"),
+        for key, read, what in (
+            ("rank", _integer, "an integer"), ("sites", _integer, "an integer"),
+            ("theta", _real, "a real number"), ("defect_level", _integer, "an integer"),
+            ("roots", lambda levels: [[_pair(z) for z in lv] for lv in levels],
+             "a list of levels, each a list of [re, im] pairs"),
         ):
             if key not in data:
                 raise ValueError(f"missing key {key!r}")
-            try:
-                fields[key] = convert(data[key])
-            except (TypeError, ValueError):
-                raise ValueError(f"{key} must be {what}") from None
+            fields[key] = _read(read, data[key], f"{key} must be {what}")
         return cls(defect_sign=data.get("defect_sign"), **fields)
 
     @classmethod

@@ -73,7 +73,7 @@ class RunConfig:
                             ("lambda grid min", lo), ("lambda grid max", hi)):
             if not cmath.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if int(count) < 2:
+        if count < 2:
             raise ValueError("lambda grid needs at least 2 points")
         for name, value in self.tolerances.items():
             if name not in DEFAULT_TOLERANCES:
@@ -89,8 +89,7 @@ class RunConfig:
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
 
     def grid(self) -> np.ndarray:
-        lo, hi, count = self.lambda_grid
-        return np.linspace(float(lo), float(hi), int(count))
+        return np.linspace(*self.lambda_grid)
 
     def lax_spec(self) -> lax.LaxSpec:
         return lax.LaxSpec(self.rank, lax.VARIANT_L, self.ordering, self.shift)
@@ -108,36 +107,36 @@ class RunConfig:
         return FockSpace(self.rank - 1, self.fock_cutoff)
 
 
-def _complex_pair(value) -> complex:
-    re, im = value
-    return complex(re, im)
-
-
-def _same(value):
-    return value
+def _grid(value) -> tuple:
+    if sorted(bethe._json(value, dict)) != ["count", "max", "min"]:
+        raise ValueError(value)
+    return bethe._real(value["min"]), bethe._real(value["max"]), bethe._integer(value["count"])
 
 
 def _choice(*options) -> tuple:
-    return _same, dict(choices=options), None
+    return (lambda value: options[options.index(value)]), dict(choices=options), None
+
+
+def _grid_flag(texts) -> tuple:
+    parts = zip((float, float, int), texts, ("MIN", "MAX", "COUNT"))
+    return tuple(bethe._read(read, t, f"--grid {p} cannot take {t!r}") for read, t, p in parts)
 
 
 def _tolerance_flag(item: str) -> tuple:
     name, _, value = item.partition("=")
     if not value:
         raise ValueError(f"--tol expects NAME=VALUE, got {item!r}")
-    return name, float(value)
+    return name, bethe._read(float, value, f"--tol {name} cannot take {value!r}")
 
 
 # a value kind: (strict reader of a config-file value, the flag's argparse
 # options, reader of what argparse parsed or None to take it as parsed)
-_INTEGER = int, dict(type=int), None
-_REAL = float, dict(type=float), None
-_TEXT = _same, {}, None
-_THETA = _complex_pair, dict(help="impurity rapidity, e.g. 0.3 or 0.3+0.2j"), complex
-_GRID = (lambda g: (float(g["min"]), float(g["max"]), int(g["count"])),
-         dict(nargs=3, metavar=("MIN", "MAX", "COUNT")),
-         lambda g: (float(g[0]), float(g[1]), int(g[2])))
-_TOLERANCES = (lambda t: {k: float(v) for k, v in t.items()},
+_INTEGER = bethe._integer, dict(type=int), None
+_REAL = bethe._real, dict(type=float), None
+_TEXT = (lambda value: bethe._json(value, str)), {}, None
+_THETA = bethe._pair, dict(type=complex, help="impurity rapidity, e.g. 0.3 or 0.3+0.2j"), None
+_GRID = _grid, dict(nargs=3, metavar=("MIN", "MAX", "COUNT")), _grid_flag
+_TOLERANCES = (lambda t: {k: bethe._real(v) for k, v in bethe._json(t, dict).items()},
                dict(action="append", metavar="NAME=VALUE"),
                lambda items: dict(map(_tolerance_flag, items)))
 
@@ -171,11 +170,8 @@ def _load_config(args) -> RunConfig:
         values = {}
         for name, (key, _, _, (read, _, _), _) in _SETTINGS.items():
             if key in data:
-                try:
-                    values[name] = read(data[key])
-                except (TypeError, ValueError, KeyError, AttributeError):
-                    shown = json.dumps(data[key])
-                    raise ValueError(f"config key {key!r} cannot take {shown}") from None
+                message = f"config key {key!r} cannot take {json.dumps(data[key])}"
+                values[name] = bethe._read(read, data[key], message)
         cfg = replace(cfg, **values)
     updates = {}
     for name, (_, flags, _, (_, _, from_flag), _) in _SETTINGS.items():
@@ -185,8 +181,9 @@ def _load_config(args) -> RunConfig:
     if "tolerances" in updates:  # --tol adds to the file's tolerances
         updates["tolerances"] = {**cfg.tolerances, **updates["tolerances"]}
     cfg = replace(cfg, **updates)
-    if cfg.seed is None and os.environ.get("DEFECTLAB_SEED"):
-        cfg = replace(cfg, seed=int(os.environ["DEFECTLAB_SEED"]))
+    seed = os.environ.get("DEFECTLAB_SEED")
+    if cfg.seed is None and seed:
+        cfg = replace(cfg, seed=bethe._read(int, seed, f"DEFECTLAB_SEED cannot take {seed!r}"))
     return cfg
 
 

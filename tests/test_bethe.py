@@ -100,8 +100,13 @@ def test_from_dict_rejects_flat_root_levels():
         ({"schema": 1, "rank": 2, "theta": 0.0, "roots": [[]]}, "missing key 'sites'"),
         ({"schema": 1, "rank": 2, "sites": 4, "theta": None, "roots": [[]]}, "theta must be a real"),
         ({"schema": 1, "rank": "2x", "sites": 4, "theta": 0.0, "roots": [[]]}, "rank must be an integer"),
+        ({"schema": 1, "rank": 2.7, "sites": 4, "theta": 0.0, "roots": [[]]}, "rank must be an integer"),
+        ({"schema": 1, "rank": 2, "sites": 4.9, "theta": 0.0, "roots": [[]]}, "sites must be an integer"),
+        ({"schema": 1, "rank": True, "sites": 4, "theta": 0.0, "roots": [[]]}, "rank must be an integer"),
+        ({"schema": 1, "rank": 2, "sites": 4, "theta": "0.3", "roots": [[]]}, "theta must be a real"),
     ],
-    ids=["not-an-object", "missing-key", "mistyped-theta", "mistyped-rank"],
+    ids=["not-an-object", "missing-key", "mistyped-theta", "mistyped-rank", "float-rank",
+         "float-sites", "bool-rank", "string-theta"],
 )
 def test_from_dict_names_the_missing_or_mistyped_key(data, named):
     with pytest.raises(ValueError, match=named):

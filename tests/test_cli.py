@@ -302,16 +302,69 @@ def test_bad_config_file(tmp_path, capsys):
         ({"lambda_grid": [1, 2, 3]}, "'lambda_grid' cannot take [1, 2, 3]"),
         ({"tolerances": [1]}, "'tolerances' cannot take [1]"),
         ({"seed": "x"}, "'seed' cannot take \"x\""),
+        ({"output": 5}, "'output' cannot take 5"),
+        ({"output": None}, "'output' cannot take null"),
+        ({"format": 5}, "'format' cannot take 5"),
+        ({"format": "JSON"}, "'format' cannot take \"JSON\""),
+        ({"ordering": 5}, "'ordering' cannot take 5"),
+        ({"fock_cutoff": 2.5}, "'fock_cutoff' cannot take 2.5"),
+        ({"seed": 1.5}, "'seed' cannot take 1.5"),
+        ({"rank": "3"}, "'rank' cannot take \"3\""),
+        ({"shift": 10 ** 400}, f"'shift' cannot take {10 ** 400}"),
+        ({"lambda_grid": {"min": -1, "max": 1, "count": 3.9}},
+         "'lambda_grid' cannot take {\"min\": -1, \"max\": 1, \"count\": 3.9}"),
+        ({"lambda_grid": {"min": -1, "max": 1, "count": 3, "step": 1}},
+         "'lambda_grid' cannot take {\"min\": -1, \"max\": 1, \"count\": 3, \"step\": 1}"),
+        ({"tolerances": {"ybe": True}}, "'tolerances' cannot take {\"ybe\": true}"),
     ],
-    ids=["theta-number", "rank-null", "grid-list", "tolerances-list", "seed-string"],
+    ids=["theta-number", "rank-null", "grid-list", "tolerances-list", "seed-string",
+         "output-number", "output-null", "format-number", "format-upper-case", "ordering-number",
+         "cutoff-float", "seed-float", "rank-string", "shift-overflow", "grid-count-float",
+         "grid-extra-key", "tolerance-bool"],
 )
-def test_mistyped_config_value_is_refused_with_its_key(tmp_path, capsys, config, named):
+def test_mistyped_config_value_is_refused_with_its_key(
+    tmp_path, capsys, monkeypatch, config, named
+):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
+    opened, real_open = [], open
+
+    def config_only_open(file, *args, **kwargs):
+        opened.append(file)
+        if file != str(path):  # {"output": 5} must not reach descriptor 5
+            raise OSError(f"opened {file!r}")
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", config_only_open)
     assert main(["amplitudes", "--config", str(path)]) == 2
+    assert opened == [str(path)]
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: bad configuration: config key {named}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, seed, named",
+    [
+        (["check", "ybe"], "1.5", "error: bad configuration: DEFECTLAB_SEED cannot take '1.5'"),
+        (["check", "ybe", "--seed", "1", "--tol", "ybe=abc"], None,
+         "error: bad configuration: --tol ybe cannot take 'abc'"),
+        (["amplitudes", "--grid", "0", "1", "3.5"], None,
+         "error: bad configuration: --grid COUNT cannot take '3.5'"),
+        (["density", "--theta", "x"], None, "argument --theta: invalid complex value: 'x'"),
+    ],
+    ids=["seed-variable", "tol-flag", "grid-flag", "theta-flag"],
+)
+def test_value_that_does_not_convert_is_refused_with_its_source(
+    capsys, monkeypatch, argv, seed, named
+):
+    monkeypatch.delenv("DEFECTLAB_SEED", raising=False)
+    if seed is not None:
+        monkeypatch.setenv("DEFECTLAB_SEED", seed)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"{named}\n") and captured.err.count("error") == 1
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -570,8 +623,14 @@ def test_bae_malformed_state(tmp_path, capsys):
         (json.dumps({**STATE, "sites": [4]}), "sites must be an integer"),
         (json.dumps({**STATE, "defect_level": "one"}), "defect_level must be an integer"),
         (json.dumps({**STATE, "roots": 0.3}), "roots must be a list of levels"),
+        (json.dumps({**STATE, "rank": 2.7}), "rank must be an integer"),
+        (json.dumps({**STATE, "sites": 4.9}), "sites must be an integer"),
+        (json.dumps({**STATE, "rank": True}), "rank must be an integer"),
+        (json.dumps({**STATE, "theta": "0.3"}), "theta must be a real number"),
+        (json.dumps({**STATE, "theta": 10 ** 400}), "theta must be a real number"),
     ],
-    ids=["list", "string", "theta-null", "sites-list", "defect-level-string", "roots-number"],
+    ids=["list", "string", "theta-null", "sites-list", "defect-level-string", "roots-number",
+         "rank-float", "sites-float", "rank-bool", "theta-string", "theta-overflow"],
 )
 def test_bae_mistyped_state_file_is_refused(tmp_path, capsys, text, named):
     path = tmp_path / "bad.json"
