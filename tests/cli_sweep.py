@@ -1,6 +1,6 @@
 """Byte-identity sweep of the defectlab CLI.
 
-INVOCATIONS lists 144 CLI invocations: every check suite, ``check
+INVOCATIONS lists 147 CLI invocations: every check suite, ``check
 all`` at ranks 2-4, amplitude scans and density profiles in CSV and JSON,
 Bethe solves from state files, and the refusals.  The runner calls
 ``defectlab.cli.main`` in-process for each one, inside a scratch directory
@@ -157,6 +157,12 @@ INVOCATIONS = [
     _case("bae", "state.json", files={"state.json": _state(2, 4, [PAIR], None, "+")}),
     *(_case("bae", "state.json", files={"state.json": _state(*args, [PAIR], theta, "+")})
       for args, theta in (((2.7, 4.9), 0.3), ((True, 4), 0.3), ((2, 4), "0.3"), ((2, 4), 10 ** 400))),
+    # a misspelt key and a schema of another JSON type
+    _case("bae", "state.json", files={"state.json": _state(3, 6, NESTED, -0.4, "-", level=2)
+                                      .replace('"defect_level"', '"defect_levle"')}),
+    *(_case("bae", "state.json",
+            files={"state.json": _state(2, 4, [PAIR], 0.3, "+").replace('"schema": 1', schema)})
+      for schema in ('"schema": true', '"schema": 1.0')),
     # output files
     _case("check", "oscillator", "--fock-cutoff", "2", "-o", "report.json"),
     _case("amplitudes", "--grid", "-1", "1", "5", "--output", "scan.csv"),
