@@ -13,6 +13,7 @@ sub-cutoff block, where truncation is exact.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 from typing import Sequence
@@ -348,7 +349,7 @@ def check_highest_weight(
     off-diagonal vacuum expectations, and its diagonal vacuum weights match
     the product of local weights."""
     n = chain.rank
-    fock = chain.fock()
+    fock = chain.fock
     omega = lax.chain_vacuum(chain)
     worst = 0.0
     for j in range(1, fock.species + 1):
@@ -497,10 +498,9 @@ def faithful_columns(chain: ChainSpec, margin: int = 2) -> np.ndarray:
     margin below the cutoff.  Operator products inserting at most margin
     raising operators act on these columns exactly as in the untruncated
     theory."""
-    fock = chain.fock()
-    dims = chain.slot_dims()
-    pre = int(np.prod(dims[: chain.defect_site - 1], dtype=np.int64))
-    post = int(np.prod(dims[chain.defect_site :], dtype=np.int64))
+    fock = chain.fock
+    pre = math.prod(chain.dims[1 : chain.defect_site])
+    post = math.prod(chain.dims[chain.defect_site + 1 :])
     keep = fock.sub_cutoff_indices(margin)
     if len(keep) == 0:
         raise ValueError(
@@ -526,7 +526,7 @@ def check_transfer_commute(
     commutator must vanish; outside them the cutoff shell pollutes it.  Both
     the commutator and its scale are computed on those columns alone."""
     cols = faithful_columns(chain, 2)
-    q = chain.fock().dim * chain.rank ** chain.sites
+    q = math.prod(chain.dims[1:])
     require_budget((chain.rank * q, len(cols)), "monodromy block")  # before x is built
     x = np.zeros((q, len(cols)), dtype=COMPLEX)
     x[cols, np.arange(len(cols))] = 1.0

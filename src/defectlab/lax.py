@@ -27,7 +27,7 @@ Both build the local factors at lambda once per call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,7 +68,11 @@ class LaxSpec:
 @dataclass(frozen=True)
 class ChainSpec:
     """An inhomogeneous chain: ``sites`` bulk fundamental sites plus one
-    defect, the defect occupying slot ``defect_site`` in 1..sites+1."""
+    defect, the defect occupying slot ``defect_site`` in 1..sites+1.
+
+    ``fock`` is the defect's Fock space and ``dims`` the dimensions of
+    auxiliary (x) slot_1 (x) ... (x) slot_{sites+1}: the Fock dimension at
+    the defect, rank elsewhere.  Both are built once, with the spec."""
 
     rank: int
     sites: int
@@ -76,6 +80,8 @@ class ChainSpec:
     defect_site: int = 1
     theta: complex = 0j
     lax: LaxSpec | None = None
+    fock: FockSpace = field(init=False, compare=False, repr=False)
+    dims: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.rank < 2:
@@ -90,15 +96,11 @@ class ChainSpec:
             object.__setattr__(self, "lax", LaxSpec(self.rank))
         elif self.lax.rank != self.rank:
             raise ValueError("lax.rank disagrees with chain rank")
-
-    def fock(self) -> FockSpace:
-        return FockSpace(self.rank - 1, self.fock_cutoff)
-
-    def slot_dims(self) -> list:
-        """Dimensions of slots 1..sites+1: the Fock space at the defect,
-        rank elsewhere."""
-        d = math.comb(self.fock_cutoff + self.rank - 1, self.rank - 1)
-        return [d if p == self.defect_site else self.rank for p in range(1, self.sites + 2)]
+        fock = FockSpace(self.rank - 1, self.fock_cutoff)
+        object.__setattr__(self, "fock", fock)
+        object.__setattr__(self, "dims", (self.rank,) + tuple(
+            fock.dim if p == self.defect_site else self.rank for p in range(1, self.sites + 2)
+        ))
 
 
 def r_matrix(rank: int, lam) -> np.ndarray:
@@ -279,20 +281,18 @@ def crossed_transmission_matrix(rank: int, fock: FockSpace, lam) -> np.ndarray:
 # monodromy
 
 
-def _local_factors(chain: ChainSpec, lam) -> tuple:
-    """(dims, factors): the dimensions of auxiliary (x) slot_1 (x) ... and the
-    monodromy's local factor of each slot, slot 1 first.  The defect slot
-    carries the Lax operator at lambda - theta, every bulk slot the same
+def _local_factors(chain: ChainSpec, lam) -> list:
+    """The monodromy's local factor of each slot, slot 1 first.  The defect
+    slot carries the Lax operator at lambda - theta, every bulk slot the same
     R-matrix at lambda."""
     bulk = r_matrix(chain.rank, lam) if chain.sites else None
-    defect = defect_lax(chain.lax, chain.fock(), complex(lam) - chain.theta)
-    factors = [defect if p == chain.defect_site else bulk for p in range(1, chain.sites + 2)]
-    return [chain.rank] + chain.slot_dims(), factors
+    defect = defect_lax(chain.lax, chain.fock, complex(lam) - chain.theta)
+    return [defect if p == chain.defect_site else bulk for p in range(1, chain.sites + 2)]
 
 
-def _apply_factors(dims, factors, x) -> np.ndarray:
+def _apply_factors(chain: ChainSpec, factors, x) -> np.ndarray:
     for p, factor in enumerate(factors, 1):
-        x = apply_local(factor, x, dims, (0, p))
+        x = apply_local(factor, x, chain.dims, (0, p))
     return x
 
 
@@ -302,7 +302,7 @@ def monodromy(chain: ChainSpec, lam, x) -> np.ndarray:
 
     The monodromy is the ordered product over slots sites+1 down to 1, so
     the slot-1 factor acts first."""
-    return _apply_factors(*_local_factors(chain, lam), x)
+    return _apply_factors(chain, _local_factors(chain, lam), x)
 
 
 def transfer(chain: ChainSpec, lam, x) -> np.ndarray:
@@ -313,29 +313,20 @@ def transfer(chain: ChainSpec, lam, x) -> np.ndarray:
     n = chain.rank
     q, m = np.shape(x)
     require_budget((n * q, m), "monodromy block")
-    dims, factors = _local_factors(chain, lam)
+    factors = _local_factors(chain, lam)
     out = np.zeros((q, m), dtype=COMPLEX)
     for k in range(n):
         cols = np.zeros((n, q, m), dtype=COMPLEX)
         cols[k] = x
-        out += _apply_factors(dims, factors, cols.reshape(n * q, m))[k * q : (k + 1) * q]
+        out += _apply_factors(chain, factors, cols.reshape(n * q, m))[k * q : (k + 1) * q]
     return out
 
 
 def chain_vacuum(chain: ChainSpec) -> np.ndarray:
-    """Tensor product of site highest-weight vectors and the Fock vacuum."""
-    n = chain.rank
-    fock = chain.fock()
-    vecs = []
-    for p in range(1, chain.sites + 2):
-        if p == chain.defect_site:
-            vecs.append(fock.vacuum())
-        else:
-            e1 = np.zeros(n, dtype=COMPLEX)
-            e1[0] = 1.0
-            vecs.append(e1)
-    out = vecs[0]
-    for v in vecs[1:]:
-        out = np.kron(out, v)
+    """The reference state: the Fock vacuum (basis state 0) at the defect
+    and the highest-weight vector e_1 at every bulk site."""
+    slots, bulk = chain.dims[1:], 0
+    state = [0 if p == chain.defect_site else bulk for p in range(1, chain.sites + 2)]
+    out = np.zeros(math.prod(slots), dtype=COMPLEX)
+    out[np.ravel_multi_index(state, slots)] = 1.0
     return out
-

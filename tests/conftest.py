@@ -29,7 +29,7 @@ def _kron_embed(op, dims, slots):
 def _dense_monodromy(chain, lam):
     """Monodromy as the dense product of kron-embedded local factors, the
     slot-1 factor rightmost."""
-    fock = chain.fock()
+    fock = chain.fock
     dims = [chain.rank] + [
         fock.dim if p == chain.defect_site else chain.rank for p in range(1, chain.sites + 2)
     ]

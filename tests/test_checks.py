@@ -280,6 +280,21 @@ def test_transfer_commute_passes():
         assert rep.passed, rep.residual
 
 
+def test_chain_builds_its_fock_space_once(monkeypatch):
+    chain = ChainSpec(rank=3, sites=1, fock_cutoff=3, defect_site=2, theta=0.2)
+    built = []
+    init = FockSpace.__init__
+    monkeypatch.setattr(
+        FockSpace, "__init__", lambda self, *args: built.append(args) or init(self, *args)
+    )
+    vac = chain_vacuum(chain)
+    lax.monodromy(chain, 0.3, np.kron(np.eye(3)[:, [0]], vac[:, None]))
+    transfer(chain, 0.3, vac[:, None])
+    assert check_highest_weight(chain).passed
+    assert check_transfer_commute(chain, 0.6 + 0.3j, -0.9 + 0.1j).passed
+    assert built == []
+
+
 def test_transfer_commute_restriction_not_vacuous(monkeypatch):
     # on the full truncated space the commutator picks up the cutoff shell;
     # the faithful-column restriction is what makes the identity exact
@@ -304,7 +319,7 @@ def test_transfer_commute_restriction_not_vacuous(monkeypatch):
 
 def test_faithful_columns_membership():
     chain = ChainSpec(rank=2, sites=1, fock_cutoff=3, defect_site=2)
-    fock = chain.fock()
+    fock = chain.fock
     cols = faithful_columns(chain, 2)
     # quantum space is site (dim 2) x Fock; occupation of kept columns <= 1
     for c in cols:

@@ -261,7 +261,7 @@ def test_chain_spec_validation():
 
 
 def _full_monodromy(chain, lam):
-    dim = chain.rank * int(np.prod(chain.slot_dims()))
+    dim = int(np.prod(chain.dims))
     return monodromy(chain, lam, np.eye(dim))
 
 
@@ -269,13 +269,13 @@ def test_monodromy_sites0_is_defect_lax():
     chain = ChainSpec(rank=2, sites=0, fock_cutoff=3, theta=0.2)
     lam = 0.7 - 0.1j
     got = _full_monodromy(chain, lam)
-    expected = l_matrix(chain.lax, chain.fock(), lam - chain.theta)
+    expected = l_matrix(chain.lax, chain.fock, lam - chain.theta)
     assert np.allclose(got, expected)
 
 
 def test_monodromy_sites1_explicit_product():
     chain = ChainSpec(rank=2, sites=1, fock_cutoff=2, defect_site=1, theta=0.1)
-    fock = chain.fock()
+    fock = chain.fock
     lam = 0.5
     dims = [fock.dim, 2]
     expected = embed_pair(r_matrix(2, lam), 2, dims, 2) @ embed_pair(
@@ -314,7 +314,7 @@ def test_monodromy_aux_block():
     # sites 0: the monodromy is L, whose auxiliary (1,2) block is i a^(1);
     # column block 2 is the monodromy applied to e_2 (x) 1
     chain = ChainSpec(rank=2, sites=0, fock_cutoff=2)
-    fock = chain.fock()
+    fock = chain.fock
     cols = monodromy(chain, 0.4, np.kron(np.eye(2)[:, [1]], np.eye(fock.dim)))
     assert np.allclose(cols[: fock.dim], 1j * fock.annihilator(1))
 
