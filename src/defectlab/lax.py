@@ -233,30 +233,18 @@ def nbar_op(fock: FockSpace, rank: int) -> np.ndarray:
     return fock.number_op(ANTINORMAL) + (rank / 2 - 1.5) * np.eye(fock.dim, dtype=COMPLEX)
 
 
-def transmission_matrix(
-    rank: int,
-    fock: FockSpace,
-    lam,
-    include_prefactor: bool = True,
-) -> np.ndarray:
+def transmission_matrix(rank: int, fock: FockSpace, lam) -> np.ndarray:
     """Transmission matrix for right-movers on auxiliary (x) Fock."""
     lam = complex(lam)
     n = rank
     eye_f = np.eye(fock.dim, dtype=COMPLEX)
     nbar = nbar_op(fock, rank)
     out = _oscillator_operator(n, fock, 1j * lam * eye_f + eye_f + nbar, 1, reverse=False)
-    if include_prefactor:
-        denom = guard_nonzero(1j * lam + n / 2 - 0.5, what="transmission prefactor denominator")
-        out = (transmission_amplitude(rank, "-", lam) / denom) * out
-    return out
+    denom = guard_nonzero(1j * lam + n / 2 - 0.5, what="transmission prefactor denominator")
+    return (transmission_amplitude(rank, "-", lam) / denom) * out
 
 
-def conjugate_transmission_matrix(
-    rank: int,
-    fock: FockSpace,
-    lam,
-    include_prefactor: bool = True,
-) -> np.ndarray:
+def conjugate_transmission_matrix(rank: int, fock: FockSpace, lam) -> np.ndarray:
     """Transmission matrix for left-movers; reversed auxiliary indices."""
     lam = complex(lam)
     n = rank
@@ -264,9 +252,7 @@ def conjugate_transmission_matrix(
     nbar = nbar_op(fock, rank)
     head = (-1j * lam - n / 2 + 1) * eye_f + nbar
     out = _oscillator_operator(n, fock, head, 1, reverse=True)
-    if include_prefactor:
-        out = transmission_amplitude(rank, "+", lam) * out
-    return out
+    return transmission_amplitude(rank, "+", lam) * out
 
 
 def crossed_transmission_matrix(rank: int, fock: FockSpace, lam) -> np.ndarray:

@@ -239,8 +239,6 @@ def test_transmission_algebra_direct_and_conjugate():
         for conjugate in (False, True):
             rep = check_transmission_algebra(rank, fock, l1, l2, conjugate=conjugate)
             assert rep.passed, (rank, conjugate, rep.residual)
-            bare = dict(rep.parameters)["residual_without_prefactor"]
-            assert bare <= rep.tolerance
 
 
 def test_transmission_algebra_scalar_rescaling_invariance(monkeypatch):

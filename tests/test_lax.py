@@ -186,31 +186,41 @@ def test_transmission_amplitude_refuses_nan_by_name():
 
 
 def test_transmission_matrix_structure():
+    # blocks relative to c, the (2,2) block's first entry, so the test holds
+    # for any scalar prefactor: the spectral parameter appears only in the
+    # (1,1) auxiliary block, c a^(j-1) sits in block (1,j), its adjoint in (j,1)
     rank = 3
     fock = FockSpace(rank - 1, 3)
-    lam = 0.4
-    t = transmission_matrix(rank, fock, lam, include_prefactor=False)
+    t = transmission_matrix(rank, fock, 0.4)
     d = fock.dim
-    # the spectral parameter appears only in the (1,1) auxiliary block
+    t = t / t[d, d]
     for j in range(2, rank + 1):
-        blk = t[(j - 1) * d : j * d, (j - 1) * d : j * d]
-        assert np.allclose(blk, np.eye(d))
-    assert np.allclose(t[:d, d : 2 * d], fock.annihilator(1))
+        a = fock.annihilator(j - 1)
+        assert np.allclose(t[(j - 1) * d : j * d, (j - 1) * d : j * d], np.eye(d))
+        assert np.allclose(t[:d, (j - 1) * d : j * d], a)
+        assert np.allclose(t[(j - 1) * d : j * d, :d], a.conj().T)
 
 
 def test_conjugate_transmission_zero_pattern():
-    # without prefactor: nonzero auxiliary blocks only on the diagonal and in
-    # row/column `rank`
+    # relative to c, the (1,1) block's first entry: nonzero auxiliary blocks
+    # only on the diagonal and in row/column `rank`, with c in diagonal block
+    # jbar = rank+1-j, c a^(j-1) in block (jbar, rank) and its adjoint in (rank, jbar)
     rank = 3
     fock = FockSpace(rank - 1, 3)
-    t = conjugate_transmission_matrix(rank, fock, 0.3, include_prefactor=False)
+    t = conjugate_transmission_matrix(rank, fock, 0.3)
     d = fock.dim
+    t = t / t[0, 0]
+    blk = lambda k, l: t[(k - 1) * d : k * d, (l - 1) * d : l * d]
     for k in range(1, rank + 1):
         for l in range(1, rank + 1):
-            blk = t[(k - 1) * d : k * d, (l - 1) * d : l * d]
             if k == l or k == rank or l == rank:
                 continue
-            assert np.max(np.abs(blk)) == 0.0
+            assert np.max(np.abs(blk(k, l))) == 0.0
+    for j in range(2, rank + 1):
+        jbar, a = rank + 1 - j, fock.annihilator(j - 1)
+        assert np.allclose(blk(jbar, jbar), np.eye(d))
+        assert np.allclose(blk(jbar, rank), a)
+        assert np.allclose(blk(rank, jbar), a.conj().T)
 
 
 def test_crossed_transmission_runs():
