@@ -97,10 +97,9 @@ class ChainSpec:
         elif self.lax.rank != self.rank:
             raise ValueError("lax.rank disagrees with chain rank")
         fock = FockSpace(self.rank - 1, self.fock_cutoff)
+        dims = tuple(fock.dim if p == self.defect_site else self.rank for p in range(self.sites + 2))
         object.__setattr__(self, "fock", fock)
-        object.__setattr__(self, "dims", (self.rank,) + tuple(
-            fock.dim if p == self.defect_site else self.rank for p in range(1, self.sites + 2)
-        ))
+        object.__setattr__(self, "dims", dims)
 
 
 def r_matrix(rank: int, lam) -> np.ndarray:
