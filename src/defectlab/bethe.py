@@ -120,18 +120,23 @@ class BetheState:
 
     @classmethod
     def from_dict(cls, data) -> "BetheState":
-        """A ValueError names the key that is missing or of the wrong type."""
+        """A ValueError names the key that is missing, unknown or of the wrong type."""
         if not isinstance(data, dict):
             raise ValueError(f"a state must be a JSON object, got {type(data).__name__}")
-        if data.get("schema") != 1:
-            raise ValueError(f"unsupported schema {data.get('schema')!r}")
-        data, fields = {"defect_level": 1, **data}, {}
-        for key, read, what in (
+        schema = data.get("schema")
+        if type(schema) is not int or schema != 1:
+            raise ValueError(f"unsupported schema {schema!r}")
+        readers = (
             ("rank", _integer, "an integer"), ("sites", _integer, "an integer"),
             ("theta", _real, "a real number"), ("defect_level", _integer, "an integer"),
             ("roots", lambda levels: [[_pair(z) for z in lv] for lv in levels],
              "a list of levels, each a list of [re, im] pairs"),
-        ):
+        )
+        unknown = sorted(set(data) - {"schema", "defect_sign"} - {key for key, *_ in readers})
+        if unknown:
+            raise ValueError(f"unknown key {', '.join(map(repr, unknown))}")
+        data, fields = {"defect_level": 1, **data}, {}
+        for key, read, what in readers:
             if key not in data:
                 raise ValueError(f"missing key {key!r}")
             fields[key] = _read(read, data[key], f"{key} must be {what}")

@@ -220,8 +220,7 @@ def _sample_pairs(rng, count, separation=0.02, avoid_diff=()):
     difference sits near a listed special point."""
     pairs = []
     while len(pairs) < count:
-        a = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        b = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        a, b = checks.sample_points(rng, 2)
         if all(abs(a - b - s) >= separation for s in (0.0, *avoid_diff)):
             pairs.append((a, b))
     return pairs

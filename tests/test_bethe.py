@@ -104,9 +104,13 @@ def test_from_dict_rejects_flat_root_levels():
         ({"schema": 1, "rank": 2, "sites": 4.9, "theta": 0.0, "roots": [[]]}, "sites must be an integer"),
         ({"schema": 1, "rank": True, "sites": 4, "theta": 0.0, "roots": [[]]}, "rank must be an integer"),
         ({"schema": 1, "rank": 2, "sites": 4, "theta": "0.3", "roots": [[]]}, "theta must be a real"),
+        ({"schema": 1, "rank": 2, "sites": 4, "theta": 0.0, "roots": [[]], "defect_levle": 2},
+         "unknown key 'defect_levle'"),
+        ({"schema": True, "rank": 2, "sites": 4, "theta": 0.0, "roots": [[]]}, "unsupported schema True"),
+        ({"schema": 1.0, "rank": 2, "sites": 4, "theta": 0.0, "roots": [[]]}, "unsupported schema 1.0"),
     ],
     ids=["not-an-object", "missing-key", "mistyped-theta", "mistyped-rank", "float-rank",
-         "float-sites", "bool-rank", "string-theta"],
+         "float-sites", "bool-rank", "string-theta", "misspelt-key", "bool-schema", "float-schema"],
 )
 def test_from_dict_names_the_missing_or_mistyped_key(data, named):
     with pytest.raises(ValueError, match=named):

@@ -628,9 +628,13 @@ def test_bae_malformed_state(tmp_path, capsys):
         (json.dumps({**STATE, "rank": True}), "rank must be an integer"),
         (json.dumps({**STATE, "theta": "0.3"}), "theta must be a real number"),
         (json.dumps({**STATE, "theta": 10 ** 400}), "theta must be a real number"),
+        (json.dumps({**STATE, "defect_levle": 2}), "unknown key 'defect_levle'"),
+        (json.dumps({**STATE, "schema": True}), "unsupported schema True"),
+        (json.dumps({**STATE, "schema": 1.0}), "unsupported schema 1.0"),
     ],
     ids=["list", "string", "theta-null", "sites-list", "defect-level-string", "roots-number",
-         "rank-float", "sites-float", "rank-bool", "theta-string", "theta-overflow"],
+         "rank-float", "sites-float", "rank-bool", "theta-string", "theta-overflow",
+         "misspelt-key", "bool-schema", "float-schema"],
 )
 def test_bae_mistyped_state_file_is_refused(tmp_path, capsys, text, named):
     path = tmp_path / "bad.json"
