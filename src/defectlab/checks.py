@@ -399,8 +399,8 @@ def transmission_algebra_residual(
     n = rank
     build = lax.conjugate_transmission_matrix if conjugate else lax.transmission_matrix
     lhs, rhs = _exchange_sides(
-        n, lax.s_matrix(n, complex(lam1) - complex(lam2)), build(n, fock, lam1), build(n, fock, lam2),
-        fock.dim, fock.sub_cutoff_indices(1),
+        n, lax.s_matrix(n, complex(lam1) - complex(lam2)), build(n, fock, lam1),
+        build(n, fock, lam2), fock.dim, fock.sub_cutoff_indices(1),
     )
     return cheb(lhs - rhs) / cheb(lhs)
 
