@@ -1,6 +1,6 @@
 """Byte-identity sweep of the defectlab CLI.
 
-INVOCATIONS lists 147 CLI invocations: every check suite, ``check
+INVOCATIONS lists 152 CLI invocations: every check suite, ``check
 all`` at ranks 2-4, amplitude scans and density profiles in CSV and JSON,
 Bethe solves from state files, and the refusals.  The runner calls
 ``defectlab.cli.main`` in-process for each one, inside a scratch directory
@@ -163,6 +163,12 @@ INVOCATIONS = [
     *(_case("bae", "state.json",
             files={"state.json": _state(2, 4, [PAIR], 0.3, "+").replace('"schema": 1', schema)})
       for schema in ('"schema": true', '"schema": 1.0')),
+    # an impurity level its sign does not select, and numbers that are not finite
+    _case("bae", "state.json", files={"state.json": _state(3, 6, NESTED, 0.2, "+", level=2)}),
+    _case("bae", "state.json", files={"state.json": _state(3, 6, NESTED, -0.4, "-", level=1)}),
+    *(_case("bae", "state.json", files={"state.json": _state(2, 4, [PAIR], theta, "+")})
+      for theta in (math.nan, math.inf)),
+    _case("bae", "state.json", files={"state.json": _state(2, 4, [[math.nan, 0.28]], 0.3, "+")}),
     # output files
     _case("check", "oscillator", "--fock-cutoff", "2", "-o", "report.json"),
     _case("amplitudes", "--grid", "-1", "1", "5", "--output", "scan.csv"),
