@@ -4,7 +4,8 @@ Roots are organized by nesting level 1..rank-1.  ``_factors`` is the one
 declaration of which factors enter each level's equation: e_1 over the
 adjacent levels (the physical sites act as a level 0 next to level 1, one
 rapidity 0 of multiplicity ``sites``), the impurity's one-sided factor at
-theta on one level, either lambda - theta + i/2 or 1/(lambda - theta - i/2),
+theta, either lambda - theta + i/2 or 1/(lambda - theta - i/2), on the level
+its sign selects (``kernels.impurity_level``: 1 for '+', rank-1 for '-'),
 and e_2 over the level's own roots.  The residual, the Jacobian, the
 collision guard and the counting functions each loop over that list, so a
 change of convention (the self-term sign, the impurity factor) edits
@@ -18,12 +19,13 @@ log-ratio vanishes on the principal branch.
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .kernels import defect_side
+from .kernels import defect_side, impurity_level
 from .tensor import COMPLEX
 
 COLLISION_GUARD = 1e-9
@@ -77,8 +79,8 @@ class BetheState:
 
     roots holds one complex array per nesting level (level 1 first).  theta
     is the impurity rapidity; defect_sign selects which one-sided factor is
-    active (None for a chain without the impurity term) and defect_level the
-    nesting level it enters at.
+    active (None for a chain without the impurity term).  defect_level, the
+    nesting level it enters at, is derived from the sign (1 without it).
     """
 
     rank: int
@@ -86,7 +88,7 @@ class BetheState:
     roots: tuple = field(default_factory=tuple)
     theta: float = 0.0
     defect_sign: str | None = None
-    defect_level: int = 1
+    defect_level: int = field(init=False)
 
     def __post_init__(self):
         if self.rank < 2:
@@ -95,10 +97,8 @@ class BetheState:
             raise ValueError(f"sites must be >= 0, got {self.sites}")
         if len(self.roots) != self.rank - 1:
             raise ValueError(f"expected {self.rank - 1} root levels, got {len(self.roots)}")
-        if self.defect_sign is not None:
-            defect_side(self.defect_sign)
-        if not 1 <= self.defect_level <= self.rank - 1:
-            raise ValueError(f"defect_level must be in 1..{self.rank - 1}, got {self.defect_level}")
+        sign = self.defect_sign
+        self.defect_level = 1 if sign is None else impurity_level(self.rank, sign)
         self.roots = tuple(np.asarray(r, dtype=COMPLEX).ravel() for r in self.roots)
 
     def magnon_counts(self) -> tuple:
@@ -120,7 +120,7 @@ class BetheState:
 
     @classmethod
     def from_dict(cls, data) -> "BetheState":
-        """A ValueError names the key that is missing, unknown or of the wrong type."""
+        """A ValueError names a key that is missing, unknown, mistyped, not finite or disagreeing."""
         if not isinstance(data, dict):
             raise ValueError(f"a state must be a JSON object, got {type(data).__name__}")
         schema = data.get("schema")
@@ -135,12 +135,21 @@ class BetheState:
         unknown = sorted(set(data) - {"schema", "defect_sign"} - {key for key, *_ in readers})
         if unknown:
             raise ValueError(f"unknown key {', '.join(map(repr, unknown))}")
-        data, fields = {"defect_level": 1, **data}, {}
+        fields = {}
         for key, read, what in readers:
-            if key not in data:
+            if key in data:
+                fields[key] = _read(read, data[key], f"{key} must be {what}")
+            elif key != "defect_level":  # optional: it follows from the sign
                 raise ValueError(f"missing key {key!r}")
-            fields[key] = _read(read, data[key], f"{key} must be {what}")
-        return cls(defect_sign=data.get("defect_sign"), **fields)
+        level = fields.pop("defect_level", None)
+        for key, values in (("theta", [fields["theta"]]), ("roots", sum(fields["roots"], []))):
+            if not all(map(cmath.isfinite, values)):
+                raise ValueError(f"{key} must be finite")
+        state = cls(defect_sign=data.get("defect_sign"), **fields)
+        if level not in (None, state.defect_level):
+            raise ValueError(f"defect_level must be {state.defect_level} for defect_sign "
+                             f"{state.defect_sign!r} at rank {state.rank}, got {level}")
+        return state
 
     @classmethod
     def from_json(cls, text: str) -> "BetheState":

@@ -15,12 +15,12 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import bethe, checks, lax, thermo
 from .special import PoleProximityError
-from .tensor import FockSpace
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -91,20 +91,11 @@ class RunConfig:
     def grid(self) -> np.ndarray:
         return np.linspace(*self.lambda_grid)
 
-    def lax_spec(self) -> lax.LaxSpec:
-        return lax.LaxSpec(self.rank, lax.VARIANT_L, self.ordering, self.shift)
-
+    @cached_property
     def chain(self) -> lax.ChainSpec:
-        return lax.ChainSpec(
-            self.rank,
-            self.chain_sites,
-            self.fock_cutoff,
-            theta=self.theta,
-            lax=self.lax_spec(),
-        )
-
-    def fock(self) -> FockSpace:
-        return FockSpace(self.rank - 1, self.fock_cutoff)
+        """The run's one chain, built on first use: every suite reads its fock and lax."""
+        return lax.ChainSpec(self.rank, self.chain_sites, self.fock_cutoff, theta=self.theta,
+                             lax=lax.LaxSpec(self.rank, lax.VARIANT_L, self.ordering, self.shift))
 
 
 def _grid(value) -> tuple:
@@ -235,7 +226,7 @@ def _ybe(cfg, rng):
 
 
 def _rll(cfg, rng):
-    fock, spec, tol = cfg.fock(), cfg.lax_spec(), cfg.tol("rll")
+    fock, spec, tol = cfg.chain.fock, cfg.chain.lax, cfg.tol("rll")
     reports = [
         checks.check_rll(variant, fock, a, b, tol)
         for a, b in _sample_pairs(rng, 2)
@@ -248,7 +239,7 @@ def _rll(cfg, rng):
 
 
 def _transmission_algebra(cfg, rng):
-    fock, tol = cfg.fock(), cfg.tol("transmission-algebra")
+    fock, tol = cfg.chain.fock, cfg.tol("transmission-algebra")
     return [
         checks.check_transmission_algebra(cfg.rank, fock, a, b, conjugate, tol=tol)
         for conjugate in (False, True)
@@ -257,7 +248,7 @@ def _transmission_algebra(cfg, rng):
 
 
 def _transfer_commute(cfg, rng):
-    chain, tol = cfg.chain(), cfg.tol("transfer-commute")
+    chain, tol = cfg.chain, cfg.tol("transfer-commute")
     return [checks.check_transfer_commute(chain, a, b, tol) for a, b in _sample_pairs(rng, 2)]
 
 
@@ -267,22 +258,22 @@ SUITES = {
     "ybe": (True, _ybe),
     "rll": (True, _rll),
     "oscillator": (False, lambda cfg, rng: [
-        checks.check_oscillator_algebra(cfg.fock(), cfg.tol("oscillator"))
+        checks.check_oscillator_algebra(cfg.chain.fock, cfg.tol("oscillator"))
     ]),
     "crossing": (True, lambda cfg, rng: [
         checks.check_lax_crossing(
-            cfg.lax_spec(), cfg.fock(), checks.sample_points(rng, 10), cfg.tol("crossing")
+            cfg.chain.lax, cfg.chain.fock, checks.sample_points(rng, 10), cfg.tol("crossing")
         )
     ]),
     "transmission-algebra": (True, _transmission_algebra),
     "transmission-crossing": (False, lambda cfg, rng: [
         checks.check_transmission_crossing(
-            cfg.rank, cfg.fock(), tol=cfg.tol("transmission-crossing")
+            cfg.rank, cfg.chain.fock, tol=cfg.tol("transmission-crossing")
         )
     ]),
     "transfer-commute": (True, _transfer_commute),
     "highest-weight": (False, lambda cfg, rng: [
-        checks.check_highest_weight(cfg.chain(), tol=cfg.tol("highest-weight"))
+        checks.check_highest_weight(cfg.chain, tol=cfg.tol("highest-weight"))
     ]),
     "gamma-identity": (False, lambda cfg, rng: [
         thermo.check_gamma_identity(mu, cfg.tol("gamma-identity")) for mu in GAMMA_MU_VALUES

@@ -26,10 +26,10 @@ place a sign string is validated.  Every sign-taking function reads side:
 
 - the one-sided factor exp(side omega/2) is supported on side omega <= 0,
   so '+' lives on omega <= 0 and '-' on omega >= 0;
-- the amplitude level is 1 for '+' and rank-1 for '-': the amplitude
-  integrands use sigma0 at that level with the phase exp(side i u lamhat),
-  and the one-sided density kernel is R(k, level) times the one-sided
-  factor;
+- impurity_level states the nesting level the impurity enters at, 1 for '+'
+  and rank-1 for '-': the amplitude integrands use sigma0 there with the
+  phase exp(side i u lamhat), the one-sided density kernel is R(k, level)
+  times the one-sided factor, and thermo.density and bethe read it too;
 - the Gamma arguments of the closed-form amplitudes (lax) have the slope
   -side i/n in lambda.
 """
@@ -55,9 +55,9 @@ def defect_side(sign) -> int:
     raise ValueError(f"sign must be '+' or '-', got {sign!r}")
 
 
-def _level(rank: int, side: int) -> int:
-    # amplitude level: 1 for '+', rank-1 for '-'
-    return 1 if side > 0 else rank - 1
+def impurity_level(rank: int, sign) -> int:
+    """The nesting level the impurity enters at: 1 for '+', rank-1 for '-'."""
+    return 1 if defect_side(sign) > 0 else rank - 1
 
 
 # ---------------------------------------------------------------------------
@@ -106,9 +106,9 @@ def _one_sided(omega, side: int):
     return out
 
 
-# The public kernels below build on the private helpers above and on
-# defect_side, never on each other, so that a call to one of them is one grid
-# evaluation.
+# The public kernels below build on the private helpers above, defect_side
+# and impurity_level, never on each other, so that a call to one of them is
+# one grid evaluation.
 
 
 def sigma0_hat(omega, rank: int, k: int):
@@ -123,7 +123,7 @@ def r_hat(omega, rank: int, k: int):
 
 def rt_hat(omega, rank: int, k: int, sign: str):
     side = defect_side(sign)
-    return _big_r(np.abs(omega), rank, k, _level(rank, side)) * _one_sided(omega, side)
+    return _big_r(np.abs(omega), rank, k, impurity_level(rank, sign)) * _one_sided(omega, side)
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +148,9 @@ def amplitude_columns(u, rank: int, sign: str):
     and d/dlamhat log T integrates i exp(side i u lamhat) sigma0(u).  Only the
     difference in the first has a limit at u = 0, so a node u <= 0 is refused.
     """
-    side = defect_side(sign)
+    level = impurity_level(rank, sign)
     if not np.all(u > 0.0):
         raise ValueError("amplitude nodes must be strictly positive")
-    level = _level(rank, side)
     kern = _sigma0(u, rank, level)
     return kern / u, kern, ((rank - level) / rank) * np.exp(-rank * u) / u
 

@@ -139,7 +139,7 @@ def density(
         (
             f"rt:{sign}:{level}",
             kernels.rt_hat(edges, n, level, sign),
-            (level if side > 0 else n - level) / 2.0,
+            (abs(level - kernels.impurity_level(n, sign)) + 1) / 2.0,
         ),
     )
     worst_tail = 0.0

@@ -59,8 +59,13 @@ def test_state_validation():
         BetheState(rank=2, sites=2, roots=())  # needs one level
     with pytest.raises(ValueError):
         BetheState(rank=2, sites=2, roots=([0.1],), defect_sign="x")
-    with pytest.raises(ValueError):
-        BetheState(rank=2, sites=2, roots=([0.1],), defect_sign="+", defect_level=2)
+    # the impurity's level follows from its sign and is not a setting
+    with pytest.raises(TypeError):
+        BetheState(rank=2, sites=2, roots=([0.1],), defect_sign="+", defect_level=1)
+    for rank, sign, level in ((2, "+", 1), (2, "-", 1), (3, "+", 1), (3, "-", 2), (4, "+", 1),
+                              (4, "-", 3), (3, None, 1)):
+        st = BetheState(rank=rank, sites=2, roots=([],) * (rank - 1), defect_sign=sign)
+        assert st.defect_level == level, (rank, sign)
 
 
 def test_json_round_trip():
@@ -70,12 +75,12 @@ def test_json_round_trip():
         roots=([0.1 + 0.2j, -0.3], [0.5 - 0.1j]),
         theta=0.25,
         defect_sign="-",
-        defect_level=2,
     )
+    assert '"defect_level": 2' in st.to_json()
     back = BetheState.from_json(st.to_json())
     assert back.rank == st.rank and back.sites == st.sites
     assert back.theta == st.theta
-    assert back.defect_sign == st.defect_sign and back.defect_level == st.defect_level
+    assert back.defect_sign == st.defect_sign and back.defect_level == st.defect_level == 2
     for a, b in zip(back.roots, st.roots):
         assert np.array_equal(a, b)
 
@@ -108,9 +113,25 @@ def test_from_dict_rejects_flat_root_levels():
          "unknown key 'defect_levle'"),
         ({"schema": True, "rank": 2, "sites": 4, "theta": 0.0, "roots": [[]]}, "unsupported schema True"),
         ({"schema": 1.0, "rank": 2, "sites": 4, "theta": 0.0, "roots": [[]]}, "unsupported schema 1.0"),
+        ({"schema": 1, "rank": 3, "sites": 4, "theta": 0.0, "roots": [[], []], "defect_sign": "+",
+          "defect_level": 2}, "defect_level must be 1 for defect_sign '[+]' at rank 3, got 2"),
+        ({"schema": 1, "rank": 3, "sites": 4, "theta": 0.0, "roots": [[], []], "defect_sign": "-",
+          "defect_level": 1}, "defect_level must be 2 for defect_sign '-' at rank 3, got 1"),
+        ({"schema": 1, "rank": 3, "sites": 4, "theta": 0.0, "roots": [[], []], "defect_level": 2},
+         "defect_level must be 1 for defect_sign None at rank 3, got 2"),
+        ({"schema": 1, "rank": 2, "sites": 4, "theta": float("nan"), "roots": [[]]},
+         "theta must be finite"),
+        ({"schema": 1, "rank": 2, "sites": 4, "theta": float("inf"), "roots": [[]]},
+         "theta must be finite"),
+        ({"schema": 1, "rank": 2, "sites": 4, "theta": 0.0, "roots": [[[0.1, 0.0], [float("nan"), 0.0]]]},
+         "roots must be finite"),
+        ({"schema": 1, "rank": 2, "sites": 4, "theta": 0.0, "roots": [[[0.0, float("-inf")]]]},
+         "roots must be finite"),
     ],
     ids=["not-an-object", "missing-key", "mistyped-theta", "mistyped-rank", "float-rank",
-         "float-sites", "bool-rank", "string-theta", "misspelt-key", "bool-schema", "float-schema"],
+         "float-sites", "bool-rank", "string-theta", "misspelt-key", "bool-schema", "float-schema",
+         "plus-on-level-2", "minus-on-level-1", "level-without-impurity", "nan-theta",
+         "infinite-theta", "nan-root", "infinite-root"],
 )
 def test_from_dict_names_the_missing_or_mistyped_key(data, named):
     with pytest.raises(ValueError, match=named):
@@ -272,8 +293,8 @@ def _ref_counting(state, level, lam):
 
 
 def _states():
-    """Rank 2 and 3, the impurity absent or at each level with each sign,
-    with and without sites, and with an empty level."""
+    """Ranks 2 to 4, the impurity absent or with each sign on the level the
+    sign selects, with and without sites, and with an empty level."""
     rng = np.random.default_rng(11)
 
     def roots(m):
@@ -285,13 +306,13 @@ def _states():
             out.append(
                 BetheState(rank=2, sites=sites, roots=(roots(3),), theta=0.3, defect_sign=sign)
             )
-            for level in (1, 2):
-                # (3, 3): a transposed inter-level block keeps its shape
-                for counts in ((3, 3), (4, 2), (0, 2), (3, 0)):
-                    out.append(BetheState(
-                        rank=3, sites=sites, roots=tuple(roots(m) for m in counts),
-                        theta=-0.4, defect_sign=sign, defect_level=level,
-                    ))
+            # (3, 3): a transposed inter-level block keeps its shape; at rank 4
+            # the '-' impurity sits on level 3 and level 2 has neither sites nor it
+            for counts in ((3, 3), (4, 2), (0, 2), (3, 0), (2, 3, 2), (3, 0, 2)):
+                out.append(BetheState(
+                    rank=len(counts) + 1, sites=sites, roots=tuple(roots(m) for m in counts),
+                    theta=-0.4, defect_sign=sign,
+                ))
     return out
 
 
@@ -365,16 +386,16 @@ POLES = {
     "impurity-minus-rank2": (dict(rank=2, sites=2, roots=([THETA + 0.5j],), defect_sign="-"),
                              dict(rank=2, sites=2, roots=([THETA + 0.5j],), defect_sign="+"),
                              "the impurity pole"),
-    "impurity-minus-rank3": (dict(rank=3, sites=2, roots=([THETA + 0.5j], [0.8]), defect_sign="-"),
-                             dict(rank=3, sites=2, roots=([0.8], [THETA + 0.5j]), defect_sign="-"),
+    # from rank 3 on, '+' sits on level 1 and '-' on level rank-1
+    "impurity-minus-rank3": (dict(rank=3, sites=2, roots=([0.8], [THETA + 0.5j]), defect_sign="-"),
+                             dict(rank=3, sites=2, roots=([THETA + 0.5j], [0.8]), defect_sign="-"),
                              "the impurity pole"),
-    "impurity-level2-plus": (
-        dict(rank=3, sites=2, roots=([0.7], [THETA - 0.5j]), defect_sign="+", defect_level=2),
-        dict(rank=3, sites=2, roots=([0.7], [THETA - 0.5j]), defect_sign="+", defect_level=1),
-        "the impurity pole"),
+    "impurity-plus-rank3": (dict(rank=3, sites=2, roots=([THETA - 0.5j], [0.7]), defect_sign="+"),
+                            dict(rank=3, sites=2, roots=([0.7], [THETA - 0.5j]), defect_sign="+"),
+                            "the impurity pole"),
     "impurity-level2-minus": (
-        dict(rank=3, sites=2, roots=([0.7], [THETA + 0.5j]), defect_sign="-", defect_level=2),
-        dict(rank=3, sites=2, roots=([0.7], [THETA + 0.5j]), defect_sign="-", defect_level=1),
+        dict(rank=3, sites=2, roots=([0.7], [THETA + 0.5j]), defect_sign="-"),
+        dict(rank=4, sites=2, roots=([0.7], [THETA + 0.5j], [0.1]), defect_sign="-"),
         "the impurity pole"),
 }
 

@@ -12,6 +12,7 @@ import pytest
 from defectlab import bethe, checks, thermo
 from defectlab.bethe import BetheState, ground_state_seed
 from defectlab.cli import DEFAULT_TOLERANCES, _load_config, build_parser, main
+from defectlab.tensor import FockSpace
 
 AMP_HEADER = (
     "lambda,closed_form_re,closed_form_im,integral_re,integral_im,"
@@ -114,6 +115,29 @@ def test_check_all_rank4_runs_are_byte_identical(tmp_path):
     assert main([*argv, "-o", str(a)]) == 0
     assert main([*argv, "-o", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        (["check", "all", "--rank", "2", "--fock-cutoff", "5", "--seed", "11"], 1),
+        (["check", "all", "--rank", "4", "--fock-cutoff", "2", "--seed", "11"], 1),
+        (["check", "ybe", "--seed", "11"], 0),
+        # a cutoff whose Fock operators exceed the byte budget refuses no suite
+        # that has no oscillator
+        (["check", "ybe", "--fock-cutoff", "100000", "--seed", "11"], 0),
+        (["check", "gamma-identity", "--fock-cutoff", "100000"], 0),
+    ],
+    ids=["all-rank2", "all-rank4", "ybe", "ybe-huge-cutoff", "gamma-identity-huge-cutoff"],
+)
+def test_check_builds_one_fock_space_per_run(tmp_path, monkeypatch, argv, built):
+    sizes = []
+    init = FockSpace.__init__
+    monkeypatch.setattr(
+        FockSpace, "__init__", lambda self, *args: sizes.append(args) or init(self, *args)
+    )
+    assert run(tmp_path, *argv)[0] == 0
+    assert len(sizes) == built, sizes
 
 
 def test_check_over_the_byte_budget_is_refused_unallocated(capsys):
@@ -631,10 +655,18 @@ def test_bae_malformed_state(tmp_path, capsys):
         (json.dumps({**STATE, "defect_levle": 2}), "unknown key 'defect_levle'"),
         (json.dumps({**STATE, "schema": True}), "unsupported schema True"),
         (json.dumps({**STATE, "schema": 1.0}), "unsupported schema 1.0"),
+        (json.dumps({**STATE, "rank": 3, "roots": [[], []], "defect_level": 2}),
+         "defect_level must be 1 for defect_sign '+' at rank 3, got 2"),
+        (json.dumps({**STATE, "rank": 3, "roots": [[], []], "defect_sign": "-", "defect_level": 1}),
+         "defect_level must be 2 for defect_sign '-' at rank 3, got 1"),
+        (json.dumps({**STATE, "theta": float("nan")}), "theta must be finite"),
+        (json.dumps({**STATE, "theta": float("inf")}), "theta must be finite"),
+        (json.dumps({**STATE, "roots": [[[float("nan"), 0.0]]]}), "roots must be finite"),
     ],
     ids=["list", "string", "theta-null", "sites-list", "defect-level-string", "roots-number",
          "rank-float", "sites-float", "rank-bool", "theta-string", "theta-overflow",
-         "misspelt-key", "bool-schema", "float-schema"],
+         "misspelt-key", "bool-schema", "float-schema", "plus-on-level-2", "minus-on-level-1",
+         "theta-nan", "theta-infinity", "root-nan"],
 )
 def test_bae_mistyped_state_file_is_refused(tmp_path, capsys, text, named):
     path = tmp_path / "bad.json"

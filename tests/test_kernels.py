@@ -16,6 +16,7 @@ from defectlab.kernels import (
     gamma_identity_derivative_integrand,
     gl_panels,
     half_line_grid,
+    impurity_level,
     r_hat,
     rt_hat,
     sigma0_hat,
@@ -85,12 +86,19 @@ def test_defect_side():
     assert defect_side(DEFECT_PLUS) == 1 and defect_side(DEFECT_MINUS) == -1
 
 
+def test_impurity_level():
+    # '+' enters the nested equations at level 1, '-' at level rank-1
+    for rank, plus, minus in ((2, 1, 1), (3, 1, 2), (4, 1, 3), (5, 1, 4)):
+        assert (impurity_level(rank, DEFECT_PLUS), impurity_level(rank, DEFECT_MINUS)) == (plus, minus)
+
+
 def _sign_calls(sign):
     """(name, call, the sign as the refusal shows it) for every public entry
     point that takes an impurity sign."""
     w = np.array([-1.0, 0.0, 1.0])
     table = thermo.KernelTable(3)
     yield "defect_side", lambda: defect_side(sign), sign
+    yield "impurity_level", lambda: impurity_level(3, sign), sign
     yield "rt_hat", lambda: rt_hat(w, 3, 1, sign), sign
     yield "amplitude_columns", lambda: amplitude_columns(w[2:], 3, sign), sign
     yield "density", lambda: thermo.density(table, 1, sign, w), sign
@@ -112,7 +120,7 @@ def _sign_calls(sign):
 @pytest.mark.parametrize("sign", ["plus", "", None])
 def test_sign_entry_points_refuse_anything_but_plus_or_minus(sign):
     calls = list(_sign_calls(sign))
-    assert len(calls) == 11 + (sign is not None)
+    assert len(calls) == 12 + (sign is not None)
     for name, call, shown in calls:
         with pytest.raises(ValueError) as info:
             call()
