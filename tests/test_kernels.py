@@ -441,7 +441,7 @@ def test_density_matches_per_lambda_reference_sums(count):
             back_w = weights * _ref_columns(nodes, lambda x: _ref_r(x, rank, level))
             for sign, side in (("-", -1), ("+", 1)):
                 frak = _ref_frak_plus if side > 0 else _ref_frak_minus
-                out_level = 1 if side > 0 else rank - 1
+                out_level = impurity_level(rank, sign)  # pinned by test_impurity_level
                 rt_w = weights * _ref_columns(
                     nodes, lambda x: _ref_big_r(x, rank, level, out_level) * frak(-side * x)
                 )

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 from scipy.special import gamma as sp_gamma
 
 from defectlab.bethe import _a_n
-from defectlab.kernels import gl_panels, r_hat, rt_hat, sigma0_hat
+from defectlab.kernels import gl_panels, impurity_level, r_hat, rt_hat, sigma0_hat
 from defectlab.lax import transmission_amplitude
 from defectlab.thermo import (
     KernelTable,
@@ -143,7 +143,7 @@ def _expected_tails(rank, level, sign, cutoff):
     R(k,2) a_1 with R(j,jp) ~ exp(-|j-jp| w/2); rt = R(k, 1 or rank-1) times
     the one-sided factor exp(-|w|/2)."""
     edges = np.array([cutoff, -cutoff])
-    out_level = 1 if sign == "+" else rank - 1
+    out_level = impurity_level(rank, sign)  # pinned by test_kernels.test_impurity_level
     return [
         (f"sigma0:{level}", sigma0_hat(edges, rank, level), level / 2),
         (f"r:{level}", r_hat(edges, rank, level), min((level + 1) / 2, (abs(level - 2) + 1) / 2)),
