@@ -16,13 +16,21 @@ Jacobian, and a threaded BLAS rounds it differently with each thread count.
 version, the Python version and the platform that produced them, since a
 different numpy or BLAS build may round differently.
 
-    python tests/cli_sweep.py           # compare with cli_sweep.json
-    python tests/cli_sweep.py --write   # regenerate cli_sweep.json
+``--compare REV`` runs the sweep twice, on the ``src/`` of the git revision
+REV and on the working tree's, and prints each invocation whose outputs
+differ: the largest absolute and relative change of each field of a JSON or
+CSV report (JSON fields by key path, ``[]`` standing for any list index;
+CSV fields by column), and any change of exit code or of stderr.
+
+    python tests/cli_sweep.py                # compare with cli_sweep.json
+    python tests/cli_sweep.py --write        # regenerate cli_sweep.json
+    python tests/cli_sweep.py --compare REV  # field by field against revision REV
 """
 
 from __future__ import annotations
 
 import contextlib
+import difflib
 import hashlib
 import io
 import json
@@ -33,9 +41,11 @@ import subprocess
 import sys
 import tempfile
 import warnings
+import zipfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent
 DIGESTS = HERE / "cli_sweep.json"
 
 SUITES = (
@@ -238,10 +248,18 @@ def environment() -> dict:
     }
 
 
-def _sha(data) -> str:
-    if isinstance(data, str):
-        data = data.encode()
-    return hashlib.sha256(data).hexdigest()
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8", "surrogateescape")).hexdigest()
+
+
+def digest(record: dict) -> dict:
+    """A record as cli_sweep.json keeps it, each output by its sha256."""
+    return {
+        **record,
+        "stdout": _sha(record["stdout"]),
+        "stderr": _sha(record["stderr"]),
+        "written": {name: _sha(text) for name, text in record["written"].items()},
+    }
 
 
 @contextlib.contextmanager
@@ -258,7 +276,8 @@ def _environ(env: dict):
 
 
 def run_case(main, case: dict) -> dict:
-    """Run one invocation in a fresh scratch directory and record it."""
+    """Run one invocation in a fresh scratch directory and record it, with
+    stdout, stderr and each file written as text."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in case["files"].items():
@@ -279,7 +298,7 @@ def run_case(main, case: dict) -> dict:
             f"{w.category.__name__}: {w.message}\n" for w in caught
         )
         written = {
-            p.name: _sha(p.read_bytes())
+            p.name: p.read_bytes().decode("utf-8", "surrogateescape")
             for p in sorted(Path(tmp).iterdir())
             if p.name not in case["files"]
         }
@@ -287,8 +306,8 @@ def run_case(main, case: dict) -> dict:
         "argv": case["argv"],
         "env": case["env"],
         "exit": code,
-        "stdout": _sha(out.getvalue()),
-        "stderr": _sha(stderr),
+        "stdout": out.getvalue(),
+        "stderr": stderr,
         "written": written,
     }
 
@@ -296,21 +315,31 @@ def run_case(main, case: dict) -> dict:
 ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
-def _run_here() -> list[dict]:
+def _run_here(src: Path) -> list[dict]:
+    sys.path.insert(0, str(src))
+    import defectlab
     from defectlab.cli import main
 
+    if src.resolve() not in Path(defectlab.__file__).resolve().parents:
+        raise RuntimeError(f"defectlab imported from {defectlab.__file__}, not from {src}")
     return [run_case(main, case) for case in INVOCATIONS]
 
 
-def run_sweep() -> list[dict]:
-    """Every invocation's record, from a child process with one-thread BLAS."""
+def run_outputs(src: Path = ROOT / "src") -> list[dict]:
+    """Every invocation's record with its outputs as text, from a child
+    process with one-thread BLAS that imports defectlab from ``src``."""
     child = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--emit"],
+        [sys.executable, str(Path(__file__).resolve()), "--emit", str(src)],
         env={**os.environ, **ONE_THREAD}, capture_output=True, text=True,
     )
     if child.returncode != 0:
         raise RuntimeError(f"the sweep's child process failed:\n{child.stderr}")
     return json.loads(child.stdout)
+
+
+def run_sweep() -> list[dict]:
+    """Every invocation's digest record, for the working tree."""
+    return [digest(record) for record in run_outputs()]
 
 
 def load() -> dict:
@@ -329,13 +358,145 @@ def differences(recorded: list[dict], got: list[dict]) -> list[str]:
     return lines
 
 
+def _leaves(value, path: str, out: dict) -> None:
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _leaves(item, f"{path}.{key}" if path else key, out)
+    elif isinstance(value, list):
+        for item in value:
+            _leaves(item, f"{path}[]", out)
+    else:
+        out.setdefault(path, []).append(value)
+
+
+def _cell(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def report_fields(text: str) -> dict | None:
+    """The values of a JSON or CSV report by field, or None for other text."""
+    try:
+        data = json.loads(text)
+    except ValueError:
+        pass
+    else:
+        out = {}
+        _leaves(data, "", out)
+        return out
+    lines = text.splitlines()
+    header = lines[0].split(",") if lines else []
+    rows = [line.split(",") for line in lines[1:]]
+    if len(header) < 2 or any(len(row) != len(header) for row in rows):
+        return None
+    return {name: [_cell(row[i]) for row in rows] for i, name in enumerate(header)}
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _same(a, b) -> bool:
+    return a == b or (_number(a) and _number(b) and math.isnan(a) and math.isnan(b))
+
+
+def field_changes(old: dict, new: dict) -> list[tuple]:
+    """(line, largest absolute change) per field whose values differ.  The
+    line says how many values changed, the largest absolute and relative
+    change between finite numbers, and a first example of any other change
+    (to or from a non-finite number, a string or null)."""
+    lines = []
+    for name in sorted(old.keys() | new.keys()):
+        a, b = old.get(name, []), new.get(name, [])
+        if len(a) != len(b):
+            lines.append((f"{name}: {len(a)} -> {len(b)} values", 0.0))
+            continue
+        diffs = [(x, y) for x, y in zip(a, b) if not _same(x, y)]
+        if not diffs:
+            continue
+        finite, other = [], []
+        for x, y in diffs:
+            both = _number(x) and _number(y) and math.isfinite(x) and math.isfinite(y)
+            (finite if both else other).append((x, y))
+        line = f"{name}: {len(diffs)} of {len(a)} values"
+        largest = max((abs(x - y) for x, y in finite), default=0.0)
+        if finite:
+            rel = max(abs(x - y) / max(abs(x), abs(y)) for x, y in finite)
+            line += f", max abs {largest:.3g}, max rel {rel:.3g}"
+        if other:
+            x, y = other[0]
+            line += f", {len(other)} not between finite numbers, e.g. {x!r} -> {y!r}"
+        lines.append((line, largest))
+    return lines
+
+
+def _text_diff(old: str, new: str) -> list[str]:
+    return [line for line in difflib.unified_diff(old.splitlines(), new.splitlines(),
+                                                  lineterm="", n=0)
+            if not line.startswith(("---", "+++", "@@"))]
+
+
+def compare(old: list[dict], new: list[dict]) -> list[str]:
+    """Lines naming each invocation whose outputs differ and how, then a summary."""
+    if [r["argv"] for r in old] != [r["argv"] for r in new]:
+        return ["the invocation lists differ"]
+    lines, differing, exits, stderrs, largest = [], 0, 0, 0, (0.0, "")
+    for i, (r, g) in enumerate(zip(old, new)):
+        outputs = [("stdout", r["stdout"], g["stdout"])] + [
+            (name, r["written"].get(name, ""), g["written"].get(name, ""))
+            for name in sorted(r["written"].keys() | g["written"].keys())
+        ]
+        report, changed = [], 0.0
+        if r["exit"] != g["exit"]:
+            exits += 1
+            report.append(f"exit: {r['exit']} -> {g['exit']}")
+        if r["stderr"] != g["stderr"]:
+            stderrs += 1
+            report += [f"stderr: {line}" for line in _text_diff(r["stderr"], g["stderr"])]
+        for where, a, b in outputs:
+            if a == b:
+                continue
+            fa, fb = report_fields(a), report_fields(b)
+            if fa is None or fb is None:
+                report += [f"{where}: {line}" for line in _text_diff(a, b)]
+            else:
+                for line, size in field_changes(fa, fb):
+                    report.append(f"{where} {line}")
+                    changed = max(changed, size)
+        if report:
+            differing += 1
+            name = f"#{i} {' '.join(g['argv'])} {g['env'] or ''}".rstrip()
+            lines += [name] + [f"  {line}" for line in report]
+            largest = max(largest, (changed, name))
+    summary = (f"{differing} of {len(new)} invocations differ; {exits} exit codes and "
+               f"{stderrs} stderr texts changed; largest absolute change {largest[0]:.3g}")
+    return lines + [summary + (f" ({largest[1]})" if largest[0] else "")]
+
+
+def _revision_src(rev: str, dest: Path) -> Path:
+    """Extract the src/ of git revision rev under dest."""
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=zip", rev, "src"],
+        capture_output=True, check=True,
+    ).stdout
+    zipfile.ZipFile(io.BytesIO(archive)).extractall(dest)
+    return dest / "src"
+
+
 def main() -> int:
-    sys.path.insert(0, str(HERE.parent / "src"))
-    if "--emit" in sys.argv[1:]:
-        print(json.dumps(_run_here()))
+    args = sys.argv[1:]
+    if args[:1] == ["--emit"]:
+        print(json.dumps(_run_here(Path(args[1]))))
+        return 0
+    if args[:1] == ["--compare"]:
+        with tempfile.TemporaryDirectory() as tmp:
+            old = run_outputs(_revision_src(args[1], Path(tmp)))
+        print("\n".join(compare(old, run_outputs())))
         return 0
     got = run_sweep()
-    if "--write" in sys.argv[1:]:
+    if "--write" in args:
         payload = {"environment": environment(), "invocations": got}
         DIGESTS.write_text(json.dumps(payload, indent=1) + "\n")
         print(f"wrote {len(got)} invocations to {DIGESTS}")
