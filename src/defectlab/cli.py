@@ -4,7 +4,8 @@ amplitude scans, and density profiles, all with machine-readable output.
 Exit codes are stable across commands: 0 all passed, 1 a check or a solve
 failed, 2 usage or configuration error.  Identical config and seed produce
 byte-identical reports: output contains no timestamps, floats are emitted
-via repr, and JSON keys are sorted.
+via repr, and JSON keys are sorted.  JSON reports are strict: a float that
+is not finite is written as null.
 """
 
 from __future__ import annotations
@@ -187,7 +188,22 @@ def _write_text(cfg: RunConfig, text: str) -> None:
 
 
 def _write_json(cfg: RunConfig, payload: dict) -> None:
-    _write_text(cfg, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    """Strict JSON: a float that is not finite is written as null."""
+
+    def finite(value):
+        if isinstance(value, float):
+            return value if cmath.isfinite(value) else None
+        if isinstance(value, dict):
+            return {key: finite(item) for key, item in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [finite(item) for item in value]
+        return value
+
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:  # a NaN or an infinity: only then walk the payload
+        text = json.dumps(finite(payload), sort_keys=True, indent=2, allow_nan=False)
+    _write_text(cfg, text + "\n")
 
 
 def _write_csv(cfg: RunConfig, header: str, rows) -> None:

@@ -1,6 +1,6 @@
 """Byte-identity sweep of the defectlab CLI.
 
-INVOCATIONS lists 152 CLI invocations: every check suite, ``check
+INVOCATIONS lists 153 CLI invocations: every check suite, ``check
 all`` at ranks 2-4, amplitude scans and density profiles in CSV and JSON,
 Bethe solves from state files, and the refusals.  The runner calls
 ``defectlab.cli.main`` in-process for each one, inside a scratch directory
@@ -179,6 +179,8 @@ INVOCATIONS = [
     *(_case("bae", "state.json", files={"state.json": _state(2, 4, [PAIR], theta, "+")})
       for theta in (math.nan, math.inf)),
     _case("bae", "state.json", files={"state.json": _state(2, 4, [[math.nan, 0.28]], 0.3, "+")}),
+    # a solve from finite input that overflows: its report is still strict JSON
+    _case("bae", "state.json", files={"state.json": _state(2, 100000, [[0.1 + 0.3j, 0.28]], 0.3, "+")}),
     # output files
     _case("check", "oscillator", "--fock-cutoff", "2", "-o", "report.json"),
     _case("amplitudes", "--grid", "-1", "1", "5", "--output", "scan.csv"),
@@ -238,11 +240,9 @@ INVOCATIONS = [
 def environment() -> dict:
     """What a float digest depends on besides the program."""
     import numpy
-    import scipy
 
     return {
         "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
         "python": ".".join(platform.python_version_tuple()[:2]),
         "platform": f"{platform.system()}-{platform.machine()}",
     }

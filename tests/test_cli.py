@@ -538,7 +538,8 @@ def test_amplitudes_bad_grid(capsys):
 
 
 def test_amplitudes_nan_rows_fail(tmp_path, capsys):
-    # every row overflows to NaN; the worst residual is NaN, not 0.0
+    # every row overflows to NaN; the worst residual is NaN, not 0.0, and the
+    # report writes each NaN as null, since NaN is no JSON
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, text = run(
@@ -546,9 +547,9 @@ def test_amplitudes_nan_rows_fail(tmp_path, capsys):
             "--grid", "1e308", "1.7e308", "3", "--format", "json",
         )
     assert code == 1
-    payload = json.loads(text)
-    assert np.isnan(payload["max_residual"])
-    assert all(np.isnan(r["logderiv_residual"]) for r in payload["rows"])
+    payload = json.loads(text, parse_constant=pytest.fail)
+    assert payload["max_residual"] is None
+    assert all(r["logderiv_residual"] is None for r in payload["rows"])
     assert all(r["status"] == "nonfinite" for r in payload["rows"])
     # one line that names the rows, no numpy RuntimeWarning
     assert capsys.readouterr().err == (
@@ -697,6 +698,19 @@ def test_bae_nonconvergent_reports_trace(tmp_path):
     payload = json.loads(text)
     assert payload["converged"] is False
     assert len(payload["trace"]) >= 2
+
+
+def test_bae_overflowing_solve_reports_strict_json(tmp_path):
+    # e_1 ** sites overflows for a root off the real axis: the trace is NaN,
+    # written as null
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({**STATE, "sites": 100000, "roots": [[[0.1, 0.3], [0.28, 0.0]]]}))
+    with np.errstate(all="ignore"):
+        code, text = run(tmp_path, "bae", str(path))
+    assert code == 1
+    payload = json.loads(text, parse_constant=pytest.fail)
+    assert payload["converged"] is False
+    assert payload["trace"] == [None]
 
 
 def test_bae_collision_exits_with_error(tmp_path, capsys):

@@ -1,6 +1,6 @@
 """The CLI's reports stay byte-identical across refactors (see cli_sweep.py).
 
-Where numpy, scipy, Python or the platform differ from the ones that
+Where numpy, Python or the platform differ from the ones that
 recorded the digests, floats may round differently, so the sweep is run
 twice and the two runs must agree instead.  An intended output change
 regenerates the digests with ``python tests/cli_sweep.py --write``.
