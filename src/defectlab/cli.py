@@ -331,8 +331,7 @@ def _amplitude_rows(table, sign: str, lams, log_t, dlog_t):
     for lam, log_i, dlog_i in zip(lams, log_t, dlog_t):
         lam = float(lam)
         try:
-            closed = lax.transmission_amplitude(table.rank, sign, lam)
-            deriv_closed = thermo.amplitude_log_derivative_closed(table, sign, lam)
+            closed, deriv_closed = thermo.amplitude_closed(table, sign, lam)
         except PoleProximityError:
             rows.append((lam, complex("nan+nanj"), complex("nan+nanj"), float("nan"), sign, "pole"))
             continue

@@ -6,19 +6,25 @@ which is exact algebra (no large-argument approximation) and immune to sinh
 overflow; omega = 0 takes the analytic limit through a mask, so no 0/0 is
 ever evaluated.
 
-A Fourier sum over a lam grid is one cos pass and one sin pass: the caller
+A Fourier sum over a lam grid is one pass over a panel grid: the caller
 folds every sum it needs into one column of a (nodes x k) coefficient matrix,
-and fourier_cos_sin forms cos/sin(outer(lam, omega)) in fixed tiles of _TILE
-rows and multiplies each tile by every column.  Its working memory does not
-grow with the lam grid, and every product has _TILE rows (the last tile is
-padded with zero rows), so a lam row's value does not depend on the other
-lams of the grid, finite or not.  A shift such as lam - h is folded in by
-angle addition, cos omega(lam - h) = cos omega lam cos omega h +
-sin omega lam sin omega h, with the omega h factors in the coefficients.
+and every node is omega = m_p + x_q, a panel mid plus one of the Gauss-
+Legendre offsets all panels share.  fourier_cos_sin factors
+exp(i lam omega) = exp(i lam m_p) exp(i lam x_q): per tile of _TILE lam rows
+it takes cos and sin of lam x_q and lam m_p only, contracts the offsets with
+every panel's coefficients in one matrix product of fixed shape, and sums the
+panels by angle addition.  Its working memory does not grow with the lam
+grid, and every product has _TILE rows (the last tile is padded with zero
+rows), so a lam row's value does not depend on the other lams of the grid,
+finite or not.  A shift such as lam - h is folded in the same way,
+cos omega(lam - h) = cos omega lam cos omega h + sin omega lam sin omega h,
+with the omega h factors in the coefficients.
 
 The quadrature nodes are Gauss-Legendre nodes, strictly inside their
 panels, so a half-line node is never 0; amplitude_columns refuses one, since
-its split terms have no limit there.
+its split terms have no limit there.  half_line_grid returns the panel form
+(mids, offsets) with its nodes, which are built from it, so the two agree
+bitwise for every cutoff.
 
 The impurity sign is decided here and nowhere else.  defect_side maps
 DEFECT_PLUS to side = +1 and DEFECT_MINUS to side = -1, and is the only
@@ -174,28 +180,39 @@ def gamma_identity_derivative_integrand(x, mu):
 # Fourier sums over row tiles of the lam grid
 
 
-def fourier_cos_sin(nodes, coef, lams):
+def fourier_cos_sin(nodes, coef, lams, panels):
     """(cos(outer(lams, nodes)) @ coef, sin(outer(lams, nodes)) @ coef) for
-    a (nodes x k) coefficient matrix: one cos and one sin pass over the grid,
-    _TILE lam rows at a time.  Each tile is multiplied by one column at a
-    time: a matrix-vector product sums with several accumulators, a few
-    times more accurately than a matrix product's one running sum, and costs
-    little next to the trig."""
+    a (nodes x k) coefficient matrix, summed by angle addition over the
+    panels: panels = (mids, offsets), and nodes must equal
+    (mids[:, None] + offsets).ravel() exactly, or no sum would be taken with
+    the right phases."""
+    mids, offsets = panels
+    if not np.array_equal(nodes, np.add.outer(mids, offsets).ravel()):
+        raise ValueError("nodes must be (mids[:, None] + offsets).ravel() of their panels")
+    n_mid, n_off, k = len(mids), len(offsets), coef.shape[1]
+    # by_offset[q, j n_mid + p] = coef[p n_off + q, j]
+    by_offset = coef.reshape(n_mid, n_off, k).transpose(1, 2, 0).reshape(n_off, k * n_mid)
     count = lams.shape[0]
-    columns = np.ascontiguousarray(coef.T)
-    cos_out = np.empty((count, len(columns)))
-    sin_out = np.empty((count, len(columns)))
-    arg = np.empty((_TILE, nodes.shape[0]))
-    trig = np.empty((_TILE, nodes.shape[0]))
+    out = np.empty((count, k), dtype=complex)
+    trig = np.empty((2, _TILE, n_off))  # cos and sin of lam x_q
     for s in range(0, count, _TILE):
-        rows = min(_TILE, count - s)
-        trig[rows:] = 0.0  # only the last tile is short
-        np.multiply.outer(lams[s : s + rows], nodes, out=arg[:rows])
-        for fn, out in ((np.cos, cos_out), (np.sin, sin_out)):
-            fn(arg[:rows], out=trig[:rows])
-            for j, column in enumerate(columns):
-                out[s : s + rows, j] = (trig @ column)[:rows]
-    return cos_out, sin_out
+        lam = lams[s : s + _TILE]
+        rows = len(lam)
+        trig[:, rows:] = 0.0  # only the last tile is short
+        arg = np.multiply.outer(lam, offsets)
+        np.cos(arg, out=trig[0, :rows])
+        np.sin(arg, out=trig[1, :rows])
+        # sum_q exp(i lam x_q) coef[p, q, j] for every panel p and column j
+        cos_sin = (trig.reshape(2 * _TILE, n_off) @ by_offset).reshape(2, _TILE, k, n_mid)
+        per_panel = np.empty((rows, k, n_mid), dtype=complex)
+        per_panel.real, per_panel.imag = cos_sin[:, :rows]
+        # times exp(i lam m_p), summed over the panels
+        arg = np.multiply.outer(lam, mids)
+        panel_phase = np.empty((rows, n_mid, 1), dtype=complex)
+        np.cos(arg, out=panel_phase.real[:, :, 0])
+        np.sin(arg, out=panel_phase.imag[:, :, 0])
+        out[s : s + rows] = (per_panel @ panel_phase)[:, :, 0]
+    return out.real, out.imag
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +239,15 @@ OMEGA_CUTOFF = 80.0
 
 
 def half_line_grid(cutoff: float = OMEGA_CUTOFF, panel: float = 2.0, order: int = 32):
-    """Uniform composite rule on [0, cutoff]; the integrands here decay at
-    least like exp(-x/2), so the default cutoff leaves a tail below 1e-17."""
+    """Uniform composite rule on [0, cutoff], as (nodes, weights, panels):
+    every panel has the half-width cutoff / (2 count), panels = (mids,
+    offsets) and nodes = (mids[:, None] + offsets).ravel() exactly, the form
+    fourier_cos_sin sums by.  The integrands here decay at least like
+    exp(-x/2), so the default cutoff leaves a tail below 1e-17."""
     count = max(1, int(math.ceil(cutoff / panel)))
-    edges = np.linspace(0.0, cutoff, count + 1)
-    return gl_panels(edges, order)
+    half = cutoff / (2 * count)
+    base_x, base_w = np.polynomial.legendre.leggauss(order)
+    mids = half * np.arange(1.0, 2 * count, 2.0)
+    offsets = half * base_x
+    nodes = np.add.outer(mids, offsets).ravel()
+    return nodes, np.tile(half * base_w, count), (mids, offsets)

@@ -16,17 +16,17 @@ function, both for scalar complex arguments in plain ``cmath``:
   Prop. 3.1), and psi(z) = psi(1 - z) - pi cot(pi z);
 * for 0 <= Re z < 7 and |z| < 12, the upward recurrences
   log Gamma(z) = log Gamma(z + 2) - log(z (z + 1)) and
-  psi(z) = psi(z + 1) - 1/z, until Re z >= 7 or |z| >= 12.  The two factors
-  z and z + 1 have arguments of at most pi/2 each, so the log of their
-  product is the sum of their principal logs and the result stays on the
-  principal branch;
+  psi(z) = psi(z + 2) - (2z + 1) / (z (z + 1)), until Re z >= 7 or
+  |z| >= 12.  The two factors z and z + 1 have arguments of at most pi/2
+  each, so the log of their product is the sum of their principal logs and
+  the result stays on the principal branch;
 * then the Stirling series with the Bernoulli numbers B_2 ... B_16
   (Abramowitz-Stegun 6.1.40 and 6.3.18).
 
+:func:`log_gamma_psi` sums both in one pass; :func:`log_gamma` skips psi.
 Reflection sends Re z < 0 to Re(1 - z) > 1, so no call takes more than 4
-log-Gamma or 7 digamma steps, however far left z lies.  The amplitude
-arguments, with Re z in (0, 1/2), take the recurrence, which costs about
-half what reflection does.
+recurrence steps, however far left z lies.  The amplitude arguments, with
+Re z in (0, 1/2), take the recurrence, which costs half what reflection does.
 
 Truncation bound: for Re z >= 0 the remainder of either series is at most
 its first omitted term times a power of sec(arg z / 2) no higher than 20
@@ -47,8 +47,7 @@ import numpy as np
 DEFAULT_POLE_GUARD = 1e-8
 
 # the recurrence runs while Re z < X0 and |z| < R0 (see the bound above)
-X0 = 7.0
-R0 = 12.0
+X0, R0 = 7.0, 12.0
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_PI = math.log(math.pi)
 # B_2k / (2k (2k - 1)) and B_2k / (2k), k = 8 down to 1, for Horner's rule in 1/z^2
@@ -86,9 +85,7 @@ def guard_pole(z, what: str = "Gamma argument"):
 
 def guard_nonzero(z, what: str = "prefactor"):
     if abs(complex(z)) <= DEFAULT_POLE_GUARD:
-        raise PoleProximityError(
-            f"{what} vanishes (|{complex(z):.6g}| <= {DEFAULT_POLE_GUARD:g})"
-        )
+        raise PoleProximityError(f"{what} vanishes (|{complex(z):.6g}| <= {DEFAULT_POLE_GUARD:g})")
     return z
 
 
@@ -128,31 +125,42 @@ def _cot_pi(z: complex) -> complex:
     return cmath.cos(w) / cmath.sin(w)
 
 
+def _log_gamma_psi(z: complex, with_psi: bool) -> tuple:
+    """(log Gamma(z), psi(z)) off the poles; psi is only summed with_psi."""
+    if z.real < 0.0:
+        lg, dg = _log_gamma_psi(1.0 - z, with_psi)
+        k = math.copysign(2.0 * math.pi, z.imag) * math.floor(0.5 * z.real + 0.25)
+        lg = complex(_LOG_PI, k) - _log_sin_pi(z) - lg
+        return lg, (dg - math.pi * _cot_pi(z) if with_psi else dg)
+    acc = dacc = 0.0j
+    while z.real < X0 and abs(z) < R0:
+        pair = z * (z + 1.0)
+        acc += cmath.log(pair)
+        if with_psi:
+            dacc += (2.0 * z + 1.0) / pair
+        z += 2.0
+    log_z, rz = cmath.log(z), 1.0 / z
+    rzz = rz * rz
+    lg = (z - 0.5) * log_z - z + _HALF_LOG_2PI + rz * _horner(_LOG_GAMMA_COEFFS, rzz) - acc
+    if with_psi:
+        dacc = log_z - 0.5 * rz - rzz * _horner(_PSI_COEFFS, rzz) - dacc
+    return lg, dacc
+
+
 def log_gamma(z) -> complex:
     """Principal branch of log Gamma(z) for complex z off the poles."""
-    z = complex(z)
-    if z.real < 0.0:
-        k = math.copysign(2.0 * math.pi, z.imag) * math.floor(0.5 * z.real + 0.25)
-        return complex(_LOG_PI, k) - _log_sin_pi(z) - log_gamma(1.0 - z)
-    acc = 0.0j
-    while z.real < X0 and abs(z) < R0:
-        acc += cmath.log(z * (z + 1.0))
-        z += 2.0
-    rz = 1.0 / z
-    series = rz * _horner(_LOG_GAMMA_COEFFS, rz * rz)
-    return (z - 0.5) * cmath.log(z) - z + _HALF_LOG_2PI + series - acc
+    return _log_gamma_psi(complex(z), False)[0]
+
+
+def log_gamma_psi(z, what: str = "Gamma argument") -> tuple:
+    """(log Gamma(z), psi(z)) of a pole-guarded z, from one pass."""
+    return _log_gamma_psi(complex(guard_pole(z, what)), True)
 
 
 def gamma_ratio(numerator, denominator) -> complex:
-    """prod Gamma(numerator) / prod Gamma(denominator), via log-Gamma.
-
-    Parameters
-    ----------
-    numerator, denominator : iterable of complex
-        Gamma arguments.  Each one is pole-guarded; a denominator argument at
-        a pole would silently send the ratio to zero, which callers here never
-        want, so it is rejected just the same.
-    """
+    """prod Gamma(numerator) / prod Gamma(denominator), via log-Gamma.  Every
+    argument is pole-guarded, in the denominator too, where a pole would
+    silently send the ratio to zero."""
     total = 0.0 + 0.0j
     for z in numerator:
         total += log_gamma(guard_pole(z))
@@ -163,13 +171,4 @@ def gamma_ratio(numerator, denominator) -> complex:
 
 def psi(z):
     """Digamma function for complex argument, pole-guarded."""
-    z = complex(guard_pole(z, what="digamma argument"))
-    if z.real < 0.0:
-        return psi(1.0 - z) - math.pi * _cot_pi(z)
-    acc = 0.0j
-    while z.real < X0 and abs(z) < R0:
-        acc += 1.0 / z
-        z += 1.0
-    rz = 1.0 / z
-    rzz = rz * rz
-    return cmath.log(z) - 0.5 * rz - rzz * _horner(_PSI_COEFFS, rzz) - acc
+    return log_gamma_psi(z, "digamma argument")[1]

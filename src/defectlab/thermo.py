@@ -4,12 +4,16 @@ forms.
 
 Every quantity here is a half-line quadrature of the Fourier kernels in
 :mod:`defectlab.kernels` (sigma0_hat, r_hat, rt_hat and amplitude_columns),
-called directly at the rank a :class:`KernelTable` holds, on Gauss-Legendre
-nodes, which are strictly positive.  A call over a lam grid evaluates each
-kernel once on the nodes and makes one cos and one sin pass over the
-(lam x node) grid (kernels.fourier_cos_sin), every sum it needs one
-coefficient column: the density's bulk, backflow and impurity terms, the
-amplitude's log and log-derivative of every requested sign.
+called directly at the rank a :class:`KernelTable` holds, on the panel grid
+of kernels.half_line_grid: Gauss-Legendre nodes, strictly positive, each a
+panel mid plus a shared offset.  _half_line_grid caches that grid with its
+panel form per cutoff.  A call over a lam grid evaluates each kernel once on
+the nodes and makes one Fourier pass, kernels.fourier_cos_sin, which sums
+by angle addition over the panels, every sum it needs one coefficient
+column: the density's bulk, backflow and impurity terms, the amplitude's log
+and log-derivative of every requested sign.  The closed forms they are
+checked against take one log-Gamma and digamma pass per Gamma argument
+(special.log_gamma_psi).
 
 Fourier convention, fixed globally: fhat(omega) = integral dlam
 e^{i omega lam} f(lam), inverted by (1/2pi) integral domega
@@ -27,7 +31,7 @@ import numpy as np
 
 from . import kernels, lax
 from .checks import CheckReport, worst_of
-from .special import log_gamma, psi
+from .special import log_gamma_psi
 
 TAIL_TARGET = 1e-10
 
@@ -152,7 +156,7 @@ def density(
                 bound,
             )
         worst_tail = max(worst_tail, bound)
-    nodes, weights = _half_line_grid(cutoff)
+    nodes, weights, panels = _half_line_grid(cutoff)
     # the impurity kernel is one-sided in omega: the half-line nodes map to
     # omega = -side u, so its phase exp(-i omega (lam - theta)) is
     # exp(side i u (lam - theta))
@@ -162,7 +166,7 @@ def density(
     cos_h, sin_h = np.cos(hole * nodes), np.sin(hole * nodes)
     cos_t, sin_t = np.cos(theta * nodes), np.sin(theta * nodes)
     coef = np.column_stack((bulk_w, back_w * cos_h, back_w * sin_h, rt_w * cos_t, rt_w * sin_t))
-    c, s = kernels.fourier_cos_sin(nodes, coef, lams)
+    c, s = kernels.fourier_cos_sin(nodes, coef, lams, panels)
     bulk = c[:, 0] / math.pi
     backflow = (c[:, 1] + s[:, 2]) / math.pi
     defect = (c[:, 3] + s[:, 4] + 1j * side * (s[:, 3] - c[:, 4])) / (2.0 * math.pi)
@@ -189,7 +193,7 @@ def density(
 
 def amplitude_quadrature(table: KernelTable, signs, lamhats) -> dict:
     """log T and d/dlamhat log T of each sign in ``signs`` on the lamhat
-    grid, as {sign: (log_t, dlog_t)}, from one cos and one sin pass.
+    grid, as {sign: (log_t, dlog_t)}, from one Fourier pass.
 
     side log T is a regularized integral: the 1/omega singularity of the
     bare exponent is removed by subtracting c0 * e^{-rank |omega|} with c0 the
@@ -198,16 +202,16 @@ def amplitude_quadrature(table: KernelTable, signs, lamhats) -> dict:
     is absolutely convergent (no subtraction).
     """
     lamhats = np.ascontiguousarray(np.atleast_1d(lamhats), dtype=float)
-    nodes, weights = _half_line_grid()
+    nodes, weights, panels = _half_line_grid()
     sides = [kernels.defect_side(sign) for sign in signs]
     columns, subtractions = [], []
     for sign, side in zip(signs, sides):
         over_u, kern, sub = kernels.amplitude_columns(nodes, table.rank, sign)
         # the columns carry the side of the phase exp(side i u lamhat), so the
-        # sin pass sums its imaginary part term by term
+        # sin sum is its imaginary part term by term
         columns += [side * weights * over_u, side * weights * kern]
         subtractions.append(weights @ sub)
-    c, s = kernels.fourier_cos_sin(nodes, np.column_stack(columns), lamhats)
+    c, s = kernels.fourier_cos_sin(nodes, np.column_stack(columns), lamhats, panels)
     out = {}
     for i, (sign, side, sub) in enumerate(zip(signs, sides, subtractions)):
         # side log T, set part by part so that no sign of a zero is lost
@@ -221,11 +225,20 @@ def amplitude_quadrature(table: KernelTable, signs, lamhats) -> dict:
     return out
 
 
-def amplitude_log_derivative_closed(table: KernelTable, sign: str, lamhat) -> complex:
-    """Digamma form of d/dlamhat log T: the Gamma arguments of T move with
-    slope -side i/rank in lamhat."""
+def amplitude_closed(table: KernelTable, sign: str, lamhat) -> tuple:
+    """T = Gamma(num) / Gamma(den) (lax.transmission_amplitude) and the
+    digamma form of d/dlamhat log T, from one log-Gamma and digamma pass per
+    Gamma argument: the arguments move with slope -side i/rank in lamhat."""
     num, den = lax.amplitude_gamma_args(table.rank, sign, lamhat)
-    return (-kernels.defect_side(sign) * 1j / table.rank) * (psi(num) - psi(den))
+    log_num, psi_num = log_gamma_psi(num)
+    log_den, psi_den = log_gamma_psi(den)
+    slope = -kernels.defect_side(sign) * 1j / table.rank
+    return complex(np.exp(log_num - log_den)), slope * (psi_num - psi_den)
+
+
+def amplitude_log_derivative_closed(table: KernelTable, sign: str, lamhat) -> complex:
+    """Digamma form of d/dlamhat log T, the second value of amplitude_closed."""
+    return amplitude_closed(table, sign, lamhat)[1]
 
 
 def quantization_phase_residual(
@@ -264,14 +277,16 @@ def check_gamma_identity(mu, tol: float = 1e-8) -> CheckReport:
     if mu_c.real <= 0:
         raise ValueError(f"Re mu must be positive, got {mu_c}")
     cutoff = max(kernels.OMEGA_CUTOFF, 200.0 / (mu_c.real + 1.0))
-    nodes, weights = _half_line_grid(cutoff)
+    nodes, weights, _ = _half_line_grid(cutoff)
     deriv_vals = kernels.gamma_identity_derivative_integrand(nodes, mu)
     reg_vals = kernels.gamma_identity_integrand(nodes, mu)
+    log_lo, psi_lo = log_gamma_psi((mu_c + 1.0) / 4.0, "digamma argument")
+    log_hi, psi_hi = log_gamma_psi((mu_c + 3.0) / 4.0, "digamma argument")
     deriv_quad = complex(weights @ deriv_vals)
-    deriv_target = psi((mu_c + 3.0) / 4.0) - psi((mu_c + 1.0) / 4.0)
+    deriv_target = psi_hi - psi_lo
     deriv_residual = abs(deriv_quad - deriv_target)
     reg_quad = 0.5 * complex(weights @ reg_vals)
-    reg_target = log_gamma((mu_c + 1.0) / 4.0) - log_gamma((mu_c + 3.0) / 4.0)
+    reg_target = log_lo - log_hi
     reg_residual = abs(reg_quad - reg_target)
     return CheckReport.from_residual(
         "gamma-identity",

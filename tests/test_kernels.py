@@ -142,19 +142,53 @@ def test_gl_panels_polynomial_exactness():
 
 
 def test_half_line_grid_integrates_exponential():
-    nodes, weights = half_line_grid()
+    nodes, weights, _ = half_line_grid()
     assert abs(weights @ np.exp(-nodes) - 1.0) < 1e-14
     assert np.all(weights > 0)
     assert nodes.min() > 0.0 and nodes.max() < 80.0
 
 
+def test_default_half_line_grid_is_the_composite_rule_on_even_edges():
+    # bitwise the composite Gauss-Legendre rule on the panels [2p, 2p + 2]
+    nodes, weights, (mids, offsets) = half_line_grid()
+    want_nodes, want_weights = gl_panels(np.linspace(0.0, 80.0, 41), order=32)
+    assert nodes.tobytes() == want_nodes.tobytes()
+    assert weights.tobytes() == want_weights.tobytes()
+    assert mids.tobytes() == np.arange(1.0, 80.0, 2.0).tobytes()
+    assert offsets.tobytes() == np.polynomial.legendre.leggauss(32)[0].tobytes()
+
+
+@pytest.mark.parametrize("cutoff", [80.0, 81.0, 200.0 / 1.3, 200.0 / 1.01, 2.0 / 3.0])
+def test_half_line_grid_is_its_panel_form_for_every_cutoff(cutoff):
+    nodes, weights, (mids, offsets) = half_line_grid(cutoff)
+    assert nodes.tobytes() == np.add.outer(mids, offsets).ravel().tobytes()
+    assert len(nodes) == len(weights) == 32 * math.ceil(cutoff / 2.0)
+    # one half-width: the panels tile [0, cutoff] and the rule is exact on 1
+    half = cutoff / (2 * len(mids))
+    assert np.allclose(np.diff(mids), 2 * half, rtol=0, atol=1e-12 * cutoff)
+    assert abs(mids[0] - half) <= 1e-15 * cutoff and abs(mids[-1] + half - cutoff) <= 1e-14 * cutoff
+    assert abs(weights.sum() - cutoff) <= 1e-14 * cutoff
+
+
+def test_fourier_cos_sin_refuses_nodes_that_are_not_their_panels():
+    nodes, weights, panels = half_line_grid()
+    lams, coef = np.linspace(-1.0, 1.0, 3), weights[:, None]
+    nudged = nodes.copy()
+    nudged[100] = np.nextafter(nudged[100], np.inf)
+    mids, offsets = panels
+    for bad in (nodes[::-1], nudged, nodes[:-1], gl_panels(np.linspace(0.0, 80.0, 81))[0][:1280],
+                np.add.outer(offsets, mids).ravel()):
+        with pytest.raises(ValueError, match="of their panels"):
+            fourier_cos_sin(bad, coef[: len(bad)], lams, panels)
+
+
 def test_fourier_cos_sum_lorentzian():
     # (1/pi) int_0^inf exp(-n w/2) cos(w lam) dw = (1/(2 pi)) n/(lam^2+n^2/4),
     # both n in one pass, one column each
-    nodes, weights = half_line_grid()
+    nodes, weights, panels = half_line_grid()
     lams = np.linspace(-3, 3, 25)
     coef = np.column_stack([weights * np.exp(-0.5 * n * nodes) for n in (1, 2)])
-    cos_part, _ = fourier_cos_sin(nodes, coef, lams)
+    cos_part, _ = fourier_cos_sin(nodes, coef, lams, panels)
     for col, n in enumerate((1, 2)):
         expected = (1.0 / (2 * np.pi)) * n / (lams**2 + 0.25 * n * n)
         assert np.max(np.abs(cos_part[:, col] / np.pi - expected)) < 1e-13
@@ -162,10 +196,13 @@ def test_fourier_cos_sum_lorentzian():
 
 def test_fourier_exp_sum_full_line():
     # (1/(2 pi)) sum w exp(-|omega|) exp(-i omega lam) over the full line
+    # the 80 panels of [-80, 80], mids -79, ..., 79, in their panel form
     edges = np.linspace(-80.0, 80.0, 81)
     nodes, weights = gl_panels(edges, order=32)
+    panels = (0.5 * (edges[:-1] + edges[1:]), np.polynomial.legendre.leggauss(32)[0])
     lams = np.linspace(-2, 2, 9)
-    cos_part, sin_part = fourier_cos_sin(nodes, (weights * np.exp(-np.abs(nodes)))[:, None], lams)
+    coef = (weights * np.exp(-np.abs(nodes)))[:, None]
+    cos_part, sin_part = fourier_cos_sin(nodes, coef, lams, panels)
     got = (cos_part[:, 0] - 1j * sin_part[:, 0]) / (2 * np.pi)
     expected = (1.0 / (2 * np.pi)) * 2.0 / (lams**2 + 1.0)
     assert np.max(np.abs(got - expected)) < 1e-13
@@ -218,7 +255,7 @@ def test_gamma_identity_integrand_limit():
 
 def test_gamma_identity_derivative_known_value():
     # int_0^inf exp(-x/2) sech(x/2) dx = 2 log 2
-    nodes, weights = half_line_grid()
+    nodes, weights, _ = half_line_grid()
     got = weights @ gamma_identity_derivative_integrand(nodes, 1.0)
     assert abs(got - 2 * math.log(2)) < 1e-12
 
@@ -359,9 +396,21 @@ def test_amplitude_columns_match_scalar_reference():
                 )
 
 
+def _grid_through_zero():
+    """The default grid with one more offset, at each panel's left edge, and
+    weight 0.01 there: still in panel form, with a node at omega = 0."""
+    _, weights, (mids, offsets) = half_line_grid()
+    offsets = np.concatenate(([-1.0], offsets))
+    nodes = np.add.outer(mids, offsets).ravel()
+    edge_weights = np.full((len(mids), 1), 0.01)
+    weights = np.hstack((edge_weights, weights.reshape(len(mids), -1))).ravel()
+    assert nodes[0] == 0.0
+    return nodes, weights, (mids, offsets)
+
+
 def test_kernels_raise_no_floating_point_warnings():
     omega, u = np.array(OMEGAS), np.array(HALF_LINE)
-    nodes = np.concatenate(([0.0], half_line_grid()[0]))
+    nodes, _, panels = _grid_through_zero()
     weights = np.ones_like(nodes)
     with warnings.catch_warnings(), np.errstate(divide="warn", over="warn", invalid="warn"):
         warnings.simplefilter("error")
@@ -373,7 +422,7 @@ def test_kernels_raise_no_floating_point_warnings():
             for sign in ("-", "+"):
                 assert all(np.all(np.isfinite(c)) for c in amplitude_columns(u[1:], rank, sign))
         coef = np.column_stack((weights, np.exp(-0.5 * nodes)))
-        assert all(np.all(np.isfinite(p)) for p in fourier_cos_sin(nodes, coef, omega))
+        assert all(np.all(np.isfinite(p)) for p in fourier_cos_sin(nodes, coef, omega, panels))
 
 
 TILE_COUNTS = [1, 15, 16, 17, 201]  # one row; just below, on and above a tile; many tiles
@@ -383,21 +432,19 @@ TILE_COUNTS = [1, 15, 16, 17, 201]  # one row; just below, on and above a tile; 
 def test_fourier_sums_match_per_lambda_dot_products(count):
     # lam counts on, just below and just above multiples of the row tile, with
     # a node at omega = 0 and three coefficient columns in one pass
-    half_nodes, half_weights = half_line_grid()
-    nodes = np.concatenate(([0.0], half_nodes))
-    weights = np.concatenate(([0.01], half_weights))
+    nodes, weights, panels = _grid_through_zero()
     coef = weights[:, None] * np.column_stack(
         (sigma0_hat(nodes, 3, 1), r_hat(nodes, 3, 1), rt_hat(-nodes, 3, 2, "+"))
     )
     lams = np.linspace(-5.0, 5.0, count)
-    cos_part, sin_part = fourier_cos_sin(nodes, coef, lams)
+    cos_part, sin_part = fourier_cos_sin(nodes, coef, lams, panels)
     assert cos_part.shape == sin_part.shape == (count, 3)
     for got, trig in ((cos_part, np.cos), (sin_part, np.sin)):
         for row, lam in zip(got, lams):
             for g, column in zip(row, coef.T):
                 t = column * trig(nodes * lam)
-                # the tiled matrix product and this per-lam sum add the same
-                # 1,281 terms in different orders; a tiling slip would be O(1)
+                # the panel sums by angle addition and this per-lam sum add the
+                # same 1,320 terms in different ways; a tiling slip would be O(1)
                 assert abs(g - t.sum()) <= 2e-15 * np.abs(t).sum(), (trig.__name__, lam)
 
 
@@ -410,7 +457,7 @@ def test_amplitude_quadrature_matches_per_lambda_reference_sums(count):
     # each batched value against the dot product of the weights with the
     # scalar reference integrand at that lamhat; the bound is relative to
     # the sizes of the terms the batched sum adds
-    nodes, weights = half_line_grid()
+    nodes, weights, _ = half_line_grid()
     lams = np.linspace(-5.0, 5.0, count)
     for rank in (2, 3, 4):
         got = thermo.amplitude_quadrature(thermo.KernelTable(rank), ("-", "+"), lams)
@@ -432,7 +479,7 @@ def test_amplitude_quadrature_matches_per_lambda_reference_sums(count):
 def test_density_matches_per_lambda_reference_sums(count):
     # the three components, shifts folded in by angle addition, against the
     # per-lam dot products of the reference kernels with exp(i u (lam - shift))
-    nodes, weights = half_line_grid()
+    nodes, weights, _ = half_line_grid()
     lams = np.linspace(-5.0, 5.0, count)
     hole, theta = 0.4, -0.7
     for rank in (2, 3, 4):

@@ -16,6 +16,7 @@ from defectlab.special import (
     gamma_ratio,
     guard_pole,
     log_gamma,
+    log_gamma_psi,
     pole_distance,
     psi,
 )
@@ -85,6 +86,23 @@ def test_far_left_argument_returns_at_once(x, y):
     assert time.perf_counter() - start < 0.010
     assert _close(lg, loggamma(z))
     assert _close(dg, digamma(z))
+
+
+def test_one_pass_log_gamma_and_digamma_match_scipy():
+    # log_gamma_psi on every argument set above, at the same bound; its log
+    # Gamma is log_gamma's to the bit, and its digamma is psi's
+    far_left = [complex(x, y) for x in (-1e6, -1e300) for y in (0.5, -3.3)]
+    args = [z for num, den in _gamma_args() for z in num + den] + list(_box()) + far_left
+    for z in args:
+        lg, dg = log_gamma_psi(z)
+        assert _close(lg, loggamma(z)), z
+        assert _close(dg, digamma(z)), z
+        assert (lg, dg) == (log_gamma(z), psi(z)), z
+    for z in (complex(0.25, 1e300), complex(-2.25, -1e300)):
+        assert cmath.isfinite(log_gamma_psi(z)[1])
+    for z in (0.0, -3.0, -3.0 + 1e-9j, 1e-9):
+        with pytest.raises(PoleProximityError, match="Gamma argument .* within 1e-08 of a pole"):
+            log_gamma_psi(z)
 
 
 def test_huge_imaginary_part_stays_finite_or_overflows_quietly():

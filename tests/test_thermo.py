@@ -7,10 +7,12 @@ from scipy.special import gamma as sp_gamma
 
 from defectlab.bethe import _a_n
 from defectlab.kernels import gl_panels, impurity_level, r_hat, rt_hat, sigma0_hat
-from defectlab.lax import transmission_amplitude
+from defectlab.lax import amplitude_gamma_args, transmission_amplitude
+from defectlab.special import psi
 from defectlab.thermo import (
     KernelTable,
     TailBoundError,
+    amplitude_closed,
     amplitude_log_derivative_closed,
     amplitude_quadrature,
     check_gamma_identity,
@@ -212,6 +214,20 @@ def test_amplitude_log_derivative_matches_digamma():
             for lamhat, quad_v in zip(lamhats, both[sign][1]):
                 closed = amplitude_log_derivative_closed(t, sign, lamhat)
                 assert abs(quad_v - closed) < 1e-10
+
+
+def test_amplitude_closed_is_the_gamma_ratio_and_the_digamma_form():
+    # one log-Gamma and digamma pass per argument gives the same values as
+    # the separate ratio and digamma calls
+    for rank in (2, 3, 4):
+        t = KernelTable(rank)
+        for sign, side in (("+", 1), ("-", -1)):
+            for lamhat in (-4.3, -0.9, 0.0, 0.6, 5.1):
+                closed, deriv = amplitude_closed(t, sign, lamhat)
+                num, den = amplitude_gamma_args(rank, sign, lamhat)
+                assert closed == transmission_amplitude(rank, sign, lamhat)
+                assert deriv == (-side * 1j / rank) * (psi(num) - psi(den))
+                assert deriv == amplitude_log_derivative_closed(t, sign, lamhat)
 
 
 def test_amplitude_log_derivative_consistent_with_difference():
