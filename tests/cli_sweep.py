@@ -1,6 +1,6 @@
 """Byte-identity sweep of the defectlab CLI.
 
-INVOCATIONS lists 153 CLI invocations: every check suite, ``check
+INVOCATIONS lists 154 CLI invocations: every check suite, ``check
 all`` at ranks 2-4, amplitude scans and density profiles in CSV and JSON,
 Bethe solves from state files, and the refusals.  The runner calls
 ``defectlab.cli.main`` in-process for each one, inside a scratch directory
@@ -233,6 +233,7 @@ INVOCATIONS = [
     _case("density", "--sites", "50", "--grid", "-1", "1", "3"),
     _case("density", "--sign", "both"),
     _case(),
+    _case("--help"),
     *(_case(command, "--help") for command in ("check", "amplitudes", "bae", "density")),
 ]
 
