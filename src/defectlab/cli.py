@@ -16,7 +16,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -325,13 +325,13 @@ def cmd_check(suite: str, cfg: RunConfig) -> int:
 # amplitude scan
 
 
-def _amplitude_rows(table, sign: str, lams, log_t, dlog_t):
+def _amplitude_rows(rank: int, sign: str, lams, log_t, dlog_t):
     rows = []
     worst = 0.0
     for lam, log_i, dlog_i in zip(lams, log_t, dlog_t):
         lam = float(lam)
         try:
-            closed, deriv_closed = thermo.amplitude_closed(table, sign, lam)
+            closed, deriv_closed = lax.transmission_amplitude(rank, sign, lam)
         except PoleProximityError:
             rows.append((lam, complex("nan+nanj"), complex("nan+nanj"), float("nan"), sign, "pole"))
             continue
@@ -355,7 +355,7 @@ def cmd_amplitudes(cfg: RunConfig, sign: str) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         logs = thermo.amplitude_quadrature(table, signs, lams)
         for s in signs:
-            new_rows, w = _amplitude_rows(table, s, lams, *logs[s])
+            new_rows, w = _amplitude_rows(cfg.rank, s, lams, *logs[s])
             rows.extend(new_rows)
             worst = checks.worst_of(worst, w)
     nonfinite = [
@@ -490,6 +490,7 @@ class _NumberLiteral:
         return True
 
 
+@cache  # built on the first main call, not at import, and kept for the process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="defectlab",

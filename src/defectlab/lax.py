@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import defect_side
-from .special import gamma_ratio, guard_nonzero
+from .special import gamma_ratio, guard_nonzero, log_gamma_psi
 from .tensor import COMPLEX, FockSpace, apply_local, permutation_op, require_budget
 
 VARIANT_L = "L"
@@ -206,7 +206,8 @@ def amplitude_gamma_args(rank: int, sign: str, lam) -> tuple:
     """Gamma arguments (num, den) of the transmission amplitude T^+ or T^-.
 
     With z = -side i lambda/n and a shift of 0 for '+' and 1/2 for '-',
-    num = z + 1/(2n) + shift and den = z - 1/(2n) + 1 - shift.
+    num = z + 1/(2n) + shift and den = z - 1/(2n) + 1 - shift: both move
+    with slope dz/dlambda = -side i/n.
     """
     side = defect_side(sign)
     z = -side * 1j * complex(lam) / rank
@@ -214,14 +215,19 @@ def amplitude_gamma_args(rank: int, sign: str, lam) -> tuple:
     return z + 1 / (2 * rank) + shift, z - 1 / (2 * rank) + (1 - shift)
 
 
-def transmission_amplitude(rank: int, sign: str, lam) -> complex:
-    """Closed-form transmission amplitude T^+ or T^-.
+def transmission_amplitude(rank: int, sign: str, lam) -> tuple:
+    """Closed-form transmission amplitude T^+ or T^- and its log-derivative
+    d/dlambda log T, from one log-Gamma and digamma pass per Gamma argument.
 
     T^+(lambda) = Gamma(-i lambda/n + 1/(2n)) / Gamma(-i lambda/n - 1/(2n) + 1)
     T^-(lambda) = Gamma(i lambda/n + 1/(2n) + 1/2) / Gamma(i lambda/n - 1/(2n) + 1/2)
+    d/dlambda log T = (-side i/n) (psi(num) - psi(den))
     """
     num, den = amplitude_gamma_args(rank, sign, lam)
-    return gamma_ratio([num], [den])
+    log_num, psi_num = log_gamma_psi(num)
+    log_den, psi_den = log_gamma_psi(den)
+    slope = -defect_side(sign) * 1j / rank
+    return complex(np.exp(log_num - log_den)), slope * (psi_num - psi_den)
 
 
 def nbar_op(fock: FockSpace, rank: int) -> np.ndarray:
@@ -240,7 +246,7 @@ def transmission_matrix(rank: int, fock: FockSpace, lam) -> np.ndarray:
     nbar = nbar_op(fock, rank)
     out = _oscillator_operator(n, fock, 1j * lam * eye_f + eye_f + nbar, 1, reverse=False)
     denom = guard_nonzero(1j * lam + n / 2 - 0.5, what="transmission prefactor denominator")
-    return (transmission_amplitude(rank, "-", lam) / denom) * out
+    return (transmission_amplitude(rank, "-", lam)[0] / denom) * out
 
 
 def conjugate_transmission_matrix(rank: int, fock: FockSpace, lam) -> np.ndarray:
@@ -251,7 +257,7 @@ def conjugate_transmission_matrix(rank: int, fock: FockSpace, lam) -> np.ndarray
     nbar = nbar_op(fock, rank)
     head = (-1j * lam - n / 2 + 1) * eye_f + nbar
     out = _oscillator_operator(n, fock, head, 1, reverse=True)
-    return transmission_amplitude(rank, "+", lam) * out
+    return transmission_amplitude(rank, "+", lam)[0] * out
 
 
 def crossed_transmission_matrix(rank: int, fock: FockSpace, lam) -> np.ndarray:

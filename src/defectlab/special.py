@@ -2,13 +2,12 @@
 
 Every scattering and transmission amplitude in this package is a ratio of
 Gamma functions of complex arguments.  Evaluating such a ratio blindly near
-a pole of the numerator produces garbage without warning, so all call sites
-go through :func:`gamma_ratio`, which refuses arguments inside a small disk
-around the pole set {0, -1, -2, ...}.
-
-:func:`log_gamma` is the principal branch of log Gamma (real on the positive
-real axis, cut along the negative one) and :func:`psi` is the digamma
-function, both for scalar complex arguments in plain ``cmath``:
+a pole produces garbage without warning, so every call site goes through
+:func:`log_gamma_psi`, which refuses arguments inside a small disk around the
+pole set {0, -1, -2, ...}.  It returns the principal branch of log Gamma
+(real on the positive real axis, cut along the negative one) and the digamma
+function psi together, from one pass over a scalar complex argument in plain
+``cmath``; :func:`gamma_ratio` sums its first value over each argument:
 
 * for Re z < 0, the reflection formulas
   log Gamma(z) = log pi - log sin(pi z) - log Gamma(1 - z) + 2 pi i k, with
@@ -23,7 +22,6 @@ function, both for scalar complex arguments in plain ``cmath``:
 * then the Stirling series with the Bernoulli numbers B_2 ... B_16
   (Abramowitz-Stegun 6.1.40 and 6.3.18).
 
-:func:`log_gamma_psi` sums both in one pass; :func:`log_gamma` skips psi.
 Reflection sends Re z < 0 to Re(1 - z) > 1, so no call takes more than 4
 recurrence steps, however far left z lies.  The amplitude arguments, with
 Re z in (0, 1/2), take the recurrence, which costs half what reflection does.
@@ -125,36 +123,27 @@ def _cot_pi(z: complex) -> complex:
     return cmath.cos(w) / cmath.sin(w)
 
 
-def _log_gamma_psi(z: complex, with_psi: bool) -> tuple:
-    """(log Gamma(z), psi(z)) off the poles; psi is only summed with_psi."""
+def _log_gamma_psi(z: complex) -> tuple:
+    """(log Gamma(z), psi(z)) off the poles."""
     if z.real < 0.0:
-        lg, dg = _log_gamma_psi(1.0 - z, with_psi)
+        lg, dg = _log_gamma_psi(1.0 - z)
         k = math.copysign(2.0 * math.pi, z.imag) * math.floor(0.5 * z.real + 0.25)
-        lg = complex(_LOG_PI, k) - _log_sin_pi(z) - lg
-        return lg, (dg - math.pi * _cot_pi(z) if with_psi else dg)
+        return complex(_LOG_PI, k) - _log_sin_pi(z) - lg, dg - math.pi * _cot_pi(z)
     acc = dacc = 0.0j
     while z.real < X0 and abs(z) < R0:
         pair = z * (z + 1.0)
         acc += cmath.log(pair)
-        if with_psi:
-            dacc += (2.0 * z + 1.0) / pair
+        dacc += (2.0 * z + 1.0) / pair
         z += 2.0
     log_z, rz = cmath.log(z), 1.0 / z
     rzz = rz * rz
     lg = (z - 0.5) * log_z - z + _HALF_LOG_2PI + rz * _horner(_LOG_GAMMA_COEFFS, rzz) - acc
-    if with_psi:
-        dacc = log_z - 0.5 * rz - rzz * _horner(_PSI_COEFFS, rzz) - dacc
-    return lg, dacc
-
-
-def log_gamma(z) -> complex:
-    """Principal branch of log Gamma(z) for complex z off the poles."""
-    return _log_gamma_psi(complex(z), False)[0]
+    return lg, log_z - 0.5 * rz - rzz * _horner(_PSI_COEFFS, rzz) - dacc
 
 
 def log_gamma_psi(z, what: str = "Gamma argument") -> tuple:
     """(log Gamma(z), psi(z)) of a pole-guarded z, from one pass."""
-    return _log_gamma_psi(complex(guard_pole(z, what)), True)
+    return _log_gamma_psi(complex(guard_pole(z, what)))
 
 
 def gamma_ratio(numerator, denominator) -> complex:
@@ -163,12 +152,7 @@ def gamma_ratio(numerator, denominator) -> complex:
     silently send the ratio to zero."""
     total = 0.0 + 0.0j
     for z in numerator:
-        total += log_gamma(guard_pole(z))
+        total += log_gamma_psi(z)[0]
     for z in denominator:
-        total -= log_gamma(guard_pole(z))
+        total -= log_gamma_psi(z)[0]
     return complex(np.exp(total))
-
-
-def psi(z):
-    """Digamma function for complex argument, pole-guarded."""
-    return log_gamma_psi(z, "digamma argument")[1]

@@ -11,9 +11,10 @@ panel form per cutoff.  A call over a lam grid evaluates each kernel once on
 the nodes and makes one Fourier pass, kernels.fourier_cos_sin, which sums
 by angle addition over the panels, every sum it needs one coefficient
 column: the density's bulk, backflow and impurity terms, the amplitude's log
-and log-derivative of every requested sign.  The closed forms they are
-checked against take one log-Gamma and digamma pass per Gamma argument
-(special.log_gamma_psi).
+and log-derivative of every requested sign.  The amplitude's closed form, T
+with its log-derivative, is lax.transmission_amplitude; the Gamma identity's
+targets come from special.log_gamma_psi.  Both take one log-Gamma and
+digamma pass per Gamma argument.
 
 Fourier convention, fixed globally: fhat(omega) = integral dlam
 e^{i omega lam} f(lam), inverted by (1/2pi) integral domega
@@ -29,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import kernels, lax
+from . import kernels
 from .checks import CheckReport, worst_of
 from .special import log_gamma_psi
 
@@ -223,22 +224,6 @@ def amplitude_quadrature(table: KernelTable, signs, lamhats) -> dict:
         # component into 0.0
         out[sign] = (total if side > 0 else -total, dlog_t)
     return out
-
-
-def amplitude_closed(table: KernelTable, sign: str, lamhat) -> tuple:
-    """T = Gamma(num) / Gamma(den) (lax.transmission_amplitude) and the
-    digamma form of d/dlamhat log T, from one log-Gamma and digamma pass per
-    Gamma argument: the arguments move with slope -side i/rank in lamhat."""
-    num, den = lax.amplitude_gamma_args(table.rank, sign, lamhat)
-    log_num, psi_num = log_gamma_psi(num)
-    log_den, psi_den = log_gamma_psi(den)
-    slope = -kernels.defect_side(sign) * 1j / table.rank
-    return complex(np.exp(log_num - log_den)), slope * (psi_num - psi_den)
-
-
-def amplitude_log_derivative_closed(table: KernelTable, sign: str, lamhat) -> complex:
-    """Digamma form of d/dlamhat log T, the second value of amplitude_closed."""
-    return amplitude_closed(table, sign, lamhat)[1]
 
 
 def quantization_phase_residual(

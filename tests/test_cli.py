@@ -288,6 +288,19 @@ def test_bad_tol_flag(capsys):
     assert "NAME=VALUE" in capsys.readouterr().err
 
 
+def test_one_parser_serves_every_call_of_a_process(capsys):
+    # the parser is built once per process, and neither a refused call nor a
+    # --tol leaves anything in it for the next call
+    assert build_parser() is build_parser()
+    assert main(["check", "nonesuch", "--seed", "1"]) == 2
+    assert main(["check", "ybe", "--seed", "1", "--tol", "ybe=1e-3"]) == 0
+    loose = json.loads(capsys.readouterr().out)
+    assert {c["tolerance"] for c in loose["checks"]} == {1e-3}
+    assert main(["check", "ybe", "--seed", "1"]) == 0
+    default = json.loads(capsys.readouterr().out)
+    assert {c["tolerance"] for c in default["checks"]} == {DEFAULT_TOLERANCES["ybe"]}
+
+
 @pytest.mark.parametrize(
     "argv, config, named",
     [

@@ -103,9 +103,6 @@ def _sign_calls(sign):
     yield "amplitude_columns", lambda: amplitude_columns(w[2:], 3, sign), sign
     yield "density", lambda: thermo.density(table, 1, sign, w), sign
     yield "amplitude_quadrature", lambda: thermo.amplitude_quadrature(table, (sign,), w), sign
-    yield "amplitude_log_derivative_closed", (
-        lambda: thermo.amplitude_log_derivative_closed(table, sign, 0.3)
-    ), sign
     yield "transmission_amplitude", lambda: lax.transmission_amplitude(3, sign, 0.3), sign
     yield "amplitude_gamma_args", lambda: lax.amplitude_gamma_args(3, sign, 0.3), sign
     yield "defect_factor", lambda: bethe.defect_factor(0.3, sign), sign
@@ -120,7 +117,7 @@ def _sign_calls(sign):
 @pytest.mark.parametrize("sign", ["plus", "", None])
 def test_sign_entry_points_refuse_anything_but_plus_or_minus(sign):
     calls = list(_sign_calls(sign))
-    assert len(calls) == 12 + (sign is not None)
+    assert len(calls) == 11 + (sign is not None)
     for name, call, shown in calls:
         with pytest.raises(ValueError) as info:
             call()

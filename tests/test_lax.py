@@ -4,6 +4,7 @@ import pytest
 from defectlab.lax import (
     ChainSpec,
     LaxSpec,
+    amplitude_gamma_args,
     chain_vacuum,
     conjugate_transmission_matrix,
     crossed_l_matrix,
@@ -19,7 +20,7 @@ from defectlab.lax import (
     transmission_amplitude,
     transmission_matrix,
 )
-from defectlab.special import PoleProximityError
+from defectlab.special import PoleProximityError, gamma_ratio, log_gamma_psi
 from defectlab.tensor import FockSpace, embed_pair
 
 I = 1j
@@ -166,9 +167,22 @@ def test_lax_spec_validation():
 
 
 def test_transmission_amplitude_frozen_values():
-    assert abs(transmission_amplitude(2, "+", 0.0) - 2.9586751191886393) < 1e-12
-    assert abs(transmission_amplitude(2, "-", 0.0) - 0.3379891200336423) < 1e-12
-    assert abs(transmission_amplitude(3, "+", 0.0) - 4.931236676446653) < 1e-12
+    assert abs(transmission_amplitude(2, "+", 0.0)[0] - 2.9586751191886393) < 1e-12
+    assert abs(transmission_amplitude(2, "-", 0.0)[0] - 0.3379891200336423) < 1e-12
+    assert abs(transmission_amplitude(3, "+", 0.0)[0] - 4.931236676446653) < 1e-12
+
+
+def test_transmission_amplitude_is_the_gamma_ratio_and_the_digamma_form():
+    # one log-Gamma and digamma pass per argument gives the same values as
+    # the Gamma ratio and the digamma difference at the arguments' slope
+    for rank in (2, 3, 4):
+        for sign, side in (("+", 1), ("-", -1)):
+            for lam in (-4.3, -0.9, 0.0, 0.6, 5.1):
+                closed, deriv = transmission_amplitude(rank, sign, lam)
+                num, den = amplitude_gamma_args(rank, sign, lam)
+                assert closed == gamma_ratio([num], [den])
+                psi_num, psi_den = log_gamma_psi(num)[1], log_gamma_psi(den)[1]
+                assert deriv == (-side * 1j / rank) * (psi_num - psi_den)
 
 
 def test_transmission_amplitude_pole_raises():

@@ -7,13 +7,10 @@ from scipy.special import gamma as sp_gamma
 
 from defectlab.bethe import _a_n
 from defectlab.kernels import gl_panels, impurity_level, r_hat, rt_hat, sigma0_hat
-from defectlab.lax import amplitude_gamma_args, transmission_amplitude
-from defectlab.special import psi
+from defectlab.lax import transmission_amplitude
 from defectlab.thermo import (
     KernelTable,
     TailBoundError,
-    amplitude_closed,
-    amplitude_log_derivative_closed,
     amplitude_quadrature,
     check_gamma_identity,
     density,
@@ -201,7 +198,7 @@ def test_amplitude_regularized_matches_closed_form():
         for sign in ("+", "-"):
             for lamhat, log_t in zip(lamhats, both[sign][0]):
                 reg = np.exp(log_t)
-                closed = transmission_amplitude(rank, sign, lamhat)
+                closed = transmission_amplitude(rank, sign, lamhat)[0]
                 assert abs(reg - closed) / abs(closed) < 1e-10, (rank, sign, lamhat)
 
 
@@ -212,22 +209,8 @@ def test_amplitude_log_derivative_matches_digamma():
         both = amplitude_quadrature(t, ("+", "-"), lamhats)
         for sign in ("+", "-"):
             for lamhat, quad_v in zip(lamhats, both[sign][1]):
-                closed = amplitude_log_derivative_closed(t, sign, lamhat)
+                closed = transmission_amplitude(rank, sign, lamhat)[1]
                 assert abs(quad_v - closed) < 1e-10
-
-
-def test_amplitude_closed_is_the_gamma_ratio_and_the_digamma_form():
-    # one log-Gamma and digamma pass per argument gives the same values as
-    # the separate ratio and digamma calls
-    for rank in (2, 3, 4):
-        t = KernelTable(rank)
-        for sign, side in (("+", 1), ("-", -1)):
-            for lamhat in (-4.3, -0.9, 0.0, 0.6, 5.1):
-                closed, deriv = amplitude_closed(t, sign, lamhat)
-                num, den = amplitude_gamma_args(rank, sign, lamhat)
-                assert closed == transmission_amplitude(rank, sign, lamhat)
-                assert deriv == (-side * 1j / rank) * (psi(num) - psi(den))
-                assert deriv == amplitude_log_derivative_closed(t, sign, lamhat)
 
 
 def test_amplitude_log_derivative_consistent_with_difference():
@@ -259,7 +242,7 @@ def test_amplitude_sign_validation():
     with pytest.raises(ValueError):
         amplitude_quadrature(t, ("+", "0"), 0.0)
     with pytest.raises(ValueError):
-        amplitude_log_derivative_closed(t, "0", 0.0)
+        transmission_amplitude(2, "0", 0.0)
 
 
 def test_amplitude_quadrature_signs_are_independent_columns():
