@@ -1,6 +1,6 @@
 """Byte-identity sweep of the defectlab CLI.
 
-INVOCATIONS lists 154 CLI invocations: every check suite, ``check
+INVOCATIONS lists 156 CLI invocations: every check suite, ``check
 all`` at ranks 2-4, amplitude scans and density profiles in CSV and JSON,
 Bethe solves from state files, and the refusals.  The runner calls
 ``defectlab.cli.main`` in-process for each one, inside a scratch directory
@@ -130,6 +130,9 @@ INVOCATIONS = [
     _case("amplitudes", "--grid", "-2", "2", "5", "--tol", "amplitudes=1e-300"),
     _case("amplitudes", "--config", "grid.json",
           files={"grid.json": '{"lambda_grid": {"min": -1, "max": 1, "count": 5}, "format": "json"}'}),
+    # at rank 5e7 the '+' numerator at lambda = 0 is 1/(2n) = 1e-8, on the pole guard
+    *(_case("amplitudes", "--rank", "50000000", "--sign", "+", "--grid", "-1", "1", "3", "--format", f)
+      for f in ("csv", "json")),
     # density profiles
     *(_case("density", "--rank", r, "--format", f) for r in ("2", "3", "4") for f in ("csv", "json")),
     _case("density", "--rank", "3", "--level", "2", "--sign", "-", "--grid", "-2", "2", "9"),
