@@ -21,7 +21,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from . import bethe, checks, lax, thermo
-from .special import PoleProximityError
+from .special import DEFAULT_POLE_GUARD, modulus, pole_distance
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -206,11 +206,11 @@ def _write_json(cfg: RunConfig, payload: dict) -> None:
     _write_text(cfg, text + "\n")
 
 
-def _write_csv(cfg: RunConfig, header: str, rows) -> None:
-    """One line per row: numbers by repr(float(v)), strings as they are."""
-    lines = [header]
-    lines += [",".join([v if isinstance(v, str) else repr(float(v)) for v in row]) for row in rows]
-    _write_text(cfg, "\n".join(lines) + "\n")
+def _write_csv(cfg: RunConfig, header: str, columns) -> None:
+    """One line per row of equal-length columns: a float array's values by
+    repr, a list of strings as it is."""
+    cells = [col if isinstance(col, list) else map(repr, col.tolist()) for col in columns]
+    _write_text(cfg, "\n".join([header, *map(",".join, zip(*cells, strict=True))]) + "\n")
 
 
 def _config_echo(cfg: RunConfig) -> dict:
@@ -326,40 +326,40 @@ def cmd_check(suite: str, cfg: RunConfig) -> int:
 
 
 def _amplitude_rows(rank: int, sign: str, lams, log_t, dlog_t):
-    rows = []
-    worst = 0.0
-    for lam, log_i, dlog_i in zip(lams, log_t, dlog_t):
-        lam = float(lam)
-        try:
-            closed, deriv_closed = lax.transmission_amplitude(rank, sign, lam)
-        except PoleProximityError:
-            rows.append((lam, complex("nan+nanj"), complex("nan+nanj"), float("nan"), sign, "pole"))
-            continue
-        integral = complex(np.exp(log_i))
-        logderiv_residual = abs(complex(dlog_i) - deriv_closed)
-        rel = abs(integral - closed) / max(abs(closed), 1e-300)
-        worst = checks.worst_of(worst, rel, logderiv_residual)
-        finite = all(map(cmath.isfinite, (closed, integral, logderiv_residual)))
-        status = "ok" if finite else "nonfinite"
-        rows.append((lam, closed, integral, logderiv_residual, sign, status))
-    return rows, worst
+    """One sign's rows on the lambda grid as columns (closed form, integral,
+    log-derivative residual, status), and the worst residual, a NaN if any
+    row without a pole has one.  A row whose Gamma arguments lie on the pole
+    guard is all NaN, with status 'pole'."""
+    num, den = lax.amplitude_gamma_args(rank, sign, lams)
+    pole = np.minimum(pole_distance(num), pole_distance(den)) <= DEFAULT_POLE_GUARD
+    nan = complex("nan+nanj")
+    closed, deriv_closed = np.full(lams.shape, nan), np.full(lams.shape, nan)
+    closed[~pole], deriv_closed[~pole] = lax.transmission_amplitude(rank, sign, lams[~pole])
+    integral = np.where(pole, nan, np.exp(log_t))
+    residual = modulus(dlog_t - deriv_closed)
+    rel = modulus(integral - closed) / np.maximum(modulus(closed), 1e-300)
+    worst = float(np.max([rel[~pole], residual[~pole]], initial=0.0))
+    finite = np.isfinite(closed) & np.isfinite(integral) & np.isfinite(residual)
+    status = np.where(pole, "pole", np.where(finite, "ok", "nonfinite"))
+    return (closed, integral, residual, status), worst
 
 
 def cmd_amplitudes(cfg: RunConfig, sign: str) -> int:
     signs = ("-", "+") if sign == "both" else (sign,)
     table = thermo.KernelTable(cfg.rank)
     lams = cfg.grid()
-    rows = []
-    worst = 0.0
     # an overflow shows as a nonfinite row, named on stderr below
     with np.errstate(over="ignore", invalid="ignore"):
         logs = thermo.amplitude_quadrature(table, signs, lams)
-        for s in signs:
-            new_rows, w = _amplitude_rows(cfg.rank, s, lams, *logs[s])
-            rows.extend(new_rows)
-            worst = checks.worst_of(worst, w)
+        parts = [_amplitude_rows(cfg.rank, s, lams, *logs[s]) for s in signs]
+    worst = checks.worst_of(*(w for _, w in parts))
+    closed, integral, deriv, status = map(np.concatenate, zip(*(cols for cols, _ in parts)))
+    status = status.tolist()
+    lam_col = np.tile(lams, len(signs))
+    sign_col = [s for s in signs for _ in lams]
     nonfinite = [
-        f"lambda {lam!r} sign {s}" for lam, _, _, _, s, status in rows if status == "nonfinite"
+        f"lambda {lam!r} sign {s}"
+        for lam, s, st in zip(lam_col.tolist(), sign_col, status) if st == "nonfinite"
     ]
     if nonfinite:
         print(f"warning: amplitude rows not finite: {', '.join(nonfinite)}", file=sys.stderr)
@@ -374,13 +374,14 @@ def cmd_amplitudes(cfg: RunConfig, sign: str) -> int:
             "rows": [
                 {
                     "lambda": lam,
-                    "closed_form": [closed.real, closed.imag],
-                    "integral": [integral.real, integral.imag],
-                    "logderiv_residual": deriv,
+                    "closed_form": [c.real, c.imag],
+                    "integral": [i.real, i.imag],
+                    "logderiv_residual": d,
                     "sign": s,
-                    "status": status,
+                    "status": st,
                 }
-                for lam, closed, integral, deriv, s, status in rows
+                for lam, c, i, d, s, st in zip(lam_col.tolist(), closed.tolist(),
+                                               integral.tolist(), deriv.tolist(), sign_col, status)
             ],
         })
     else:
@@ -388,10 +389,8 @@ def cmd_amplitudes(cfg: RunConfig, sign: str) -> int:
             cfg,
             "lambda,closed_form_re,closed_form_im,integral_re,integral_im,"
             "logderiv_residual,sign,status",
-            [
-                (lam, closed.real, closed.imag, integral.real, integral.imag, deriv, s, status)
-                for lam, closed, integral, deriv, s, status in rows
-            ],
+            [lam_col, closed.real, closed.imag, integral.real, integral.imag, deriv, sign_col,
+             status],
         )
     return EXIT_OK if worst <= tol else EXIT_FAIL
 
@@ -466,8 +465,8 @@ def cmd_density(cfg: RunConfig, level: int, sign: str, sites: int, hole: float) 
         _write_csv(
             cfg,
             "lambda,sigma_re,sigma_im,bulk,hole_backflow,defect_re,defect_im",
-            zip(profile.lams, profile.total.real, profile.total.imag, profile.bulk,
-                profile.hole_backflow, profile.defect.real, profile.defect.imag),
+            [profile.lams, profile.total.real, profile.total.imag, profile.bulk,
+             profile.hole_backflow, profile.defect.real, profile.defect.imag],
         )
     return EXIT_FAIL if nonfinite else EXIT_OK
 

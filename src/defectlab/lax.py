@@ -203,21 +203,23 @@ def s_matrix(rank: int, lam) -> np.ndarray:
 
 
 def amplitude_gamma_args(rank: int, sign: str, lam) -> tuple:
-    """Gamma arguments (num, den) of the transmission amplitude T^+ or T^-.
+    """Gamma arguments (num, den) of the transmission amplitude T^+ or T^-,
+    complex numbers for a scalar lambda and complex arrays for an array.
 
     With z = -side i lambda/n and a shift of 0 for '+' and 1/2 for '-',
     num = z + 1/(2n) + shift and den = z - 1/(2n) + 1 - shift: both move
     with slope dz/dlambda = -side i/n.
     """
     side = defect_side(sign)
-    z = -side * 1j * complex(lam) / rank
+    z = -side * 1j * (lam if isinstance(lam, np.ndarray) else complex(lam)) / rank
     shift = 0.0 if side > 0 else 0.5
     return z + 1 / (2 * rank) + shift, z - 1 / (2 * rank) + (1 - shift)
 
 
 def transmission_amplitude(rank: int, sign: str, lam) -> tuple:
     """Closed-form transmission amplitude T^+ or T^- and its log-derivative
-    d/dlambda log T, from one log-Gamma and digamma pass per Gamma argument.
+    d/dlambda log T, from one log-Gamma and digamma pass per Gamma argument:
+    complex numbers for a scalar lambda, complex arrays for an array.
 
     T^+(lambda) = Gamma(-i lambda/n + 1/(2n)) / Gamma(-i lambda/n - 1/(2n) + 1)
     T^-(lambda) = Gamma(i lambda/n + 1/(2n) + 1/2) / Gamma(i lambda/n - 1/(2n) + 1/2)
@@ -227,7 +229,8 @@ def transmission_amplitude(rank: int, sign: str, lam) -> tuple:
     log_num, psi_num = log_gamma_psi(num)
     log_den, psi_den = log_gamma_psi(den)
     slope = -defect_side(sign) * 1j / rank
-    return complex(np.exp(log_num - log_den)), slope * (psi_num - psi_den)
+    t = np.exp(log_num - log_den)
+    return (t if isinstance(t, np.ndarray) else complex(t)), slope * (psi_num - psi_den)
 
 
 def nbar_op(fock: FockSpace, rank: int) -> np.ndarray:

@@ -7,7 +7,8 @@ a pole produces garbage without warning, so every call site goes through
 pole set {0, -1, -2, ...}.  It returns the principal branch of log Gamma
 (real on the positive real axis, cut along the negative one) and the digamma
 function psi together, from one pass over a scalar complex argument in plain
-``cmath``; :func:`gamma_ratio` sums its first value over each argument:
+``cmath``, or elementwise over a numpy array; :func:`gamma_ratio` sums its
+first value over each argument:
 
 * for Re z < 0, the reflection formulas
   log Gamma(z) = log pi - log sin(pi z) - log Gamma(1 - z) + 2 pi i k, with
@@ -25,6 +26,15 @@ function psi together, from one pass over a scalar complex argument in plain
 Reflection sends Re z < 0 to Re(1 - z) > 1, so no call takes more than 4
 recurrence steps, however far left z lies.  The amplitude arguments, with
 Re z in (0, 1/2), take the recurrence, which costs half what reflection does.
+
+An array is refused whole if any entry would be refused, with the scalar's
+error for the first such entry.  It then takes the same steps in the same
+order as a scalar: the recurrence runs on the entries that still need a
+step, and the Stirling series on all of them at once.  Entries with
+Re z < 0, which no real amplitude grid produces, go through the scalar
+reflection one by one.  Array results agree with the scalar ones to a few
+ulps: numpy's complex products, quotients and logs may round differently
+from Python's and ``cmath``'s.
 
 Truncation bound: for Re z >= 0 the remainder of either series is at most
 its first omitted term times a power of sec(arg z / 2) no higher than 20
@@ -63,21 +73,42 @@ class PoleProximityError(ValueError):
     explicit prefactor zero."""
 
 
-def pole_distance(z) -> float:
-    """Distance from z to the nearest non-positive integer."""
-    z = complex(z)
+def modulus(z: np.ndarray) -> np.ndarray:
+    """|z| elementwise by libm's hypot, which rounds as abs() of a Python
+    complex does; numpy's SIMD abs of a complex array may not."""
+    return np.hypot(z.real, z.imag)
+
+
+def pole_distance(z):
+    """Distance from z to the nearest non-positive integer; elementwise, and
+    to the bit the same, on a numpy array."""
+    if isinstance(z, np.ndarray):
+        return modulus(z + np.maximum(0.0, np.round(-z.real)))
+    return _pole_distance(complex(z))
+
+
+def _pole_distance(z: complex) -> float:
     return abs(z + max(0, round(-z.real)))
 
 
 def guard_pole(z, what: str = "Gamma argument"):
     if not cmath.isfinite(z):
         raise ValueError(f"{what} must be finite, got {complex(z)}")
-    d = pole_distance(z)
+    d = _pole_distance(complex(z))
     if d <= DEFAULT_POLE_GUARD:
         raise PoleProximityError(
             f"{what} {complex(z):.6g} lies within {DEFAULT_POLE_GUARD:g} of a pole "
             f"(distance {d:.3e})"
         )
+    return z
+
+
+def _guard_poles(z: np.ndarray, what: str) -> np.ndarray:
+    """z if guard_pole passes every entry, else its error for the first it refuses."""
+    with np.errstate(invalid="ignore"):  # an infinite entry makes inf - inf
+        refused = ~np.isfinite(z) | (pole_distance(z) <= DEFAULT_POLE_GUARD)
+    if refused.any():
+        guard_pole(z.flat[np.argmax(refused)], what)
     return z
 
 
@@ -135,14 +166,46 @@ def _log_gamma_psi(z: complex) -> tuple:
         acc += cmath.log(pair)
         dacc += (2.0 * z + 1.0) / pair
         z += 2.0
-    log_z, rz = cmath.log(z), 1.0 / z
+    return _stirling(z, cmath.log(z), acc, dacc)
+
+
+def _log_gamma_psi_array(z: np.ndarray) -> tuple:
+    """_log_gamma_psi elementwise on a complex array off the poles."""
+    lg, dg = np.empty_like(z), np.empty_like(z)
+    left = z.real < 0.0
+    if left.any():
+        lg[left], dg[left] = np.array([_log_gamma_psi(complex(v)) for v in z[left]]).T
+    right = ~left
+    z = z[right]
+    acc, dacc = np.zeros_like(z), np.zeros_like(z)
+    # the entries that take another recurrence step
+    active = np.flatnonzero((z.real < X0) & (modulus(z) < R0))
+    while active.size:
+        w = z[active]
+        pair = w * (w + 1.0)
+        acc[active] += np.log(pair)
+        dacc[active] += (2.0 * w + 1.0) / pair
+        w += 2.0
+        z[active] = w
+        active = active[(w.real < X0) & (modulus(w) < R0)]
+    lg[right], dg[right] = _stirling(z, np.log(z), acc, dacc)
+    return lg, dg
+
+
+def _stirling(z, log_z, acc, dacc) -> tuple:
+    """(log Gamma, psi) from the Stirling series at z, less the recurrence's
+    sums acc and dacc; z a complex scalar or array and log_z its log."""
+    rz = 1.0 / z
     rzz = rz * rz
     lg = (z - 0.5) * log_z - z + _HALF_LOG_2PI + rz * _horner(_LOG_GAMMA_COEFFS, rzz) - acc
     return lg, log_z - 0.5 * rz - rzz * _horner(_PSI_COEFFS, rzz) - dacc
 
 
 def log_gamma_psi(z, what: str = "Gamma argument") -> tuple:
-    """(log Gamma(z), psi(z)) of a pole-guarded z, from one pass."""
+    """(log Gamma(z), psi(z)) of a pole-guarded z, from one pass; on a numpy
+    array, two complex arrays of its shape."""
+    if isinstance(z, np.ndarray):
+        return _log_gamma_psi_array(_guard_poles(z.astype(complex, copy=False), what))
     return _log_gamma_psi(complex(guard_pole(z, what)))
 
 

@@ -11,7 +11,15 @@ import pytest
 
 from defectlab import bethe, checks, thermo
 from defectlab.bethe import BetheState, ground_state_seed
-from defectlab.cli import DEFAULT_TOLERANCES, _load_config, build_parser, main
+from defectlab.cli import (
+    DEFAULT_TOLERANCES,
+    RunConfig,
+    _amplitude_rows,
+    _load_config,
+    _write_csv,
+    build_parser,
+    main,
+)
 from defectlab.tensor import FockSpace
 
 AMP_HEADER = (
@@ -569,6 +577,40 @@ def test_amplitudes_nan_rows_fail(tmp_path, capsys):
         "warning: amplitude rows not finite: lambda 1e+308 sign +, "
         "lambda 1.35e+308 sign +, lambda 1.7e+308 sign +\n"
     )
+
+
+def test_amplitude_row_with_a_nan_integral_alone_is_nonfinite():
+    lams = np.linspace(-2.0, 2.0, 5)
+    log_t, dlog_t = thermo.amplitude_quadrature(thermo.KernelTable(2), ("+",), lams)["+"]
+    (_, _, _, status), worst = _amplitude_rows(2, "+", lams, log_t, dlog_t)
+    assert status.tolist() == ["ok"] * 5 and worst < 1e-6
+    log_t[3] = complex("nan")
+    (closed, integral, residual, status), worst = _amplitude_rows(2, "+", lams, log_t, dlog_t)
+    assert status.tolist() == ["ok", "ok", "ok", "nonfinite", "ok"]
+    assert worst != worst
+    assert np.isfinite(closed).all() and np.isfinite(residual).all()
+    assert np.isfinite(integral).tolist() == [True, True, True, False, True]
+
+
+def test_amplitude_pole_row_is_all_nan(tmp_path):
+    # at rank 5e7 the '+' numerator at lambda = 0 is 1/(2n) = 1e-8, on the guard
+    code, text = run(tmp_path, "amplitudes", "--rank", "50000000", "--sign", "+",
+                     "--grid", "-1", "1", "3")
+    assert code == 1
+    rows = text.strip().split("\n")[1:]
+    assert rows[1] == "0.0,nan,nan,nan,nan,nan,+,pole"
+    assert [row.split(",")[-1] for row in rows] == ["ok", "pole", "ok"]
+
+
+def test_csv_columns_are_written_by_repr(tmp_path):
+    values = [-0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1.7e308, 1.0, 0.1 + 0.2]
+    words = ["a", "", "+", "-", "ok", "pole", "x y", "nonfinite"]
+    cfg = RunConfig(output=str(tmp_path / "out.csv"))
+    _write_csv(cfg, "value,word", [np.array(values), words])
+    expected = "".join(f"{repr(float(v))},{w}\n" for v, w in zip(values, words))
+    assert (tmp_path / "out.csv").read_bytes() == ("value,word\n" + expected).encode()
+    with pytest.raises(ValueError):
+        _write_csv(cfg, "value,word", [np.array(values), words[:-1]])
 
 
 def test_amplitudes_keep_the_negative_zero_at_the_origin(tmp_path):

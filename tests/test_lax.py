@@ -185,6 +185,20 @@ def test_transmission_amplitude_is_the_gamma_ratio_and_the_digamma_form():
                 assert deriv == (-side * 1j / rank) * (psi_num - psi_den)
 
 
+def test_transmission_amplitude_on_an_array_is_the_scalar_per_lambda():
+    lams = np.linspace(-50.0, 50.0, 401)
+    for rank in (2, 3, 4):
+        for sign in ("+", "-"):
+            closed, deriv = transmission_amplitude(rank, sign, lams)
+            assert closed.shape == deriv.shape == lams.shape
+            for got, ref in zip((closed, deriv), zip(*(transmission_amplitude(rank, sign, lam)
+                                                         for lam in lams.tolist()))):
+                ref = np.array(ref)
+                assert np.all(np.abs(got - ref) <= 5e-14 * np.abs(ref)), (rank, sign)
+    closed, deriv = transmission_amplitude(3, "-", 0.25)
+    assert type(closed) is complex and type(deriv) is complex
+
+
 def test_transmission_amplitude_pole_raises():
     # numerator Gamma pole of T^+ at -i lam/n + 1/(2n) = 0
     with pytest.raises(PoleProximityError):

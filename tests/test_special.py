@@ -134,6 +134,62 @@ def test_pole_and_nan_refusals():
         assert not isinstance(exc.value, PoleProximityError)
 
 
+def _scalar_pairs(args) -> np.ndarray:
+    return np.array([log_gamma_psi(z) for z in args.tolist()]).T
+
+
+def test_array_path_matches_scipy_and_the_scalar_path():
+    # the amplitude and S-matrix arguments and the box, Re z < 0 included,
+    # each as one array
+    amplitude_args = [z for num, den in _gamma_args() for z in num + den]
+    for args in (np.array(amplitude_args), np.array(list(_box()))):
+        lg, dg = log_gamma_psi(args)
+        assert lg.shape == dg.shape == args.shape
+        for got, ref in ((lg, loggamma(args)), (dg, digamma(args))):
+            assert np.all(np.abs(got - ref) <= BOUND * np.maximum(1.0, np.abs(ref)))
+        for got, ref in zip((lg, dg), _scalar_pairs(args)):
+            assert np.all(np.abs(got - ref) <= BOUND * np.maximum(1.0, np.abs(ref)))
+    # any shape, and real input taken as complex
+    block = np.array(amplitude_args[:12]).reshape(3, 4)
+    assert np.array_equal(log_gamma_psi(block)[0], log_gamma_psi(block.ravel())[0].reshape(3, 4))
+    reals = np.linspace(0.1, 9.0, 7)
+    assert np.array_equal(log_gamma_psi(reals)[1], log_gamma_psi(reals + 0j)[1])
+
+
+def test_array_of_amplitude_arguments_raises_no_floating_point_error():
+    amplitude_args = np.array([z for num, den in _gamma_args() for z in num + den])
+    with np.errstate(all="raise"):
+        lg, dg = log_gamma_psi(amplitude_args)
+    assert np.all(np.isfinite(lg)) and np.all(np.isfinite(dg))
+
+
+@pytest.mark.parametrize("bad", [0.0, -3.0, -3.0 + 1e-9j, 1e-9, complex("nan"), complex("inf"),
+                                 complex(1.0, float("-inf"))])
+@pytest.mark.parametrize("at", [0, 3, -1])
+def test_array_with_a_refused_entry_raises_what_the_scalar_raises(bad, at):
+    args = np.linspace(0.3, 5.0, 6) + 0.5j
+    args[at] = bad
+    with pytest.raises(ValueError) as scalar:
+        log_gamma_psi(bad, "digamma argument")
+    with pytest.raises(ValueError) as array:
+        log_gamma_psi(args, "digamma argument")
+    assert type(array.value) is type(scalar.value)
+    assert str(array.value) == str(scalar.value)
+
+
+def test_array_names_its_first_refused_entry():
+    with pytest.raises(PoleProximityError, match=r"Gamma argument -2\+0j lies"):
+        log_gamma_psi(np.array([1.5, -2.0, complex("nan"), 0.0]))
+    with pytest.raises(ValueError, match="must be finite, got \\(nan"):
+        log_gamma_psi(np.array([1.5, complex("nan"), -2.0]))
+
+
+def test_empty_array_gives_empty_arrays():
+    lg, dg = log_gamma_psi(np.array([], dtype=complex))
+    assert lg.shape == dg.shape == (0,)
+    assert lg.dtype == dg.dtype == complex
+
+
 def _pole_distance_three_candidates(z) -> float:
     z = complex(z)
     n0 = int(max(0, round(-z.real)))
@@ -141,11 +197,16 @@ def _pole_distance_three_candidates(z) -> float:
 
 
 def test_pole_distance_is_the_three_candidate_minimum():
+    points = []
     for x in np.arange(-30.0, 5.0001, 0.125):
         for y in (0.0, 1e-9, -0.3, 2.0):
             for dx in (0.0, 1e-12, -1e-12):
                 z = complex(x + dx, y)
                 assert pole_distance(z) == _pole_distance_three_candidates(z), z
+                points.append(z)
+    # the array form, element by element and to the bit
+    distances = pole_distance(np.array(points))
+    assert distances.tolist() == [_pole_distance_three_candidates(z) for z in points]
 
 
 def test_cli_import_loads_no_scipy():
