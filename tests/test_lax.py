@@ -191,9 +191,8 @@ def test_transmission_amplitude_on_an_array_is_the_scalar_per_lambda():
         for sign in ("+", "-"):
             closed, deriv = transmission_amplitude(rank, sign, lams)
             assert closed.shape == deriv.shape == lams.shape
-            for got, ref in zip((closed, deriv), zip(*(transmission_amplitude(rank, sign, lam)
-                                                         for lam in lams.tolist()))):
-                ref = np.array(ref)
+            refs = np.array([transmission_amplitude(rank, sign, lam) for lam in lams.tolist()]).T
+            for got, ref in zip((closed, deriv), refs):
                 assert np.all(np.abs(got - ref) <= 5e-14 * np.abs(ref)), (rank, sign)
     closed, deriv = transmission_amplitude(3, "-", 0.25)
     assert type(closed) is complex and type(deriv) is complex
