@@ -6,10 +6,19 @@ adjacent levels (the physical sites act as a level 0 next to level 1, one
 rapidity 0 of multiplicity ``sites``), the impurity's one-sided factor at
 theta, either lambda - theta + i/2 or 1/(lambda - theta - i/2), on the level
 its sign selects (``kernels.impurity_level``: 1 for '+', rank-1 for '-'),
-and e_2 over the level's own roots.  The residual, the Jacobian, the
-collision guard and the counting functions each loop over that list, so a
-change of convention (the self-term sign, the impurity factor) edits
-``_factors`` and the impurity kernels only.
+and e_2 over the level's own roots.  Each kind of factor declares the zero
+and the pole of its value, (lambda - mu - zero) / (lambda - mu - pole), and
+its kernels (``_SCATTERING``, ``_IMPURITY``), so a change of convention
+edits the self-term constant in ``bae_residual`` and the impurity's
+declaration only.
+
+``bae_residual`` evaluates a state in one pass over that list: per factor it
+forms the differences lambda - mu once, runs the collision guard on them and
+on the shifted arrays lambda - mu - zero and lambda - mu - pole, and only
+then builds the factor's value from those same shifted arrays.  A solve
+lends every pass one set of scratch arrays, so it faults its matrices in
+once, and ``_jacobian`` reads the differences of the accepted trial's pass
+from there.  The counting functions loop over the list as well.
 
 The equations are written multiplicatively.  With the self-term included on
 the right (its value at coinciding arguments is exactly -1) the conventional
@@ -156,16 +165,39 @@ class BetheState:
         return cls.from_dict(json.loads(text))
 
 
+def _e_ratio_zero_pole(n: int) -> tuple:
+    """(zero, pole) of e_n(lam): -i n/2 and +i n/2."""
+    return -(0.5j * n), 0.5j * n
+
+
+def _shift(lam, zero_pole, out=(None, None)) -> list:
+    """[lam - zero, lam - pole], into out's arrays if given; None for a
+    factor without that zero or pole."""
+    lam = np.asarray(lam, dtype=COMPLEX)
+    return [None if at is None else np.subtract(lam, at, out=o) for at, o in zip(zero_pole, out)]
+
+
+def _quotient(top, bottom):
+    """(lam - zero) / (lam - pole) from _shift's pair, formed in place of one
+    of them when they are arrays."""
+    if bottom is None:
+        return top
+    if top is None:
+        return np.divide(1.0, bottom, out=bottom) if bottom.ndim else 1.0 / bottom
+    return np.divide(top, bottom, out=top) if top.ndim else top / bottom
+
+
 def e_ratio(lam, n: int):
     """(lam + i n/2) / (lam - i n/2), the elementary scattering ratio."""
-    lam = np.asarray(lam, dtype=COMPLEX)
-    return (lam + 0.5j * n) / (lam - 0.5j * n)
+    return _quotient(*_shift(lam, _e_ratio_zero_pole(n)))
 
 
-def e_ratio_log_derivative(lam, n: int):
-    """d/dlam log e_n(lam) = -i n / (lam^2 + n^2/4)."""
+def e_ratio_log_derivative(lam, n: int, out=None):
+    """d/dlam log e_n(lam) = -i n / (lam^2 + n^2/4), into out if given."""
     lam = np.asarray(lam, dtype=COMPLEX)
-    return -1j * n / (lam * lam + 0.25 * n * n)
+    den = np.multiply(lam, lam, out=out)
+    den += 0.25 * n * n
+    return np.divide(-1j * n, den, out=out)
 
 
 def phase(lam, n: int):
@@ -177,17 +209,23 @@ def _a_n(x, n):
     return (1.0 / (2.0 * np.pi)) * n / (x * x + 0.25 * n * n)
 
 
+def _defect_zero_pole(sign: str) -> tuple:
+    """(zero, pole) of the impurity factor (lam + side i/2) ** side: the zero
+    -i/2 for '+', the pole +i/2 for '-', and None for the other."""
+    side = defect_side(sign)
+    root = -(side * 0.5j)
+    return (root, None) if side > 0 else (None, root)
+
+
 def defect_factor(lam, sign: str):
     """(lam + side i/2) ** side: lam + i/2 for '+', 1/(lam - i/2) for '-'."""
-    side = defect_side(sign)
-    z = np.asarray(lam, dtype=COMPLEX) + side * 0.5j
-    return z if side > 0 else 1.0 / z
+    return _quotient(*_shift(lam, _defect_zero_pole(sign)))
 
 
-def defect_log_derivative(lam, sign: str):
-    """side / (lam + side i/2)."""
+def defect_log_derivative(lam, sign: str, out=None):
+    """side / (lam + side i/2), into out if given."""
     side = defect_side(sign)
-    return side / (np.asarray(lam, dtype=COMPLEX) + side * 0.5j)
+    return np.divide(side, np.add(np.asarray(lam, dtype=COMPLEX), side * 0.5j, out=out), out=out)
 
 
 def defect_phase(lam, sign: str):
@@ -202,10 +240,12 @@ def _defect_density(lam, sign: str):
     return 0.5 * _a_n(lam, 1)
 
 
-# the kernels of each kind of factor, all called as kernel(lam - mu, argument):
-# value, log-derivative, real-axis phase, and that phase's derivative / 2 pi
-_SCATTERING = (e_ratio, e_ratio_log_derivative, phase, _a_n)
-_IMPURITY = (defect_factor, defect_log_derivative, defect_phase, _defect_density)
+# each kind of factor: the (zero, pole) of its value, which is
+# (lam - zero) / (lam - pole), then its kernels, all called as
+# kernel(lam - mu, argument): log-derivative, real-axis phase, and that
+# phase's derivative / 2 pi
+_SCATTERING = (_e_ratio_zero_pole, e_ratio_log_derivative, phase, _a_n)
+_IMPURITY = (_defect_zero_pole, defect_log_derivative, defect_phase, _defect_density)
 
 
 def _factors(state: BetheState, level: int) -> list:
@@ -232,37 +272,59 @@ def _factors(state: BetheState, level: int) -> list:
     return out
 
 
-def _guard_collisions(state: BetheState) -> None:
-    for level, roots in enumerate(state.roots, start=1):
-        diff = roots[:, None] - roots[None, :]
-        np.fill_diagonal(diff, np.inf)
-        dmin = float(np.abs(diff).min(initial=np.inf))
-        if dmin < COLLISION_GUARD:
-            raise RootCollisionError(f"two level-{level} roots within {dmin:.3e} (< {COLLISION_GUARD:g})")
-        # a root on a log singularity of its own equation: the zero and the
-        # pole of e_n at -+ i n/2, the impurity factor's zero ('+') or pole
-        # ('-') at lam - theta = -side i/2; diff's inf diagonal is no pole
-        for kernels, arg, mu, _, source in _factors(state, level):
-            d = diff if source == level else roots[:, None] - mu[None, :]
-            if kernels is _IMPURITY:
-                near = np.abs(d + defect_side(arg) * 0.5j).min(initial=np.inf)
-                what = "the impurity pole"
-            else:
-                near = np.minimum(np.abs(d - 0.5j * arg), np.abs(d + 0.5j * arg)).min(initial=np.inf)
-                what = "a scattering pole"
-            if near < COLLISION_GUARD:
-                raise RootCollisionError(f"level-{level} root within {COLLISION_GUARD:g} of {what}")
+class _Scratch:
+    """The arrays that the passes of one solve reuse, by role and shape.
+    Each pass overwrites the previous one's, so a solve faults its matrices
+    in once; ``differences`` holds the last pass's lam - mu, level by level."""
+
+    def __init__(self):
+        self.arrays, self.differences = {}, []
+
+    def take(self, role, shape: tuple, dtype=COMPLEX) -> np.ndarray:
+        key = (role, shape)
+        if key not in self.arrays:
+            self.arrays[key] = np.empty(shape, dtype=dtype)
+        return self.arrays[key]
 
 
-def bae_residual(state: BetheState) -> np.ndarray:
+def _differences(scratch: _Scratch, level: int, lam, factors) -> list:
+    """lam - mu of each factor of the level's equation, in _factors order."""
+    return [np.subtract(lam[:, None], mu[None, :], out=scratch.take(("lam - mu", level, k), (len(lam), len(mu))))
+            for k, (_, _, mu, _, _) in enumerate(factors)]
+
+
+def bae_residual(state: BetheState, scratch: _Scratch | None = None) -> np.ndarray:
     """Principal log-ratio of each root's equation, level 1 first; all zero
-    at an exact solution."""
-    _guard_collisions(state)
+    at an exact solution.
+
+    One pass per level forms each factor's differences lam - mu once, guards
+    the roots on them, and builds the factor's value from the same shifted
+    arrays lam - mu - zero and lam - mu - pole; no value is formed before its
+    guard has passed.  solve_bae lends the pass its scratch arrays, and
+    _jacobian reads the differences left there.
+    """
+    scratch = _Scratch() if scratch is None else scratch
+    scratch.differences = []
     out = []
     for level, lam in enumerate(state.roots, start=1):
+        factors = _factors(state, level)
+        diffs = _differences(scratch, level, lam, factors)
+        scratch.differences.append(diffs)
+        gaps = np.abs(diffs[-1], out=scratch.take("modulus", diffs[-1].shape, float))
+        np.fill_diagonal(gaps, np.inf)
+        dmin = float(gaps.min(initial=np.inf))
+        if dmin < COLLISION_GUARD:
+            raise RootCollisionError(f"two level-{level} roots within {dmin:.3e} (< {COLLISION_GUARD:g})")
         ratio = np.ones(len(lam), dtype=COMPLEX)
-        for (value, *_), arg, mu, power, source in _factors(state, level):
-            term = value(lam[:, None] - mu[None, :], arg)
+        for (kernels, arg, _, power, source), d in zip(factors, diffs):
+            # a root on a zero or a pole of a factor of its own equation, a log
+            # singularity; the self-term's diagonal sits n/2 from both
+            what = "the impurity pole" if kernels is _IMPURITY else "a scattering pole"
+            shifted = _shift(d, kernels[0](arg), [scratch.take(("work", j), d.shape) for j in (0, 1)])
+            modulus = scratch.take("modulus", d.shape, float)
+            if any(np.abs(x, out=modulus).min(initial=np.inf) < COLLISION_GUARD for x in shifted if x is not None):
+                raise RootCollisionError(f"level-{level} root within {COLLISION_GUARD:g} of {what}")
+            term = _quotient(*shifted)
             if source == level:
                 np.fill_diagonal(term, -1.0)  # self-term: e_2(0) = -1 exactly
                 ratio = ratio / np.prod(term, axis=1)
@@ -272,46 +334,56 @@ def bae_residual(state: BetheState) -> np.ndarray:
     return np.concatenate(out)
 
 
-def _jacobian(state: BetheState) -> np.ndarray:
+def _jacobian(state: BetheState, scratch: _Scratch | None = None) -> np.ndarray:
     """Complex Jacobian of bae_residual with respect to the stacked roots.
     Exact: the derivative of the principal log of a product is the sum of
-    the factor log-derivatives wherever the product is nonzero."""
+    the factor log-derivatives wherever the product is nonzero.  Given the
+    scratch of bae_residual's pass on this state, it reads the differences
+    there and writes the Jacobian into the scratch's arrays."""
     offsets = np.concatenate([[0], np.cumsum(state.magnon_counts())])
-    jac = np.zeros((offsets[-1], offsets[-1]), dtype=COMPLEX)
+    given = scratch is not None
+    scratch = scratch if given else _Scratch()
+    jac = scratch.take("jacobian", (offsets[-1], offsets[-1]))
+    jac.fill(0.0)
     for level, lam in enumerate(state.roots, start=1):
         rows = slice(offsets[level - 1], offsets[level])
+        factors = _factors(state, level)
+        diffs = scratch.differences[level - 1] if given else _differences(scratch, level, lam, factors)
         diag = np.zeros(len(lam), dtype=COMPLEX)
-        for (_, log_derivative, *_), arg, mu, power, source in _factors(state, level):
-            g = log_derivative(lam[:, None] - mu[None, :], arg)
+        for ((_, log_derivative, *_), arg, _, power, source), d in zip(factors, diffs):
+            g = log_derivative(d, arg, out=scratch.take(("work", 0), d.shape))
             if source == level:
                 np.fill_diagonal(g, 0.0)  # the self-term is constant
             diag += power * np.sum(g, axis=1)
             if source:
                 block = jac[rows, offsets[source - 1] : offsets[source]]
-                block -= power * g
+                block -= np.multiply(power, g, out=g)
         jac[rows, rows][np.diag_indices(len(lam))] += diag
     return jac
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def solve_bae(state: BetheState, tol: float = 1e-10, max_iter: int = 200) -> BetheState:
     """Damped Newton iteration on the stacked log-ratio system.
 
     The step is halved whenever the residual norm would grow; failure to
-    converge raises ConvergenceError carrying the residual trace.
+    converge raises ConvergenceError carrying the residual trace.  A trial
+    that overflows has a non-finite norm and is rejected like any other, so
+    no floating-point warning escapes.  The Jacobian is built from the
+    differences the accepted trial's residual formed.
     """
     if sum(state.magnon_counts()) == 0:
         return state
     splits = np.cumsum(state.magnon_counts())[:-1]
-    current, flat = state, np.concatenate(state.roots)
-    fval = bae_residual(current)
+    current, flat, scratch = state, np.concatenate(state.roots), _Scratch()
+    fval = bae_residual(current, scratch)
     norm = float(np.max(np.abs(fval)))
     trace = [norm]
     for _ in range(max_iter):
         if norm <= tol:
             return current
-        jac = _jacobian(current)
         try:
-            step = np.linalg.solve(jac, -fval)
+            step = np.linalg.solve(_jacobian(current, scratch), -fval)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"singular Jacobian: {exc}", trace) from exc
         scale = 1.0
@@ -319,7 +391,7 @@ def solve_bae(state: BetheState, tol: float = 1e-10, max_iter: int = 200) -> Bet
             trial_flat = flat + scale * step
             trial = replace(current, roots=tuple(np.split(trial_flat, splits)))
             try:
-                trial_f = bae_residual(trial)
+                trial_f = bae_residual(trial, scratch)
             except RootCollisionError:
                 scale *= LINE_SEARCH_DAMPING
                 continue

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ from defectlab.bethe import (
     ConvergenceError,
     RootCollisionError,
     _jacobian,
+    _Scratch,
     bae_residual,
     counting_function,
     counting_function_derivative,
@@ -208,6 +210,54 @@ def test_pole_proximity_guard_raises():
     )
     with pytest.raises(RootCollisionError):
         bae_residual(st)
+
+
+@pytest.mark.parametrize("state, what", [
+    # a root exactly on the '-' impurity pole theta + i/2, where its factor is 1/0
+    (BetheState(rank=2, sites=2, roots=(np.array([0.3 + 0.5j]),), theta=0.3, defect_sign="-"),
+     "the impurity pole"),
+    # two level-1 roots exactly i apart: each sits on a zero or a pole of the
+    # other's self-term e_2
+    (BetheState(rank=2, sites=2, roots=(np.array([0.2, 0.2 + 1j]),)), "a scattering pole"),
+], ids=["minus-impurity-pole", "roots-i-apart"])
+def test_guard_refuses_an_exact_pole_before_forming_a_value(state, what):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RootCollisionError, match=what):
+            bae_residual(state)
+        with pytest.raises(RootCollisionError, match=what):
+            solve_bae(state)
+
+
+def test_jacobian_from_the_pass_matches_a_fresh_one_bit_for_bit():
+    scratch = _Scratch()
+    for st in _states():
+        bae_residual(st, scratch)  # one scratch for all: each pass overwrites the last
+        assert _jacobian(st, scratch).tobytes() == _jacobian(st).tobytes(), st
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_overflowing_trials_are_rejected_without_warnings(sign):
+    # at theta = 1e300 trial steps overflow the impurity factor: each such
+    # trial has a non-finite norm and is rejected, and no warning escapes
+    st = BetheState(rank=2, sites=50, roots=(ground_state_seed(50),), theta=1e300, defect_sign=sign)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError) as info:
+            solve_bae(st)
+    assert np.isfinite(info.value.trace[0])
+
+
+def test_nonfinite_starting_residual_ends_in_convergence_error():
+    # e_1 ** sites overflows for a root off the real axis, so the starting
+    # residual is NaN
+    st = BetheState(rank=2, sites=100000, roots=(np.array([0.1 + 0.3j, 0.28]),), theta=0.3,
+                    defect_sign="+")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError) as info:
+            solve_bae(st)
+    assert len(info.value.trace) == 1 and np.isnan(info.value.trace[0])
 
 
 def test_nonconvergent_case_raises_with_trace():

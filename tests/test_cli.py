@@ -760,12 +760,27 @@ def test_bae_overflowing_solve_reports_strict_json(tmp_path):
     # written as null
     path = tmp_path / "state.json"
     path.write_text(json.dumps({**STATE, "sites": 100000, "roots": [[[0.1, 0.3], [0.28, 0.0]]]}))
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code, text = run(tmp_path, "bae", str(path))
     assert code == 1
     payload = json.loads(text, parse_constant=pytest.fail)
     assert payload["converged"] is False
     assert payload["trace"] == [None]
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_bae_huge_theta_fails_without_warnings(tmp_path, capsys, sign):
+    # trial steps overflow the impurity factor at theta = 1e300; the solve
+    # rejects them and reports its failure, with nothing on stderr
+    st = BetheState(rank=2, sites=50, roots=(ground_state_seed(50),), theta=1e300, defect_sign=sign)
+    path = _write_state(tmp_path, st)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["bae", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out, parse_constant=pytest.fail)["converged"] is False
 
 
 def test_bae_collision_exits_with_error(tmp_path, capsys):
