@@ -367,10 +367,11 @@ def solve_bae(state: BetheState, tol: float = 1e-10, max_iter: int = 200) -> Bet
     """Damped Newton iteration on the stacked log-ratio system.
 
     The step is halved whenever the residual norm would grow; failure to
-    converge raises ConvergenceError carrying the residual trace.  A trial
-    that overflows has a non-finite norm and is rejected like any other, so
-    no floating-point warning escapes.  The Jacobian is built from the
-    differences the accepted trial's residual formed.
+    converge raises ConvergenceError carrying the residual trace, at once
+    when the starting residual is not finite.  A trial that overflows has a
+    non-finite norm and is rejected like any other, so no floating-point
+    warning escapes.  The Jacobian is built from the differences the
+    accepted trial's residual formed.
     """
     if sum(state.magnon_counts()) == 0:
         return state
@@ -379,6 +380,8 @@ def solve_bae(state: BetheState, tol: float = 1e-10, max_iter: int = 200) -> Bet
     fval = bae_residual(current, scratch)
     norm = float(np.max(np.abs(fval)))
     trace = [norm]
+    if not np.isfinite(norm):
+        raise ConvergenceError(f"starting residual is not finite ({norm})", trace)
     for _ in range(max_iter):
         if norm <= tol:
             return current

@@ -21,6 +21,9 @@ factor (defect Lax operator or bulk R-matrix, on the auxiliary space and one
 slot of dimension d) is applied by contraction, O(dim * rank * d) per column
 and factor.  The transfer matrix, its auxiliary trace, likewise acts only on
 blocks of quantum-space columns: no dim x dim or q x q (q = dim/rank) array.
+Its term k enters slot 1's factor through auxiliary column k alone and
+leaves the last slot's factor through auxiliary row k alone, so neither
+factor multiplies the zero blocks of e_k (x) x or the rows the trace drops.
 Both build the local factors at lambda once per call.
 """
 
@@ -126,8 +129,8 @@ def _oscillator_operator(rank: int, fock: FockSpace, head, coef, reverse: bool) 
     out[h, :, h, :] = head
     for j in range(2, n + 1):
         jj = n - j if reverse else j - 1
-        a = fock.annihilator(j - 1)
-        up, down = (a.conj().T, a) if reverse else (a, a.conj().T)
+        a, adag = fock.annihilator(j - 1), fock.creator(j - 1)
+        up, down = (adag, a) if reverse else (a, adag)
         out[jj, :, jj, :] = coef * np.eye(d)
         out[h, :, jj, :] = coef * up
         out[jj, :, h, :] = coef * down
@@ -284,35 +287,38 @@ def _local_factors(chain: ChainSpec, lam) -> list:
     return [defect if p == chain.defect_site else bulk for p in range(1, chain.sites + 2)]
 
 
-def _apply_factors(chain: ChainSpec, factors, x) -> np.ndarray:
-    for p, factor in enumerate(factors, 1):
-        x = apply_local(factor, x, chain.dims, (0, p))
-    return x
-
-
 def monodromy(chain: ChainSpec, lam, x) -> np.ndarray:
     """The monodromy at lambda applied to the columns of ``x``, which has
     one row per state of auxiliary (x) slot_1 (x) ... (x) slot_{sites+1}.
 
     The monodromy is the ordered product over slots sites+1 down to 1, so
     the slot-1 factor acts first."""
-    return _apply_factors(chain, _local_factors(chain, lam), x)
+    for p, factor in enumerate(_local_factors(chain, lam), 1):
+        x = apply_local(factor, x, chain.dims, (0, p))
+    return x
 
 
 def transfer(chain: ChainSpec, lam, x) -> np.ndarray:
     """The transfer matrix applied to the q x m block ``x`` of quantum-space
     columns: the sum over k of row block k of the monodromy applied to
-    e_k (x) x, one rank*q x m block at a time, with the local factors built
-    once for all k."""
+    e_k (x) x.  Slot 1's factor is applied through its auxiliary column
+    block k alone, which maps x to a rank*q x m block, and the last slot's
+    factor through its row block k alone, which maps that block back to
+    q x m; one slot's factor (sites = 0) is cut to its (k, k) block.  The
+    local factors are built once for all k."""
     n = chain.rank
     q, m = np.shape(x)
     require_budget((n * q, m), "monodromy block")
-    factors = _local_factors(chain, lam)
+    slots = chain.dims[1:]
+    factors = [f.reshape(n, d, n, d) for f, d in zip(_local_factors(chain, lam), slots)]
     out = np.zeros((q, m), dtype=COMPLEX)
     for k in range(n):
-        cols = np.zeros((n, q, m), dtype=COMPLEX)
-        cols[k] = x
-        out += _apply_factors(chain, factors, cols.reshape(n * q, m))[k * q : (k + 1) * q]
+        y = x
+        for p, factor in enumerate(factors, 1):
+            rows = slice(k, k + 1) if p == len(factors) else slice(None)
+            cols = slice(k, k + 1) if p == 1 else slice(None)
+            y = apply_local(factor[rows, :, cols], y, (len(y) // q,) + slots, (0, p))
+        out += y
     return out
 
 

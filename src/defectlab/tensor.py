@@ -6,9 +6,11 @@ physics convention and are 1-based in every public signature; array indices
 underneath are 0-based as usual.  An operator on two factors (dimensions
 d_a, d_b) of a dim-dimensional product space is applied to a block of n
 columns by contraction, :func:`apply_local`, at cost O(dim * n * d_a * d_b)
-per factor, not the O(dim^2 * n) of multiplying a full embedding.  Dense
-arrays whose size follows from the input are checked against
-``MATRIX_BYTE_BUDGET`` before allocation.
+per factor, not the O(dim^2 * n) of multiplying a full embedding; a
+rectangular operator, given by its four legs, maps those factors to others
+of its own output sizes.  Dense arrays whose size follows from the input
+are checked against ``MATRIX_BYTE_BUDGET`` before allocation.  A Fock
+space builds each of its operators once and hands out read-only arrays.
 """
 
 from __future__ import annotations
@@ -33,13 +35,6 @@ def require_budget(shape, what: str) -> None:
         )
 
 
-def as_matrix(m) -> np.ndarray:
-    a = np.asarray(m, dtype=COMPLEX)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
 def permutation_op(n: int) -> np.ndarray:
     """P = sum_{kl} e_kl (x) e_lk; swaps the two n-dimensional factors."""
     require_budget((n * n, n * n), "permutation operator")
@@ -56,26 +51,33 @@ def apply_local(op, x, dims, slots) -> np.ndarray:
     ``x`` has one row per basis state of dims[0] (x) dims[1] (x) ...,
     leftmost factor slowest, and any number of columns (1-d: one column).
     ``op`` acts on factors ``slots = (a, b)``, 0-based, either order, its
-    left factor being ``a``; the others see the identity.  ``x`` is
-    transposed so that the two factors index the rows, multiplied by ``op``
-    in one BLAS product and transposed back: O(rows * columns * dims[a] *
-    dims[b]) work, and no array larger than ``x``."""
+    left factor being ``a``; the others see the identity.  ``op`` is either
+    a square matrix on dims[a] (x) dims[b] or a rectangular operator given
+    by its four legs (out_a, out_b, in_a, in_b), with (in_a, in_b) =
+    (dims[a], dims[b]); the result then has out_a and out_b in place of
+    those factors.  ``x`` is transposed so that the two factors index the
+    rows, multiplied by ``op`` in one BLAS product and transposed back:
+    O(rows * columns * out_a * out_b) work, and no array larger than the
+    larger of ``x`` and the result."""
     dims = tuple(int(d) for d in dims)
     a, b = slots
     if a == b or not (0 <= a < len(dims) and 0 <= b < len(dims)):
         raise ValueError(f"slots {tuple(slots)} invalid for {len(dims)} factors")
-    op = as_matrix(op)
     pair = dims[a] * dims[b]
-    if op.shape[0] != pair:
-        raise ValueError(f"operator dim {op.shape[0]} != {dims[a]} x {dims[b]}")
+    op = np.asarray(op, dtype=COMPLEX)
+    if op.shape == (pair, pair):
+        op = op.reshape(dims[a], dims[b], dims[a], dims[b])
+    if op.ndim != 4 or op.shape[2:] != (dims[a], dims[b]):
+        raise ValueError(f"operator of shape {op.shape} does not act on {dims[a]} x {dims[b]}")
     x = np.asarray(x, dtype=COMPLEX)
     rows = math.prod(dims)
     if x.ndim not in (1, 2) or x.shape[0] != rows:
         raise ValueError(f"block of shape {x.shape} does not have {rows} rows")
     order = (a, b) + tuple(k for k in range(len(dims) + 1) if k not in (a, b))
     moved = x.reshape(dims + (x.size // rows,)).transpose(order)
-    out = (op @ moved.reshape(pair, -1)).reshape(moved.shape)
-    return out.transpose(np.argsort(order)).reshape(x.shape)
+    out = op.reshape(-1, pair) @ moved.reshape(pair, -1)
+    out = out.reshape(op.shape[:2] + moved.shape[2:]).transpose(np.argsort(order))
+    return out.reshape((rows // pair * op.shape[0] * op.shape[1],) + x.shape[1:])
 
 
 def embed_pair(op, aux_dim: int, site_dims, slot: int) -> np.ndarray:
@@ -126,6 +128,7 @@ class FockSpace:
         self.dim = len(self.basis)
         if self.dim != expected:
             raise AssertionError("basis enumeration does not match C(D+m,m)")
+        self._built = {}
 
     def __repr__(self):
         return f"FockSpace(species={self.species}, cutoff={self.cutoff})"
@@ -135,10 +138,23 @@ class FockSpace:
         v[0] = 1.0
         return v
 
+    def _once(self, key, build) -> np.ndarray:
+        """The array ``build()`` returns, made on the first call for ``key``
+        and shared, read-only, with every later caller."""
+        arr = self._built.get(key)
+        if arr is None:
+            arr = build()
+            arr.setflags(write=False)
+            self._built[key] = arr
+        return arr
+
     def annihilator(self, j: int) -> np.ndarray:
         """a^(j), 1-based species index; amplitude sqrt(n_j)."""
         if not (1 <= j <= self.species):
             raise ValueError(f"species {j} out of range 1..{self.species}")
+        return self._once(("a", j), lambda: self._ladder(j))
+
+    def _ladder(self, j: int) -> np.ndarray:
         a = np.zeros((self.dim, self.dim), dtype=COMPLEX)
         for occ in self.basis:
             if occ[j - 1] > 0:
@@ -148,10 +164,12 @@ class FockSpace:
         return a
 
     def creator(self, j: int) -> np.ndarray:
-        return self.annihilator(j).conj().T
+        return self._once(("adag", j), lambda: self.annihilator(j).conj().T)
 
     def total_occupation(self) -> np.ndarray:
-        return np.diag([float(sum(occ)) for occ in self.basis]).astype(COMPLEX)
+        return self._once(
+            "occupation", lambda: np.diag([float(sum(occ)) for occ in self.basis]).astype(COMPLEX)
+        )
 
     def number_op(self, ordering: str = "normal") -> np.ndarray:
         """Total number operator.
@@ -160,17 +178,21 @@ class FockSpace:
         the diagonal realization of sum_j a_j adag_j, which on the full space
         equals the normal form shifted by the species count.
         """
-        n = self.total_occupation()
         if ordering == "normal":
-            return n
+            return self.total_occupation()
         if ordering == "antinormal":
-            return n + self.species * np.eye(self.dim, dtype=COMPLEX)
+            return self._once(
+                ordering,
+                lambda: self.total_occupation() + self.species * np.eye(self.dim, dtype=COMPLEX),
+            )
         raise ValueError(f"unknown ordering {ordering!r}")
 
     def sub_cutoff_indices(self, margin: int = 1) -> np.ndarray:
         """Indices of basis states with total occupation <= cutoff - margin."""
-        return np.array(
-            [i for i, occ in enumerate(self.basis) if sum(occ) <= self.cutoff - margin],
-            dtype=np.intp,
+        return self._once(
+            ("sub", margin),
+            lambda: np.array(
+                [i for i, occ in enumerate(self.basis) if sum(occ) <= self.cutoff - margin],
+                dtype=np.intp,
+            ),
         )
-

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from defectlab import bethe
 from defectlab.bethe import (
     BetheState,
     ConvergenceError,
@@ -248,14 +249,15 @@ def test_overflowing_trials_are_rejected_without_warnings(sign):
     assert np.isfinite(info.value.trace[0])
 
 
-def test_nonfinite_starting_residual_ends_in_convergence_error():
+def test_nonfinite_starting_residual_ends_in_convergence_error(monkeypatch):
     # e_1 ** sites overflows for a root off the real axis, so the starting
-    # residual is NaN
+    # residual is NaN; the solve stops there, before any Newton step
     st = BetheState(rank=2, sites=100000, roots=(np.array([0.1 + 0.3j, 0.28]),), theta=0.3,
                     defect_sign="+")
+    monkeypatch.setattr(bethe, "_jacobian", lambda *a: pytest.fail("built a Jacobian"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ConvergenceError) as info:
+        with pytest.raises(ConvergenceError, match="starting residual is not finite") as info:
             solve_bae(st)
     assert len(info.value.trace) == 1 and np.isnan(info.value.trace[0])
 

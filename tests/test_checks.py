@@ -353,6 +353,29 @@ def _dense_exchange(kron_embed, rank, fock, pair_op, x1, x2):
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])
+@pytest.mark.parametrize("keep", [[0, 2, 3], range(5)], ids=["proper-subset", "full-range"])
+def test_exchange_sides_against_embedded_products(rank, keep):
+    # random operators, so that no structure of R, L or T can hide a
+    # misplaced leg; V has dimension 5
+    rng = np.random.default_rng(rank)
+    d = 5
+
+    def random_op(k):
+        return rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+
+    pair_op, x1, x2 = random_op(rank * rank), random_op(rank * d), random_op(rank * d)
+    p12 = np.kron(pair_op, np.eye(d))
+    x1_13 = tensor.embed_pair(x1, rank, [rank, d], 2)
+    x2_23 = np.kron(np.eye(rank), tensor.embed_pair(x2, rank, [d], 1))
+    rows = (np.arange(rank * rank)[:, None] * d + np.asarray(keep)).ravel()
+    block = np.ix_(rows, rows)
+    lhs, rhs = checks._exchange_sides(rank, pair_op, x1, x2, d, keep)
+    for got, dense in ((lhs, (p12 @ x1_13 @ x2_23)[block]), (rhs, (x2_23 @ x1_13 @ p12)[block])):
+        assert got.shape == dense.shape
+        assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
 @pytest.mark.parametrize("matrix", ["R", "S"])
 def test_ybe_residual_against_dense(kron_embed, rank, matrix):
     build = lax.r_matrix if matrix == "R" else lax.s_matrix
@@ -396,31 +419,33 @@ def test_transmission_algebra_residual_against_dense(kron_embed, rank, conjugate
     assert abs(got - dense) <= 1e-15
 
 
-def _block_bytes(rank, d, keep):
-    """Bytes of the n^2 d x n^2 |keep| complex column block."""
-    return (rank * rank * d) * (rank * rank * keep) * 16
+def _block_bytes(rank, keep):
+    """Bytes of the n^2 |keep| x n^2 |keep| complex product of two local
+    operators on the kept V legs."""
+    return (rank * rank * keep) ** 2 * 16
 
 
 @pytest.mark.parametrize(
     "residual, block",
     [
-        (lambda: ybe_residual(2, 0.3, -0.4, "R"), _block_bytes(2, 2, 2)),
-        (lambda: ybe_residual(3, 0.3, -0.4, "S"), _block_bytes(3, 3, 3)),
-        (lambda: rll_residual(LaxSpec(2), FockSpace(1, 3), 0.3, -0.4), _block_bytes(2, 4, 3)),
+        (lambda: ybe_residual(2, 0.3, -0.4, "R"), _block_bytes(2, 2)),
+        (lambda: ybe_residual(3, 0.3, -0.4, "S"), _block_bytes(3, 3)),
+        (lambda: rll_residual(LaxSpec(2), FockSpace(1, 3), 0.3, -0.4), _block_bytes(2, 3)),
         (
             lambda: transmission_algebra_residual(3, FockSpace(2, 2), 0.3, -0.4, True),
-            _block_bytes(3, 6, 3),
+            _block_bytes(3, 3),
         ),
     ],
     ids=["ybe-R", "ybe-S", "rll", "transmission-algebra"],
 )
 def test_exchange_column_block_is_checked_against_the_budget(monkeypatch, residual, block):
-    # at a budget of exactly the column block everything the residual builds
-    # fits, so one byte less refuses the column block and nothing else
+    # at a budget of exactly the product everything the residual builds
+    # fits, so one byte less refuses the product and nothing else
     monkeypatch.setattr(tensor, "MATRIX_BYTE_BUDGET", block)
     residual()
     monkeypatch.setattr(tensor, "MATRIX_BYTE_BUDGET", block - 1)
-    with pytest.raises(ValueError, match="exchange-relation column block needs"):
+    side = math.isqrt(block // 16)
+    with pytest.raises(ValueError, match=f"exchange-relation product needs a {side} x {side} complex"):
         residual()
 
 
@@ -463,6 +488,7 @@ def _dense_transfer(dense_monodromy, chain, z):
 @pytest.mark.parametrize("rank", [2, 3, 4])
 def test_transfer_matrix_against_dense_trace(dense_monodromy, rank, variant):
     lam = 0.6 + 0.3j
+    rng = np.random.default_rng(rank)
     cutoff = 2 if rank < 4 else 1  # the kron-built reference at rank 4, cutoff 2 takes seconds
     for sites in (0, 1, 2):
         for defect_site in range(1, sites + 2):
@@ -473,6 +499,11 @@ def test_transfer_matrix_against_dense_trace(dense_monodromy, rank, variant):
             ref = _dense_transfer(dense_monodromy, chain, lam)
             got = transfer(chain, lam, np.eye(ref.shape[0]))
             assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref)), (sites, defect_site)
+            # and on a block of 3 random columns
+            x = rng.normal(size=(ref.shape[0], 3)) + 1j * rng.normal(size=(ref.shape[0], 3))
+            dense = ref @ x
+            got = transfer(chain, lam, x)
+            assert np.max(np.abs(got - dense)) <= 1e-14 * np.max(np.abs(dense)), (sites, defect_site)
 
 
 @pytest.mark.parametrize("chain", _CHAINS)

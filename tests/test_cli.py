@@ -209,7 +209,8 @@ def test_check_config_echo_omits_the_lambda_grid(tmp_path):
 @pytest.mark.parametrize("suite", ["rll", "transmission-algebra"])
 def test_exchange_relation_over_the_byte_budget_is_refused_unallocated(capsys, suite):
     # rank 5, cutoff 7: Fock dimension 330, 210 of its states below the
-    # cutoff; the two operators (1650 x 1650 each) fit, the column block not
+    # cutoff; the two operators (1650 x 1650 each) fit, their product on the
+    # kept Fock legs (25 * 210 = 5250 square) not
     argv = ["check", suite, "--rank", "5", "--fock-cutoff", "7", "--seed", "1"]
     tracemalloc.start()
     try:
@@ -219,9 +220,23 @@ def test_exchange_relation_over_the_byte_budget_is_refused_unallocated(capsys, s
         tracemalloc.stop()
     assert code == 2
     err = capsys.readouterr().err
-    assert "exchange-relation column block needs a 8250 x 5250 complex array (0.693 GB)" in err
+    assert "exchange-relation product needs a 5250 x 5250 complex array (0.441 GB)" in err
     assert "budget" in err
     assert peak < 200 * 2**20
+
+
+@pytest.mark.parametrize("rank", ["2", "4"])
+def test_transfer_commute_huge_theta_fails_without_warnings(capsys, rank):
+    # the transfer products overflow at theta = 1e300; the non-finite
+    # residual fails the check, with nothing on stderr
+    argv = ["check", "transfer-commute", "--rank", rank, "--theta", "1e300", "--seed", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    reports = json.loads(captured.out, parse_constant=pytest.fail)["checks"]
+    assert [r["residual"] for r in reports] == [None, None]
 
 
 def test_check_tolerance_override_can_fail(tmp_path):

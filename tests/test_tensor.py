@@ -104,6 +104,30 @@ def test_apply_local_against_kron_reference(kron_embed, dims, slots, columns):
     assert np.max(np.abs(got - ref)) <= 1e-15 * pair * np.max(np.abs(op)) * np.max(np.abs(x))
 
 
+@pytest.mark.parametrize(
+    "dims,slots",
+    [((2, 3, 2), (0, 1)), ((2, 3, 2), (0, 2)), ((3, 2, 2, 2), (3, 0)), ((1, 3, 2), (0, 1))],
+)
+@pytest.mark.parametrize("out", [(1, 3), (3, 1), (4, 2)])
+@pytest.mark.parametrize("columns", [4, "vector"])
+def test_rectangular_apply_local_against_einsum(dims, slots, out, columns):
+    # a four-leg operator (out_a, out_b, in_a, in_b) replaces factors a and b
+    # of the input by out_a and out_b in the result
+    rng = np.random.default_rng(sum(dims) * 7 + sum(out))
+    a, b = slots
+    op = rng.normal(size=out + (dims[a], dims[b])) + 1j * rng.normal(size=out + (dims[a], dims[b]))
+    shape = (int(np.prod(dims)),) + (() if columns == "vector" else (columns,))
+    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    legs = "ijkl"[: len(dims)]
+    new = list(legs)
+    new[a], new[b] = "A", "B"
+    ref = np.einsum(f"AB{legs[a]}{legs[b]},{legs}z->{''.join(new)}z",
+                    op, x.reshape(dims + (-1,)))
+    got = apply_local(op, x, dims, slots)
+    assert got.shape == (ref.size // ref.shape[-1],) + x.shape[1:]
+    assert np.max(np.abs(got - ref.reshape(got.shape))) <= 1e-14 * np.max(np.abs(ref))
+
+
 def test_apply_local_empty_block():
     assert apply_local(np.eye(6), np.zeros((12, 0)), (2, 3, 2), (0, 1)).shape == (12, 0)
 
@@ -118,6 +142,8 @@ def test_apply_local_rejects_bad_arguments():
         apply_local(np.eye(6), x, (2, 3, 2), (0, 2))
     with pytest.raises(ValueError):
         apply_local(np.eye(4), np.eye(10), (2, 3, 2), (0, 2))
+    with pytest.raises(ValueError):
+        apply_local(np.zeros((2, 3, 3, 3)), x, (2, 3, 2), (0, 1))  # in legs (3, 3), not (2, 3)
 
 
 def test_byte_budget_is_checked_before_allocation():
@@ -196,3 +222,16 @@ def test_sub_cutoff_indices():
     sub = f.sub_cutoff_indices(1)
     assert all(sum(f.basis[i]) <= 2 for i in sub)
     assert len(sub) == math.comb(2 + 2, 2)
+
+
+def test_fock_operators_are_built_once_and_read_only():
+    f = FockSpace(2, 3)
+    calls = [("annihilator", 2), ("creator", 1), ("total_occupation",), ("number_op", "normal"),
+             ("number_op", "antinormal"), ("sub_cutoff_indices", 2)]
+    for name, *args in calls:
+        first = getattr(f, name)(*args)
+        assert getattr(f, name)(*args) is first
+        with pytest.raises(ValueError, match="read-only"):
+            first[0] = 1
+    assert f.number_op("normal") is f.total_occupation()
+    assert f.sub_cutoff_indices(1) is not f.sub_cutoff_indices(2)
