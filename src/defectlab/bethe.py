@@ -90,6 +90,8 @@ class BetheState:
     is the impurity rapidity; defect_sign selects which one-sided factor is
     active (None for a chain without the impurity term).  defect_level, the
     nesting level it enters at, is derived from the sign (1 without it).
+    residual is the bae_residual of these roots when solve_bae returned
+    the state, and None otherwise.
     """
 
     rank: int
@@ -98,6 +100,7 @@ class BetheState:
     theta: float = 0.0
     defect_sign: str | None = None
     defect_level: int = field(init=False)
+    residual: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.rank < 2:
@@ -371,13 +374,14 @@ def solve_bae(state: BetheState, tol: float = 1e-10, max_iter: int = 200) -> Bet
     when the starting residual is not finite.  A trial that overflows has a
     non-finite norm and is rejected like any other, so no floating-point
     warning escapes.  The Jacobian is built from the differences the
-    accepted trial's residual formed.
+    accepted trial's residual formed.  The state returned is a new one,
+    which carries the residual of its last pass.
     """
-    if sum(state.magnon_counts()) == 0:
-        return state
     splits = np.cumsum(state.magnon_counts())[:-1]
-    current, flat, scratch = state, np.concatenate(state.roots), _Scratch()
-    fval = bae_residual(current, scratch)
+    current, flat, scratch = replace(state), np.concatenate(state.roots), _Scratch()
+    current.residual = fval = bae_residual(current, scratch)
+    if not fval.size:
+        return current
     norm = float(np.max(np.abs(fval)))
     trace = [norm]
     if not np.isfinite(norm):
@@ -394,7 +398,7 @@ def solve_bae(state: BetheState, tol: float = 1e-10, max_iter: int = 200) -> Bet
             trial_flat = flat + scale * step
             trial = replace(current, roots=tuple(np.split(trial_flat, splits)))
             try:
-                trial_f = bae_residual(trial, scratch)
+                trial.residual = trial_f = bae_residual(trial, scratch)
             except RootCollisionError:
                 scale *= LINE_SEARCH_DAMPING
                 continue

@@ -8,9 +8,12 @@ just the columns a check reads.  The Yang-Baxter equation, RLL and the
 transmission algebra share the form P12 X1 X2 = X2 X1 P12 and one routine
 that evaluates it: the product of the two local operators, contracted over
 their shared leg and formed only on the kept rows and columns, times P12.
-The routine checks that product against the byte budget before building it.
-Identities that create one oscillator quantum are compared on the
-sub-cutoff block, where truncation is exact.
+Each check evaluates its own spectral points as one stack: the lax
+builders take the array of points, and the routine contracts the stacks
+over their leading axes.  A residual checks the stack's product against the
+byte budget before it builds any operator.  Identities that create one
+oscillator quantum are compared on the sub-cutoff block, where truncation
+is exact.
 """
 
 from __future__ import annotations
@@ -84,9 +87,10 @@ def _encode(v):
     return v
 
 
-def cheb(m) -> float:
-    m = np.asarray(m)
-    return float(np.max(np.abs(m))) if m.size else 0.0
+def cheb(m, axis=None):
+    """Largest absolute entry, 0 for none: a float, or over ``axis`` an array."""
+    out = np.max(np.abs(m), axis=axis, initial=0.0)
+    return float(out) if axis is None else out
 
 
 def worst_of(*residuals: float) -> float:
@@ -118,34 +122,52 @@ def sample_points(rng, count, box=2.0, avoid=(), min_dist=0.05):
 # Yang-Baxter
 
 
-def ybe_residual(rank: int, lam1, lam2, matrix: str = "R") -> float:
+def ybe_residual(rank: int, lam1, lam2, matrix: str = "R"):
     """Chebyshev residual of R12 R13 R23 - R23 R13 R12 (or the same for S):
-    RLL with the matrix itself as the Lax operator on a fundamental site."""
+    RLL with the matrix itself as the Lax operator on a fundamental site.
+    One residual per entry of the stack of (lambda1, lambda2)."""
     if matrix == "R":
         build = lambda z: lax.r_matrix(rank, z)
     elif matrix == "S":
         build = lambda z: lax.s_matrix(rank, z)
     else:
         raise ValueError(f"matrix must be 'R' or 'S', got {matrix!r}")
+    lam1, lam2 = _exchange_stack(rank, rank, lam1, lam2)
     lhs, rhs = _exchange_sides(
         rank, build(lam1 - lam2), build(lam1), build(lam2), rank, range(rank)
     )
-    return cheb(lhs - rhs)
+    return cheb(np.subtract(lhs, rhs, out=rhs), axis=(-2, -1))
 
 
-def check_ybe(rank: int, lam1, lam2, tol: float = 1e-12, matrix: str = "R") -> CheckReport:
-    res = ybe_residual(rank, lam1, lam2, matrix)
-    return CheckReport.from_residual(
-        "ybe",
-        [("rank", rank), ("matrix", matrix), ("lambda1", complex(lam1)), ("lambda2", complex(lam2))],
-        res,
-        tol,
-        "full triple tensor space",
+def _pair_reports(name, parameters, pairs, residual, tol, block) -> tuple:
+    """One report per (lambda1, lambda2) pair, from residual(lambda1, lambda2)
+    evaluated on all pairs as one stack."""
+    lam1, lam2 = np.asarray(pairs, dtype=COMPLEX).reshape(-1, 2).T
+    return tuple(
+        CheckReport.from_residual(
+            name, [*parameters, ("lambda1", complex(a)), ("lambda2", complex(b))], r, tol, block
+        )
+        for (a, b), r in zip(pairs, residual(lam1, lam2).tolist())
+    )
+
+
+def check_ybe(rank: int, pairs, tol: float = 1e-12, matrix: str = "R") -> tuple:
+    return _pair_reports(
+        "ybe", [("rank", rank), ("matrix", matrix)], pairs,
+        lambda lam1, lam2: ybe_residual(rank, lam1, lam2, matrix), tol, "full triple tensor space",
     )
 
 
 # ---------------------------------------------------------------------------
 # exchange relation with the defect
+
+
+def _exchange_stack(n: int, k: int, lam1, lam2) -> tuple:
+    """lambda1 and lambda2 as complex arrays of one shape, after the stack's
+    n^2 k x n^2 k products (k kept V legs) pass the budget: before any build."""
+    lam1, lam2 = np.broadcast_arrays(np.asarray(lam1, dtype=COMPLEX), np.asarray(lam2, dtype=COMPLEX))
+    require_budget(lam1.shape + (n * n * k, n * n * k), "exchange-relation product")
+    return lam1, lam2
 
 
 def _exchange_sides(n: int, pair_op, x1, x2, d: int, keep):
@@ -158,43 +180,58 @@ def _exchange_sides(n: int, pair_op, x1, x2, d: int, keep):
         (X1_13 X2_23)[(a1 a2 v), (b1 b2 u)] = sum_w X1[a1 v, b1 w] X2[a2 w, b2 u],
 
     with v, u in ``keep``; P12 multiplies it on the left.  The right side is
-    X2_23 X1_13, the roles swapped, with P12 multiplied on the right."""
+    X2_23 X1_13, the roles swapped, with P12 multiplied on the right.  The
+    three operators may be stacks of matrices with the same leading axes,
+    which the two sides returned keep."""
     keep = np.asarray(keep, dtype=np.intp)
     k = len(keep)
     m = n * n * k
-    require_budget((m, m), "exchange-relation product")
-    t1, t2 = (np.asarray(x, dtype=COMPLEX).reshape(n, d, n, d) for x in (x1, x2))
+    lead = np.shape(x1)[:-2]
+    t1, t2 = (np.asarray(x, dtype=COMPLEX).reshape(lead + (n, d, n, d)) for x in (x1, x2))
 
-    def contract(s, t):  # sum_w s[a v b w] t[c w e u], legs (a, v, b, c, e, u)
-        rows = s[:, keep].reshape(-1, d)
-        return (rows @ t[..., keep].transpose(1, 0, 2, 3).reshape(d, -1)).reshape(n, k, n, n, n, k)
+    def legs(x, *order):  # permute the six trailing legs
+        return x.transpose(*range(len(lead)), *(len(lead) + i for i in order))
+
+    # the steps share two buffers of the product's size: a stack makes its
+    # temporaries large enough that fresh ones would each cost page faults
+    c, x = (np.empty(lead + (m * m,), dtype=COMPLEX) for _ in range(2))
+
+    def contract(s, t):  # sum_w s[a v b w] t[c w e u] into c, legs (a, v, b, c, e, u)
+        rows = s[..., keep, :, :].reshape(lead + (-1, d))
+        cols = t[..., keep].swapaxes(-4, -3).reshape(lead + (d, -1))
+        return np.matmul(rows, cols, out=c.reshape(lead + (n * k * n, -1))).reshape(lead + (n, k, n, n, n, k))
 
     # X1_13 X2_23 with legs (a1, a2, v, b1, b2, u), then P12 on (a1, a2)
-    x12 = contract(t1, t2).transpose(0, 3, 1, 2, 4, 5)
-    lhs = (pair_op @ x12.reshape(n * n, -1)).reshape(m, m)
+    x12 = x.reshape(lead + (n, n, k, n, n, k))
+    x12[...] = legs(contract(t1, t2), 0, 3, 1, 2, 4, 5)
+    lhs = (pair_op @ x12.reshape(lead + (n * n, -1))).reshape(lead + (m, m))
     # X2_23 X1_13 with legs (a1, a2, v, u, b1, b2), then P12 on (b1, b2)
-    x21 = contract(t2, t1).transpose(3, 0, 1, 5, 4, 2)
-    rhs = (x21.reshape(-1, n * n) @ pair_op).reshape(m, k, n * n).swapaxes(1, 2).reshape(m, m)
-    return lhs, rhs
+    x21 = x.reshape(lead + (n, n, k, k, n, n))
+    x21[...] = legs(contract(t2, t1), 3, 0, 1, 5, 4, 2)
+    prod = np.matmul(x21.reshape(lead + (-1, n * n)), pair_op, out=c.reshape(lead + (-1, n * n)))
+    rhs = x.reshape(lead + (m, n * n, k))
+    rhs[...] = prod.reshape(lead + (m, k, n * n)).swapaxes(-2, -1)
+    return lhs, rhs.reshape(lead + (m, m))
 
 
-def rll_residual(spec: LaxSpec, fock: FockSpace, lam1, lam2) -> float:
-    """Chebyshev residual of R12 L1 L2 - L2 L1 R12 on the sub-cutoff block."""
-    n = spec.rank
+def rll_residual(spec: LaxSpec, fock: FockSpace, lam1, lam2):
+    """Chebyshev residual of R12 L1 L2 - L2 L1 R12 on the sub-cutoff block,
+    one per entry of the stack of (lambda1, lambda2)."""
+    n, keep = spec.rank, fock.sub_cutoff_indices(1)
+    lam1, lam2 = _exchange_stack(n, len(keep), lam1, lam2)
     lhs, rhs = _exchange_sides(
         n,
-        lax.r_matrix(n, complex(lam1) - complex(lam2)),
+        lax.r_matrix(n, lam1 - lam2),
         lax.defect_lax(spec, fock, lam1),
         lax.defect_lax(spec, fock, lam2),
         fock.dim,
-        fock.sub_cutoff_indices(1),
+        keep,
     )
-    return cheb(lhs - rhs)
+    return cheb(np.subtract(lhs, rhs, out=rhs), axis=(-2, -1))
 
 
-def check_rll(spec: LaxSpec, fock: FockSpace, lam1, lam2, tol: float = 1e-10) -> CheckReport:
-    res = rll_residual(spec, fock, lam1, lam2)
-    return CheckReport.from_residual(
+def check_rll(spec: LaxSpec, fock: FockSpace, pairs, tol: float = 1e-10) -> tuple:
+    return _pair_reports(
         "rll",
         [
             ("rank", spec.rank),
@@ -202,10 +239,9 @@ def check_rll(spec: LaxSpec, fock: FockSpace, lam1, lam2, tol: float = 1e-10) ->
             ("ordering", spec.ordering),
             ("shift", spec.shift),
             ("cutoff", fock.cutoff),
-            ("lambda1", complex(lam1)),
-            ("lambda2", complex(lam2)),
         ],
-        res,
+        pairs,
+        lambda lam1, lam2: rll_residual(spec, fock, lam1, lam2),
         tol,
         "total occupation <= cutoff-1",
     )
@@ -228,12 +264,13 @@ def calibrate_ordering(
     the representative fixed by the reference-state requirements (number
     operator annihilating the vacuum, unit constant in the (1,1) entry).
     Candidates with equal effective shift build the same operator, so the
-    relation is evaluated once per such class and every member reports that
-    residual; the winner's class is reported as its equivalence class.  If
-    no candidate passes, the canonical spec is returned with a failed report.
+    relation is evaluated once per such class, on all pairs as one stack,
+    and every member reports that residual; the winner's class is reported
+    as its equivalence class.  If no candidate passes, the canonical spec is
+    returned with a failed report.
     """
     rng = rng_for(seed, "calibrate_ordering")
-    points = sample_points(rng, 2 * pairs)
+    points = np.asarray(sample_points(rng, 2 * pairs), dtype=COMPLEX)
     shifts = dict.fromkeys((0.0, 1.0, float(rank - 1), float(rank)))
     candidates = [
         LaxSpec(rank, VARIANT_L, ordering, shift)
@@ -243,9 +280,8 @@ def calibrate_ordering(
     by_shift = {}  # candidates with equal effective shift build the same L
     for cand in candidates:
         if cand.effective_shift() not in by_shift:
-            by_shift[cand.effective_shift()] = worst_of(*(
-                rll_residual(cand, fock, a, b) for a, b in zip(points[0::2], points[1::2])
-            ))
+            residuals = rll_residual(cand, fock, points[0::2], points[1::2])
+            by_shift[cand.effective_shift()] = worst_of(*residuals.tolist())
     results = [(cand, by_shift[cand.effective_shift()]) for cand in candidates]
     passing = [(c, r) for c, r in results if r <= tol]
     canonical = LaxSpec(rank, VARIANT_L, NORMAL, 1.0)
@@ -314,11 +350,10 @@ def check_oscillator_algebra(fock: FockSpace, tol: float = 1e-13) -> CheckReport
 def check_lax_crossing(
     spec: LaxSpec, fock: FockSpace, lams: Sequence[complex], tol: float = 1e-13
 ) -> CheckReport:
-    worst = 0.0
-    for z in lams:
-        explicit = lax.l_hat_matrix(spec, fock, z)
-        transformed = lax.crossed_l_matrix(spec, fock, z)
-        worst = worst_of(worst, cheb(explicit - transformed))
+    points = np.asarray(lams, dtype=COMPLEX)
+    explicit = lax.l_hat_matrix(spec, fock, points)
+    transformed = lax.crossed_l_matrix(spec, fock, points)
+    worst = worst_of(0.0, *cheb(explicit - transformed, axis=(-2, -1)).tolist())
     return CheckReport.from_residual(
         "lax-crossing",
         [
@@ -404,43 +439,40 @@ def transmission_algebra_residual(
     lam1,
     lam2,
     conjugate: bool = False,
-) -> float:
-    """Normalized Chebyshev residual of S12 T1 T2 - T2 T1 S12.
+):
+    """Normalized Chebyshev residual of S12 T1 T2 - T2 T1 S12, one per entry
+    of the stack of (lambda1, lambda2).
 
     The residual is divided by the Chebyshev norm of the left side, so it is
     invariant under rescaling the transmission matrix by any nonzero scalar
     function of lambda.
     """
-    n = rank
+    n, keep = rank, fock.sub_cutoff_indices(1)
+    lam1, lam2 = _exchange_stack(n, len(keep), lam1, lam2)
     build = lax.conjugate_transmission_matrix if conjugate else lax.transmission_matrix
     lhs, rhs = _exchange_sides(
-        n, lax.s_matrix(n, complex(lam1) - complex(lam2)), build(n, fock, lam1),
-        build(n, fock, lam2), fock.dim, fock.sub_cutoff_indices(1),
+        n, lax.s_matrix(n, lam1 - lam2), build(n, fock, lam1), build(n, fock, lam2), fock.dim, keep
     )
-    return cheb(lhs - rhs) / cheb(lhs)
+    return cheb(np.subtract(lhs, rhs, out=rhs), axis=(-2, -1)) / cheb(lhs, axis=(-2, -1))
 
 
 def check_transmission_algebra(
     rank: int,
     fock: FockSpace,
-    lam1,
-    lam2,
+    pairs,
     conjugate: bool = False,
     tol: float = 1e-10,
-) -> CheckReport:
-    res = transmission_algebra_residual(rank, fock, lam1, lam2, conjugate)
-    which = "conjugate" if conjugate else "direct"
-    return CheckReport.from_residual(
+) -> tuple:
+    return _pair_reports(
         "transmission-algebra",
         [
             ("rank", rank),
-            ("matrix", which),
+            ("matrix", "conjugate" if conjugate else "direct"),
             ("nbar_ordering", ANTINORMAL),
             ("cutoff", fock.cutoff),
-            ("lambda1", complex(lam1)),
-            ("lambda2", complex(lam2)),
         ],
-        res,
+        pairs,
+        lambda lam1, lam2: transmission_algebra_residual(rank, fock, lam1, lam2, conjugate),
         tol,
         "scale-normalized, total occupation <= cutoff-1",
     )
@@ -462,22 +494,14 @@ def check_transmission_crossing(
     """
     if grid is None:
         grid = np.linspace(-3.0, 3.0, 20)
-    constants = []
-    worst_fit = 0.0
-    for lam in grid:
-        lhs = lax.conjugate_transmission_matrix(rank, fock, lam)
-        rhs = lax.crossed_transmission_matrix(rank, fock, lam)
-        v_rhs = rhs.ravel()
-        v_lhs = lhs.ravel()
-        scale = np.max(np.abs(v_rhs))
-        mask = np.abs(v_rhs) > 1e-9 * scale
-        c = complex(
-            (v_rhs[mask].conj() @ v_lhs[mask]) / (v_rhs[mask].conj() @ v_rhs[mask])
-        )
-        fit = cheb(v_lhs - c * v_rhs) / cheb(v_lhs)
-        worst_fit = worst_of(worst_fit, fit)
-        constants.append(c)
-    constants = np.asarray(constants)
+    points = np.asarray(grid, dtype=COMPLEX)
+    v_lhs = lax.conjugate_transmission_matrix(rank, fock, points).reshape(len(points), -1)
+    v_rhs = lax.crossed_transmission_matrix(rank, fock, points).reshape(len(points), -1)
+    # per point, least squares over the entries above 1e-9 of its largest
+    w = np.where(np.abs(v_rhs) > 1e-9 * cheb(v_rhs, axis=-1)[:, None], v_rhs, 0.0).conj()
+    constants = np.sum(w * v_lhs, axis=-1) / np.sum(w * v_rhs, axis=-1)
+    fits = cheb(v_lhs - constants[:, None] * v_rhs, axis=-1) / cheb(v_lhs, axis=-1)
+    worst_fit = worst_of(0.0, *fits.tolist())
     center = complex(np.median(constants.real), np.median(constants.imag))
     spread = float(np.max(np.abs(constants - center)))
     residual = worst_of(spread, worst_fit)

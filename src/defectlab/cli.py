@@ -235,18 +235,19 @@ def _sample_pairs(rng, count, separation=0.02, avoid_diff=()):
 
 def _ybe(cfg, rng):
     tol = cfg.tol("ybe")
-    return [checks.check_ybe(cfg.rank, a, b, tol) for a, b in _sample_pairs(rng, 4)] + [
-        checks.check_ybe(cfg.rank, a, b, tol, matrix="S")
-        for a, b in _sample_pairs(rng, 2, avoid_diff=(1j, -1j))
+    return [
+        *checks.check_ybe(cfg.rank, _sample_pairs(rng, 4), tol),
+        *checks.check_ybe(cfg.rank, _sample_pairs(rng, 2, avoid_diff=(1j, -1j)), tol, matrix="S"),
     ]
 
 
 def _rll(cfg, rng):
     fock, spec, tol = cfg.chain.fock, cfg.chain.lax, cfg.tol("rll")
+    pairs = _sample_pairs(rng, 2)
     reports = [
-        checks.check_rll(variant, fock, a, b, tol)
-        for a, b in _sample_pairs(rng, 2)
+        report
         for variant in (spec, replace(spec, variant=lax.VARIANT_LHAT))
+        for report in checks.check_rll(variant, fock, pairs, tol)
     ]
     _, calib = checks.calibrate_ordering(
         cfg.rank, fock, cfg.seed, tol=cfg.tol("calibrate-ordering")
@@ -257,9 +258,11 @@ def _rll(cfg, rng):
 def _transmission_algebra(cfg, rng):
     fock, tol = cfg.chain.fock, cfg.tol("transmission-algebra")
     return [
-        checks.check_transmission_algebra(cfg.rank, fock, a, b, conjugate, tol=tol)
+        report
         for conjugate in (False, True)
-        for a, b in _sample_pairs(rng, 2, avoid_diff=(1j, -1j))
+        for report in checks.check_transmission_algebra(
+            cfg.rank, fock, _sample_pairs(rng, 2, avoid_diff=(1j, -1j)), conjugate, tol=tol
+        )
     ]
 
 
@@ -420,7 +423,7 @@ def cmd_bae(input_path: str, cfg: RunConfig) -> int:
             "trace": [float(x) for x in exc.trace],
         })
         return EXIT_FAIL
-    residual = float(np.max(np.abs(bethe.bae_residual(solved)), initial=0.0))
+    residual = float(np.max(np.abs(solved.residual), initial=0.0))
     _write_json(cfg, {
         "schema": 1,
         "converged": True,

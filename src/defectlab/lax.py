@@ -16,6 +16,13 @@ exchange relations hold for every convention; the shipped default
 (normal ordering, c = 1) is the one whose reference state satisfies
 N|vacuum> = 0 with the (1,1) vacuum weight lambda + i.
 
+The builders of R, S, L, its conjugate, the transmission matrices and their
+crossing transforms take lambda as a number or as an array.  An array gives
+a stack of shape lambda.shape + (N, N) and a number one N x N matrix, by the
+same code: a lambda-independent skeleton, for the oscillator operators
+built once per Fock space, is copied per entry and its diagonal head block
+written.  The Gamma-function prefactors are evaluated per entry.
+
 The monodromy exists only as an action on a block of columns: each local
 factor (defect Lax operator or bulk R-matrix, on the auxiliary space and one
 slot of dimension d) is applied by contraction, O(dim * rank * d) per column
@@ -105,43 +112,60 @@ class ChainSpec:
         object.__setattr__(self, "dims", dims)
 
 
+def _stacked(skeleton: np.ndarray, rows, diagonal, what: str) -> np.ndarray:
+    """One copy of ``skeleton`` per leading index of ``diagonal``, each with
+    that entry's last axis added to its diagonal entries ``rows``: an array
+    of shape diagonal.shape[:-1] + skeleton.shape."""
+    lead = diagonal.shape[:-1]
+    require_budget(lead + skeleton.shape, what)
+    out = np.empty(lead + skeleton.shape, dtype=COMPLEX)
+    out[...] = skeleton
+    out[..., rows, rows] += diagonal
+    return out
+
+
 def r_matrix(rank: int, lam) -> np.ndarray:
     """R(lambda) = lambda + i P on the rank^2-dimensional double space."""
     if rank < 2:
         raise ValueError("rank must be >= 2")
-    n2 = rank * rank
-    return complex(lam) * np.eye(n2, dtype=COMPLEX) + 1j * permutation_op(rank)
+    lam = np.asarray(lam, dtype=COMPLEX)[..., None]
+    return _stacked(1j * permutation_op(rank), np.arange(rank * rank), lam, "R-matrix")
 
 
 def _oscillator_operator(rank: int, fock: FockSpace, head, coef, reverse: bool) -> np.ndarray:
     """The pattern shared by the Lax and transmission operators on auxiliary
-    (x) Fock: ``head`` in auxiliary block (h, h),
+    (x) Fock: the diagonal ``head`` in auxiliary block (h, h),
     ``coef`` times the identity in the other diagonal blocks (j, j), and
     ``coef`` times a^(j-1) in block (h, j) and its adjoint in block (j, h),
     for j = 2..rank.  h is 1; reversed, h is rank, j becomes rank+1-j, and
-    a^(j-1) and its adjoint trade blocks."""
+    a^(j-1) and its adjoint trade blocks.  All but the head is built once
+    per Fock space; ``head`` has shape lambda.shape + (d,) and the result
+    lambda.shape + (rank d, rank d)."""
     if fock.species != rank - 1:
         raise ValueError(f"Fock space has {fock.species} species, rank {rank} needs {rank - 1}")
     n, d = rank, fock.dim
-    require_budget((n * d, n * d), "oscillator operator")
-    out = np.zeros((n, d, n, d), dtype=COMPLEX)
     h = n - 1 if reverse else 0
-    out[h, :, h, :] = head
-    for j in range(2, n + 1):
-        jj = n - j if reverse else j - 1
-        a, adag = fock.annihilator(j - 1), fock.creator(j - 1)
-        up, down = (adag, a) if reverse else (a, adag)
-        out[jj, :, jj, :] = coef * np.eye(d)
-        out[h, :, jj, :] = coef * up
-        out[jj, :, h, :] = coef * down
-    return out.reshape(n * d, n * d)
+
+    def build():
+        require_budget((n * d, n * d), "oscillator operator")
+        out = np.zeros((n, d, n, d), dtype=COMPLEX)
+        for j in range(2, n + 1):
+            jj = n - j if reverse else j - 1
+            a, adag = fock.annihilator(j - 1), fock.creator(j - 1)
+            up, down = (adag, a) if reverse else (a, adag)
+            out[jj, :, jj, :] = coef * np.eye(d)
+            out[h, :, jj, :] = coef * up
+            out[jj, :, h, :] = coef * down
+        return out.reshape(n * d, n * d)
+
+    skeleton = fock._once(("oscillator", coef, reverse), build)
+    return _stacked(skeleton, h * d + np.arange(d), head, "oscillator operator")
 
 
 def l_matrix(spec: LaxSpec, fock: FockSpace, lam) -> np.ndarray:
     """Defect Lax operator on auxiliary (x) Fock."""
-    eye_f = np.eye(fock.dim, dtype=COMPLEX)
-    num = fock.number_op(spec.ordering)
-    head = complex(lam) * eye_f + 1j * spec.shift * eye_f + 1j * num
+    lam = np.asarray(lam, dtype=COMPLEX)[..., None]
+    head = lam + 1j * spec.shift + 1j * fock.number_op(spec.ordering).diagonal()
     return _oscillator_operator(spec.rank, fock, head, 1j, reverse=False)
 
 
@@ -154,25 +178,24 @@ def l_hat_matrix(spec: LaxSpec, fock: FockSpace, lam) -> np.ndarray:
     point of keeping both.
     """
     n = spec.rank
-    lam = complex(lam)
-    eye_f = np.eye(fock.dim, dtype=COMPLEX)
-    num = fock.number_op(spec.ordering)
-    head = (-lam - 1j * n / 2) * eye_f + 1j * spec.shift * eye_f + 1j * num
+    lam = np.asarray(lam, dtype=COMPLEX)[..., None]
+    head = (-lam - 1j * n / 2) + 1j * spec.shift + 1j * fock.number_op(spec.ordering).diagonal()
     return _oscillator_operator(n, fock, head, 1j, reverse=True)
 
 
 def _cross(raw: np.ndarray, rank: int) -> np.ndarray:
     """V_1 raw^{t_1} V_1, V the reversal k -> rank+1-k of the auxiliary
-    index: entry ((a,i),(b,j)) is raw[(rank-1-b, i), (rank-1-a, j)], 0-based."""
-    d = raw.shape[0] // rank
-    t = raw.reshape(rank, d, rank, d)[::-1, :, ::-1, :]
-    return t.transpose(2, 1, 0, 3).reshape(rank * d, rank * d)
+    index: entry ((a,i),(b,j)) is raw[(rank-1-b, i), (rank-1-a, j)], 0-based,
+    for each matrix of a stack."""
+    d = raw.shape[-1] // rank
+    t = raw.reshape(raw.shape[:-2] + (rank, d, rank, d))[..., ::-1, :, ::-1, :]
+    return t.swapaxes(-4, -2).reshape(raw.shape)
 
 
 def crossed_l_matrix(spec: LaxSpec, fock: FockSpace, lam) -> np.ndarray:
     """V_1 L^{t_1}(-lambda - i rank/2) V_1, the crossing transform of L."""
     n = spec.rank
-    return _cross(l_matrix(spec, fock, -complex(lam) - 1j * n / 2), n)
+    return _cross(l_matrix(spec, fock, -np.asarray(lam, dtype=COMPLEX) - 1j * n / 2), n)
 
 
 def defect_lax(spec: LaxSpec, fock: FockSpace, lam) -> np.ndarray:
@@ -195,14 +218,24 @@ def s_amplitude(rank: int, lam) -> complex:
     )
 
 
+def _scale(out: np.ndarray, scalar, lam: np.ndarray) -> np.ndarray:
+    """Each matrix of the stack ``out``, in place, times scalar(z) of its
+    entry z of lam as a Python complex: a log-Gamma pass in cmath costs
+    microseconds, special's array path a fixed hundred or more, which a
+    stack of at most twenty points does not repay."""
+    values = np.array([scalar(z) for z in lam.ravel().tolist()], dtype=COMPLEX)
+    return np.multiply(values.reshape(lam.shape + (1, 1)), out, out=out)
+
+
 def s_matrix(rank: int, lam) -> np.ndarray:
     """Full two-particle S-matrix S(lambda)/(i lambda + 1) (i lambda + P)."""
-    lam = complex(lam)
-    guard_nonzero(1j * lam + 1, what="S-matrix prefactor i*lambda + 1")
-    scalar = s_amplitude(rank, lam) / (1j * lam + 1)
-    return scalar * (
-        1j * lam * np.eye(rank * rank, dtype=COMPLEX) + permutation_op(rank)
-    )
+    def scalar(z):
+        denom = guard_nonzero(1j * z + 1, what="S-matrix prefactor i*lambda + 1")
+        return s_amplitude(rank, z) / denom
+
+    lam = np.asarray(lam, dtype=COMPLEX)
+    out = _stacked(permutation_op(rank), np.arange(rank * rank), 1j * lam[..., None], "S-matrix")
+    return _scale(out, scalar, lam)
 
 
 def amplitude_gamma_args(rank: int, sign: str, lam) -> tuple:
@@ -236,42 +269,37 @@ def transmission_amplitude(rank: int, sign: str, lam) -> tuple:
     return (t if isinstance(t, np.ndarray) else complex(t)), slope * (psi_num - psi_den)
 
 
-def nbar_op(fock: FockSpace, rank: int) -> np.ndarray:
-    """Shifted number operator entering the transmission matrices: the
-    antinormal number operator (FockSpace.number_op) plus rank/2 - 3/2,
-    which realizes sum_j a_j adag_j + rank/2 - 3/2 on the diagonal.  The
+def _nbar(fock: FockSpace, rank: int) -> np.ndarray:
+    """Diagonal of the shifted number operator entering the transmission
+    matrices: the antinormal number operator (FockSpace.number_op) plus
+    rank/2 - 3/2, which realizes sum_j a_j adag_j + rank/2 - 3/2.  The
     normal ordering would be a spectral-parameter translation of it."""
-    return fock.number_op(ANTINORMAL) + (rank / 2 - 1.5) * np.eye(fock.dim, dtype=COMPLEX)
+    return fock.number_op(ANTINORMAL).diagonal() + (rank / 2 - 1.5)
 
 
 def transmission_matrix(rank: int, fock: FockSpace, lam) -> np.ndarray:
     """Transmission matrix for right-movers on auxiliary (x) Fock."""
-    lam = complex(lam)
-    n = rank
-    eye_f = np.eye(fock.dim, dtype=COMPLEX)
-    nbar = nbar_op(fock, rank)
-    out = _oscillator_operator(n, fock, 1j * lam * eye_f + eye_f + nbar, 1, reverse=False)
-    denom = guard_nonzero(1j * lam + n / 2 - 0.5, what="transmission prefactor denominator")
-    return (transmission_amplitude(rank, "-", lam)[0] / denom) * out
+    def scalar(z):
+        denom = guard_nonzero(1j * z + rank / 2 - 0.5, what="transmission prefactor denominator")
+        return transmission_amplitude(rank, "-", z)[0] / denom
+
+    lam = np.asarray(lam, dtype=COMPLEX)
+    out = _oscillator_operator(rank, fock, 1j * lam[..., None] + 1 + _nbar(fock, rank), 1, reverse=False)
+    return _scale(out, scalar, lam)
 
 
 def conjugate_transmission_matrix(rank: int, fock: FockSpace, lam) -> np.ndarray:
     """Transmission matrix for left-movers; reversed auxiliary indices."""
-    lam = complex(lam)
-    n = rank
-    eye_f = np.eye(fock.dim, dtype=COMPLEX)
-    nbar = nbar_op(fock, rank)
-    head = (-1j * lam - n / 2 + 1) * eye_f + nbar
-    out = _oscillator_operator(n, fock, head, 1, reverse=True)
-    return transmission_amplitude(rank, "+", lam)[0] * out
+    lam = np.asarray(lam, dtype=COMPLEX)
+    head = (-1j * lam[..., None] - rank / 2 + 1) + _nbar(fock, rank)
+    out = _oscillator_operator(rank, fock, head, 1, reverse=True)
+    return _scale(out, lambda z: transmission_amplitude(rank, "+", z)[0], lam)
 
 
 def crossed_transmission_matrix(rank: int, fock: FockSpace, lam) -> np.ndarray:
     """V_1 T^{t_1}(-lambda + i rank/2) V_1; equals the conjugate matrix up to
     a constant that the crossing check measures rather than assumes."""
-    n = rank
-    lam_crossed = -complex(lam) + 1j * n / 2
-    return _cross(transmission_matrix(rank, fock, lam_crossed), n)
+    return _cross(transmission_matrix(rank, fock, -np.asarray(lam, dtype=COMPLEX) + 1j * rank / 2), rank)
 
 
 # ---------------------------------------------------------------------------

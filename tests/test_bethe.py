@@ -194,6 +194,24 @@ def test_rank3_nested_solve():
     assert sol.magnon_counts() == (2, 1)
 
 
+@pytest.mark.parametrize(
+    "state",
+    [
+        BetheState(rank=2, sites=4, roots=(ground_state_seed(4),), theta=0.3, defect_sign="+"),
+        BetheState(rank=3, sites=4, roots=(ground_state_seed(4), np.array([0.1 + 0j])), theta=0.2,
+                   defect_sign="-"),
+    ],
+    ids=["rank2", "rank3"],
+)
+def test_solve_hands_back_the_residual_of_its_roots(state):
+    # the last accepted pass's residual, to the bit what a fresh pass gives;
+    # the caller's state is left as it was
+    sol = solve_bae(state)
+    assert sol is not state and state.residual is None
+    assert sol.residual.tobytes() == bae_residual(sol).tobytes()
+    assert np.max(np.abs(sol.residual)) < 1e-10
+
+
 def test_collision_guard_raises():
     st = BetheState(rank=2, sites=2, roots=(np.array([0.2, 0.2 + 1e-12]),))
     with pytest.raises(RootCollisionError):

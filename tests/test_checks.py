@@ -53,7 +53,7 @@ def test_sample_points_avoidance():
 
 
 def test_report_shape_and_serialization():
-    rep = check_ybe(2, 0.4 + 0.1j, -0.9)
+    (rep,) = check_ybe(2, [(0.4 + 0.1j, -0.9)])
     assert rep.passed and rep.residual <= rep.tolerance
     d = rep.to_dict()
     assert set(d) == {"name", "parameters", "residual", "tolerance", "passed", "block"}
@@ -73,9 +73,8 @@ def test_ybe_r_and_s():
             assert ybe_residual(rank, l1, l2, "R") < 1e-12
     for rank in (2, 3):
         pts = _points(f"ybeS{rank}", 4, avoid=(1j, -1j))
-        for l1, l2 in zip(pts[0::2], pts[1::2]):
-            rep = check_ybe(rank, l1, l2, matrix="S")
-            assert rep.passed
+        reports = check_ybe(rank, list(zip(pts[0::2], pts[1::2])), matrix="S")
+        assert len(reports) == 2 and all(rep.passed for rep in reports)
 
 
 def test_ybe_rejects_unknown_matrix():
@@ -110,8 +109,9 @@ def test_rll_both_variants():
         pts = _points(f"rll{rank}", 4)
         for variant in ("L", "Lhat"):
             spec = LaxSpec(rank, variant=variant)
-            for l1, l2 in zip(pts[0::2], pts[1::2]):
-                rep = check_rll(spec, fock, l1, l2)
+            reports = check_rll(spec, fock, list(zip(pts[0::2], pts[1::2])))
+            assert len(reports) == 2
+            for rep in reports:
                 assert rep.passed, (variant, rep.residual)
 
 
@@ -148,16 +148,18 @@ def test_calibrate_ordering_rank3_class():
 
 @pytest.mark.parametrize("rank,candidates,classes", [(2, 6, 4), (3, 8, 6), (4, 8, 6)])
 def test_calibrate_ordering_evaluates_each_class_once(monkeypatch, rank, candidates, classes):
+    # one stack per class, carrying every pair
     calls = []
     original = checks.rll_residual
 
-    def counted(spec, *args):
-        calls.append(spec.effective_shift())
-        return original(spec, *args)
+    def counted(spec, fock, lam1, lam2):
+        calls.append((spec.effective_shift(), np.shape(lam1), np.shape(lam2)))
+        return original(spec, fock, lam1, lam2)
 
     monkeypatch.setattr(checks, "rll_residual", counted)
     _, rep = calibrate_ordering(rank, FockSpace(rank - 1, 2), seed=3, pairs=2)
-    assert len(calls) == 2 * classes and len(set(calls)) == classes
+    assert len(calls) == classes and len({shift for shift, _, _ in calls}) == classes
+    assert [shapes for _, *shapes in calls] == [[(2,), (2,)]] * classes
     params = dict(rep.parameters)
     residuals = {k: v for k, v in params.items() if k.startswith("residual ")}
     assert len(residuals) == candidates  # every candidate is still reported
@@ -237,7 +239,7 @@ def test_transmission_algebra_direct_and_conjugate():
         if abs((l1 - l2) - 1j) < 0.1 or abs((l1 - l2) + 1j) < 0.1:
             l2 = pts[2]
         for conjugate in (False, True):
-            rep = check_transmission_algebra(rank, fock, l1, l2, conjugate=conjugate)
+            (rep,) = check_transmission_algebra(rank, fock, [(l1, l2)], conjugate=conjugate)
             assert rep.passed, (rank, conjugate, rep.residual)
 
 
@@ -249,12 +251,15 @@ def test_transmission_algebra_scalar_rescaling_invariance(monkeypatch):
     orig = lax.transmission_matrix
 
     def scaled(rank_, fock_, lam, *args, **kwargs):
-        c = np.exp(0.31 + 0.77j * complex(lam).real)
-        return c * orig(rank_, fock_, lam, *args, **kwargs)
+        # each entry of a stack by its own lambda's factor
+        c = np.exp(0.31 + 0.77j * np.real(lam))
+        return np.asarray(c)[..., None, None] * orig(rank_, fock_, lam, *args, **kwargs)
 
     monkeypatch.setattr(lax, "transmission_matrix", scaled)
     rescaled = transmission_algebra_residual(rank, fock, l1, l2)
     assert abs(base - rescaled) < 1e-12
+    stacked = transmission_algebra_residual(rank, fock, [l1, l2], [l2, l1])
+    assert stacked.shape == (2,) and abs(stacked[0] - base) < 1e-12
 
 
 def test_transmission_crossing_constant_is_rank():
@@ -373,6 +378,58 @@ def test_exchange_sides_against_embedded_products(rank, keep):
     for got, dense in ((lhs, (p12 @ x1_13 @ x2_23)[block]), (rhs, (x2_23 @ x1_13 @ p12)[block])):
         assert got.shape == dense.shape
         assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_exchange_sides_on_a_stack_equals_its_per_item_calls(rank):
+    rng = np.random.default_rng(10 + rank)
+    d, keep = 5, [0, 2, 3]
+
+    def random_ops(k):
+        return rng.normal(size=(2, 3, k, k)) + 1j * rng.normal(size=(2, 3, k, k))
+
+    pair_op, x1, x2 = random_ops(rank * rank), random_ops(rank * d), random_ops(rank * d)
+    lhs, rhs = checks._exchange_sides(rank, pair_op, x1, x2, d, keep)
+    m = rank * rank * len(keep)
+    assert lhs.shape == rhs.shape == (2, 3, m, m)
+    for idx in np.ndindex(2, 3):
+        one_lhs, one_rhs = checks._exchange_sides(rank, pair_op[idx], x1[idx], x2[idx], d, keep)
+        assert np.array_equal(lhs[idx], one_lhs) and np.array_equal(rhs[idx], one_rhs)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_residuals_of_a_stack_equal_the_per_pair_residuals(rank):
+    fock = FockSpace(rank - 1, 2)
+    lam1 = np.array([0.43 - 0.2j, 1.7 + 1.2j, -0.6 + 0.1j])
+    lam2 = np.array([-1.1 + 0.6j, -1.9 - 1.6j, 0.8 - 0.4j])
+    residuals = {
+        "ybe-R": lambda a, b: ybe_residual(rank, a, b, "R"),
+        "ybe-S": lambda a, b: ybe_residual(rank, a, b, "S"),
+        "rll-L": lambda a, b: rll_residual(LaxSpec(rank), fock, a, b),
+        "rll-Lhat": lambda a, b: rll_residual(LaxSpec(rank, variant="Lhat"), fock, a, b),
+        "ta-direct": lambda a, b: transmission_algebra_residual(rank, fock, a, b),
+        "ta-conjugate": lambda a, b: transmission_algebra_residual(rank, fock, a, b, True),
+    }
+    for name, residual in residuals.items():
+        stacked = residual(lam1, lam2)
+        assert stacked.shape == lam1.shape, name
+        per_pair = [residual(a, b) for a, b in zip(lam1.tolist(), lam2.tolist())]
+        assert stacked.tolist() == per_pair, name
+
+
+def test_exchange_stack_is_refused_before_any_operator_is_built(monkeypatch):
+    # two pairs at rank 2, cutoff 3: a 2 x 12 x 12 product, one byte over
+    monkeypatch.setattr(tensor, "MATRIX_BYTE_BUDGET", 2 * _block_bytes(2, 3) - 1)
+    for name in ("r_matrix", "s_matrix", "defect_lax", "transmission_matrix",
+                 "conjugate_transmission_matrix"):
+        monkeypatch.setattr(lax, name, lambda *args: pytest.fail("an operator was built"))
+    fock = FockSpace(1, 3)
+    for residual in (
+        lambda: rll_residual(LaxSpec(2), fock, [0.3, 0.1], [-0.4, 0.2]),
+        lambda: transmission_algebra_residual(2, fock, [0.3, 0.1], [-0.4, 0.2], True),
+    ):
+        with pytest.raises(ValueError, match="exchange-relation product needs a 2 x 12 x 12 complex"):
+            residual()
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])

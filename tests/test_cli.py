@@ -209,8 +209,9 @@ def test_check_config_echo_omits_the_lambda_grid(tmp_path):
 @pytest.mark.parametrize("suite", ["rll", "transmission-algebra"])
 def test_exchange_relation_over_the_byte_budget_is_refused_unallocated(capsys, suite):
     # rank 5, cutoff 7: Fock dimension 330, 210 of its states below the
-    # cutoff; the two operators (1650 x 1650 each) fit, their product on the
-    # kept Fock legs (25 * 210 = 5250 square) not
+    # cutoff; the two operators (1650 x 1650 each) would fit, but the product
+    # of a stack of two pairs on the kept Fock legs (25 * 210 = 5250 square
+    # each) does not, and it is refused before either operator is built
     argv = ["check", suite, "--rank", "5", "--fock-cutoff", "7", "--seed", "1"]
     tracemalloc.start()
     try:
@@ -220,9 +221,9 @@ def test_exchange_relation_over_the_byte_budget_is_refused_unallocated(capsys, s
         tracemalloc.stop()
     assert code == 2
     err = capsys.readouterr().err
-    assert "exchange-relation product needs a 5250 x 5250 complex array (0.441 GB)" in err
+    assert "exchange-relation product needs a 2 x 5250 x 5250 complex array (0.882 GB)" in err
     assert "budget" in err
-    assert peak < 200 * 2**20
+    assert peak < 10 * 2**20
 
 
 @pytest.mark.parametrize("rank", ["2", "4"])

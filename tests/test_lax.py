@@ -284,6 +284,37 @@ def test_crossed_builders_against_kron_form(rank, cutoff):
     assert np.array_equal(crossed_transmission_matrix(rank, fock, lam), crossed(raw_t))
 
 
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_builders_on_a_stack_equal_their_per_point_matrices(rank):
+    # every builder of the family, both variants and orderings of the Lax
+    # operators and both signs of the transmission matrices, on a 2 x 3
+    # stack of lambda: each matrix of the stack to the bit the one built at
+    # its point alone
+    fock = FockSpace(rank - 1, 2)
+    lams = np.array([[0.31 - 0.4j, -1.2 + 0.7j, 0.0], [2.5, -0.05 + 1.9j, 1.1 - 2.3j]])
+    builders = {
+        "r_matrix": lambda z: r_matrix(rank, z),
+        "s_matrix": lambda z: s_matrix(rank, z),
+        "transmission_matrix (-)": lambda z: transmission_matrix(rank, fock, z),
+        "conjugate_transmission_matrix (+)": lambda z: conjugate_transmission_matrix(rank, fock, z),
+        "crossed_transmission_matrix": lambda z: crossed_transmission_matrix(rank, fock, z),
+    }
+    for variant in ("L", "Lhat"):
+        for ordering in ("normal", "antinormal"):
+            spec = LaxSpec(rank, variant=variant, ordering=ordering)
+            builders[f"defect_lax {variant} {ordering}"] = lambda z, s=spec: defect_lax(s, fock, z)
+            if variant == "L":
+                builders[f"l_matrix {ordering}"] = lambda z, s=spec: l_matrix(s, fock, z)
+                builders[f"l_hat_matrix {ordering}"] = lambda z, s=spec: l_hat_matrix(s, fock, z)
+                builders[f"crossed_l_matrix {ordering}"] = lambda z, s=spec: crossed_l_matrix(s, fock, z)
+    for name, build in builders.items():
+        stack = build(lams)
+        for idx in np.ndindex(lams.shape):
+            one = build(complex(lams[idx]))
+            assert one.ndim == 2 and stack.shape == lams.shape + one.shape, name
+            assert np.array_equal(stack[idx], one), (name, idx)
+
+
 # ---------------------------------------------------------------------------
 # chain, monodromy, transfer
 
