@@ -10,10 +10,11 @@ that evaluates it: the product of the two local operators, contracted over
 their shared leg and formed only on the kept rows and columns, times P12.
 Each check evaluates its own spectral points as one stack: the lax
 builders take the array of points, and the routine contracts the stacks
-over their leading axes.  A residual checks the stack's product against the
-byte budget before it builds any operator.  Identities that create one
-oscillator quantum are compared on the sub-cutoff block, where truncation
-is exact.
+over their leading axes.  A residual checks one point's product against
+the byte budget before it builds any operator, and a stack larger than
+:func:`defectlab.tensor.stack_depth` admits is evaluated in consecutive
+runs that it admits.  Identities that create one oscillator quantum are
+compared on the sub-cutoff block, where truncation is exact.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .lax import (
     ChainSpec,
     LaxSpec,
 )
-from .tensor import COMPLEX, FockSpace, require_budget
+from .tensor import COMPLEX, FockSpace, require_budget, stack_depth
 
 
 @dataclass(frozen=True)
@@ -122,6 +123,19 @@ def sample_points(rng, count, box=2.0, avoid=(), min_dist=0.05):
 # Yang-Baxter
 
 
+def _in_stacks(evaluate, shape, *lams) -> np.ndarray:
+    """evaluate(*lams), one value (or row) per point of the points broadcast
+    to one stack.  A stack of more points than ``stack_depth(shape)`` is
+    evaluated in consecutive runs of that many."""
+    lams = np.broadcast_arrays(*(np.asarray(lam, dtype=COMPLEX) for lam in lams))
+    depth = stack_depth(shape)
+    if lams[0].size <= depth:
+        return evaluate(*lams)
+    flat = [lam.ravel() for lam in lams]
+    out = np.concatenate([evaluate(*(f[i : i + depth] for f in flat)) for i in range(0, flat[0].size, depth)])
+    return out.reshape(lams[0].shape + out.shape[1:])
+
+
 def ybe_residual(rank: int, lam1, lam2, matrix: str = "R"):
     """Chebyshev residual of R12 R13 R23 - R23 R13 R12 (or the same for S):
     RLL with the matrix itself as the Lax operator on a fundamental site.
@@ -132,11 +146,7 @@ def ybe_residual(rank: int, lam1, lam2, matrix: str = "R"):
         build = lambda z: lax.s_matrix(rank, z)
     else:
         raise ValueError(f"matrix must be 'R' or 'S', got {matrix!r}")
-    lam1, lam2 = _exchange_stack(rank, rank, lam1, lam2)
-    lhs, rhs = _exchange_sides(
-        rank, build(lam1 - lam2), build(lam1), build(lam2), rank, range(rank)
-    )
-    return cheb(np.subtract(lhs, rhs, out=rhs), axis=(-2, -1))
+    return _exchange_residual(build, build, rank, rank, range(rank), lam1, lam2)
 
 
 def _pair_reports(name, parameters, pairs, residual, tol, block) -> tuple:
@@ -162,12 +172,21 @@ def check_ybe(rank: int, pairs, tol: float = 1e-12, matrix: str = "R") -> tuple:
 # exchange relation with the defect
 
 
-def _exchange_stack(n: int, k: int, lam1, lam2) -> tuple:
-    """lambda1 and lambda2 as complex arrays of one shape, after the stack's
-    n^2 k x n^2 k products (k kept V legs) pass the budget: before any build."""
-    lam1, lam2 = np.broadcast_arrays(np.asarray(lam1, dtype=COMPLEX), np.asarray(lam2, dtype=COMPLEX))
-    require_budget(lam1.shape + (n * n * k, n * n * k), "exchange-relation product")
-    return lam1, lam2
+def _exchange_residual(pair, build, n: int, d: int, keep, lam1, lam2, normalize=False):
+    """Chebyshev residual of P12 X1 X2 - X2 X1 P12 (see _exchange_sides), with
+    P12 = pair(lambda1 - lambda2) and Xi = build(lambdai), per entry of the
+    stack of (lambda1, lambda2), normalized by the left side's if asked.
+    One entry's n^2 k x n^2 k product (k kept V legs) passes the budget
+    before any build; the stack is evaluated in runs that fit (_in_stacks)."""
+    m = n * n * len(keep)
+    require_budget((m, m), "exchange-relation product")
+
+    def residual(lam1, lam2):
+        lhs, rhs = _exchange_sides(n, pair(lam1 - lam2), build(lam1), build(lam2), d, keep)
+        res = cheb(np.subtract(lhs, rhs, out=rhs), axis=(-2, -1))
+        return res / cheb(lhs, axis=(-2, -1)) if normalize else res
+
+    return _in_stacks(residual, (max(m, n * d),) * 2, lam1, lam2)
 
 
 def _exchange_sides(n: int, pair_op, x1, x2, d: int, keep):
@@ -187,6 +206,7 @@ def _exchange_sides(n: int, pair_op, x1, x2, d: int, keep):
     k = len(keep)
     m = n * n * k
     lead = np.shape(x1)[:-2]
+    require_budget(lead + (m, m), "exchange-relation product")
     t1, t2 = (np.asarray(x, dtype=COMPLEX).reshape(lead + (n, d, n, d)) for x in (x1, x2))
 
     def legs(x, *order):  # permute the six trailing legs
@@ -217,17 +237,12 @@ def _exchange_sides(n: int, pair_op, x1, x2, d: int, keep):
 def rll_residual(spec: LaxSpec, fock: FockSpace, lam1, lam2):
     """Chebyshev residual of R12 L1 L2 - L2 L1 R12 on the sub-cutoff block,
     one per entry of the stack of (lambda1, lambda2)."""
-    n, keep = spec.rank, fock.sub_cutoff_indices(1)
-    lam1, lam2 = _exchange_stack(n, len(keep), lam1, lam2)
-    lhs, rhs = _exchange_sides(
-        n,
-        lax.r_matrix(n, lam1 - lam2),
-        lax.defect_lax(spec, fock, lam1),
-        lax.defect_lax(spec, fock, lam2),
-        fock.dim,
-        keep,
+    n = spec.rank
+    return _exchange_residual(
+        lambda z: lax.r_matrix(n, z),
+        lambda z: lax.defect_lax(spec, fock, z),
+        n, fock.dim, fock.sub_cutoff_indices(1), lam1, lam2,
     )
-    return cheb(np.subtract(lhs, rhs, out=rhs), axis=(-2, -1))
 
 
 def check_rll(spec: LaxSpec, fock: FockSpace, pairs, tol: float = 1e-10) -> tuple:
@@ -350,10 +365,13 @@ def check_oscillator_algebra(fock: FockSpace, tol: float = 1e-13) -> CheckReport
 def check_lax_crossing(
     spec: LaxSpec, fock: FockSpace, lams: Sequence[complex], tol: float = 1e-13
 ) -> CheckReport:
-    points = np.asarray(lams, dtype=COMPLEX)
-    explicit = lax.l_hat_matrix(spec, fock, points)
-    transformed = lax.crossed_l_matrix(spec, fock, points)
-    worst = worst_of(0.0, *cheb(explicit - transformed, axis=(-2, -1)).tolist())
+    n = spec.rank * fock.dim
+
+    def residual(points):
+        explicit = lax.l_hat_matrix(spec, fock, points)
+        return cheb(explicit - lax.crossed_l_matrix(spec, fock, points), axis=(-2, -1))
+
+    worst = worst_of(0.0, *_in_stacks(residual, (n, n), lams).tolist())
     return CheckReport.from_residual(
         "lax-crossing",
         [
@@ -447,13 +465,12 @@ def transmission_algebra_residual(
     invariant under rescaling the transmission matrix by any nonzero scalar
     function of lambda.
     """
-    n, keep = rank, fock.sub_cutoff_indices(1)
-    lam1, lam2 = _exchange_stack(n, len(keep), lam1, lam2)
     build = lax.conjugate_transmission_matrix if conjugate else lax.transmission_matrix
-    lhs, rhs = _exchange_sides(
-        n, lax.s_matrix(n, lam1 - lam2), build(n, fock, lam1), build(n, fock, lam2), fock.dim, keep
+    return _exchange_residual(
+        lambda z: lax.s_matrix(rank, z),
+        lambda z: build(rank, fock, z),
+        rank, fock.dim, fock.sub_cutoff_indices(1), lam1, lam2, normalize=True,
     )
-    return cheb(np.subtract(lhs, rhs, out=rhs), axis=(-2, -1)) / cheb(lhs, axis=(-2, -1))
 
 
 def check_transmission_algebra(
@@ -494,14 +511,18 @@ def check_transmission_crossing(
     """
     if grid is None:
         grid = np.linspace(-3.0, 3.0, 20)
-    points = np.asarray(grid, dtype=COMPLEX)
-    v_lhs = lax.conjugate_transmission_matrix(rank, fock, points).reshape(len(points), -1)
-    v_rhs = lax.crossed_transmission_matrix(rank, fock, points).reshape(len(points), -1)
-    # per point, least squares over the entries above 1e-9 of its largest
-    w = np.where(np.abs(v_rhs) > 1e-9 * cheb(v_rhs, axis=-1)[:, None], v_rhs, 0.0).conj()
-    constants = np.sum(w * v_lhs, axis=-1) / np.sum(w * v_rhs, axis=-1)
-    fits = cheb(v_lhs - constants[:, None] * v_rhs, axis=-1) / cheb(v_lhs, axis=-1)
-    worst_fit = worst_of(0.0, *fits.tolist())
+    n = rank * fock.dim
+
+    def fit(points):  # per point, least squares over the entries above 1e-9 of its largest
+        v_lhs = lax.conjugate_transmission_matrix(rank, fock, points).reshape(len(points), -1)
+        v_rhs = lax.crossed_transmission_matrix(rank, fock, points).reshape(len(points), -1)
+        w = np.where(np.abs(v_rhs) > 1e-9 * cheb(v_rhs, axis=-1)[:, None], v_rhs, 0.0).conj()
+        constants = np.sum(w * v_lhs, axis=-1) / np.sum(w * v_rhs, axis=-1)
+        fits = cheb(v_lhs - constants[:, None] * v_rhs, axis=-1) / cheb(v_lhs, axis=-1)
+        return np.stack([constants, fits], axis=-1)
+
+    constants, fits = _in_stacks(fit, (n, n), grid).T
+    worst_fit = worst_of(0.0, *fits.real.tolist())
     center = complex(np.median(constants.real), np.median(constants.imag))
     spread = float(np.max(np.abs(constants - center)))
     residual = worst_of(spread, worst_fit)

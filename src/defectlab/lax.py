@@ -17,11 +17,11 @@ exchange relations hold for every convention; the shipped default
 N|vacuum> = 0 with the (1,1) vacuum weight lambda + i.
 
 The builders of R, S, L, its conjugate, the transmission matrices and their
-crossing transforms take lambda as a number or as an array.  An array gives
-a stack of shape lambda.shape + (N, N) and a number one N x N matrix, by the
-same code: a lambda-independent skeleton, for the oscillator operators
-built once per Fock space, is copied per entry and its diagonal head block
-written.  The Gamma-function prefactors are evaluated per entry.
+crossing transforms take lambda as a number (one N x N matrix) or an array
+(a stack of shape lambda.shape + (N, N)), by the same code: a
+lambda-independent skeleton is copied per entry and its diagonal head block
+written.  A Fock space keeps each oscillator skeleton, one N x N matrix per
+pattern (at most four), for its life.  Gamma prefactors are per entry.
 
 The monodromy exists only as an action on a block of columns: each local
 factor (defect Lax operator or bulk R-matrix, on the auxiliary space and one

@@ -9,8 +9,10 @@ columns by contraction, :func:`apply_local`, at cost O(dim * n * d_a * d_b)
 per factor, not the O(dim^2 * n) of multiplying a full embedding; a
 rectangular operator, given by its four legs, maps those factors to others
 of its own output sizes.  Dense arrays whose size follows from the input
-are checked against ``MATRIX_BYTE_BUDGET`` before allocation.  A Fock
-space builds each of its operators once and hands out read-only arrays.
+are checked against ``MATRIX_BYTE_BUDGET`` before allocation, and a stack
+of matrices is held to ``STACK_BYTES``: larger stacks measured slower than
+evaluating one matrix at a time.  A Fock space builds each of its
+operators once and hands out read-only arrays.
 """
 
 from __future__ import annotations
@@ -33,6 +35,17 @@ def require_budget(shape, what: str) -> None:
             f"{what} needs a {size} complex array ({nbytes / 1e9:.3g} GB), over the "
             f"{MATRIX_BYTE_BUDGET / 1e9:.3g} GB budget; reduce sites, rank or the Fock cutoff"
         )
+
+
+STACK_BYTES = 1 << 19  # 512 KiB: the most one stack of matrices takes
+
+
+def stack_depth(shape) -> int:
+    """How many complex arrays of ``shape`` one stack holds: as many as fit
+    in ``STACK_BYTES`` and the budget, and at least one, which
+    ``require_budget`` checks on its own."""
+    nbytes = math.prod(int(k) for k in shape) * np.dtype(COMPLEX).itemsize
+    return max(1, min(STACK_BYTES, MATRIX_BYTE_BUDGET) // max(1, nbytes))
 
 
 def permutation_op(n: int) -> np.ndarray:

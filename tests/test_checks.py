@@ -417,9 +417,9 @@ def test_residuals_of_a_stack_equal_the_per_pair_residuals(rank):
         assert stacked.tolist() == per_pair, name
 
 
-def test_exchange_stack_is_refused_before_any_operator_is_built(monkeypatch):
-    # two pairs at rank 2, cutoff 3: a 2 x 12 x 12 product, one byte over
-    monkeypatch.setattr(tensor, "MATRIX_BYTE_BUDGET", 2 * _block_bytes(2, 3) - 1)
+def test_exchange_product_is_refused_before_any_operator_is_built(monkeypatch):
+    # rank 2, cutoff 3: one pair's 12 x 12 product, one byte over
+    monkeypatch.setattr(tensor, "MATRIX_BYTE_BUDGET", _block_bytes(2, 3) - 1)
     for name in ("r_matrix", "s_matrix", "defect_lax", "transmission_matrix",
                  "conjugate_transmission_matrix"):
         monkeypatch.setattr(lax, name, lambda *args: pytest.fail("an operator was built"))
@@ -428,8 +428,36 @@ def test_exchange_stack_is_refused_before_any_operator_is_built(monkeypatch):
         lambda: rll_residual(LaxSpec(2), fock, [0.3, 0.1], [-0.4, 0.2]),
         lambda: transmission_algebra_residual(2, fock, [0.3, 0.1], [-0.4, 0.2], True),
     ):
-        with pytest.raises(ValueError, match="exchange-relation product needs a 2 x 12 x 12 complex"):
+        with pytest.raises(ValueError, match="exchange-relation product needs a 12 x 12 complex"):
             residual()
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_stacks_over_the_budget_are_evaluated_in_runs_that_fit(monkeypatch, depth):
+    # a budget of `depth` points' largest arrays: every stack of 5 points is
+    # evaluated in runs of at most `depth`, each within the budget, and gives
+    # each point's own residual
+    rank, fock = 3, FockSpace(2, 2)
+    lam1 = np.array([0.43 - 0.2j, 1.7 + 1.2j, -0.6 + 0.1j, 0.2 + 0.9j, -1.3 - 0.5j])
+    lam2 = np.array([-1.1 + 0.6j, -1.9 - 1.6j, 0.8 - 0.4j, 0.5 - 0.7j, 1.4 + 0.3j])
+    residuals = {
+        "ybe-R": (lambda a, b: ybe_residual(rank, a, b, "R"), _block_bytes(rank, rank)),
+        "ybe-S": (lambda a, b: ybe_residual(rank, a, b, "S"), _block_bytes(rank, rank)),
+        "rll": (lambda a, b: rll_residual(LaxSpec(rank), fock, a, b), _block_bytes(rank, 3)),
+        "ta": (lambda a, b: transmission_algebra_residual(rank, fock, a, b, True), _block_bytes(rank, 3)),
+    }
+    for name, (residual, block) in residuals.items():
+        per_pair = [residual(a, b) for a, b in zip(lam1.tolist(), lam2.tolist())]
+        monkeypatch.setattr(tensor, "MATRIX_BYTE_BUDGET", depth * block)
+        assert residual(lam1, lam2).tolist() == per_pair, name
+        monkeypatch.undo()
+    side = rank * fock.dim
+    grid = np.linspace(-3.0, 3.0, 5)
+    crossing = check_lax_crossing(LaxSpec(rank), fock, grid)
+    transmission = check_transmission_crossing(rank, fock, grid)
+    monkeypatch.setattr(tensor, "MATRIX_BYTE_BUDGET", depth * side * side * 16)
+    assert check_lax_crossing(LaxSpec(rank), fock, grid) == crossing
+    assert check_transmission_crossing(rank, fock, grid) == transmission
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])

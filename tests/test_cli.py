@@ -206,12 +206,27 @@ def test_check_config_echo_omits_the_lambda_grid(tmp_path):
     assert sorted(echo) == ["chain_sites", "fock_cutoff", "ordering", "rank", "seed", "shift", "theta"]
 
 
+@pytest.mark.parametrize(
+    "suite, largest",
+    [("rll", 27), ("transmission-algebra", 27), ("crossing", 18), ("transmission-crossing", 18)],
+)
+def test_budget_of_one_point_evaluates_each_stack_in_runs(tmp_path, monkeypatch, suite, largest):
+    # rank 3, cutoff 2: one pair's product is 27 x 27, one operator 18 x 18;
+    # a budget of one point's largest array refuses every stack of two or
+    # more points whole, and the run reports what the default budget does
+    argv = ["check", suite, "--rank", "3", "--fock-cutoff", "2", "--seed", "5"]
+    code, expected = run(tmp_path, *argv)
+    assert code == 0
+    monkeypatch.setattr("defectlab.tensor.MATRIX_BYTE_BUDGET", largest * largest * 16)
+    assert run(tmp_path, *argv) == (0, expected)
+
+
 @pytest.mark.parametrize("suite", ["rll", "transmission-algebra"])
 def test_exchange_relation_over_the_byte_budget_is_refused_unallocated(capsys, suite):
     # rank 5, cutoff 7: Fock dimension 330, 210 of its states below the
-    # cutoff; the two operators (1650 x 1650 each) would fit, but the product
-    # of a stack of two pairs on the kept Fock legs (25 * 210 = 5250 square
-    # each) does not, and it is refused before either operator is built
+    # cutoff; the two operators (1650 x 1650 each) would fit, but one pair's
+    # product on the kept Fock legs (25 * 210 = 5250 square) does not, and
+    # it is refused before either operator is built
     argv = ["check", suite, "--rank", "5", "--fock-cutoff", "7", "--seed", "1"]
     tracemalloc.start()
     try:
@@ -221,7 +236,7 @@ def test_exchange_relation_over_the_byte_budget_is_refused_unallocated(capsys, s
         tracemalloc.stop()
     assert code == 2
     err = capsys.readouterr().err
-    assert "exchange-relation product needs a 2 x 5250 x 5250 complex array (0.882 GB)" in err
+    assert "exchange-relation product needs a 5250 x 5250 complex array (0.441 GB)" in err
     assert "budget" in err
     assert peak < 10 * 2**20
 

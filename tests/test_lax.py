@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -313,6 +315,29 @@ def test_builders_on_a_stack_equal_their_per_point_matrices(rank):
             one = build(complex(lams[idx]))
             assert one.ndim == 2 and stack.shape == lams.shape + one.shape, name
             assert np.array_equal(stack[idx], one), (name, idx)
+
+
+def test_a_fock_space_keeps_one_skeleton_per_pattern_and_a_build_allocates_its_matrix():
+    # rank 4, cutoff 6: 336 x 336 operators.  The first L on a Fock space
+    # builds the ladders and the lambda-independent skeleton, which the Fock
+    # space keeps; every later L allocates its own matrix and nothing else
+    spec, fock = LaxSpec(4), FockSpace(3, 6)
+    matrix = (4 * fock.dim) ** 2 * 16
+    tracemalloc.start()
+    try:
+        first = l_matrix(spec, fock, 0.3)
+        _, peak = tracemalloc.get_traced_memory()
+        assert peak <= 2.5 * matrix
+        del first
+        tracemalloc.reset_peak()
+        kept, _ = tracemalloc.get_traced_memory()
+        assert kept <= 1.5 * matrix
+        later = l_matrix(spec, fock, -1.1 + 0.4j)
+        _, peak = tracemalloc.get_traced_memory()
+        assert peak - kept <= 1.05 * matrix
+        assert later.nbytes == matrix
+    finally:
+        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------
