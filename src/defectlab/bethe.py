@@ -16,9 +16,9 @@ declaration only.
 forms the differences lambda - mu once, runs the collision guard on them and
 on the shifted arrays lambda - mu - zero and lambda - mu - pole, and only
 then builds the factor's value from those same shifted arrays.  A solve
-lends every pass one set of scratch arrays, so it faults its matrices in
-once, and ``_jacobian`` reads the differences of the accepted trial's pass
-from there.  The counting functions loop over the list as well.
+lends every pass one ``tensor.WorkArrays`` with no size limit, one array
+per role, so it faults its matrices in once, and ``_jacobian`` reads the
+differences of the accepted trial's pass from there.  The counting functions loop over the list as well.
 
 The equations are written multiplicatively.  With the self-term included on
 the right (its value at coinciding arguments is exactly -1) the conventional
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .kernels import defect_side, impurity_level
-from .tensor import COMPLEX
+from .tensor import COMPLEX, WorkArrays
 
 COLLISION_GUARD = 1e-9
 LINE_SEARCH_DAMPING = 0.5  # step scale factor after a rejected trial
@@ -275,28 +275,17 @@ def _factors(state: BetheState, level: int) -> list:
     return out
 
 
-class _Scratch:
-    """The arrays that the passes of one solve reuse, by role and shape.
-    Each pass overwrites the previous one's, so a solve faults its matrices
-    in once; ``differences`` holds the last pass's lam - mu, level by level."""
-
-    def __init__(self):
-        self.arrays, self.differences = {}, []
-
-    def take(self, role, shape: tuple, dtype=COMPLEX) -> np.ndarray:
-        key = (role, shape)
-        if key not in self.arrays:
-            self.arrays[key] = np.empty(shape, dtype=dtype)
-        return self.arrays[key]
+def _differences(scratch: WorkArrays, level: int, lam, factors, fill: bool = True) -> list:
+    """lam - mu of each factor of the level's equation, in _factors order, in
+    the scratch's arrays; unless ``fill``, as the last pass left them."""
+    out = []
+    for k, (_, _, mu, _, _) in enumerate(factors):
+        d = scratch.take(("lam - mu", level, k), (len(lam), len(mu)))
+        out.append(np.subtract(lam[:, None], mu[None, :], out=d) if fill else d)
+    return out
 
 
-def _differences(scratch: _Scratch, level: int, lam, factors) -> list:
-    """lam - mu of each factor of the level's equation, in _factors order."""
-    return [np.subtract(lam[:, None], mu[None, :], out=scratch.take(("lam - mu", level, k), (len(lam), len(mu))))
-            for k, (_, _, mu, _, _) in enumerate(factors)]
-
-
-def bae_residual(state: BetheState, scratch: _Scratch | None = None) -> np.ndarray:
+def bae_residual(state: BetheState, scratch: WorkArrays | None = None) -> np.ndarray:
     """Principal log-ratio of each root's equation, level 1 first; all zero
     at an exact solution.
 
@@ -306,13 +295,11 @@ def bae_residual(state: BetheState, scratch: _Scratch | None = None) -> np.ndarr
     guard has passed.  solve_bae lends the pass its scratch arrays, and
     _jacobian reads the differences left there.
     """
-    scratch = _Scratch() if scratch is None else scratch
-    scratch.differences = []
+    scratch = WorkArrays() if scratch is None else scratch
     out = []
     for level, lam in enumerate(state.roots, start=1):
         factors = _factors(state, level)
         diffs = _differences(scratch, level, lam, factors)
-        scratch.differences.append(diffs)
         gaps = np.abs(diffs[-1], out=scratch.take("modulus", diffs[-1].shape, float))
         np.fill_diagonal(gaps, np.inf)
         dmin = float(gaps.min(initial=np.inf))
@@ -337,7 +324,7 @@ def bae_residual(state: BetheState, scratch: _Scratch | None = None) -> np.ndarr
     return np.concatenate(out)
 
 
-def _jacobian(state: BetheState, scratch: _Scratch | None = None) -> np.ndarray:
+def _jacobian(state: BetheState, scratch: WorkArrays | None = None) -> np.ndarray:
     """Complex Jacobian of bae_residual with respect to the stacked roots.
     Exact: the derivative of the principal log of a product is the sum of
     the factor log-derivatives wherever the product is nonzero.  Given the
@@ -345,13 +332,13 @@ def _jacobian(state: BetheState, scratch: _Scratch | None = None) -> np.ndarray:
     there and writes the Jacobian into the scratch's arrays."""
     offsets = np.concatenate([[0], np.cumsum(state.magnon_counts())])
     given = scratch is not None
-    scratch = scratch if given else _Scratch()
+    scratch = scratch if given else WorkArrays()
     jac = scratch.take("jacobian", (offsets[-1], offsets[-1]))
     jac.fill(0.0)
     for level, lam in enumerate(state.roots, start=1):
         rows = slice(offsets[level - 1], offsets[level])
         factors = _factors(state, level)
-        diffs = scratch.differences[level - 1] if given else _differences(scratch, level, lam, factors)
+        diffs = _differences(scratch, level, lam, factors, fill=not given)
         diag = np.zeros(len(lam), dtype=COMPLEX)
         for ((_, log_derivative, *_), arg, _, power, source), d in zip(factors, diffs):
             g = log_derivative(d, arg, out=scratch.take(("work", 0), d.shape))
@@ -378,7 +365,7 @@ def solve_bae(state: BetheState, tol: float = 1e-10, max_iter: int = 200) -> Bet
     which carries the residual of its last pass.
     """
     splits = np.cumsum(state.magnon_counts())[:-1]
-    current, flat, scratch = replace(state), np.concatenate(state.roots), _Scratch()
+    current, flat, scratch = replace(state), np.concatenate(state.roots), WorkArrays()
     current.residual = fval = bae_residual(current, scratch)
     if not fval.size:
         return current

@@ -13,7 +13,9 @@ builders take the array of points, and the routine contracts the stacks
 over their leading axes.  A residual checks one point's product against
 the byte budget before it builds any operator, and a stack larger than
 :func:`defectlab.tensor.stack_depth` admits is evaluated in consecutive
-runs that it admits.  Identities that create one oscillator quantum are
+runs that it admits.  A run's operators, buffers and temporaries are this
+thread's kept work arrays (:func:`defectlab.tensor.work_arrays`), and only
+its residuals leave it.  Identities that create one oscillator quantum are
 compared on the sub-cutoff block, where truncation is exact.
 """
 
@@ -34,7 +36,7 @@ from .lax import (
     ChainSpec,
     LaxSpec,
 )
-from .tensor import COMPLEX, FockSpace, require_budget, stack_depth
+from .tensor import COMPLEX, FockSpace, require_budget, stack_depth, work_arrays
 
 
 @dataclass(frozen=True)
@@ -89,8 +91,11 @@ def _encode(v):
 
 
 def cheb(m, axis=None):
-    """Largest absolute entry, 0 for none: a float, or over ``axis`` an array."""
-    out = np.max(np.abs(m), axis=axis, initial=0.0)
+    """Largest absolute entry, 0 for none: a float, or over ``axis`` an array.
+    The moduli go to a kept work array."""
+    m = np.asarray(m)
+    moduli = np.abs(m, out=work_arrays().take("moduli", m.shape, float))
+    out = np.max(moduli, axis=axis, initial=0.0)
     return float(out) if axis is None else out
 
 
@@ -141,9 +146,9 @@ def ybe_residual(rank: int, lam1, lam2, matrix: str = "R"):
     RLL with the matrix itself as the Lax operator on a fundamental site.
     One residual per entry of the stack of (lambda1, lambda2)."""
     if matrix == "R":
-        build = lambda z: lax.r_matrix(rank, z)
+        build = lambda z, out: lax.r_matrix(rank, z, out)
     elif matrix == "S":
-        build = lambda z: lax.s_matrix(rank, z)
+        build = lambda z, out: lax.s_matrix(rank, z, out)
     else:
         raise ValueError(f"matrix must be 'R' or 'S', got {matrix!r}")
     return _exchange_residual(build, build, rank, rank, range(rank), lam1, lam2)
@@ -177,19 +182,27 @@ def _exchange_residual(pair, build, n: int, d: int, keep, lam1, lam2, normalize=
     P12 = pair(lambda1 - lambda2) and Xi = build(lambdai), per entry of the
     stack of (lambda1, lambda2), normalized by the left side's if asked.
     One entry's n^2 k x n^2 k product (k kept V legs) passes the budget
-    before any build; the stack is evaluated in runs that fit (_in_stacks)."""
+    before any build; the stack is evaluated in runs that fit (_in_stacks),
+    each in this thread's kept work arrays."""
     m = n * n * len(keep)
     require_budget((m, m), "exchange-relation product")
 
     def residual(lam1, lam2):
-        lhs, rhs = _exchange_sides(n, pair(lam1 - lam2), build(lam1), build(lam2), d, keep)
-        res = cheb(np.subtract(lhs, rhs, out=rhs), axis=(-2, -1))
-        return res / cheb(lhs, axis=(-2, -1)) if normalize else res
+        work = work_arrays()
+        x1 = build(lam1, work.take("x1", lam1.shape + (n * d, n * d)))
+        x2 = build(lam2, work.take("x2", lam2.shape + (n * d, n * d)))
+        pair_op = pair(lam1 - lam2, work.take("pair", lam1.shape + (n * n, n * n)))
+        out = [work.take(("exchange", i), lam1.shape + (m * m,)) for i in range(3)]
+        # a product that overflows leaves a non-finite residual, which fails
+        with np.errstate(over="ignore", invalid="ignore"):
+            lhs, rhs = _exchange_sides(n, pair_op, x1, x2, d, keep, out)
+            res = cheb(np.subtract(lhs, rhs, out=rhs), axis=(-2, -1))
+            return res / cheb(lhs, axis=(-2, -1)) if normalize else res
 
     return _in_stacks(residual, (max(m, n * d),) * 2, lam1, lam2)
 
 
-def _exchange_sides(n: int, pair_op, x1, x2, d: int, keep):
+def _exchange_sides(n: int, pair_op, x1, x2, d: int, keep, out=None):
     """Both sides of P12 X1 X2 = X2 X1 P12 on aux1 (x) aux2 (x) V, dim V = d,
     on the rows and columns whose V index is in ``keep``.  P12 acts on the
     two auxiliary spaces, X1 and X2 on one auxiliary space each and V.  The
@@ -201,7 +214,9 @@ def _exchange_sides(n: int, pair_op, x1, x2, d: int, keep):
     with v, u in ``keep``; P12 multiplies it on the left.  The right side is
     X2_23 X1_13, the roles swapped, with P12 multiplied on the right.  The
     three operators may be stacks of matrices with the same leading axes,
-    which the two sides returned keep."""
+    which the two sides returned keep.  ``out``, three flat arrays of the
+    leading axes by m^2 entries (m = n^2 k), holds the steps' two buffers
+    and the left side; without it they are fresh."""
     keep = np.asarray(keep, dtype=np.intp)
     k = len(keep)
     m = n * n * k
@@ -212,9 +227,11 @@ def _exchange_sides(n: int, pair_op, x1, x2, d: int, keep):
     def legs(x, *order):  # permute the six trailing legs
         return x.transpose(*range(len(lead)), *(len(lead) + i for i in order))
 
-    # the steps share two buffers of the product's size: a stack makes its
-    # temporaries large enough that fresh ones would each cost page faults
-    c, x = (np.empty(lead + (m * m,), dtype=COMPLEX) for _ in range(2))
+    # the steps share two buffers of the product's size, and the left side
+    # has a third
+    if out is None:
+        out = [np.empty(lead + (m * m,), dtype=COMPLEX) for _ in range(3)]
+    c, x, left = out
 
     def contract(s, t):  # sum_w s[a v b w] t[c w e u] into c, legs (a, v, b, c, e, u)
         rows = s[..., keep, :, :].reshape(lead + (-1, d))
@@ -224,7 +241,8 @@ def _exchange_sides(n: int, pair_op, x1, x2, d: int, keep):
     # X1_13 X2_23 with legs (a1, a2, v, b1, b2, u), then P12 on (a1, a2)
     x12 = x.reshape(lead + (n, n, k, n, n, k))
     x12[...] = legs(contract(t1, t2), 0, 3, 1, 2, 4, 5)
-    lhs = (pair_op @ x12.reshape(lead + (n * n, -1))).reshape(lead + (m, m))
+    lhs = np.matmul(pair_op, x12.reshape(lead + (n * n, -1)), out=left.reshape(lead + (n * n, -1)))
+    lhs = lhs.reshape(lead + (m, m))
     # X2_23 X1_13 with legs (a1, a2, v, u, b1, b2), then P12 on (b1, b2)
     x21 = x.reshape(lead + (n, n, k, k, n, n))
     x21[...] = legs(contract(t2, t1), 3, 0, 1, 5, 4, 2)
@@ -239,8 +257,8 @@ def rll_residual(spec: LaxSpec, fock: FockSpace, lam1, lam2):
     one per entry of the stack of (lambda1, lambda2)."""
     n = spec.rank
     return _exchange_residual(
-        lambda z: lax.r_matrix(n, z),
-        lambda z: lax.defect_lax(spec, fock, z),
+        lambda z, out: lax.r_matrix(n, z, out),
+        lambda z, out: lax.defect_lax(spec, fock, z, out),
         n, fock.dim, fock.sub_cutoff_indices(1), lam1, lam2,
     )
 
@@ -366,10 +384,13 @@ def check_lax_crossing(
     spec: LaxSpec, fock: FockSpace, lams: Sequence[complex], tol: float = 1e-13
 ) -> CheckReport:
     n = spec.rank * fock.dim
+    require_budget((n, n), "oscillator operator")  # the builders' refusal, before any array is taken
 
     def residual(points):
-        explicit = lax.l_hat_matrix(spec, fock, points)
-        return cheb(explicit - lax.crossed_l_matrix(spec, fock, points), axis=(-2, -1))
+        work = work_arrays()
+        explicit = lax.l_hat_matrix(spec, fock, points, work.take("x1", points.shape + (n, n)))
+        crossed = lax.crossed_l_matrix(spec, fock, points, work.take("x2", points.shape + (n, n)))
+        return cheb(np.subtract(explicit, crossed, out=crossed), axis=(-2, -1))
 
     worst = worst_of(0.0, *_in_stacks(residual, (n, n), lams).tolist())
     return CheckReport.from_residual(
@@ -467,8 +488,8 @@ def transmission_algebra_residual(
     """
     build = lax.conjugate_transmission_matrix if conjugate else lax.transmission_matrix
     return _exchange_residual(
-        lambda z: lax.s_matrix(rank, z),
-        lambda z: build(rank, fock, z),
+        lambda z, out: lax.s_matrix(rank, z, out),
+        lambda z, out: build(rank, fock, z, out),
         rank, fock.dim, fock.sub_cutoff_indices(1), lam1, lam2, normalize=True,
     )
 
@@ -512,13 +533,23 @@ def check_transmission_crossing(
     if grid is None:
         grid = np.linspace(-3.0, 3.0, 20)
     n = rank * fock.dim
+    require_budget((n, n), "oscillator operator")  # the builders' refusal, before any array is taken
 
     def fit(points):  # per point, least squares over the entries above 1e-9 of its largest
-        v_lhs = lax.conjugate_transmission_matrix(rank, fock, points).reshape(len(points), -1)
-        v_rhs = lax.crossed_transmission_matrix(rank, fock, points).reshape(len(points), -1)
-        w = np.where(np.abs(v_rhs) > 1e-9 * cheb(v_rhs, axis=-1)[:, None], v_rhs, 0.0).conj()
-        constants = np.sum(w * v_lhs, axis=-1) / np.sum(w * v_rhs, axis=-1)
-        fits = cheb(v_lhs - constants[:, None] * v_rhs, axis=-1) / cheb(v_lhs, axis=-1)
+        work = work_arrays()
+        v_lhs = lax.conjugate_transmission_matrix(rank, fock, points, work.take("x1", points.shape + (n, n)))
+        v_rhs = lax.crossed_transmission_matrix(rank, fock, points, work.take("x2", points.shape + (n, n)))
+        v_lhs, v_rhs = v_lhs.reshape(len(points), -1), v_rhs.reshape(len(points), -1)
+        moduli = np.abs(v_rhs, out=work.take("moduli", v_rhs.shape, float))  # cheb's role, free until the cheb calls below
+        above = np.greater(moduli, 1e-9 * np.max(moduli, axis=-1, initial=0.0)[:, None],
+                           out=work.take("fit mask", v_rhs.shape, bool))
+        w = work.take("fit weights", v_rhs.shape)
+        w.fill(complex(0.0, -0.0))  # the conjugate of the 0 it stands for
+        np.conjugate(v_rhs, out=w, where=above)
+        prod = work.take("fit products", v_rhs.shape)
+        constants = np.sum(np.multiply(w, v_lhs, out=prod), axis=-1) / np.sum(np.multiply(w, v_rhs, out=prod), axis=-1)
+        misfit = np.subtract(v_lhs, np.multiply(constants[:, None], v_rhs, out=prod), out=prod)
+        fits = cheb(misfit, axis=-1) / cheb(v_lhs, axis=-1)
         return np.stack([constants, fits], axis=-1)
 
     constants, fits = _in_stacks(fit, (n, n), grid).T

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from defectlab import bethe
+from defectlab.tensor import WorkArrays
 from defectlab.bethe import (
     BetheState,
     ConvergenceError,
     RootCollisionError,
     _jacobian,
-    _Scratch,
     bae_residual,
     counting_function,
     counting_function_derivative,
@@ -249,7 +249,7 @@ def test_guard_refuses_an_exact_pole_before_forming_a_value(state, what):
 
 
 def test_jacobian_from_the_pass_matches_a_fresh_one_bit_for_bit():
-    scratch = _Scratch()
+    scratch = WorkArrays()
     for st in _states():
         bae_residual(st, scratch)  # one scratch for all: each pass overwrites the last
         assert _jacobian(st, scratch).tobytes() == _jacobian(st).tobytes(), st

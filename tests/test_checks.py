@@ -1,5 +1,9 @@
+import gc
 import json
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,7 +92,7 @@ def test_ybe_detects_broken_r(monkeypatch):
     import defectlab.lax as lax
     from defectlab.tensor import permutation_op
 
-    def fake_r(rank, lam):
+    def fake_r(rank, lam, out=None):  # a fresh matrix; out is the checks' kept array
         e = np.eye(rank)
         bad = np.kron(np.outer(e[0], e[0]), np.outer(e[1], e[1]))  # e_11 (x) e_22
         return (
@@ -395,6 +399,61 @@ def test_exchange_sides_on_a_stack_equals_its_per_item_calls(rank):
     for idx in np.ndindex(2, 3):
         one_lhs, one_rhs = checks._exchange_sides(rank, pair_op[idx], x1[idx], x2[idx], d, keep)
         assert np.array_equal(lhs[idx], one_lhs) and np.array_equal(rhs[idx], one_rhs)
+
+
+def test_threads_running_rll_at_once_each_get_their_serial_residuals():
+    # each thread keeps its own work arrays: four threads, two at rank 2 and
+    # two at rank 4, switching often, each match the serial residuals bit
+    # for bit
+    lam1 = np.array([0.43 - 0.2j, 1.7 + 1.2j, -0.6 + 0.1j, 0.2 + 0.9j])
+    lam2 = np.array([-1.1 + 0.6j, -1.9 - 1.6j, 0.8 - 0.4j, -0.3 - 0.7j])
+    cutoffs = {2: 5, 4: 2}  # a thread builds its own Fock space
+    serial = {rank: rll_residual(LaxSpec(rank), FockSpace(rank - 1, cutoff), lam1, lam2).tobytes()
+              for rank, cutoff in cutoffs.items()}
+    ranks = [2, 4, 2, 4]
+    start, got = threading.Barrier(len(ranks)), {}
+
+    def run(index):
+        spec, fock = LaxSpec(ranks[index]), FockSpace(ranks[index] - 1, cutoffs[ranks[index]])
+        start.wait()
+        got[index] = [rll_residual(spec, fock, lam1, lam2).tobytes() for _ in range(30)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(index,)) for index in range(len(ranks))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for index, rank in enumerate(ranks):
+        assert got[index] == [serial[rank]] * 30, rank
+
+
+def test_a_request_above_the_stack_size_is_not_kept():
+    # rank 5, cutoff 6: one pair's exchange-relation arrays are 3150 x 3150,
+    # far above STACK_BYTES; they are fresh and freed, and the thread's work
+    # arrays keep at most STACK_BYTES per role
+    work = tensor.work_arrays()
+    spec, fock = LaxSpec(5), FockSpace(4, 6)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        residual = rll_residual(spec, fock, 0.3 + 0.1j, -0.4 + 0.2j)
+        del fock  # with the skeletons it keeps
+        gc.collect()
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert residual < 1e-10
+    cap = len(work.buffers) * tensor.STACK_BYTES
+    assert peak - before > 10 * cap  # the requests were far above the cap
+    assert sum(buf.nbytes for buf, _ in work.buffers.values()) <= cap
+    assert after - before <= cap
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ AMP_HEADER = (
     "logderiv_residual,sign,status"
 )
 DEN_HEADER = "lambda,sigma_re,sigma_im,bulk,hole_backflow,defect_re,defect_im"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(tmp_path, *argv):
@@ -123,6 +125,22 @@ def test_check_all_rank4_runs_are_byte_identical(tmp_path):
     assert main([*argv, "-o", str(a)]) == 0
     assert main([*argv, "-o", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_check_all_at_mixed_ranks_in_one_process_prints_what_a_fresh_process_prints(capsys):
+    # the thread's work arrays carry the larger ranks' buffers into the later
+    # runs, in the order 4, 2, 3, 4, 2; each run prints a fresh process's bytes
+    runs = {rank: ["check", "all", "--rank", str(rank), "--fock-cutoff", str(6 - rank), "--seed", "7"]
+            for rank in (2, 3, 4)}
+    fresh = {
+        rank: subprocess.run([sys.executable, "-m", "defectlab.cli", *argv], capture_output=True,
+                             env=_cli_env(PYTHONPATH=str(SRC)), check=True).stdout
+        for rank, argv in runs.items()
+    }
+    capsys.readouterr()
+    for rank in (4, 2, 3, 4, 2):
+        assert main(runs[rank]) == 0
+        assert capsys.readouterr().out.encode() == fresh[rank], rank
 
 
 @pytest.mark.parametrize(
@@ -253,6 +271,21 @@ def test_transfer_commute_huge_theta_fails_without_warnings(capsys, rank):
     assert captured.err == ""
     reports = json.loads(captured.out, parse_constant=pytest.fail)["checks"]
     assert [r["residual"] for r in reports] == [None, None]
+
+
+@pytest.mark.parametrize("rank", ["2", "4"])
+def test_rll_huge_shift_fails_without_warnings(capsys, rank):
+    # the exchange-relation products overflow at shift = 1e300; each pair's
+    # non-finite residual fails the check, with nothing on stderr
+    argv = ["check", "rll", "--rank", rank, "--fock-cutoff", "2", "--shift", "1e300", "--seed", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    reports = json.loads(captured.out, parse_constant=pytest.fail)["checks"]
+    assert [r["residual"] for r in reports if r["name"] == "rll"] == [None] * 4
+    assert all(r["passed"] for r in reports if r["name"] == "calibrate-ordering")
 
 
 def test_check_tolerance_override_can_fail(tmp_path):

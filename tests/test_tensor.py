@@ -1,15 +1,19 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 
 from defectlab.tensor import (
     MATRIX_BYTE_BUDGET,
+    STACK_BYTES,
     FockSpace,
+    WorkArrays,
     apply_local,
     embed_pair,
     permutation_op,
     require_budget,
+    work_arrays,
 )
 
 
@@ -235,3 +239,50 @@ def test_fock_operators_are_built_once_and_read_only():
             first[0] = 1
     assert f.number_op("normal") is f.total_occupation()
     assert f.sub_cutoff_indices(1) is not f.sub_cutoff_indices(2)
+
+
+# ---------------------------------------------------------------------------
+# work arrays
+
+
+def test_work_arrays_keep_one_buffer_per_role_grown_to_the_largest_request():
+    work = WorkArrays(limit=1024)
+    small = work.take("a", (2, 3))
+    assert small.shape == (2, 3) and small.dtype == np.complex128
+    small[...] = 7
+    # a smaller request, or another dtype, is a view of the same memory
+    again = work.take("a", (4,), float)
+    assert again.dtype == np.float64 and np.shares_memory(again, small)
+    assert work.take("a", (2, 3)) is small
+    # another role has its own buffer
+    assert not np.shares_memory(work.take("b", (2, 3)), small)
+    # a larger request within the limit grows the role's buffer
+    grown = work.take("a", (8, 8))
+    assert not np.shares_memory(grown, small) and work.buffers["a"][0].nbytes == 1024
+    # a request above the limit is a fresh array that nothing keeps
+    big = work.take("a", (9, 8))
+    assert big.shape == (9, 8) and not np.shares_memory(big, grown)
+    assert work.buffers["a"][0].nbytes == 1024
+    assert work.take("a", (8, 8)) is grown
+
+
+def test_each_thread_has_its_own_work_arrays_capped_at_the_stack_size():
+    here = work_arrays()
+    assert work_arrays() is here and here.limit == STACK_BYTES
+    other = []
+    thread = threading.Thread(target=lambda: other.append(work_arrays()))
+    thread.start()
+    thread.join()
+    assert other[0] is not here
+
+
+def test_apply_local_returns_a_fresh_array_each_call():
+    # its block and product are kept; the results of two calls never share them
+    dims, op = (2, 2, 2), np.arange(16.0).reshape(4, 4) + 1j
+    x = np.arange(16.0).reshape(8, 2) + 0j
+    for slots in ((0, 1), (0, 2), (2, 0)):
+        first = apply_local(op, x, dims, slots)
+        kept = first.copy()
+        second = apply_local(op, 2 * x, dims, slots)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept) and np.array_equal(second, 2 * kept)
