@@ -6,11 +6,12 @@ adjacent levels (the physical sites act as a level 0 next to level 1, one
 rapidity 0 of multiplicity ``sites``), the impurity's one-sided factor at
 theta, either lambda - theta + i/2 or 1/(lambda - theta - i/2), on the level
 its sign selects (``kernels.impurity_level``: 1 for '+', rank-1 for '-'),
-and e_2 over the level's own roots.  Each kind of factor declares the zero
-and the pole of its value, (lambda - mu - zero) / (lambda - mu - pole), and
-its kernels (``_SCATTERING``, ``_IMPURITY``), so a change of convention
-edits the self-term constant in ``bae_residual`` and the impurity's
-declaration only.
+and e_2 over the level's own roots.  A kind of factor is declared by the
+zero and the pole of its value, (lambda - mu - zero) / (lambda - mu - pole),
+and nothing else: its log-derivative, its odd real-axis phase and that
+phase's density are derived from the pair.  So a change of convention edits
+the self-term constant in ``bae_residual`` and the impurity's pair
+(``_defect_zero_pole``) only.
 
 ``bae_residual`` evaluates a state in one pass over that list: per factor it
 forms the differences lambda - mu once, runs the collision guard on them and
@@ -18,7 +19,8 @@ on the shifted arrays lambda - mu - zero and lambda - mu - pole, and only
 then builds the factor's value from those same shifted arrays.  A solve
 lends every pass one ``tensor.WorkArrays`` with no size limit, one array
 per role, so it faults its matrices in once, and ``_jacobian`` reads the
-differences of the accepted trial's pass from there.  The counting functions loop over the list as well.
+differences of the accepted trial's pass from there.  The counting
+functions loop over the list as well.
 
 The equations are written multiplicatively.  With the self-term included on
 the right (its value at coinciding arguments is exactly -1) the conventional
@@ -169,47 +171,8 @@ class BetheState:
 
 
 def _e_ratio_zero_pole(n: int) -> tuple:
-    """(zero, pole) of e_n(lam): -i n/2 and +i n/2."""
+    """(zero, pole) of e_n(lam) = (lam + i n/2) / (lam - i n/2)."""
     return -(0.5j * n), 0.5j * n
-
-
-def _shift(lam, zero_pole, out=(None, None)) -> list:
-    """[lam - zero, lam - pole], into out's arrays if given; None for a
-    factor without that zero or pole."""
-    lam = np.asarray(lam, dtype=COMPLEX)
-    return [None if at is None else np.subtract(lam, at, out=o) for at, o in zip(zero_pole, out)]
-
-
-def _quotient(top, bottom):
-    """(lam - zero) / (lam - pole) from _shift's pair, formed in place of one
-    of them when they are arrays."""
-    if bottom is None:
-        return top
-    if top is None:
-        return np.divide(1.0, bottom, out=bottom) if bottom.ndim else 1.0 / bottom
-    return np.divide(top, bottom, out=top) if top.ndim else top / bottom
-
-
-def e_ratio(lam, n: int):
-    """(lam + i n/2) / (lam - i n/2), the elementary scattering ratio."""
-    return _quotient(*_shift(lam, _e_ratio_zero_pole(n)))
-
-
-def e_ratio_log_derivative(lam, n: int, out=None):
-    """d/dlam log e_n(lam) = -i n / (lam^2 + n^2/4), into out if given."""
-    lam = np.asarray(lam, dtype=COMPLEX)
-    den = np.multiply(lam, lam, out=out)
-    den += 0.25 * n * n
-    return np.divide(-1j * n, den, out=out)
-
-
-def phase(lam, n: int):
-    """Odd phase 2 arctan(2 lam / n) of the elementary ratio on the axis."""
-    return 2.0 * np.arctan(2.0 * np.asarray(lam, dtype=float) / n)
-
-
-def _a_n(x, n):
-    return (1.0 / (2.0 * np.pi)) * n / (x * x + 0.25 * n * n)
 
 
 def _defect_zero_pole(sign: str) -> tuple:
@@ -220,40 +183,62 @@ def _defect_zero_pole(sign: str) -> tuple:
     return (root, None) if side > 0 else (None, root)
 
 
-def defect_factor(lam, sign: str):
-    """(lam + side i/2) ** side: lam + i/2 for '+', 1/(lam - i/2) for '-'."""
-    return _quotient(*_shift(lam, _defect_zero_pole(sign)))
+def _shift(lam, zero_pole, out) -> list:
+    """[lam - zero, lam - pole] into out's two arrays; None for a factor
+    without that zero or pole."""
+    return [None if at is None else np.subtract(lam, at, out=o) for at, o in zip(zero_pole, out)]
 
 
-def defect_log_derivative(lam, sign: str, out=None):
-    """side / (lam + side i/2), into out if given."""
-    side = defect_side(sign)
-    return np.divide(side, np.add(np.asarray(lam, dtype=COMPLEX), side * 0.5j, out=out), out=out)
+def _quotient(top, bottom):
+    """(lam - zero) / (lam - pole) from _shift's pair, formed in place of one
+    of them."""
+    if bottom is None:
+        return top
+    if top is None:
+        return np.divide(1.0, bottom, out=bottom)
+    return np.divide(top, bottom, out=top)
 
 
-def defect_phase(lam, sign: str):
-    """Odd phase of the one-sided impurity factor on the real axis; both
-    signs carry the same real-axis phase arctan(2 lam)."""
-    defect_side(sign)
-    return np.arctan(2.0 * np.asarray(lam, dtype=float))
+def _log_derivative(x, zero_pole, out):
+    """d/dx log of the factor (x - zero) / (x - pole): 1/(x - zero) without a
+    pole, -1/(x - pole) without a zero, else (zero - pole) / (x^2 - (zero +
+    pole) x + zero pole).  Into out[0], with out[1] for (zero + pole) x."""
+    zero, pole = zero_pole
+    if pole is None:
+        return np.divide(1.0, np.subtract(x, zero, out=out[0]), out=out[0])
+    if zero is None:
+        return np.divide(-1.0, np.subtract(x, pole, out=out[0]), out=out[0])
+    den = np.multiply(x, x, out=out[0])
+    if zero + pole:
+        den -= np.multiply(zero + pole, x, out=out[1])
+    den += zero * pole
+    return np.divide(zero - pole, den, out=den)
 
 
-def _defect_density(lam, sign: str):
-    """d/dlam defect_phase / 2 pi: half of _a_n(lam, 1), for either sign."""
-    return 0.5 * _a_n(lam, 1)
+def _scales(zero_pole) -> list:
+    """-Im zero and Im pole: the factor's odd real-axis phase, minus the
+    argument of its value up to a constant, is the sum of arctan(x / a) over
+    these a."""
+    return [sign * at.imag for sign, at in zip((-1.0, 1.0), zero_pole) if at is not None]
 
 
-# each kind of factor: the (zero, pole) of its value, which is
-# (lam - zero) / (lam - pole), then its kernels, all called as
-# kernel(lam - mu, argument): log-derivative, real-axis phase, and that
-# phase's derivative / 2 pi
-_SCATTERING = (_e_ratio_zero_pole, e_ratio_log_derivative, phase, _a_n)
-_IMPURITY = (_defect_zero_pole, defect_log_derivative, defect_phase, _defect_density)
+def _phase(x, zero_pole):
+    """The factor's odd real-axis phase; a lone term is returned as it is."""
+    terms = [np.arctan(x / a) for a in _scales(zero_pole)]
+    return sum(terms[1:], terms[0])
+
+
+def _phase_density(x, zero_pole):
+    """d/dx _phase / 2 pi."""
+    terms = [(a / (2.0 * np.pi)) / (x * x + a * a) for a in _scales(zero_pole)]
+    return sum(terms[1:], terms[0])
 
 
 def _factors(state: BetheState, level: int) -> list:
     """Every factor of the level-``level`` equation, in the order it folds
-    in, as (kernels, argument, rapidities mu, power, level of mu):
+    in, as ((zero, pole), rapidities mu, power, level of mu); its value at
+    lam is (lam - mu - zero) / (lam - mu - pole), and its kernels follow
+    from that pair:
 
     - e_1 over each adjacent level's roots; the sites are level 0, one
       rapidity 0 to the power ``sites``;
@@ -262,27 +247,25 @@ def _factors(state: BetheState, level: int) -> list:
     """
     if not 1 <= level <= state.rank - 1:
         raise ValueError(f"level must be in 1..{state.rank - 1}, got {level}")
+    e_1 = _e_ratio_zero_pole(1)
     out = []
     if level > 1:
-        out.append((_SCATTERING, 1, state.roots[level - 2], 1, level - 1))
+        out.append((e_1, state.roots[level - 2], 1, level - 1))
     elif state.sites:
-        out.append((_SCATTERING, 1, np.zeros(1, dtype=COMPLEX), state.sites, 0))
+        out.append((e_1, np.zeros(1, dtype=COMPLEX), state.sites, 0))
     if level + 1 < state.rank:
-        out.append((_SCATTERING, 1, state.roots[level], 1, level + 1))
+        out.append((e_1, state.roots[level], 1, level + 1))
     if state.defect_sign is not None and level == state.defect_level:
-        out.append((_IMPURITY, state.defect_sign, np.full(1, state.theta, dtype=COMPLEX), 1, None))
-    out.append((_SCATTERING, 2, state.roots[level - 1], -1, level))
+        out.append((_defect_zero_pole(state.defect_sign), np.full(1, state.theta, dtype=COMPLEX), 1, None))
+    out.append((_e_ratio_zero_pole(2), state.roots[level - 1], -1, level))
     return out
 
 
-def _differences(scratch: WorkArrays, level: int, lam, factors, fill: bool = True) -> list:
-    """lam - mu of each factor of the level's equation, in _factors order, in
-    the scratch's arrays; unless ``fill``, as the last pass left them."""
-    out = []
-    for k, (_, _, mu, _, _) in enumerate(factors):
-        d = scratch.take(("lam - mu", level, k), (len(lam), len(mu)))
-        out.append(np.subtract(lam[:, None], mu[None, :], out=d) if fill else d)
-    return out
+def _differences(scratch: WorkArrays, level: int, lam, factors) -> list:
+    """The scratch's array for lam - mu of each factor of the level's
+    equation, in _factors order: bae_residual fills them, and _jacobian
+    reads them as that pass left them."""
+    return [scratch.take(("lam - mu", level, k), (len(lam), len(mu))) for k, (_, mu, _, _) in enumerate(factors)]
 
 
 def bae_residual(state: BetheState, scratch: WorkArrays | None = None) -> np.ndarray:
@@ -299,18 +282,19 @@ def bae_residual(state: BetheState, scratch: WorkArrays | None = None) -> np.nda
     out = []
     for level, lam in enumerate(state.roots, start=1):
         factors = _factors(state, level)
-        diffs = _differences(scratch, level, lam, factors)
+        diffs = [np.subtract(lam[:, None], mu, out=d)
+                 for d, (_, mu, _, _) in zip(_differences(scratch, level, lam, factors), factors)]
         gaps = np.abs(diffs[-1], out=scratch.take("modulus", diffs[-1].shape, float))
         np.fill_diagonal(gaps, np.inf)
         dmin = float(gaps.min(initial=np.inf))
         if dmin < COLLISION_GUARD:
             raise RootCollisionError(f"two level-{level} roots within {dmin:.3e} (< {COLLISION_GUARD:g})")
         ratio = np.ones(len(lam), dtype=COMPLEX)
-        for (kernels, arg, _, power, source), d in zip(factors, diffs):
+        for (zero_pole, _, power, source), d in zip(factors, diffs):
             # a root on a zero or a pole of a factor of its own equation, a log
             # singularity; the self-term's diagonal sits n/2 from both
-            what = "the impurity pole" if kernels is _IMPURITY else "a scattering pole"
-            shifted = _shift(d, kernels[0](arg), [scratch.take(("work", j), d.shape) for j in (0, 1)])
+            what = "the impurity pole" if source is None else "a scattering pole"
+            shifted = _shift(d, zero_pole, [scratch.take(("work", j), d.shape) for j in (0, 1)])
             modulus = scratch.take("modulus", d.shape, float)
             if any(np.abs(x, out=modulus).min(initial=np.inf) < COLLISION_GUARD for x in shifted if x is not None):
                 raise RootCollisionError(f"level-{level} root within {COLLISION_GUARD:g} of {what}")
@@ -324,24 +308,21 @@ def bae_residual(state: BetheState, scratch: WorkArrays | None = None) -> np.nda
     return np.concatenate(out)
 
 
-def _jacobian(state: BetheState, scratch: WorkArrays | None = None) -> np.ndarray:
-    """Complex Jacobian of bae_residual with respect to the stacked roots.
-    Exact: the derivative of the principal log of a product is the sum of
-    the factor log-derivatives wherever the product is nonzero.  Given the
-    scratch of bae_residual's pass on this state, it reads the differences
-    there and writes the Jacobian into the scratch's arrays."""
+def _jacobian(state: BetheState, scratch: WorkArrays) -> np.ndarray:
+    """Complex Jacobian of bae_residual with respect to the stacked roots,
+    from the differences that bae_residual's pass on this state left in
+    ``scratch``, written into the scratch's arrays.  Exact: the derivative of
+    the principal log of a product is the sum of the factor log-derivatives
+    wherever the product is nonzero."""
     offsets = np.concatenate([[0], np.cumsum(state.magnon_counts())])
-    given = scratch is not None
-    scratch = scratch if given else WorkArrays()
     jac = scratch.take("jacobian", (offsets[-1], offsets[-1]))
     jac.fill(0.0)
     for level, lam in enumerate(state.roots, start=1):
         rows = slice(offsets[level - 1], offsets[level])
         factors = _factors(state, level)
-        diffs = _differences(scratch, level, lam, factors, fill=not given)
         diag = np.zeros(len(lam), dtype=COMPLEX)
-        for ((_, log_derivative, *_), arg, _, power, source), d in zip(factors, diffs):
-            g = log_derivative(d, arg, out=scratch.take(("work", 0), d.shape))
+        for (zero_pole, _, power, source), d in zip(factors, _differences(scratch, level, lam, factors)):
+            g = _log_derivative(d, zero_pole, [scratch.take(("work", j), d.shape) for j in (0, 1)])
             if source == level:
                 np.fill_diagonal(g, 0.0)  # the self-term is constant
             diag += power * np.sum(g, axis=1)
@@ -406,22 +387,23 @@ def solve_bae(state: BetheState, tol: float = 1e-10, max_iter: int = 200) -> Bet
 # counting function
 
 
+def _factor_sum(state: BetheState, level: int, lam, kernel) -> np.ndarray:
+    """Sum over the level's factors of power * sum over mu of kernel(lam - mu)."""
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    total = np.zeros_like(lam)
+    for zero_pole, mu, power, _ in _factors(state, level):
+        total += power * np.sum(kernel(lam[..., None] - mu.real, zero_pole), axis=-1)
+    return total
+
+
 def counting_function(state: BetheState, level: int, lam) -> np.ndarray:
     """Scaled phase sum whose values at the roots sit on the quantization
     ladder (half-odd integers for even counts)."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    total = np.zeros_like(lam)
-    for (_, _, kernel, _), arg, mu, power, _ in _factors(state, level):
-        total += power * np.sum(kernel(lam[..., None] - mu.real, arg), axis=-1)
-    return total / (2.0 * np.pi)
+    return _factor_sum(state, level, lam, _phase) / (2.0 * np.pi)
 
 
 def counting_function_derivative(state: BetheState, level: int, lam) -> np.ndarray:
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    total = np.zeros_like(lam)
-    for (*_, kernel), arg, mu, power, _ in _factors(state, level):
-        total += power * np.sum(kernel(lam[..., None] - mu.real, arg), axis=-1)
-    return total
+    return _factor_sum(state, level, lam, _phase_density)
 
 
 def ground_state_seed(sites: int, magnons: int | None = None) -> np.ndarray:

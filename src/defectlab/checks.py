@@ -352,6 +352,7 @@ def calibrate_ordering(
 
 def check_oscillator_algebra(fock: FockSpace, tol: float = 1e-13) -> CheckReport:
     m = fock.species
+    require_budget((2 * m, fock.dim, fock.dim), "Fock ladders")  # all of them are kept
     eye = np.eye(fock.dim, dtype=COMPLEX)
     num = fock.number_op(NORMAL)
     sub = fock.sub_cutoff_indices(1)
@@ -439,6 +440,8 @@ def check_highest_weight(
     the product of local weights."""
     n = chain.rank
     fock = chain.fock
+    require_budget((n * math.prod(chain.dims[1:]), n), "monodromy block")  # before the vacuum is built
+    require_budget((fock.species, fock.dim, fock.dim), "Fock ladders")  # all of them are kept
     omega = lax.chain_vacuum(chain)
     worst = 0.0
     for j in range(1, fock.species + 1):
@@ -540,15 +543,14 @@ def check_transmission_crossing(
         v_lhs = lax.conjugate_transmission_matrix(rank, fock, points, work.take("x1", points.shape + (n, n)))
         v_rhs = lax.crossed_transmission_matrix(rank, fock, points, work.take("x2", points.shape + (n, n)))
         v_lhs, v_rhs = v_lhs.reshape(len(points), -1), v_rhs.reshape(len(points), -1)
-        moduli = np.abs(v_rhs, out=work.take("moduli", v_rhs.shape, float))  # cheb's role, free until the cheb calls below
-        above = np.greater(moduli, 1e-9 * np.max(moduli, axis=-1, initial=0.0)[:, None],
-                           out=work.take("fit mask", v_rhs.shape, bool))
-        w = work.take("fit weights", v_rhs.shape)
-        w.fill(complex(0.0, -0.0))  # the conjugate of the 0 it stands for
-        np.conjugate(v_rhs, out=w, where=above)
-        prod = work.take("fit products", v_rhs.shape)
-        constants = np.sum(np.multiply(w, v_lhs, out=prod), axis=-1) / np.sum(np.multiply(w, v_rhs, out=prod), axis=-1)
-        misfit = np.subtract(v_lhs, np.multiply(constants[:, None], v_rhs, out=prod), out=prod)
+        # weights conj(v_rhs) on the entries above 1e-9 of the point's largest, 0 elsewhere
+        mask = np.abs(v_rhs, out=work.take("fit mask", v_rhs.shape, float))
+        np.greater(mask, 1e-9 * np.max(mask, axis=-1, initial=0.0)[:, None], out=mask)
+        w = np.conjugate(v_rhs, out=work.take("fit weights", v_rhs.shape))
+        w *= mask
+        # two batched dot products per point, then the misfit in place of v_rhs
+        constants = (np.matmul(w[:, None], v_lhs[..., None]) / np.matmul(w[:, None], v_rhs[..., None]))[:, 0, 0]
+        misfit = np.subtract(v_lhs, np.multiply(constants[:, None], v_rhs, out=v_rhs), out=v_rhs)
         fits = cheb(misfit, axis=-1) / cheb(v_lhs, axis=-1)
         return np.stack([constants, fits], axis=-1)
 

@@ -30,6 +30,7 @@ constants) and fresh results do.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 
@@ -172,13 +173,12 @@ def embed_pair(op, aux_dim: int, site_dims, slot: int) -> np.ndarray:
 
 
 def _compositions(m: int, total: int):
-    # lexicographic order in (n_1, ..., n_m)
-    if m == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(m - 1, total - first):
-            yield (first,) + rest
+    """Every (n_1, ..., n_m) of naturals summing to ``total``, in
+    lexicographic order: stars and bars, the m - 1 bars' places among
+    total + m - 1 in increasing order."""
+    for bars in itertools.combinations(range(total + m - 1), m - 1):
+        edges = (-1,) + bars + (total + m - 1,)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 
 
 class FockSpace:
@@ -203,7 +203,7 @@ class FockSpace:
         self.cutoff = cutoff
         basis = []
         for total in range(cutoff + 1):
-            basis.extend(sorted(_compositions(species, total)))
+            basis.extend(_compositions(species, total))
         self.basis = tuple(basis)
         self.index = {occ: i for i, occ in enumerate(self.basis)}
         self.dim = len(self.basis)

@@ -14,12 +14,7 @@ from defectlab.bethe import (
     bae_residual,
     counting_function,
     counting_function_derivative,
-    defect_factor,
-    defect_log_derivative,
-    e_ratio,
-    e_ratio_log_derivative,
     ground_state_seed,
-    phase,
     solve_bae,
 )
 
@@ -31,28 +26,81 @@ QUADRATIC = {
 }
 
 
+def _value(x, zero_pole):
+    x = np.atleast_1d(np.asarray(x, dtype=complex))
+    return bethe._quotient(*bethe._shift(x, zero_pole, [np.empty_like(x), np.empty_like(x)]))
+
+
+def _log_derivative(x, zero_pole):
+    x = np.asarray(x, dtype=complex)
+    return bethe._log_derivative(x, zero_pole, [np.empty_like(x), np.empty_like(x)])
+
+
 def test_e_ratio_values():
-    assert e_ratio(0.0, 2) == -1.0
-    assert abs(e_ratio(0.5, 1) - (0.5 + 0.5j) / (0.5 - 0.5j)) < 1e-15
-    # log derivative against a central difference
-    h = 1e-6
-    x = 0.37 + 0.21j
-    num = (np.log(e_ratio(x + h, 1)) - np.log(e_ratio(x - h, 1))) / (2 * h)
-    assert abs(num - e_ratio_log_derivative(x, 1)) < 1e-8
+    for n in (1, 2):
+        zero_pole = bethe._e_ratio_zero_pole(n)
+        assert _value(0.0, zero_pole)[0] == -1.0
+        x = np.array([0.5, 0.37 + 0.21j, -1.3 - 0.4j])
+        assert np.max(np.abs(_value(x, zero_pole) - (x + 0.5j * n) / (x - 0.5j * n))) < 1e-15
+        # the closed form -i n / (x^2 + n^2/4), and a central difference of the log
+        assert np.max(np.abs(_log_derivative(x, zero_pole) - (-1j * n / (x * x + 0.25 * n * n)))) < 1e-15
+        h = 1e-6
+        num = (np.log(_value(x + h, zero_pole)) - np.log(_value(x - h, zero_pole))) / (2 * h)
+        assert np.max(np.abs(num - _log_derivative(x, zero_pole))) < 1e-8
 
 
 def test_defect_factor_and_derivative():
-    x = 0.53 - 0.11j
-    assert abs(defect_factor(x, "+") - (x + 0.5j)) < 1e-15
-    assert abs(defect_factor(x, "-") - 1.0 / (x - 0.5j)) < 1e-15
+    x = np.array([0.53 - 0.11j])
+    closed = {"+": (x + 0.5j, 1.0 / (x + 0.5j)), "-": (1.0 / (x - 0.5j), -1.0 / (x - 0.5j))}
     h = 1e-6
-    for sign in ("+", "-"):
-        num = (
-            np.log(defect_factor(x + h, sign)) - np.log(defect_factor(x - h, sign))
-        ) / (2 * h)
-        assert abs(num - defect_log_derivative(x, sign)) < 1e-8
+    for sign, (value, log_derivative) in closed.items():
+        zero_pole = bethe._defect_zero_pole(sign)
+        assert np.max(np.abs(_value(x, zero_pole) - value)) < 1e-15
+        assert np.max(np.abs(_log_derivative(x, zero_pole) - log_derivative)) < 1e-15
+        num = (np.log(_value(x + h, zero_pole)) - np.log(_value(x - h, zero_pole))) / (2 * h)
+        assert np.max(np.abs(num - log_derivative)) < 1e-8
     with pytest.raises(ValueError):
-        defect_factor(x, "0")
+        bethe._defect_zero_pole("0")
+
+
+def test_phases_and_densities_match_their_closed_forms():
+    x = np.linspace(-3, 3, 11)
+    for zero_pole, phase, density in [
+        # e_n: 2 arctan(2x/n), and its derivative / 2 pi, n / (2 pi (x^2 + n^2/4))
+        *((bethe._e_ratio_zero_pole(n), 2.0 * np.arctan(2.0 * x / n),
+           n / (2.0 * np.pi * (x * x + 0.25 * n * n))) for n in (1, 2)),
+        # the impurity, either sign: arctan(2x), and half of the n = 1 density
+        *((bethe._defect_zero_pole(sign), np.arctan(2.0 * x),
+           0.5 / (2.0 * np.pi * (x * x + 0.25))) for sign in "+-"),
+    ]:
+        assert np.max(np.abs(bethe._phase(x, zero_pole) - phase)) < 1e-15
+        assert np.max(np.abs(bethe._phase_density(x, zero_pole) - density)) < 1e-15
+
+
+# every declared pair, and the moved impurity pairs of the tests below
+PAIRS = [
+    bethe._e_ratio_zero_pole(1), bethe._e_ratio_zero_pole(2), bethe._defect_zero_pole("+"),
+    bethe._defect_zero_pole("-"), (None, -0.5j), (0.5j, None), (0.25j, -0.75j),
+]
+
+
+def test_phase_is_odd():
+    x = np.linspace(-3, 3, 11)
+    for zero_pole in PAIRS:
+        assert np.allclose(bethe._phase(x, zero_pole), -bethe._phase(-x, zero_pole)), zero_pole
+
+
+@pytest.mark.parametrize("zero_pole", PAIRS)
+def test_phase_is_minus_the_argument_of_the_value(zero_pole):
+    # on the real axis the phase is -arg of the factor's value up to a
+    # constant, so 2 pi times its density is -Im of the log-derivative, and
+    # a central difference of the phase is 2 pi times the density
+    x = np.linspace(-3, 3, 13)
+    density = bethe._phase_density(x, zero_pole)
+    assert np.max(np.abs(2.0 * np.pi * density + _log_derivative(x, zero_pole).imag)) < 1e-14
+    h = 1e-6
+    num = (bethe._phase(x + h, zero_pole) - bethe._phase(x - h, zero_pole)) / (2 * h)
+    assert np.max(np.abs(num - 2.0 * np.pi * density)) < 1e-8
 
 
 def test_state_validation():
@@ -153,7 +201,7 @@ def test_one_magnon_quadratic_roots_are_exact():
             )
             assert np.max(np.abs(bae_residual(st))) < 1e-12
             # direct multiplicative statement, independent of the log form
-            check = e_ratio(root, 1) * defect_factor(root, sign)
+            check = (root + 0.5j) / (root - 0.5j) * ((root + 0.5j) if sign == "+" else 1.0 / (root - 0.5j))
             assert abs(check + 1.0) < 1e-12
 
 
@@ -248,11 +296,18 @@ def test_guard_refuses_an_exact_pole_before_forming_a_value(state, what):
             solve_bae(state)
 
 
+def _fresh_jacobian(state):
+    """_jacobian from the differences of a pass on a scratch of its own."""
+    scratch = WorkArrays()
+    bae_residual(state, scratch)
+    return _jacobian(state, scratch)
+
+
 def test_jacobian_from_the_pass_matches_a_fresh_one_bit_for_bit():
     scratch = WorkArrays()
     for st in _states():
         bae_residual(st, scratch)  # one scratch for all: each pass overwrites the last
-        assert _jacobian(st, scratch).tobytes() == _jacobian(st).tobytes(), st
+        assert _jacobian(st, scratch).tobytes() == _fresh_jacobian(st).tobytes(), st
 
 
 @pytest.mark.parametrize("sign", ["+", "-"])
@@ -393,31 +448,56 @@ def test_equation_ratio_and_jacobian_match_scalar_loops():
         assert got.shape == ref.shape
         assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref)), st
         ref = _ref_jacobian(st)
-        got = _jacobian(st)
+        got = _fresh_jacobian(st)
         assert got.shape == ref.shape
         if ref.size:
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), st
 
 
-def test_jacobian_matches_central_differences_of_the_residual():
+def _assert_jacobian_matches_central_differences(st):
     h = 1e-6
+    flat = np.concatenate(st.roots)
+    jac = _fresh_jacobian(st)
+    for k in range(flat.size):
+        for step in (h, 1j * h):
+            shifted = []
+            for sgn in (1, -1):
+                x = flat.copy()
+                x[k] += sgn * step
+                levels = np.split(x, np.cumsum(st.magnon_counts())[:-1])
+                trial = replace(st, roots=tuple(levels))
+                shifted.append(bae_residual(trial))
+            # the residual is holomorphic: both directions give the column
+            col = (shifted[0] - shifted[1]) / (2 * step)
+            assert np.max(np.abs(col - jac[:, k])) <= 1e-7 * np.max(np.abs(jac)), (st, k)
+
+
+def test_jacobian_matches_central_differences_of_the_residual():
     for st in _states():
-        flat = np.concatenate(st.roots)
-        if flat.size == 0:
-            continue
-        jac = _jacobian(st)
-        for k in range(flat.size):
-            for step in (h, 1j * h):
-                shifted = []
-                for sgn in (1, -1):
-                    x = flat.copy()
-                    x[k] += sgn * step
-                    levels = np.split(x, np.cumsum(st.magnon_counts())[:-1])
-                    trial = replace(st, roots=tuple(levels))
-                    shifted.append(bae_residual(trial))
-                # the residual is holomorphic: both directions give the column
-                col = (shifted[0] - shifted[1]) / (2 * step)
-                assert np.max(np.abs(col - jac[:, k])) <= 1e-7 * np.max(np.abs(jac)), (st, k)
+        if np.concatenate(st.roots).size:
+            _assert_jacobian_matches_central_differences(st)
+
+
+@pytest.mark.parametrize("zero_pole", [(None, -0.5j), (0.5j, None), (0.25j, -0.75j)],
+                         ids=["pole-minus-i/2", "zero-plus-i/2", "zero-and-pole"])
+def test_kernels_derived_from_a_moved_impurity_pair_stay_consistent(monkeypatch, zero_pole):
+    # the impurity factors of the oracle's orientation, i / (u - theta + i/2)
+    # and i (u - theta - i/2) up to their constants, and a factor with both
+    # a zero and a pole whose sum is not 0: declaring the pair alone must
+    # give a Jacobian and a counting-function derivative that match central
+    # differences of the residual and of the counting function
+    monkeypatch.setattr(bethe, "_defect_zero_pole", lambda sign: zero_pole)
+    grid = np.linspace(-2.5, 2.5, 41)
+    h = 1e-5
+    states = [st for st in _states() if st.defect_sign is not None]
+    assert states
+    for st in states:
+        if np.concatenate(st.roots).size:
+            _assert_jacobian_matches_central_differences(st)
+        level = st.defect_level
+        d = counting_function_derivative(st, level, grid)
+        num = (counting_function(st, level, grid + h) - counting_function(st, level, grid - h)) / (2 * h)
+        assert np.max(np.abs(num - d)) < 1e-8, st
 
 
 def test_site_pole_is_guarded_only_with_sites():
@@ -479,12 +559,6 @@ def test_guard_refuses_a_root_on_each_kind_of_factor_pole(on_pole, elsewhere, wh
 
 # ---------------------------------------------------------------------------
 # counting function
-
-
-def test_phase_is_odd():
-    x = np.linspace(-3, 3, 11)
-    assert np.allclose(phase(x, 1), -phase(-x, 1))
-    assert np.allclose(phase(x, 2), -phase(-x, 2))
 
 
 def test_counting_ladder_spacing():

@@ -259,6 +259,44 @@ def test_exchange_relation_over_the_byte_budget_is_refused_unallocated(capsys, s
     assert peak < 10 * 2**20
 
 
+@pytest.mark.parametrize("argv, refusal", [
+    # 999 species at cutoff 1: a Fock space of 1,000 states, whose 2 x 999
+    # ladders would be kept, 16 MB each
+    (["check", "oscillator"], "Fock ladders needs a 1998 x 1000 x 1000 complex array (32 GB)"),
+    # the monodromy's columns e_l (x) vacuum, one per auxiliary index
+    (["check", "highest-weight", "--sites", "0"],
+     "monodromy block needs a 1000000 x 1000 complex array (16 GB)"),
+], ids=["oscillator", "highest-weight"])
+def test_rank_1000_fock_suites_are_refused_unallocated(capsys, argv, refusal):
+    # the basis alone peaks at about 8 MiB, and one ladder would add 15.3 MiB
+    tracemalloc.start()
+    try:
+        code = main(argv + ["--rank", "1000", "--fock-cutoff", "1"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert refusal in err and "budget" in err
+    assert peak < 16 * 2**20
+
+
+def test_highest_weight_refuses_its_ladders_unallocated(capsys):
+    # rank 20, cutoff 3: 1,540 Fock states; the monodromy block (30,800 x 20)
+    # fits, the 19 annihilators (38 MB each) that the check keeps do not
+    tracemalloc.start()
+    try:
+        code = main(["check", "highest-weight", "--rank", "20", "--fock-cutoff", "3", "--sites", "0"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Fock ladders needs a 19 x 1540 x 1540 complex array (0.721 GB)" in err
+    assert peak < 10 * 2**20
+
+
 @pytest.mark.parametrize("rank", ["2", "4"])
 def test_transfer_commute_huge_theta_fails_without_warnings(capsys, rank):
     # the transfer products overflow at theta = 1e300; the non-finite

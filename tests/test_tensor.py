@@ -181,6 +181,17 @@ def test_fock_basis_graded_and_vacuum_first():
     assert v[0] == 1.0 and np.sum(np.abs(v)) == 1.0
 
 
+def test_fock_basis_is_graded_lexicographic_at_any_species_count():
+    for species in range(1, 7):
+        basis = FockSpace(species, 4).basis
+        assert list(basis) == sorted(basis, key=lambda occ: (sum(occ), occ)), species
+    # the enumeration does not recurse per species, which would pass the
+    # interpreter's recursion limit here
+    f = FockSpace(999, 1)
+    assert f.dim == 1000
+    assert f.basis[1] == (0,) * 998 + (1,) and f.basis[-1] == (1,) + (0,) * 998
+
+
 def test_ladder_matrix_elements_single_species():
     f = FockSpace(1, 4)
     a = f.annihilator(1)

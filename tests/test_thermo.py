@@ -5,7 +5,6 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gamma as sp_gamma
 
-from defectlab.bethe import _a_n
 from defectlab.kernels import gl_panels, impurity_level, r_hat, rt_hat, sigma0_hat
 from defectlab.lax import transmission_amplitude
 from defectlab.thermo import (
@@ -16,6 +15,11 @@ from defectlab.thermo import (
     density,
     quantization_phase_residual,
 )
+
+
+def _a_n(x, n):
+    """The Fourier inverse of e^{-n|omega|/2}: (1/2pi) n / (x^2 + n^2/4)."""
+    return n / (2.0 * math.pi * (x * x + 0.25 * n * n))
 
 
 def _bulk(table, level, lams):
