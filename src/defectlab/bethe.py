@@ -52,7 +52,7 @@ class ConvergenceError(RuntimeError):
 
 
 class RootCollisionError(RuntimeError):
-    """Two roots (or a root and a pole) closer than the collision guard."""
+    """Two roots, or a root and a factor's zero or pole, within the guard."""
 
 
 def _json(value, *types):
@@ -293,11 +293,13 @@ def bae_residual(state: BetheState, scratch: WorkArrays | None = None) -> np.nda
         for (zero_pole, _, power, source), d in zip(factors, diffs):
             # a root on a zero or a pole of a factor of its own equation, a log
             # singularity; the self-term's diagonal sits n/2 from both
-            what = "the impurity pole" if source is None else "a scattering pole"
             shifted = _shift(d, zero_pole, [scratch.take(("work", j), d.shape) for j in (0, 1)])
             modulus = scratch.take("modulus", d.shape, float)
-            if any(np.abs(x, out=modulus).min(initial=np.inf) < COLLISION_GUARD for x in shifted if x is not None):
-                raise RootCollisionError(f"level-{level} root within {COLLISION_GUARD:g} of {what}")
+            for entry, x in zip(("zero", "pole"), shifted):
+                if x is not None and np.abs(x, out=modulus).min(initial=np.inf) < COLLISION_GUARD:
+                    factor = "the impurity factor" if source is None else "a scattering factor"
+                    raise RootCollisionError(
+                        f"level-{level} root within {COLLISION_GUARD:g} of the {entry} of {factor}")
             term = _quotient(*shifted)
             if source == level:
                 np.fill_diagonal(term, -1.0)  # self-term: e_2(0) = -1 exactly

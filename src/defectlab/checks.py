@@ -16,7 +16,9 @@ the byte budget before it builds any operator, and a stack larger than
 runs that it admits.  A run's operators, buffers and temporaries are this
 thread's kept work arrays (:func:`defectlab.tensor.work_arrays`), and only
 its residuals leave it.  Identities that create one oscillator quantum are
-compared on the sub-cutoff block, where truncation is exact.
+compared on the sub-cutoff block, where truncation is exact; that block and
+the transfer check's faithful columns are masks over the Fock space's
+occupation array.
 """
 
 from __future__ import annotations
@@ -354,7 +356,7 @@ def check_oscillator_algebra(fock: FockSpace, tol: float = 1e-13) -> CheckReport
     m = fock.species
     require_budget((2 * m, fock.dim, fock.dim), "Fock ladders")  # all of them are kept
     eye = np.eye(fock.dim, dtype=COMPLEX)
-    num = fock.number_op(NORMAL)
+    num = np.diag(fock.occupation)
     sub = fock.sub_cutoff_indices(1)
     ladders = [(fock.annihilator(j), fock.creator(j)) for j in range(1, m + 1)]
     residuals = []
@@ -412,7 +414,8 @@ def check_lax_crossing(
 
 
 def _local_vacuum_weight(chain: ChainSpec, k: int, lam) -> complex:
-    """Product over slots of the diagonal (k,k) weight on the local vacuum."""
+    """Product over slots of the diagonal (k,k) weight on the local vacuum;
+    a bulk site's is lambda + i on its reference state (lax.bulk_reference)."""
     n = chain.rank
     c_eff = chain.lax.effective_shift()
     z = complex(lam)
@@ -427,7 +430,7 @@ def _local_vacuum_weight(chain: ChainSpec, k: int, lam) -> complex:
                 else:
                     weight *= 1j
         else:
-            weight *= (z + 1j) if k == 1 else z
+            weight *= (z + 1j) if k == lax.bulk_reference(n) + 1 else z
     return weight
 
 
@@ -440,13 +443,15 @@ def check_highest_weight(
     the product of local weights."""
     n = chain.rank
     fock = chain.fock
-    require_budget((n * math.prod(chain.dims[1:]), n), "monodromy block")  # before the vacuum is built
-    require_budget((fock.species, fock.dim, fock.dim), "Fock ladders")  # all of them are kept
+    # before the vacuum is built: the monodromy's columns, and the defect's
+    # Lax operator that it builds (the builders' refusal)
+    require_budget((n * math.prod(chain.dims[1:]), n), "monodromy block")
+    require_budget((n * fock.dim, n * fock.dim), "oscillator operator")
     omega = lax.chain_vacuum(chain)
     worst = 0.0
     for j in range(1, fock.species + 1):
         worst = worst_of(worst, cheb(fock.annihilator(j) @ fock.vacuum()))
-    worst = worst_of(worst, cheb(fock.number_op(NORMAL) @ fock.vacuum()))
+    worst = worst_of(worst, float(fock.occupation[0]))
     scale_pow = chain.sites + 1
     # column l is e_l (x) Omega, which T maps to sum_k e_k (x) T_kl Omega
     columns = np.kron(np.eye(n, dtype=COMPLEX), omega[:, None])
@@ -588,18 +593,13 @@ def faithful_columns(chain: ChainSpec, margin: int = 2) -> np.ndarray:
     fock = chain.fock
     pre = math.prod(chain.dims[1 : chain.defect_site])
     post = math.prod(chain.dims[chain.defect_site + 1 :])
-    keep = fock.sub_cutoff_indices(margin)
-    if len(keep) == 0:
+    keep = fock.occupation <= fock.cutoff - margin
+    if not keep.any():
         raise ValueError(
             f"cutoff {fock.cutoff} leaves no occupation-{margin} margin; raise the cutoff"
         )
-    cols = [
-        (a * fock.dim + f) * post + b
-        for a in range(pre)
-        for f in keep
-        for b in range(post)
-    ]
-    return np.asarray(cols, dtype=np.int64)
+    # the mask over (slots before the defect) x Fock x (slots after it)
+    return np.flatnonzero(np.broadcast_to(keep[:, None], (pre, fock.dim, post)))
 
 
 def check_transfer_commute(

@@ -11,10 +11,12 @@ oscillator species; the Lax operator puts the spectral parameter only in the
                 + i sum_{j>=2} (e_1j (x) a^(j-1) + e_j1 (x) adag^(j-1)),
 
 with N the number operator in the configured ordering and c the configured
-constant.  Shifting c or reordering N translates the spectral parameter, so
-exchange relations hold for every convention; the shipped default
-(normal ordering, c = 1) is the one whose reference state satisfies
-N|vacuum> = 0 with the (1,1) vacuum weight lambda + i.
+constant.  N is the Fock space's occupation plus ``LaxSpec.offset``, 0 for
+normal ordering and rank - 1 for antinormal (sum_j a_j adag_j), so shifting
+c or reordering N translates the spectral parameter, and exchange relations
+hold for every convention; the shipped default (normal ordering, c = 1) is
+the one whose reference state satisfies N|vacuum> = 0 with the (1,1) vacuum
+weight lambda + i.
 
 The builders of R, S, L, its conjugate, the transmission matrices and their
 crossing transforms take lambda as a number (one N x N matrix) or an array
@@ -71,10 +73,14 @@ class LaxSpec:
         if self.ordering not in (NORMAL, ANTINORMAL):
             raise ValueError(f"unknown ordering {self.ordering!r}")
 
+    @property
+    def offset(self) -> int:
+        """N minus the occupation: rank - 1 antinormal, 0 normal."""
+        return self.rank - 1 if self.ordering == ANTINORMAL else 0
+
     def effective_shift(self) -> float:
         """Shift after rewriting antinormal ordering in normal terms."""
-        extra = (self.rank - 1) if self.ordering == ANTINORMAL else 0
-        return self.shift + extra
+        return self.shift + self.offset
 
 
 @dataclass(frozen=True)
@@ -168,7 +174,7 @@ def _oscillator_operator(rank: int, fock: FockSpace, head, coef, reverse: bool, 
 def l_matrix(spec: LaxSpec, fock: FockSpace, lam, out=None) -> np.ndarray:
     """Defect Lax operator on auxiliary (x) Fock."""
     lam = np.asarray(lam, dtype=COMPLEX)[..., None]
-    head = lam + 1j * spec.shift + 1j * fock.number_op(spec.ordering).diagonal()
+    head = lam + 1j * spec.shift + 1j * (fock.occupation + spec.offset)
     return _oscillator_operator(spec.rank, fock, head, 1j, False, out)
 
 
@@ -182,7 +188,7 @@ def l_hat_matrix(spec: LaxSpec, fock: FockSpace, lam, out=None) -> np.ndarray:
     """
     n = spec.rank
     lam = np.asarray(lam, dtype=COMPLEX)[..., None]
-    head = (-lam - 1j * n / 2) + 1j * spec.shift + 1j * fock.number_op(spec.ordering).diagonal()
+    head = (-lam - 1j * n / 2) + 1j * spec.shift + 1j * (fock.occupation + spec.offset)
     return _oscillator_operator(n, fock, head, 1j, True, out)
 
 
@@ -284,10 +290,11 @@ def transmission_amplitude(rank: int, sign: str, lam) -> tuple:
 
 def _nbar(fock: FockSpace, rank: int) -> np.ndarray:
     """Diagonal of the shifted number operator entering the transmission
-    matrices: the antinormal number operator (FockSpace.number_op) plus
-    rank/2 - 3/2, which realizes sum_j a_j adag_j + rank/2 - 3/2.  The
-    normal ordering would be a spectral-parameter translation of it."""
-    return fock.number_op(ANTINORMAL).diagonal() + (rank / 2 - 1.5)
+    matrices, built once per Fock space: the antinormal number operator (the
+    occupation plus its offset) plus rank/2 - 3/2.  The normal ordering
+    would be a spectral-parameter translation of it."""
+    return fock._once(
+        ("nbar", rank), lambda: fock.occupation + LaxSpec(rank, ordering=ANTINORMAL).offset + (rank / 2 - 1.5))
 
 
 def transmission_matrix(rank: int, fock: FockSpace, lam, out=None) -> np.ndarray:
@@ -364,10 +371,16 @@ def transfer(chain: ChainSpec, lam, x) -> np.ndarray:
     return out
 
 
+def bulk_reference(rank: int) -> int:
+    """The basis state, 0-based, of every bulk site in the reference state:
+    the highest-weight vector e_1."""
+    return 0
+
+
 def chain_vacuum(chain: ChainSpec) -> np.ndarray:
     """The reference state: the Fock vacuum (basis state 0) at the defect
-    and the highest-weight vector e_1 at every bulk site."""
-    slots, bulk = chain.dims[1:], 0
+    and basis state ``bulk_reference`` at every bulk site."""
+    slots, bulk = chain.dims[1:], bulk_reference(chain.rank)
     state = [0 if p == chain.defect_site else bulk for p in range(1, chain.sites + 2)]
     out = np.zeros(math.prod(slots), dtype=COMPLEX)
     out[np.ravel_multi_index(state, slots)] = 1.0

@@ -11,8 +11,9 @@ rectangular operator, given by its four legs, maps those factors to others
 of its own output sizes.  Dense arrays whose size follows from the input
 are checked against ``MATRIX_BYTE_BUDGET`` before allocation, and a stack
 of matrices is held to ``STACK_BYTES``: larger stacks measured slower than
-evaluating one matrix at a time.  A Fock space builds each of its
-operators once and hands out read-only arrays.
+evaluating one matrix at a time.  A Fock space holds each basis state's
+total occupation in one array and builds each ladder operator once, all of
+them read-only.
 
 Work arrays.  A :class:`WorkArrays` keeps one buffer per role, grown to the
 largest request, and hands it out as a view of the requested shape, so a
@@ -187,9 +188,10 @@ class FockSpace:
 
     Basis order is graded lexicographic: states sorted by total occupation,
     ties broken lexicographically in (n_1, ..., n_m).  The vacuum is index 0.
-    Raising out of the truncated space maps to zero, so operator identities
-    that involve one creation step are exact only on the block with total
-    occupation <= cutoff - 1; :meth:`sub_cutoff_indices` selects that block.
+    ``occupation[i]`` is sum(n_j) of basis state i.  Raising out of the
+    truncated space maps to zero, so operator identities that involve one
+    creation step are exact only on the block with total occupation <=
+    cutoff - 1; :meth:`sub_cutoff_indices` selects that block.
     """
 
     def __init__(self, species: int, cutoff: int):
@@ -209,6 +211,8 @@ class FockSpace:
         self.dim = len(self.basis)
         if self.dim != expected:
             raise AssertionError("basis enumeration does not match C(D+m,m)")
+        self.occupation = np.array([sum(occ) for occ in self.basis])
+        self.occupation.setflags(write=False)
         self._built = {}
 
     def __repr__(self):
@@ -247,33 +251,6 @@ class FockSpace:
     def creator(self, j: int) -> np.ndarray:
         return self._once(("adag", j), lambda: self.annihilator(j).conj().T)
 
-    def total_occupation(self) -> np.ndarray:
-        return self._once(
-            "occupation", lambda: np.diag([float(sum(occ)) for occ in self.basis]).astype(COMPLEX)
-        )
-
-    def number_op(self, ordering: str = "normal") -> np.ndarray:
-        """Total number operator.
-
-        "normal" is sum_j adag_j a_j (vacuum eigenvalue 0).  "antinormal" is
-        the diagonal realization of sum_j a_j adag_j, which on the full space
-        equals the normal form shifted by the species count.
-        """
-        if ordering == "normal":
-            return self.total_occupation()
-        if ordering == "antinormal":
-            return self._once(
-                ordering,
-                lambda: self.total_occupation() + self.species * np.eye(self.dim, dtype=COMPLEX),
-            )
-        raise ValueError(f"unknown ordering {ordering!r}")
-
     def sub_cutoff_indices(self, margin: int = 1) -> np.ndarray:
         """Indices of basis states with total occupation <= cutoff - margin."""
-        return self._once(
-            ("sub", margin),
-            lambda: np.array(
-                [i for i, occ in enumerate(self.basis) if sum(occ) <= self.cutoff - margin],
-                dtype=np.intp,
-            ),
-        )
+        return self._once(("sub", margin), lambda: np.flatnonzero(self.occupation <= self.cutoff - margin))

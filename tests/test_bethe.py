@@ -267,7 +267,7 @@ def test_collision_guard_raises():
 
 
 def test_pole_proximity_guard_raises():
-    # a root sitting on the impurity pole theta - i/2 of the '+' factor
+    # a root sitting on the zero theta - i/2 of the '+' impurity factor
     st = BetheState(
         rank=2,
         sites=2,
@@ -282,10 +282,10 @@ def test_pole_proximity_guard_raises():
 @pytest.mark.parametrize("state, what", [
     # a root exactly on the '-' impurity pole theta + i/2, where its factor is 1/0
     (BetheState(rank=2, sites=2, roots=(np.array([0.3 + 0.5j]),), theta=0.3, defect_sign="-"),
-     "the impurity pole"),
+     "the pole of the impurity factor"),
     # two level-1 roots exactly i apart: each sits on a zero or a pole of the
-    # other's self-term e_2
-    (BetheState(rank=2, sites=2, roots=(np.array([0.2, 0.2 + 1j]),)), "a scattering pole"),
+    # other's self-term e_2, and the zeros are tested first
+    (BetheState(rank=2, sites=2, roots=(np.array([0.2, 0.2 + 1j]),)), "the zero of a scattering factor"),
 ], ids=["minus-impurity-pole", "roots-i-apart"])
 def test_guard_refuses_an_exact_pole_before_forming_a_value(state, what):
     with warnings.catch_warnings():
@@ -336,12 +336,12 @@ def test_nonfinite_starting_residual_ends_in_convergence_error(monkeypatch):
 
 
 def test_nonconvergent_case_raises_with_trace():
-    # without the impurity term, the symmetric two-magnon seed on four sites
-    # drives the roots toward a collision at the origin; the solver must fail
-    # honestly rather than report a spurious solution
-    st = BetheState(rank=2, sites=4, roots=(ground_state_seed(4),))
-    with pytest.raises(ConvergenceError) as exc:
-        solve_bae(st)
+    # one Newton step from roots far from any solution cannot converge, under
+    # any convention of the equations; the solver must fail honestly rather
+    # than report a spurious solution
+    st = BetheState(rank=2, sites=4, roots=(np.array([3.0, 7.0]),))
+    with pytest.raises(ConvergenceError, match="no convergence after 1 iterations") as exc:
+        solve_bae(st, max_iter=1)
     trace = exc.value.trace
     assert len(trace) >= 2
     assert trace[-1] > 1e-10  # genuinely unconverged
@@ -501,10 +501,11 @@ def test_kernels_derived_from_a_moved_impurity_pair_stay_consistent(monkeypatch,
 
 
 def test_site_pole_is_guarded_only_with_sites():
-    for pole in (0.5j, -0.5j):
+    # e_1 over the sites has its pole at +i/2 and its zero at -i/2
+    for pole, entry in ((0.5j, "pole"), (-0.5j, "zero")):
         for sites in (1, 400):
             st = BetheState(rank=2, sites=sites, roots=(np.array([pole, 0.7]),))
-            with pytest.raises(RootCollisionError, match="scattering pole"):
+            with pytest.raises(RootCollisionError, match=f"the {entry} of a scattering factor"):
                 bae_residual(st)
         bae_residual(BetheState(rank=2, sites=0, roots=(np.array([pole, 0.7]),)))
         # level 2 does not couple to the sites
@@ -513,40 +514,40 @@ def test_site_pole_is_guarded_only_with_sites():
 
 THETA = 0.3
 POLES = {
-    # kind of factor: (a root on that factor's pole, the same root on a level
-    # without that factor, the pole the refusal names)
+    # kind of factor: (a root on that factor's zero or pole, the same root on
+    # a level without that factor, the zero or pole the refusal names)
     "sites-rank2": (dict(rank=2, sites=4, roots=([0.5j, 0.7],)),
-                    dict(rank=2, sites=0, roots=([0.5j, 0.7],)), "a scattering pole"),
+                    dict(rank=2, sites=0, roots=([0.5j, 0.7],)), "the pole of a scattering factor"),
     "sites-rank3": (dict(rank=3, sites=4, roots=([-0.5j, 0.7], [0.1])),
-                    dict(rank=3, sites=4, roots=([0.7], [-0.5j, 0.1])), "a scattering pole"),
+                    dict(rank=3, sites=4, roots=([0.7], [-0.5j, 0.1])), "the zero of a scattering factor"),
     "adjacent-level-rank3": (dict(rank=3, sites=0, roots=([0.3], [0.3 + 0.5j])),
                              dict(rank=4, sites=0, roots=([0.3], [], [0.3 + 0.5j])),
-                             "a scattering pole"),
+                             "the zero of a scattering factor"),
     "adjacent-level-rank4": (dict(rank=4, sites=2, roots=([0.9], [0.3 - 0.5j], [0.3])),
                              dict(rank=4, sites=2, roots=([0.9, 0.3 - 0.5j], [], [0.3])),
-                             "a scattering pole"),
+                             "the zero of a scattering factor"),
     "own-level-plus-i": (dict(rank=2, sites=2, roots=([0.2, 0.2 + 1j],)),
-                         dict(rank=3, sites=2, roots=([0.2], [0.2 + 1j])), "a scattering pole"),
+                         dict(rank=3, sites=2, roots=([0.2], [0.2 + 1j])), "the zero of a scattering factor"),
     "own-level-minus-i": (dict(rank=3, sites=2, roots=([0.9], [0.2, 0.2 - 1j])),
                           dict(rank=3, sites=2, roots=([0.2 - 1j, 0.9], [0.2])),
-                          "a scattering pole"),
+                          "the zero of a scattering factor"),
     "impurity-plus-rank2": (dict(rank=2, sites=2, roots=([THETA - 0.5j],), defect_sign="+"),
                             dict(rank=2, sites=2, roots=([THETA - 0.5j],), defect_sign="-"),
-                            "the impurity pole"),
+                            "the zero of the impurity factor"),
     "impurity-minus-rank2": (dict(rank=2, sites=2, roots=([THETA + 0.5j],), defect_sign="-"),
                              dict(rank=2, sites=2, roots=([THETA + 0.5j],), defect_sign="+"),
-                             "the impurity pole"),
+                             "the pole of the impurity factor"),
     # from rank 3 on, '+' sits on level 1 and '-' on level rank-1
     "impurity-minus-rank3": (dict(rank=3, sites=2, roots=([0.8], [THETA + 0.5j]), defect_sign="-"),
                              dict(rank=3, sites=2, roots=([THETA + 0.5j], [0.8]), defect_sign="-"),
-                             "the impurity pole"),
+                             "the pole of the impurity factor"),
     "impurity-plus-rank3": (dict(rank=3, sites=2, roots=([THETA - 0.5j], [0.7]), defect_sign="+"),
                             dict(rank=3, sites=2, roots=([0.7], [THETA - 0.5j]), defect_sign="+"),
-                            "the impurity pole"),
+                            "the zero of the impurity factor"),
     "impurity-level2-minus": (
         dict(rank=3, sites=2, roots=([0.7], [THETA + 0.5j]), defect_sign="-"),
         dict(rank=4, sites=2, roots=([0.7], [THETA + 0.5j], [0.1]), defect_sign="-"),
-        "the impurity pole"),
+        "the pole of the impurity factor"),
 }
 
 

@@ -284,7 +284,8 @@ def test_rank_1000_fock_suites_are_refused_unallocated(capsys, argv, refusal):
 
 def test_highest_weight_refuses_its_ladders_unallocated(capsys):
     # rank 20, cutoff 3: 1,540 Fock states; the monodromy block (30,800 x 20)
-    # fits, the 19 annihilators (38 MB each) that the check keeps do not
+    # fits, the defect's Lax operator (30,800 x 30,800), which the monodromy
+    # builds, does not, and it is refused before any Fock ladder is built
     tracemalloc.start()
     try:
         code = main(["check", "highest-weight", "--rank", "20", "--fock-cutoff", "3", "--sites", "0"])
@@ -293,7 +294,7 @@ def test_highest_weight_refuses_its_ladders_unallocated(capsys):
         tracemalloc.stop()
     assert code == 2
     err = capsys.readouterr().err
-    assert "Fock ladders needs a 19 x 1540 x 1540 complex array (0.721 GB)" in err
+    assert "oscillator operator needs a 30800 x 30800 complex array (15.2 GB)" in err
     assert peak < 10 * 2**20
 
 
@@ -848,12 +849,15 @@ def test_bae_bad_defect_sign_is_named(tmp_path, capsys):
 
 
 def test_bae_nonconvergent_reports_trace(tmp_path):
-    st = BetheState(rank=2, sites=4, roots=(ground_state_seed(4),))
+    # a tolerance below round-off: the solve converges as far as it can, then
+    # its line search stalls
+    st = BetheState(rank=2, sites=4, roots=([-0.28, 0.28],), theta=0.3, defect_sign="+")
     path = _write_state(tmp_path, st)
-    code, text = run(tmp_path, "bae", str(path))
+    code, text = run(tmp_path, "bae", str(path), "--tol", "bae=1e-300")
     assert code == 1
     payload = json.loads(text)
     assert payload["converged"] is False
+    assert payload["error"].startswith("line search stalled at residual")
     assert len(payload["trace"]) >= 2
 
 

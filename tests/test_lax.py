@@ -103,7 +103,7 @@ def test_l_matrix_rank2_entries():
     l = l_matrix(spec, fock, lam)
     d = fock.dim
     a = fock.annihilator(1)
-    num = fock.number_op("normal")
+    num = np.diag(fock.occupation)
     eye = np.eye(d)
     assert np.allclose(l[:d, :d], lam * eye + 1j * eye + 1j * num)
     assert np.allclose(l[d:, d:], 1j * eye)
@@ -143,6 +143,19 @@ def test_defect_lax_dispatch():
         defect_lax(LaxSpec(2, variant="Lhat"), fock, lam),
         l_hat_matrix(LaxSpec(2), fock, lam),
     )
+
+
+def test_ordering_offset_realizes_the_antinormal_number_operator():
+    # sum_j a_j adag_j is the occupation plus rank - 1 wherever no a_j adag_j
+    # raises out of the truncated space; sum_j adag_j a_j is the occupation
+    for rank in (2, 3, 4):
+        fock = FockSpace(rank - 1, 3)
+        ladders = [(fock.annihilator(j), fock.creator(j)) for j in range(1, rank)]
+        for ordering, product in (("normal", lambda a, ad: ad @ a), ("antinormal", lambda a, ad: a @ ad)):
+            number = sum(product(a, ad) for a, ad in ladders)
+            expected = np.diag(fock.occupation + LaxSpec(rank, ordering=ordering).offset)
+            sub = np.ix_(fock.sub_cutoff_indices(1), fock.sub_cutoff_indices(1))
+            assert np.max(np.abs(number - expected)[sub]) < 1e-13, (rank, ordering)
 
 
 def test_effective_shift():

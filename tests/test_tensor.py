@@ -217,13 +217,11 @@ def test_ladder_commutators_on_subblock():
             assert np.max(np.abs((comm - target)[np.ix_(sub, sub)])) < 1e-13
 
 
-def test_number_operator_both_orderings():
+def test_occupation_is_the_number_operator_diagonal():
     f = FockSpace(2, 3)
-    n_norm = f.number_op("normal")
-    diag = np.array([sum(o) for o in f.basis], dtype=float)
-    assert np.allclose(np.diag(n_norm), diag)
-    n_anti = f.number_op("antinormal")
-    assert np.allclose(n_anti, n_norm + f.species * np.eye(f.dim))
+    assert f.occupation.tolist() == [sum(o) for o in f.basis]
+    n_norm = np.diag(f.occupation)
+    assert np.max(np.abs(n_norm - sum(f.creator(j) @ f.annihilator(j) for j in (1, 2)))) < 1e-13
     # [N, a_j] = -a_j exactly on the full truncated space
     for j in (1, 2):
         a = f.annihilator(j)
@@ -241,15 +239,15 @@ def test_sub_cutoff_indices():
 
 def test_fock_operators_are_built_once_and_read_only():
     f = FockSpace(2, 3)
-    calls = [("annihilator", 2), ("creator", 1), ("total_occupation",), ("number_op", "normal"),
-             ("number_op", "antinormal"), ("sub_cutoff_indices", 2)]
+    calls = [("annihilator", 2), ("creator", 1), ("sub_cutoff_indices", 2)]
     for name, *args in calls:
         first = getattr(f, name)(*args)
         assert getattr(f, name)(*args) is first
         with pytest.raises(ValueError, match="read-only"):
             first[0] = 1
-    assert f.number_op("normal") is f.total_occupation()
     assert f.sub_cutoff_indices(1) is not f.sub_cutoff_indices(2)
+    with pytest.raises(ValueError, match="read-only"):
+        f.occupation[0] = 1
 
 
 # ---------------------------------------------------------------------------
