@@ -612,9 +612,10 @@ def check_transfer_commute(
     columns the truncated product agrees with the untruncated theory and the
     commutator must vanish; outside them the cutoff shell pollutes it.  Both
     the commutator and its scale are computed on those columns alone."""
+    fock, q = chain.fock, math.prod(chain.dims[1:])
+    width = q // fock.dim * len(fock.sub_cutoff_indices(2))  # len(cols)
+    require_budget((chain.rank * q, width), "monodromy block")  # before the columns' index is built
     cols = faithful_columns(chain, 2)
-    q = math.prod(chain.dims[1:])
-    require_budget((chain.rank * q, len(cols)), "monodromy block")  # before x is built
     x = np.zeros((q, len(cols)), dtype=COMPLEX)
     x[cols, np.arange(len(cols))] = 1.0
     # a product that overflows leaves a non-finite residual, which fails

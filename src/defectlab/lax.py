@@ -27,15 +27,14 @@ stacked checks pass their kept work arrays).  A Fock space keeps each
 oscillator skeleton, one N x N matrix per pattern (at most four), for its
 life.  Gamma prefactors are per entry.
 
-The monodromy exists only as an action on a block of columns: each local
-factor (defect Lax operator or bulk R-matrix, on the auxiliary space and one
-slot of dimension d) is applied by contraction, O(dim * rank * d) per column
-and factor.  The transfer matrix, its auxiliary trace, likewise acts only on
-blocks of quantum-space columns: no dim x dim or q x q (q = dim/rank) array.
-Its term k enters slot 1's factor through auxiliary column k alone and
-leaves the last slot's factor through auxiliary row k alone, so neither
-factor multiplies the zero blocks of e_k (x) x or the rows the trace drops.
-Both build the local factors at lambda once per call.
+The monodromy and the transfer matrix exist only as actions on blocks of
+columns, through one loop that applies each local factor (defect Lax
+operator or bulk R-matrix, four legs on the auxiliary space and one slot of
+dimension d) by one contraction, O(dim * rank * d) per column and factor: no
+dim x dim or q x q (q = dim/rank) array.  The transfer matrix's term k runs
+the loop with slot 1's factor cut to auxiliary column k and the last slot's
+to row k, so no factor multiplies the zero blocks of e_k (x) x or the rows
+the trace drops.  Both build the local factors at lambda once per call.
 """
 
 from __future__ import annotations
@@ -328,46 +327,46 @@ def crossed_transmission_matrix(rank: int, fock: FockSpace, lam, out=None) -> np
 
 
 def _local_factors(chain: ChainSpec, lam) -> list:
-    """The monodromy's local factor of each slot, slot 1 first.  The defect
-    slot carries the Lax operator at lambda - theta, every bulk slot the same
+    """The monodromy's local factor of each slot, slot 1 first, as a
+    four-leg view (out_aux, out_slot, in_aux, in_slot).  The defect slot
+    carries the Lax operator at lambda - theta, every bulk slot the same
     R-matrix at lambda."""
-    bulk = r_matrix(chain.rank, lam) if chain.sites else None
-    defect = defect_lax(chain.lax, chain.fock, complex(lam) - chain.theta)
+    n, d = chain.rank, chain.fock.dim
+    bulk = r_matrix(n, lam).reshape(n, n, n, n) if chain.sites else None
+    defect = defect_lax(chain.lax, chain.fock, complex(lam) - chain.theta).reshape(n, d, n, d)
     return [defect if p == chain.defect_site else bulk for p in range(1, chain.sites + 2)]
 
 
-def monodromy(chain: ChainSpec, lam, x) -> np.ndarray:
-    """The monodromy at lambda applied to the columns of ``x``, which has
-    one row per state of auxiliary (x) slot_1 (x) ... (x) slot_{sites+1}.
-
-    The monodromy is the ordered product over slots sites+1 down to 1, so
-    the slot-1 factor acts first."""
-    for p, factor in enumerate(_local_factors(chain, lam), 1):
-        x = apply_local(factor, x, chain.dims, (0, p))
+def _apply_factors(factors, x, slots) -> np.ndarray:
+    """The factors applied to the block ``x`` in turn, slot 1 first, each on
+    the auxiliary space and its slot: the product over slots sites+1 down
+    to 1.  Each factor's in_aux leg gives the auxiliary dimension it reads."""
+    for p, factor in enumerate(factors, 1):
+        x = apply_local(factor, x, (factor.shape[2],) + slots, p)
     return x
+
+
+def monodromy(chain: ChainSpec, lam, x) -> np.ndarray:
+    """The monodromy at lambda applied to the 2-d block ``x``, one row per
+    state of auxiliary (x) slot_1 (x) ... (x) slot_{sites+1}."""
+    return _apply_factors(_local_factors(chain, lam), x, chain.dims[1:])
 
 
 def transfer(chain: ChainSpec, lam, x) -> np.ndarray:
     """The transfer matrix applied to the q x m block ``x`` of quantum-space
     columns: the sum over k of row block k of the monodromy applied to
-    e_k (x) x.  Slot 1's factor is applied through its auxiliary column
-    block k alone, which maps x to a rank*q x m block, and the last slot's
-    factor through its row block k alone, which maps that block back to
-    q x m; one slot's factor (sites = 0) is cut to its (k, k) block.  The
-    local factors are built once for all k."""
-    n = chain.rank
+    e_k (x) x.  Slot 1's factor is cut to its auxiliary column k, which maps
+    x to a rank*q x m block, and the last slot's factor to its row k, which
+    maps that block back to q x m; at sites = 0 both cuts fall on the one
+    factor.  The local factors are built once for all k."""
     q, m = np.shape(x)
-    require_budget((n * q, m), "monodromy block")
-    slots = chain.dims[1:]
-    factors = [f.reshape(n, d, n, d) for f, d in zip(_local_factors(chain, lam), slots)]
+    require_budget((chain.rank * q, m), "monodromy block")
+    factors = _local_factors(chain, lam)
     out = np.zeros((q, m), dtype=COMPLEX)
-    for k in range(n):
-        y = x
-        for p, factor in enumerate(factors, 1):
-            rows = slice(k, k + 1) if p == len(factors) else slice(None)
-            cols = slice(k, k + 1) if p == 1 else slice(None)
-            y = apply_local(factor[rows, :, cols], y, (len(y) // q,) + slots, (0, p))
-        out += y
+    for k in range(chain.rank):
+        cut = [factors[0][:, :, k : k + 1]] + factors[1:]
+        cut[-1] = cut[-1][k : k + 1]
+        out += _apply_factors(cut, x, chain.dims[1:])
     return out
 
 

@@ -3,17 +3,17 @@ permutation operator, and the truncated multi-species Fock space.
 
 Matrices are plain complex128 ndarrays.  Auxiliary-space indices follow the
 physics convention and are 1-based in every public signature; array indices
-underneath are 0-based as usual.  An operator on two factors (dimensions
-d_a, d_b) of a dim-dimensional product space is applied to a block of n
-columns by contraction, :func:`apply_local`, at cost O(dim * n * d_a * d_b)
-per factor, not the O(dim^2 * n) of multiplying a full embedding; a
-rectangular operator, given by its four legs, maps those factors to others
-of its own output sizes.  Dense arrays whose size follows from the input
-are checked against ``MATRIX_BYTE_BUDGET`` before allocation, and a stack
-of matrices is held to ``STACK_BYTES``: larger stacks measured slower than
-evaluating one matrix at a time.  A Fock space holds each basis state's
-total occupation in one array and builds each ladder operator once, all of
-them read-only.
+underneath are 0-based as usual.  An operator with four legs (out_aux,
+out_slot, in_aux, in_slot) on factor 0, the auxiliary space, and one slot
+(dimensions d_aux, d_slot) of a dim-dimensional product space is applied to
+a block of n columns by one contraction, :func:`apply_local`, at cost
+O(dim * n * d_aux * d_slot), not the O(dim^2 * n) of multiplying a full
+embedding; its out legs may differ from its in legs.  Dense arrays whose
+size follows from the input are checked against ``MATRIX_BYTE_BUDGET``
+before allocation, and a stack of matrices is held to ``STACK_BYTES``:
+larger stacks measured slower than evaluating one matrix at a time.  A Fock
+space holds each basis state's total occupation in one array and builds
+each ladder operator once, all of them read-only.
 
 Work arrays.  A :class:`WorkArrays` keeps one buffer per role, grown to the
 largest request, and hands it out as a view of the requested shape, so a
@@ -123,54 +123,51 @@ def permutation_op(n: int) -> np.ndarray:
     return p
 
 
-def apply_local(op, x, dims, slots) -> np.ndarray:
+def apply_local(op, x, dims, slot: int) -> np.ndarray:
     """The embedding of ``op`` times ``x``, without forming the embedding.
 
-    ``x`` has one row per basis state of dims[0] (x) dims[1] (x) ...,
-    leftmost factor slowest, and any number of columns (1-d: one column).
-    ``op`` acts on factors ``slots = (a, b)``, 0-based, either order, its
-    left factor being ``a``; the others see the identity.  ``op`` is either
-    a square matrix on dims[a] (x) dims[b] or a rectangular operator given
-    by its four legs (out_a, out_b, in_a, in_b), with (in_a, in_b) =
-    (dims[a], dims[b]); the result then has out_a and out_b in place of
-    those factors.  ``x`` is transposed so that the two factors index the
-    rows, multiplied by ``op`` in one BLAS product and transposed back:
-    O(rows * columns * out_a * out_b) work, and no array larger than the
-    larger of ``x`` and the result.  The transposed block and the product
-    are this thread's work arrays; the result is a fresh array."""
-    dims = tuple(int(d) for d in dims)
-    a, b = slots
-    if a == b or not (0 <= a < len(dims) and 0 <= b < len(dims)):
-        raise ValueError(f"slots {tuple(slots)} invalid for {len(dims)} factors")
-    pair = dims[a] * dims[b]
+    ``x`` is a block with one row per basis state of dims[0] (x) dims[1]
+    (x) ..., leftmost factor slowest, and any number of columns.  ``op`` has
+    four legs (out_aux, out_slot, in_aux, in_slot) and acts on factor 0, the
+    auxiliary space, and on factor ``slot`` >= 1, with (in_aux, in_slot) =
+    (dims[0], dims[slot]); the others see the identity, and the result has
+    out_aux and out_slot in their place.  ``x`` is viewed as (d_aux, pre,
+    d_slot, rest), its middle axes are swapped into a kept block, one BLAS
+    product writes the kept product, and the middle axes are swapped back
+    into a fresh result: O(rows * columns * out_aux * out_slot) work."""
+    if not 1 <= slot < len(dims):
+        raise ValueError(f"slot {slot} invalid for {len(dims)} factors")
+    d_aux, d_slot = dims[0], dims[slot]
     op = np.asarray(op, dtype=COMPLEX)
-    if op.shape == (pair, pair):
-        op = op.reshape(dims[a], dims[b], dims[a], dims[b])
-    if op.ndim != 4 or op.shape[2:] != (dims[a], dims[b]):
-        raise ValueError(f"operator of shape {op.shape} does not act on {dims[a]} x {dims[b]}")
+    if op.ndim != 4 or op.shape[2:] != (d_aux, d_slot):
+        raise ValueError(f"operator of shape {op.shape} does not act on {d_aux} x {d_slot}")
     x = np.asarray(x, dtype=COMPLEX)
     rows = math.prod(dims)
-    if x.ndim not in (1, 2) or x.shape[0] != rows:
+    if x.ndim != 2 or x.shape[0] != rows:
         raise ValueError(f"block of shape {x.shape} does not have {rows} rows")
-    order = (a, b) + tuple(k for k in range(len(dims) + 1) if k not in (a, b))
-    moved = x.reshape(dims + (x.size // rows,)).transpose(order)
+    pre, post = math.prod(dims[1:slot]), math.prod(dims[slot + 1:])
+    rest = post * x.shape[1]
     work = work_arrays()  # the moved block and its product, faulted in once per thread
-    block = work.take("apply_local block", moved.shape)
-    block[...] = moved
-    prod = work.take("apply_local product", op.shape[:2] + moved.shape[2:])
-    np.matmul(op.reshape(-1, pair), block.reshape(pair, -1), out=prod.reshape(op.shape[0] * op.shape[1], -1))
-    out = prod.transpose([order.index(k) for k in range(len(order))]).copy()  # fresh: prod is kept
-    return out.reshape((rows // pair * op.shape[0] * op.shape[1],) + x.shape[1:])
+    block = work.take("apply_local block", (d_aux, d_slot, pre, rest))
+    block[...] = x.reshape(d_aux, pre, d_slot, rest).swapaxes(1, 2)
+    out_aux, out_slot = op.shape[:2]
+    prod = work.take("apply_local product", (out_aux, out_slot, pre, rest))
+    np.matmul(op.reshape(out_aux * out_slot, d_aux * d_slot), block.reshape(d_aux * d_slot, pre * rest),
+              out=prod.reshape(out_aux * out_slot, pre * rest))
+    out = prod.swapaxes(1, 2).copy()  # fresh: prod is kept
+    return out.reshape(out_aux * pre * out_slot * post, x.shape[1])
 
 
 def embed_pair(op, aux_dim: int, site_dims, slot: int) -> np.ndarray:
-    """The full matrix of an operator on (auxiliary, site ``slot``, 1-based)
-    inside auxiliary (x) site_1 (x) ... (x) site_K.  Products should use
-    :func:`apply_local`, which never forms this matrix."""
-    site_dims = [int(d) for d in site_dims]
-    dim = aux_dim * math.prod(site_dims)
+    """The full matrix of a square operator on (auxiliary, site ``slot``,
+    1-based) inside auxiliary (x) site_1 (x) ... (x) site_K: its four legs
+    applied to the identity.  Products should use :func:`apply_local`,
+    which never forms this matrix."""
+    dims = [aux_dim] + [int(d) for d in site_dims]
+    dim = math.prod(dims)
     require_budget((dim, dim), "embedded operator")
-    return apply_local(op, np.eye(dim, dtype=COMPLEX), [aux_dim] + site_dims, (0, slot))
+    op = np.reshape(op, (aux_dim, len(op) // aux_dim) * 2)
+    return apply_local(op, np.eye(dim, dtype=COMPLEX), dims, slot)
 
 
 def _compositions(m: int, total: int):

@@ -184,6 +184,26 @@ def test_check_over_the_byte_budget_is_refused_unallocated(capsys):
     assert peak < 10 * 2**20
 
 
+def test_transfer_commute_is_refused_before_its_column_index(capsys):
+    # 20 bulk sites, rank 2, cutoff 5: 2**20 * 6 quantum states, of which
+    # 2**20 * 4 are faithful columns, whose index alone would take 32 MiB
+    argv = ["check", "transfer-commute", "--sites", "20", "--seed", "1"]
+    main(argv)  # the first call in a process imports what the CLI imports lazily
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "error: monodromy block needs a 12582912 x 4194304 complex array (8.44e+05 GB), over the "
+        "0.268 GB budget; reduce sites, rank or the Fock cutoff\n")
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("target", ["missing-dir/x.json", "."])
 def test_unwritable_output_is_refused_before_computing(tmp_path, capsys, monkeypatch, source, target):

@@ -12,12 +12,21 @@ with Q(lambda) = prod_j (lambda - u_j + i/2) over the Bethe roots u_j and
     Lhat: a = i lambda^L,                     d = -(lambda - theta) (lambda + i)^L.
 
 t(lambda) is built densely, from ``lax.transfer`` on identity columns, at
-Fock cutoff 5, where the spectrum tested here is exact.
+Fock cutoff 5 (3 at ranks 3 and 4), where the eigenvalues tested here are
+exact.
+
+At every rank the reference state (Fock vacuum at the defect, e_rank at every
+bulk site) gives the eigenvalue Lambda_0 = sum_k prod_slots w_k of the
+diagonal vacuum weights w_k: at a bulk site lambda + i for k = rank and
+lambda otherwise; at the defect, for L, lambda - theta + i for k = 1 and i
+otherwise, and for Lhat, -(lambda - theta) - i rank/2 + i for k = rank and i
+otherwise.  At rank 2 that is a + d above.
 """
 
 import numpy as np
 import pytest
 
+from defectlab import checks
 from defectlab.bethe import BetheState, solve_bae
 from defectlab.lax import ChainSpec, LaxSpec, transfer
 
@@ -25,11 +34,20 @@ SITES = 3
 LAMBDAS = (0.37 + 0.11j, -1.1 + 0.6j)
 
 
-def _transfer_matrix(variant, slot, theta, lam):
-    chain = ChainSpec(rank=2, sites=SITES, fock_cutoff=5, defect_site=slot, theta=theta,
-                      lax=LaxSpec(2, variant=variant))
+def _chain(variant, slot, theta, rank=2, sites=SITES, cutoff=5):
+    return ChainSpec(rank=rank, sites=sites, fock_cutoff=cutoff, defect_site=slot, theta=theta,
+                     lax=LaxSpec(rank, variant=variant))
+
+
+def _transfer_matrix(chain, lam):
     q = int(np.prod(chain.dims[1:]))
     return transfer(chain, lam, np.eye(q, dtype=complex))
+
+
+def _miss(chain, lam, value):
+    """Relative distance of ``value`` to the nearest eigenvalue of t(lambda)."""
+    eigenvalues = np.linalg.eigvals(_transfer_matrix(chain, lam))
+    return np.min(np.abs(eigenvalues - value)) / abs(value)
 
 
 def _vacuum_terms(variant, theta, lam):
@@ -44,8 +62,24 @@ def _misfit(variant, slot, theta, lam, roots):
     q = lambda x: np.prod(x - np.asarray(roots) + 0.5j)
     a, d = _vacuum_terms(variant, theta, lam)
     value = (a * q(lam + 1j) + d * q(lam - 1j)) / q(lam)
-    eigenvalues = np.linalg.eigvals(_transfer_matrix(variant, slot, theta, lam))
-    return np.min(np.abs(eigenvalues - value)) / abs(value)
+    return _miss(_chain(variant, slot, theta), lam, value)
+
+
+def _vacuum_weight(chain, k, lam):
+    """prod_slots w_k, with the weights of the module docstring."""
+    n, weight = chain.rank, 1.0
+    for p in range(1, chain.sites + 2):
+        if p != chain.defect_site:
+            weight *= lam + 1j if k == n else lam
+        elif chain.lax.variant == "L":
+            weight *= lam - chain.theta + 1j if k == 1 else 1j
+        else:
+            weight *= -(lam - chain.theta) - 1j * n / 2 + 1j if k == n else 1j
+    return weight
+
+
+# (rank, bulk sites, Fock cutoff) of the chains whose reference eigenvalue is tested
+NESTED = [(3, 2, 3), (4, 1, 3)]
 
 
 @pytest.mark.parametrize("variant", ["L", "Lhat"])
@@ -70,3 +104,29 @@ def test_one_root_bethe_state_reproduces_an_eigenvalue():
                     for lam in LAMBDAS:
                         misfit = _misfit(variant, slot, theta, lam, state.roots[0])
                         assert misfit <= 1e-8, (variant, theta, seed, slot, lam)
+
+
+@pytest.mark.parametrize("variant", ["L", "Lhat"])
+@pytest.mark.parametrize("rank, sites, cutoff", NESTED, ids=["rank3", "rank4"])
+def test_nested_reference_eigenvalue_is_in_the_spectrum(variant, rank, sites, cutoff):
+    # M = 0 at ranks 3 and 4: Lambda_0 from the weights written in this file
+    for slot in range(1, sites + 2):
+        for theta in (0.3, -1.1):
+            chain = _chain(variant, slot, theta, rank, sites, cutoff)
+            for lam in LAMBDAS:
+                value = sum(_vacuum_weight(chain, k, lam) for k in range(1, rank + 1))
+                assert _miss(chain, lam, value) < 1e-13, (slot, theta, lam)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1a")
+def test_vacuum_weights_of_the_checks_sum_to_an_eigenvalue():
+    # the same sum from checks._local_vacuum_weight, whose bulk weight follows
+    # lax.bulk_reference: e_1 today, which misses; e_rank is item 1a
+    for rank, sites, cutoff in [(2, SITES, 5)] + NESTED:
+        for variant in ("L", "Lhat"):
+            for slot in range(1, sites + 2):
+                for theta in (0.3, -1.1):
+                    chain = _chain(variant, slot, theta, rank, sites, cutoff)
+                    for lam in LAMBDAS:
+                        value = sum(checks._local_vacuum_weight(chain, k, lam) for k in range(1, rank + 1))
+                        assert _miss(chain, lam, value) < 1e-13, (rank, variant, slot, theta, lam)

@@ -83,71 +83,89 @@ def test_embed_pair_slot_range():
 # local application
 
 
-@pytest.mark.parametrize(
-    "dims,slots",
-    [
-        ((2, 3, 2), (0, 1)),  # adjacent
-        ((2, 3, 2), (1, 2)),
-        ((2, 3, 2), (0, 2)),  # not adjacent
-        ((3, 2, 2, 2), (1, 3)),
-        ((2, 3, 2), (1, 0)),  # reversed
-        ((3, 2, 2, 2), (3, 0)),
-    ],
-)
+def _einsum_reference(op, x, dims, slot):
+    """``op``'s four legs contracted with the auxiliary leg and leg ``slot``
+    of the block ``x`` by one einsum, rows in the result's factor order."""
+    legs = "ijkl"[: len(dims)]
+    new = "A" + legs[1:slot] + "B" + legs[slot + 1 :]
+    ref = np.einsum(f"AB{legs[0]}{legs[slot]},{legs}z->{new}z", op, x.reshape(tuple(dims) + (-1,)))
+    return ref.reshape(-1, x.shape[1])
+
+
+# each case's slots are (0, p): the auxiliary factor and slot p, which
+# apply_local takes as its slot; a vector is applied as a one-column block
+ONE_FORM_CASES = [
+    ((2, 3, 2), (0, 1)),  # the first slot
+    ((2, 3, 2), (0, 2)),  # the last slot: post = 1
+    ((3, 2, 2, 2), (0, 2)),  # a middle slot
+    ((3, 2, 2, 2), (0, 3)),
+    ((2, 3), (0, 1)),  # the only slot: pre = 1 and post = 1
+    ((1, 3, 2), (0, 2)),  # a one-dimensional auxiliary factor
+]
+
+
+@pytest.mark.parametrize("dims,slots", ONE_FORM_CASES)
 @pytest.mark.parametrize("columns", ["square", 5, 1, "vector"])
 def test_apply_local_against_kron_reference(kron_embed, dims, slots, columns):
     rng = np.random.default_rng(len(dims) * 10 + slots[0] * 3 + slots[1])
-    pair = dims[slots[0]] * dims[slots[1]]
+    da, db = dims[0], dims[slots[1]]
     total = int(np.prod(dims))
-    op = rng.normal(size=(pair, pair)) + 1j * rng.normal(size=(pair, pair))
+    op = rng.normal(size=(da * db, da * db)) + 1j * rng.normal(size=(da * db, da * db))
     shape = {"square": (total, total), "vector": (total,)}.get(columns, (total, columns))
     x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    got = apply_local(op, x, dims, slots)
-    ref = kron_embed(op, dims, slots) @ x
-    assert got.shape == x.shape
-    assert np.max(np.abs(got - ref)) <= 1e-15 * pair * np.max(np.abs(op)) * np.max(np.abs(x))
+    op4, block = op.reshape(da, db, da, db), x.reshape(total, -1)
+    got = apply_local(op4, block, dims, slots[1])
+    bound = 1e-15 * da * db * np.max(np.abs(op)) * np.max(np.abs(x))
+    assert np.max(np.abs(got - _einsum_reference(op4, block, dims, slots[1]))) <= bound
+    assert np.max(np.abs(got.reshape(x.shape) - kron_embed(op, dims, slots) @ x)) <= bound
 
 
 @pytest.mark.parametrize(
     "dims,slots",
-    [((2, 3, 2), (0, 1)), ((2, 3, 2), (0, 2)), ((3, 2, 2, 2), (3, 0)), ((1, 3, 2), (0, 1))],
+    [((2, 3, 2), (0, 1)), ((2, 3, 2), (0, 2)), ((3, 2, 2, 2), (0, 2)), ((1, 3, 2), (0, 1))],
 )
 @pytest.mark.parametrize("out", [(1, 3), (3, 1), (4, 2)])
 @pytest.mark.parametrize("columns", [4, "vector"])
 def test_rectangular_apply_local_against_einsum(dims, slots, out, columns):
-    # a four-leg operator (out_a, out_b, in_a, in_b) replaces factors a and b
-    # of the input by out_a and out_b in the result
+    # a four-leg operator (out_aux, out_slot, in_aux, in_slot) replaces the
+    # auxiliary factor and the slot by out_aux and out_slot in the result;
+    # out (1, 3) on a two-dimensional auxiliary factor is transfer's last cut
+    # (rank -> 1), on a one-dimensional one both cuts of sites = 0 (1 -> 1),
+    # and (3, 1) or (4, 2) on it slot 1's cut (1 -> rank)
     rng = np.random.default_rng(sum(dims) * 7 + sum(out))
     a, b = slots
     op = rng.normal(size=out + (dims[a], dims[b])) + 1j * rng.normal(size=out + (dims[a], dims[b]))
     shape = (int(np.prod(dims)),) + (() if columns == "vector" else (columns,))
     x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    legs = "ijkl"[: len(dims)]
-    new = list(legs)
-    new[a], new[b] = "A", "B"
-    ref = np.einsum(f"AB{legs[a]}{legs[b]},{legs}z->{''.join(new)}z",
-                    op, x.reshape(dims + (-1,)))
-    got = apply_local(op, x, dims, slots)
-    assert got.shape == (ref.size // ref.shape[-1],) + x.shape[1:]
-    assert np.max(np.abs(got - ref.reshape(got.shape))) <= 1e-14 * np.max(np.abs(ref))
+    block = x.reshape(len(x), -1)
+    ref = _einsum_reference(op, block, dims, b)
+    got = apply_local(op, block, dims, b)
+    assert got.shape == ref.shape == (len(x) // (dims[a] * dims[b]) * out[0] * out[1], block.shape[1])
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_apply_local_empty_block():
-    assert apply_local(np.eye(6), np.zeros((12, 0)), (2, 3, 2), (0, 1)).shape == (12, 0)
+    x = np.zeros((12, 0))
+    assert apply_local(np.eye(6).reshape(2, 3, 2, 3), x, (2, 3, 2), 1).shape == (12, 0)
+    assert apply_local(np.ones((1, 2, 2, 2)), x, (2, 3, 2), 2).shape == (6, 0)
 
 
 def test_apply_local_rejects_bad_arguments():
-    x = np.eye(12)
-    with pytest.raises(ValueError):
-        apply_local(np.eye(4), x, (2, 3, 2), (0, 0))
-    with pytest.raises(ValueError):
-        apply_local(np.eye(4), x, (2, 3, 2), (0, 3))
-    with pytest.raises(ValueError):
-        apply_local(np.eye(6), x, (2, 3, 2), (0, 2))
-    with pytest.raises(ValueError):
-        apply_local(np.eye(4), np.eye(10), (2, 3, 2), (0, 2))
-    with pytest.raises(ValueError):
-        apply_local(np.zeros((2, 3, 3, 3)), x, (2, 3, 2), (0, 1))  # in legs (3, 3), not (2, 3)
+    x, op = np.eye(12), np.ones((2, 3, 2, 3))
+    with pytest.raises(ValueError, match="slot 0 invalid"):
+        apply_local(op, x, (2, 3, 2), 0)
+    with pytest.raises(ValueError, match="slot 3 invalid"):
+        apply_local(op, x, (2, 3, 2), 3)
+    with pytest.raises(ValueError, match="does not act on 2 x 2"):
+        apply_local(op, x, (2, 3, 2), 2)
+    with pytest.raises(ValueError, match="does not act on 2 x 3"):
+        apply_local(np.zeros((2, 3, 3, 3)), x, (2, 3, 2), 1)  # in legs (3, 3), not (2, 3)
+    with pytest.raises(ValueError, match="does not act on 2 x 3"):
+        apply_local(np.eye(6), x, (2, 3, 2), 1)  # a square matrix, not four legs
+    with pytest.raises(ValueError, match="does not have 12 rows"):
+        apply_local(op, np.eye(10), (2, 3, 2), 1)
+    with pytest.raises(ValueError, match="does not have 12 rows"):
+        apply_local(op, np.ones(12), (2, 3, 2), 1)  # a vector, not a block
 
 
 def test_byte_budget_is_checked_before_allocation():
@@ -287,11 +305,11 @@ def test_each_thread_has_its_own_work_arrays_capped_at_the_stack_size():
 
 def test_apply_local_returns_a_fresh_array_each_call():
     # its block and product are kept; the results of two calls never share them
-    dims, op = (2, 2, 2), np.arange(16.0).reshape(4, 4) + 1j
+    dims, op = (2, 2, 2), np.arange(16.0).reshape(2, 2, 2, 2) + 1j
     x = np.arange(16.0).reshape(8, 2) + 0j
-    for slots in ((0, 1), (0, 2), (2, 0)):
-        first = apply_local(op, x, dims, slots)
+    for slot in (1, 2):
+        first = apply_local(op, x, dims, slot)
         kept = first.copy()
-        second = apply_local(op, 2 * x, dims, slots)
+        second = apply_local(op, 2 * x, dims, slot)
         assert not np.shares_memory(first, second)
         assert np.array_equal(first, kept) and np.array_equal(second, 2 * kept)
