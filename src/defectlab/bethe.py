@@ -341,11 +341,12 @@ def solve_bae(state: BetheState, tol: float = 1e-10, max_iter: int = 200) -> Bet
 
     The step is halved whenever the residual norm would grow; failure to
     converge raises ConvergenceError carrying the residual trace, at once
-    when the starting residual is not finite.  A trial that overflows has a
-    non-finite norm and is rejected like any other, so no floating-point
-    warning escapes.  The Jacobian is built from the differences the
-    accepted trial's residual formed.  The state returned is a new one,
-    which carries the residual of its last pass.
+    when the starting residual is not finite.  A trial whose roots collide
+    has an infinite norm, and one that overflows a non-finite norm, so one
+    test rejects both like any other and no floating-point warning escapes.
+    The Jacobian is built from the differences the accepted trial's residual
+    formed.  The state returned is a new one, which carries the residual of
+    its last pass.
     """
     splits = np.cumsum(state.magnon_counts())[:-1]
     current, flat, scratch = replace(state), np.concatenate(state.roots), WorkArrays()
@@ -369,10 +370,9 @@ def solve_bae(state: BetheState, tol: float = 1e-10, max_iter: int = 200) -> Bet
             trial = replace(current, roots=tuple(np.split(trial_flat, splits)))
             try:
                 trial.residual = trial_f = bae_residual(trial, scratch)
+                trial_norm = float(np.max(np.abs(trial_f)))
             except RootCollisionError:
-                scale *= LINE_SEARCH_DAMPING
-                continue
-            trial_norm = float(np.max(np.abs(trial_f)))
+                trial_norm = np.inf
             if trial_norm < norm or trial_norm <= tol:
                 break
             scale *= LINE_SEARCH_DAMPING

@@ -15,10 +15,11 @@ the byte budget before it builds any operator, and a stack larger than
 :func:`defectlab.tensor.stack_depth` admits is evaluated in consecutive
 runs that it admits.  A run's operators, buffers and temporaries are this
 thread's kept work arrays (:func:`defectlab.tensor.work_arrays`), and only
-its residuals leave it.  Identities that create one oscillator quantum are
-compared on the sub-cutoff block, where truncation is exact; that block and
-the transfer check's faithful columns are masks over the Fock space's
-occupation array.
+its residuals leave it; the routine writes into the buffers the residual
+took, and neither allocates nor checks the budget itself.  Identities that
+create one oscillator quantum are compared on the sub-cutoff block, where
+truncation is exact; that block and the transfer check's faithful columns
+are masks over the Fock space's occupation array.
 """
 
 from __future__ import annotations
@@ -204,7 +205,7 @@ def _exchange_residual(pair, build, n: int, d: int, keep, lam1, lam2, normalize=
     return _in_stacks(residual, (max(m, n * d),) * 2, lam1, lam2)
 
 
-def _exchange_sides(n: int, pair_op, x1, x2, d: int, keep, out=None):
+def _exchange_sides(n: int, pair_op, x1, x2, d: int, keep, out):
     """Both sides of P12 X1 X2 = X2 X1 P12 on aux1 (x) aux2 (x) V, dim V = d,
     on the rows and columns whose V index is in ``keep``.  P12 acts on the
     two auxiliary spaces, X1 and X2 on one auxiliary space each and V.  The
@@ -218,22 +219,17 @@ def _exchange_sides(n: int, pair_op, x1, x2, d: int, keep, out=None):
     three operators may be stacks of matrices with the same leading axes,
     which the two sides returned keep.  ``out``, three flat arrays of the
     leading axes by m^2 entries (m = n^2 k), holds the steps' two buffers
-    and the left side; without it they are fresh."""
+    and the left side; the caller sizes them, so the budget is its check."""
     keep = np.asarray(keep, dtype=np.intp)
     k = len(keep)
     m = n * n * k
     lead = np.shape(x1)[:-2]
-    require_budget(lead + (m, m), "exchange-relation product")
     t1, t2 = (np.asarray(x, dtype=COMPLEX).reshape(lead + (n, d, n, d)) for x in (x1, x2))
 
     def legs(x, *order):  # permute the six trailing legs
         return x.transpose(*range(len(lead)), *(len(lead) + i for i in order))
 
-    # the steps share two buffers of the product's size, and the left side
-    # has a third
-    if out is None:
-        out = [np.empty(lead + (m * m,), dtype=COMPLEX) for _ in range(3)]
-    c, x, left = out
+    c, x, left = out  # the steps share two buffers, and the left side has a third
 
     def contract(s, t):  # sum_w s[a v b w] t[c w e u] into c, legs (a, v, b, c, e, u)
         rows = s[..., keep, :, :].reshape(lead + (-1, d))

@@ -70,18 +70,12 @@ class WorkArrays:
     view of the requested shape and dtype.  A request above the limit gets a
     fresh array, which nothing keeps.  A later request for the same role
     overwrites the view, so an array taken here must not outlive the
-    function that took it; only reductions of it may leave."""
+    function that took it; only reductions of it may leave.  The buffers
+    are freed with the instance, like any dict's values."""
 
     def __init__(self, limit: int | None = None):
         self.limit = limit
         self.buffers = {}  # role -> (buffer, {(shape, dtype): view of it})
-
-    def __del__(self):
-        # newest buffer first, as on a stack: a Bethe solve's buffers then
-        # free in the order that leaves glibc the least heap to fault back
-        # in (594 faults a solve against 829 in the order taken)
-        while self.buffers:
-            self.buffers.popitem()
 
     def take(self, role, shape: tuple, dtype=COMPLEX) -> np.ndarray:
         """An array of ``shape`` (a tuple) and ``dtype`` in the role's buffer."""

@@ -322,6 +322,43 @@ def test_overflowing_trials_are_rejected_without_warnings(sign):
     assert np.isfinite(info.value.trace[0])
 
 
+def _colliding_trials(monkeypatch, collide):
+    """Patch bethe.bae_residual so that the trials ``collide`` picks (by
+    their 1-based number; the starting pass is not a trial) raise
+    RootCollisionError; returns the list of every state passed in."""
+    real, seen = bethe.bae_residual, []
+
+    def residual(state, scratch=None):
+        seen.append(state)
+        if len(seen) > 1 and collide(len(seen) - 1):
+            raise RootCollisionError("patched collision")
+        return real(state, scratch)
+
+    monkeypatch.setattr(bethe, "bae_residual", residual)
+    return seen
+
+
+def test_a_colliding_trial_is_rejected_and_the_step_halved(monkeypatch):
+    st = BetheState(rank=2, sites=4, roots=(ground_state_seed(4),), theta=0.3, defect_sign="+")
+    scratch = WorkArrays()
+    fval = bae_residual(st, scratch)
+    step = np.linalg.solve(_jacobian(st, scratch), -fval)  # the first Newton step
+    seen = _colliding_trials(monkeypatch, lambda trial: trial == 1)
+    sol = solve_bae(st)
+    assert np.max(np.abs(sol.residual)) < 1e-10
+    assert np.array_equal(seen[1].roots[0], st.roots[0] + step)
+    assert np.array_equal(seen[2].roots[0], st.roots[0] + 0.5 * step)
+
+
+def test_a_line_search_of_colliding_trials_stalls(monkeypatch):
+    st = BetheState(rank=2, sites=4, roots=(ground_state_seed(4),), theta=0.3, defect_sign="+")
+    seen = _colliding_trials(monkeypatch, lambda trial: True)
+    with pytest.raises(ConvergenceError, match="line search stalled") as info:
+        solve_bae(st)
+    assert len(info.value.trace) == 1
+    assert len(seen) == 1 + 40  # the starting pass and 40 trials
+
+
 def test_nonfinite_starting_residual_ends_in_convergence_error(monkeypatch):
     # e_1 ** sites overflows for a root off the real axis, so the starting
     # residual is NaN; the solve stops there, before any Newton step

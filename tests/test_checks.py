@@ -361,6 +361,13 @@ def _dense_exchange(kron_embed, rank, fock, pair_op, x1, x2):
     return (p @ e1 @ e2)[block], (e2 @ e1 @ p)[block]
 
 
+def _exchange_sides(n, pair_op, x1, x2, d, keep):
+    # the three buffers _exchange_sides writes into, fresh for each call
+    m = n * n * len(keep)
+    out = [np.empty(np.shape(x1)[:-2] + (m * m,), dtype=complex) for _ in range(3)]
+    return checks._exchange_sides(n, pair_op, x1, x2, d, keep, out)
+
+
 @pytest.mark.parametrize("rank", [2, 3, 4])
 @pytest.mark.parametrize("keep", [[0, 2, 3], range(5)], ids=["proper-subset", "full-range"])
 def test_exchange_sides_against_embedded_products(rank, keep):
@@ -378,7 +385,7 @@ def test_exchange_sides_against_embedded_products(rank, keep):
     x2_23 = np.kron(np.eye(rank), tensor.embed_pair(x2, rank, [d], 1))
     rows = (np.arange(rank * rank)[:, None] * d + np.asarray(keep)).ravel()
     block = np.ix_(rows, rows)
-    lhs, rhs = checks._exchange_sides(rank, pair_op, x1, x2, d, keep)
+    lhs, rhs = _exchange_sides(rank, pair_op, x1, x2, d, keep)
     for got, dense in ((lhs, (p12 @ x1_13 @ x2_23)[block]), (rhs, (x2_23 @ x1_13 @ p12)[block])):
         assert got.shape == dense.shape
         assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
@@ -393,11 +400,11 @@ def test_exchange_sides_on_a_stack_equals_its_per_item_calls(rank):
         return rng.normal(size=(2, 3, k, k)) + 1j * rng.normal(size=(2, 3, k, k))
 
     pair_op, x1, x2 = random_ops(rank * rank), random_ops(rank * d), random_ops(rank * d)
-    lhs, rhs = checks._exchange_sides(rank, pair_op, x1, x2, d, keep)
+    lhs, rhs = _exchange_sides(rank, pair_op, x1, x2, d, keep)
     m = rank * rank * len(keep)
     assert lhs.shape == rhs.shape == (2, 3, m, m)
     for idx in np.ndindex(2, 3):
-        one_lhs, one_rhs = checks._exchange_sides(rank, pair_op[idx], x1[idx], x2[idx], d, keep)
+        one_lhs, one_rhs = _exchange_sides(rank, pair_op[idx], x1[idx], x2[idx], d, keep)
         assert np.array_equal(lhs[idx], one_lhs) and np.array_equal(rhs[idx], one_rhs)
 
 

@@ -21,10 +21,18 @@ diagonal vacuum weights w_k: at a bulk site lambda + i for k = rank and
 lambda otherwise; at the defect, for L, lambda - theta + i for k = 1 and i
 otherwise, and for Lhat, -(lambda - theta) - i rank/2 + i for k = rank and i
 otherwise.  At rank 2 that is a + d above.
+
+One root x on nesting level a (between the weights W_a and W_a+1) dresses
+those two: with Q(lambda) = lambda - x + i/2,
+
+    Lambda = sum_{k != a, a+1} W_k + (W_a Q(lambda + i) + W_a+1 Q(lambda - i)) / Q(lambda),
+
+which has no pole where W_a = W_a+1, so x - i/2 is a zero of W_a - W_a+1.
 """
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 from defectlab import checks
 from defectlab.bethe import BetheState, solve_bae
@@ -116,6 +124,47 @@ def test_nested_reference_eigenvalue_is_in_the_spectrum(variant, rank, sites, cu
             for lam in LAMBDAS:
                 value = sum(_vacuum_weight(chain, k, lam) for k in range(1, rank + 1))
                 assert _miss(chain, lam, value) < 1e-13, (slot, theta, lam)
+
+
+# the levels a whose pair W_a, W_a+1 yields a root, and how many roots each
+# yields over every defect slot, theta and the chain of NESTED: the bulk
+# couples only a = rank - 1, L's impurity only a = 1 and Lhat's only rank - 1
+ONE_ROOT_LEVELS = {
+    (3, "L"): {1: 6, 2: 6},
+    (3, "Lhat"): {2: 18},
+    (4, "L"): {1: 4},
+    (4, "Lhat"): {3: 8},
+}
+
+
+@pytest.mark.parametrize("variant", ["L", "Lhat"])
+@pytest.mark.parametrize("rank, sites, cutoff", NESTED, ids=["rank3", "rank4"])
+def test_one_root_nested_eigenvalue_is_in_the_spectrum(variant, rank, sites, cutoff):
+    # M = 1 at ranks 3 and 4: every root that the weights of this file give
+    # on any level, from the zeros of W_a - W_a+1 as polynomials in lambda
+    found = {}
+    for slot in range(1, sites + 2):
+        for theta in (0.3, -1.1):
+            chain = _chain(variant, slot, theta, rank, sites, cutoff)
+            w = [None] + [_vacuum_weight(chain, k, Polynomial([0, 1])) for k in range(1, rank + 1)]
+            for a in range(1, rank):
+                gap = w[a] - w[a + 1]
+                if not np.any(gap.coef):
+                    continue
+                for r in gap.roots():
+                    # a zero of W_a itself is a zero of the factor
+                    # lambda^sites that W_a and W_a+1 share, not of the Bethe
+                    # equation W_a / W_a+1 = 1; the Lambda it dresses misses
+                    # every eigenvalue (by 3.8e-2 to 1.6e-1 relative)
+                    if abs(w[a](r)) < 1e-9:
+                        continue
+                    found[a] = found.get(a, 0) + 1
+                    q = lambda z: z - r  # Q with x = r + i/2
+                    for lam in LAMBDAS:
+                        rest = sum(w[k](lam) for k in range(1, rank + 1) if k not in (a, a + 1))
+                        value = rest + (w[a](lam) * q(lam + 1j) + w[a + 1](lam) * q(lam - 1j)) / q(lam)
+                        assert _miss(chain, lam, value) < 1e-13, (slot, theta, a, r, lam)
+    assert found == ONE_ROOT_LEVELS[rank, variant]
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1a")
