@@ -180,20 +180,20 @@ def check_ybe(rank: int, pairs, tol: float = 1e-12, matrix: str = "R") -> tuple:
 # exchange relation with the defect
 
 
-def _exchange_residual(pair, build, n: int, d: int, keep, lam1, lam2, normalize=False):
+def _exchange_residual(pair, build, n: int, d: int, keep, lam1, lam2, *labels, normalize=False):
     """Chebyshev residual of P12 X1 X2 - X2 X1 P12 (see _exchange_sides), with
-    P12 = pair(lambda1 - lambda2) and Xi = build(lambdai), per entry of the
-    stack of (lambda1, lambda2), normalized by the left side's if asked.
-    One entry's n^2 k x n^2 k product (k kept V legs) passes the budget
-    before any build; the stack is evaluated in runs that fit (_in_stacks),
-    each in this thread's kept work arrays."""
+    P12 = pair(lambda1 - lambda2) and Xi = build(lambdai, out, *labels), per
+    entry of the stack of (lambda1, lambda2, *labels), normalized by the left
+    side's if asked.  One entry's n^2 k x n^2 k product (k kept V legs)
+    passes the budget before any build; the stack is evaluated in runs that
+    fit (_in_stacks), each in this thread's kept work arrays."""
     m = n * n * len(keep)
     require_budget((m, m), "exchange-relation product")
 
-    def residual(lam1, lam2):
+    def residual(lam1, lam2, *labels):
         work = work_arrays()
-        x1 = build(lam1, work.take("x1", lam1.shape + (n * d, n * d)))
-        x2 = build(lam2, work.take("x2", lam2.shape + (n * d, n * d)))
+        x1 = build(lam1, work.take("x1", lam1.shape + (n * d, n * d)), *labels)
+        x2 = build(lam2, work.take("x2", lam2.shape + (n * d, n * d)), *labels)
         pair_op = pair(lam1 - lam2, work.take("pair", lam1.shape + (n * n, n * n)))
         out = [work.take(("exchange", i), lam1.shape + (m * m,)) for i in range(3)]
         # a product that overflows leaves a non-finite residual, which fails
@@ -202,7 +202,7 @@ def _exchange_residual(pair, build, n: int, d: int, keep, lam1, lam2, normalize=
             res = cheb(np.subtract(lhs, rhs, out=rhs), axis=(-2, -1))
             return res / cheb(lhs, axis=(-2, -1)) if normalize else res
 
-    return _in_stacks(residual, (max(m, n * d),) * 2, lam1, lam2)
+    return _in_stacks(residual, (max(m, n * d),) * 2, lam1, lam2, *labels)
 
 
 def _exchange_sides(n: int, pair_op, x1, x2, d: int, keep, out):
@@ -295,7 +295,9 @@ def calibrate_ordering(
     the representative fixed by the reference-state requirements (number
     operator annihilating the vacuum, unit constant in the (1,1) entry).
     Candidates with equal effective shift build the same operator, so the
-    relation is evaluated once per such class, on all pairs as one stack,
+    relation is evaluated once per such class, all classes' pairs as one
+    stack with each point's L built from its own class's shift and offset
+    (not as a translate of another's, which would assume what is certified),
     and every member reports that residual; the winner's class is reported
     as its equivalence class.  If no candidate passes, the canonical spec is
     returned with a failed report.
@@ -308,11 +310,15 @@ def calibrate_ordering(
         for ordering in (NORMAL, ANTINORMAL)
         for shift in shifts
     ]
-    by_shift = {}  # candidates with equal effective shift build the same L
-    for cand in candidates:
-        if cand.effective_shift() not in by_shift:
-            residuals = rll_residual(cand, fock, points[0::2], points[1::2])
-            by_shift[cand.effective_shift()] = worst_of(*residuals.tolist())
+    classes = {c.effective_shift(): c for c in reversed(candidates)}  # each shift's first candidate
+    lam1, lam2 = np.tile(points.reshape(-1, 2), (len(classes), 1)).T
+    shift, offset = np.repeat([[c.shift, c.offset] for c in classes.values()], pairs, axis=0).T
+    residuals = _exchange_residual(
+        lambda z, out: lax.r_matrix(rank, z, out),
+        lambda z, out, shift, offset: lax.l_matrix_at(rank, fock, z, shift[:, None], offset[:, None], out),
+        rank, fock.dim, fock.sub_cutoff_indices(1), lam1, lam2, shift, offset,
+    )
+    by_shift = {key: worst_of(*row) for key, row in zip(classes, residuals.reshape(len(classes), -1).tolist())}
     results = [(cand, by_shift[cand.effective_shift()]) for cand in candidates]
     passing = [(c, r) for c, r in results if r <= tol]
     canonical = LaxSpec(rank, VARIANT_L, NORMAL, 1.0)
@@ -598,38 +604,37 @@ def faithful_columns(chain: ChainSpec, margin: int = 2) -> np.ndarray:
     return np.flatnonzero(np.broadcast_to(keep[:, None], (pre, fock.dim, post)))
 
 
-def check_transfer_commute(
-    chain: ChainSpec, lam1, lam2, tol: float = 1e-10
-) -> CheckReport:
-    """Commutator of transfer matrices at distinct spectral parameters.
+def check_transfer_commute(chain: ChainSpec, pairs, tol: float = 1e-10) -> tuple:
+    """Commutator of transfer matrices at each (lambda1, lambda2) pair.
 
     Columns are restricted to oscillator occupation <= cutoff - 2: the two
     transfer factors insert at most two raising operators, so on those
     columns the truncated product agrees with the untruncated theory and the
     commutator must vanish; outside them the cutoff shell pollutes it.  Both
-    the commutator and its scale are computed on those columns alone."""
+    the commutator and its scale are computed on those columns alone.  The
+    pairs are one stack, in runs sized by a pair's two rank*q x m blocks, and
+    a run makes two transfer passes: t(l)x, then t(l) on the partner's t(l')x."""
     fock, q = chain.fock, math.prod(chain.dims[1:])
     width = q // fock.dim * len(fock.sub_cutoff_indices(2))  # len(cols)
     require_budget((chain.rank * q, width), "monodromy block")  # before the columns' index is built
     cols = faithful_columns(chain, 2)
     x = np.zeros((q, len(cols)), dtype=COMPLEX)
     x[cols, np.arange(len(cols))] = 1.0
-    # a product that overflows leaves a non-finite residual, which fails
-    with np.errstate(over="ignore", invalid="ignore"):
-        t1x, t2x = lax.transfer(chain, lam1, x), lax.transfer(chain, lam2, x)
-        scale = max(1.0, cheb(t1x) * cheb(t2x))
-        res = cheb(lax.transfer(chain, lam1, t2x) - lax.transfer(chain, lam2, t1x)) / scale
-    return CheckReport.from_residual(
+
+    def residual(lam1, lam2):
+        # a product that overflows leaves a non-finite residual, which fails
+        with np.errstate(over="ignore", invalid="ignore"):
+            tx = lax.transfer(chain, np.concatenate([lam1, lam2]), x)
+            both = lax.transfer(chain, np.concatenate([lam2, lam1]), tx)  # t2 t1 x, then t1 t2 x
+            scale = np.fmax(1.0, np.multiply(*cheb(tx, axis=(-2, -1)).reshape(2, -1)))
+            return cheb(np.subtract(*np.split(both, 2)), axis=(-2, -1)) / scale
+
+    return _pair_reports(
         "transfer-commute",
-        [
-            ("rank", chain.rank),
-            ("sites", chain.sites),
-            ("cutoff", chain.fock_cutoff),
-            ("theta", complex(chain.theta)),
-            ("lambda1", complex(lam1)),
-            ("lambda2", complex(lam2)),
-        ],
-        res,
+        [("rank", chain.rank), ("sites", chain.sites), ("cutoff", chain.fock_cutoff),
+         ("theta", complex(chain.theta))],
+        pairs,
+        lambda lam1, lam2: _in_stacks(residual, (2, chain.rank * q, width), lam1, lam2),
         tol,
         "columns with occupation <= cutoff-2, scaled by transfer norms on those columns",
     )

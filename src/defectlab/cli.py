@@ -266,11 +266,6 @@ def _transmission_algebra(cfg, rng):
     ]
 
 
-def _transfer_commute(cfg, rng):
-    chain, tol = cfg.chain, cfg.tol("transfer-commute")
-    return [checks.check_transfer_commute(chain, a, b, tol) for a, b in _sample_pairs(rng, 2)]
-
-
 # suite -> (draws random points, runner(cfg, rng) returning its reports); a
 # randomized suite draws from rng_for(seed, "cli-<suite>"), the others get None
 SUITES = {
@@ -290,7 +285,9 @@ SUITES = {
             cfg.rank, cfg.chain.fock, tol=cfg.tol("transmission-crossing")
         )
     ]),
-    "transfer-commute": (True, _transfer_commute),
+    "transfer-commute": (True, lambda cfg, rng: checks.check_transfer_commute(
+        cfg.chain, _sample_pairs(rng, 2), cfg.tol("transfer-commute")
+    )),
     "highest-weight": (False, lambda cfg, rng: [
         checks.check_highest_weight(cfg.chain, tol=cfg.tol("highest-weight"))
     ]),

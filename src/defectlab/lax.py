@@ -34,7 +34,8 @@ dimension d) by one contraction, O(dim * rank * d) per column and factor: no
 dim x dim or q x q (q = dim/rank) array.  The transfer matrix's term k runs
 the loop with slot 1's factor cut to auxiliary column k and the last slot's
 to row k, so no factor multiplies the zero blocks of e_k (x) x or the rows
-the trace drops.  Both build the local factors at lambda once per call.
+the trace drops.  Both build the local factors once per call, at lambda
+or at each point of a stack, and keep the products between them.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import numpy as np
 
 from .kernels import defect_side
 from .special import gamma_ratio, guard_nonzero, log_gamma_psi
-from .tensor import COMPLEX, FockSpace, apply_local, permutation_op, require_budget, work_arrays
+from .tensor import COMPLEX, FockSpace, apply_local, permutation_op, require_budget, stack_depth, work_arrays
 
 VARIANT_L = "L"
 VARIANT_LHAT = "Lhat"
@@ -172,9 +173,14 @@ def _oscillator_operator(rank: int, fock: FockSpace, head, coef, reverse: bool, 
 
 def l_matrix(spec: LaxSpec, fock: FockSpace, lam, out=None) -> np.ndarray:
     """Defect Lax operator on auxiliary (x) Fock."""
+    return l_matrix_at(spec.rank, fock, lam, spec.shift, spec.offset, out)
+
+
+def l_matrix_at(rank: int, fock: FockSpace, lam, shift, offset, out=None) -> np.ndarray:
+    """L with the spec's shift and offset as numbers, or per point as arrays of shape lambda.shape + (1,)."""
     lam = np.asarray(lam, dtype=COMPLEX)[..., None]
-    head = lam + 1j * spec.shift + 1j * (fock.occupation + spec.offset)
-    return _oscillator_operator(spec.rank, fock, head, 1j, False, out)
+    head = lam + 1j * shift + 1j * (fock.occupation + offset)
+    return _oscillator_operator(rank, fock, head, 1j, False, out)
 
 
 def l_hat_matrix(spec: LaxSpec, fock: FockSpace, lam, out=None) -> np.ndarray:
@@ -328,28 +334,29 @@ def crossed_transmission_matrix(rank: int, fock: FockSpace, lam, out=None) -> np
 
 def _local_factors(chain: ChainSpec, lam) -> list:
     """The monodromy's local factor of each slot, slot 1 first, as a
-    four-leg view (out_aux, out_slot, in_aux, in_slot).  The defect slot
-    carries the Lax operator at lambda - theta, every bulk slot the same
-    R-matrix at lambda."""
-    n, d = chain.rank, chain.fock.dim
-    bulk = r_matrix(n, lam).reshape(n, n, n, n) if chain.sites else None
-    defect = defect_lax(chain.lax, chain.fock, complex(lam) - chain.theta).reshape(n, d, n, d)
+    four-leg view (out_aux, out_slot, in_aux, in_slot) after lam's axes.
+    The defect slot carries the Lax operator at lambda - theta, every bulk
+    slot the same R-matrix at lambda."""
+    n, d, lead = chain.rank, chain.fock.dim, np.shape(lam)
+    bulk = r_matrix(n, lam).reshape(lead + (n, n, n, n)) if chain.sites else None
+    defect = defect_lax(chain.lax, chain.fock, np.subtract(lam, chain.theta)).reshape(lead + (n, d, n, d))
     return [defect if p == chain.defect_site else bulk for p in range(1, chain.sites + 2)]
 
 
 def _apply_factors(factors, x, slots) -> np.ndarray:
     """The factors applied to the block ``x`` in turn, slot 1 first, each on
     the auxiliary space and its slot: the product over slots sites+1 down
-    to 1.  Each factor's in_aux leg gives the auxiliary dimension it reads."""
+    to 1, in kept work arrays of two alternating roles.  Each factor's
+    in_aux leg gives the auxiliary dimension it reads."""
     for p, factor in enumerate(factors, 1):
-        x = apply_local(factor, x, (factor.shape[2],) + slots, p)
+        x = apply_local(factor, x, (factor.shape[-2],) + slots, p, ("factor product", p % 2))
     return x
 
 
 def monodromy(chain: ChainSpec, lam, x) -> np.ndarray:
-    """The monodromy at lambda applied to the 2-d block ``x``, one row per
-    state of auxiliary (x) slot_1 (x) ... (x) slot_{sites+1}."""
-    return _apply_factors(_local_factors(chain, lam), x, chain.dims[1:])
+    """The monodromy at lambda (or a stack, as :func:`transfer`) applied to the
+    block ``x``, one row per state of auxiliary (x) slot_1 (x) ... (x) slot_{sites+1}."""
+    return _apply_factors(_local_factors(chain, lam), x, chain.dims[1:]).copy()  # fresh: the product is kept
 
 
 def transfer(chain: ChainSpec, lam, x) -> np.ndarray:
@@ -358,14 +365,21 @@ def transfer(chain: ChainSpec, lam, x) -> np.ndarray:
     e_k (x) x.  Slot 1's factor is cut to its auxiliary column k, which maps
     x to a rank*q x m block, and the last slot's factor to its row k, which
     maps that block back to q x m; at sites = 0 both cuts fall on the one
-    factor.  The local factors are built once for all k."""
-    q, m = np.shape(x)
+    factor.  The local factors are built once for all k.  At a stack of
+    lambda, ``x`` is one block or a stack (leading axes broadcast), each entry
+    is bit for bit its point's call, one point's block passes the budget, and
+    a 1-d stack runs in as many points at a time as ``stack_depth`` admits."""
+    q, m = np.shape(x)[-2:]
     require_budget((chain.rank * q, m), "monodromy block")
+    depth = stack_depth((chain.rank * q, m))
+    if np.ndim(lam) == 1 and len(lam) > depth:
+        return np.concatenate([transfer(chain, lam[i : i + depth], x[i : i + depth] if np.ndim(x) > 2 else x)
+                               for i in range(0, len(lam), depth)])
     factors = _local_factors(chain, lam)
-    out = np.zeros((q, m), dtype=COMPLEX)
+    out = np.zeros(np.broadcast_shapes(np.shape(lam), np.shape(x)[:-2]) + (q, m), dtype=COMPLEX)
     for k in range(chain.rank):
-        cut = [factors[0][:, :, k : k + 1]] + factors[1:]
-        cut[-1] = cut[-1][k : k + 1]
+        cut = [factors[0][..., k : k + 1, :]] + factors[1:]
+        cut[-1] = cut[-1][..., k : k + 1, :, :, :]
         out += _apply_factors(cut, x, chain.dims[1:])
     return out
 

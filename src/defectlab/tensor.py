@@ -8,7 +8,8 @@ out_slot, in_aux, in_slot) on factor 0, the auxiliary space, and one slot
 (dimensions d_aux, d_slot) of a dim-dimensional product space is applied to
 a block of n columns by one contraction, :func:`apply_local`, at cost
 O(dim * n * d_aux * d_slot), not the O(dim^2 * n) of multiplying a full
-embedding; its out legs may differ from its in legs.  Dense arrays whose
+embedding; its out legs may differ from its in legs, and both may carry
+leading stack axes, which broadcast.  Dense arrays whose
 size follows from the input are checked against ``MATRIX_BYTE_BUDGET``
 before allocation, and a stack of matrices is held to ``STACK_BYTES``:
 larger stacks measured slower than evaluating one matrix at a time.  A Fock
@@ -22,11 +23,11 @@ temporary that every call needs is faulted in once rather than per call.
 ``STACK_BYTES``: a larger request gets a fresh array, so a thread keeps at
 most roles x ``STACK_BYTES``.  The stacked checks take their builders'
 outputs, the exchange relation's buffers and their residuals' temporaries
-from it, and ``apply_local`` its moved block and product; a Bethe solve
-keeps its own instance, with no cap, for its life.  A taken array is
-overwritten by the next request for its role, so it never leaves the
-function that took it: only reductions of it (residuals, norms, fitted
-constants) and fresh results do.
+from it, ``apply_local`` its moved block and product, and lax's factor loop
+its products; a Bethe solve keeps its own instance, with no cap, for its
+life.  A taken array is overwritten by the next request for its role, so it
+never leaves the function that took it: only reductions of it (residuals,
+norms, fitted constants) and fresh results do.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ def permutation_op(n: int) -> np.ndarray:
     return p
 
 
-def apply_local(op, x, dims, slot: int) -> np.ndarray:
+def apply_local(op, x, dims, slot: int, role=None) -> np.ndarray:
     """The embedding of ``op`` times ``x``, without forming the embedding.
 
     ``x`` is a block with one row per basis state of dims[0] (x) dims[1]
@@ -125,31 +126,38 @@ def apply_local(op, x, dims, slot: int) -> np.ndarray:
     four legs (out_aux, out_slot, in_aux, in_slot) and acts on factor 0, the
     auxiliary space, and on factor ``slot`` >= 1, with (in_aux, in_slot) =
     (dims[0], dims[slot]); the others see the identity, and the result has
-    out_aux and out_slot in their place.  ``x`` is viewed as (d_aux, pre,
-    d_slot, rest), its middle axes are swapped into a kept block, one BLAS
-    product writes the kept product, and the middle axes are swapped back
-    into a fresh result: O(rows * columns * out_aux * out_slot) work."""
+    out_aux and out_slot in their place; leading stack axes of either
+    broadcast.  ``x`` is viewed as (d_aux, pre, d_slot, rest), its middle
+    axes are swapped into a kept block, one BLAS product per entry writes
+    the kept product, and the middle axes are swapped back into a fresh
+    result, or the kept work array of ``role`` if given: O(rows * columns *
+    out_aux * out_slot) work per entry."""
     if not 1 <= slot < len(dims):
         raise ValueError(f"slot {slot} invalid for {len(dims)} factors")
     d_aux, d_slot = dims[0], dims[slot]
     op = np.asarray(op, dtype=COMPLEX)
-    if op.ndim != 4 or op.shape[2:] != (d_aux, d_slot):
+    if op.ndim < 4 or op.shape[-2:] != (d_aux, d_slot):
         raise ValueError(f"operator of shape {op.shape} does not act on {d_aux} x {d_slot}")
     x = np.asarray(x, dtype=COMPLEX)
     rows = math.prod(dims)
-    if x.ndim != 2 or x.shape[0] != rows:
+    if x.ndim < 2 or x.shape[-2] != rows:
         raise ValueError(f"block of shape {x.shape} does not have {rows} rows")
+    op_lead, x_lead, columns = op.shape[:-4], x.shape[:-2], x.shape[-1]
+    lead = np.broadcast_shapes(op_lead, x_lead)
     pre, post = math.prod(dims[1:slot]), math.prod(dims[slot + 1:])
-    rest = post * x.shape[1]
+    rest = post * columns
     work = work_arrays()  # the moved block and its product, faulted in once per thread
-    block = work.take("apply_local block", (d_aux, d_slot, pre, rest))
-    block[...] = x.reshape(d_aux, pre, d_slot, rest).swapaxes(1, 2)
-    out_aux, out_slot = op.shape[:2]
-    prod = work.take("apply_local product", (out_aux, out_slot, pre, rest))
-    np.matmul(op.reshape(out_aux * out_slot, d_aux * d_slot), block.reshape(d_aux * d_slot, pre * rest),
-              out=prod.reshape(out_aux * out_slot, pre * rest))
-    out = prod.swapaxes(1, 2).copy()  # fresh: prod is kept
-    return out.reshape(out_aux * pre * out_slot * post, x.shape[1])
+    block = work.take("apply_local block", x_lead + (d_aux, d_slot, pre, rest))
+    block[...] = x.reshape(x_lead + (d_aux, pre, d_slot, rest)).swapaxes(-3, -2)
+    out_aux, out_slot = op.shape[-4:-2]
+    prod = work.take("apply_local product", lead + (out_aux, out_slot, pre, rest))
+    np.matmul(op.reshape(op_lead + (out_aux * out_slot, d_aux * d_slot)),
+              block.reshape(x_lead + (d_aux * d_slot, pre * rest)),
+              out=prod.reshape(lead + (out_aux * out_slot, pre * rest)))
+    moved = prod.swapaxes(-3, -2)  # copied out: prod is kept
+    out = np.empty(moved.shape, dtype=COMPLEX) if role is None else work.take(role, moved.shape)
+    np.copyto(out, moved)
+    return out.reshape(lead + (out_aux * pre * out_slot * post, columns))
 
 
 def embed_pair(op, aux_dim: int, site_dims, slot: int) -> np.ndarray:

@@ -152,18 +152,29 @@ def test_calibrate_ordering_rank3_class():
 
 @pytest.mark.parametrize("rank,candidates,classes", [(2, 6, 4), (3, 8, 6), (4, 8, 6)])
 def test_calibrate_ordering_evaluates_each_class_once(monkeypatch, rank, candidates, classes):
-    # one stack per class, carrying every pair
-    calls = []
-    original = checks.rll_residual
+    # one stack carrying every class's pairs, each class's L built by its own
+    # spec on the sampled points themselves, not on translates of them
+    calls, built = [], []
+    original, build = checks._exchange_residual, lax.l_matrix_at
 
-    def counted(spec, fock, lam1, lam2):
-        calls.append((spec.effective_shift(), np.shape(lam1), np.shape(lam2)))
-        return original(spec, fock, lam1, lam2)
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[5]))
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(checks, "rll_residual", counted)
+    def recorded(rank, fock, lam, shift, offset, out=None):
+        built.extend(zip(np.ravel(np.add(shift, offset)).tolist(), np.ravel(lam).tolist()))
+        return build(rank, fock, lam, shift, offset, out)
+
+    monkeypatch.setattr(checks, "_exchange_residual", counted)
+    monkeypatch.setattr(lax, "l_matrix_at", recorded)
     _, rep = calibrate_ordering(rank, FockSpace(rank - 1, 2), seed=3, pairs=2)
-    assert len(calls) == classes and len({shift for shift, _, _ in calls}) == classes
-    assert [shapes for _, *shapes in calls] == [[(2,), (2,)]] * classes
+    assert calls == [(classes * 2,)]
+    points = sample_points(rng_for(3, "calibrate_ordering"), 4)
+    by_class = {}
+    for shift, lam in built:
+        by_class.setdefault(shift, []).append(lam)
+    assert len(by_class) == classes
+    assert all(sorted(lams, key=str) == sorted(points, key=str) for lams in by_class.values())
     params = dict(rep.parameters)
     residuals = {k: v for k, v in params.items() if k.startswith("residual ")}
     assert len(residuals) == candidates  # every candidate is still reported
@@ -174,6 +185,26 @@ def test_calibrate_ordering_evaluates_each_class_once(monkeypatch, rank, candida
         by_shift.setdefault(spec.effective_shift(), set()).add(value)
     assert len(by_shift) == classes
     assert all(len(values) == 1 for values in by_shift.values())
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+@pytest.mark.parametrize("depth", [1, 3, None])
+def test_calibrate_ordering_residuals_are_each_class_rll_residual(monkeypatch, rank, depth):
+    # bit for bit the per-class rll_residual, also with runs that end inside
+    # a class (depth 3 of 2 pairs per class) or hold one point each
+    fock, seed = FockSpace(rank - 1, 2), 4
+    expected = {}
+    points = sample_points(rng_for(seed, "calibrate_ordering"), 4)
+    for ordering in ("normal", "antinormal"):
+        for shift in dict.fromkeys((0.0, 1.0, float(rank - 1), float(rank))):
+            spec = LaxSpec(rank, ordering=ordering, shift=shift)
+            residuals = rll_residual(spec, fock, points[0::2], points[1::2]).tolist()
+            expected[f"residual {ordering}/{shift:g}"] = worst_of(*residuals)
+    if depth is not None:
+        monkeypatch.setattr(checks, "stack_depth", lambda shape: depth)
+    _, rep = calibrate_ordering(rank, fock, seed, pairs=2)
+    got = {k: v for k, v in rep.parameters if k.startswith("residual ")}
+    assert got == expected
 
 
 def test_calibrate_ordering_unreachable_tolerance():
@@ -283,7 +314,7 @@ def test_transfer_commute_passes():
     chain = ChainSpec(rank=2, sites=2, fock_cutoff=3, theta=0.15)
     pts = _points("tc", 4)
     for l1, l2 in zip(pts[0::2], pts[1::2]):
-        rep = check_transfer_commute(chain, l1, l2)
+        (rep,) = check_transfer_commute(chain, [(l1, l2)])
         assert rep.passed, rep.residual
 
 
@@ -298,7 +329,7 @@ def test_chain_builds_its_fock_space_once(monkeypatch):
     lax.monodromy(chain, 0.3, np.kron(np.eye(3)[:, [0]], vac[:, None]))
     transfer(chain, 0.3, vac[:, None])
     assert check_highest_weight(chain).passed
-    assert check_transfer_commute(chain, 0.6 + 0.3j, -0.9 + 0.1j).passed
+    assert check_transfer_commute(chain, [(0.6 + 0.3j, -0.9 + 0.1j)])[0].passed
     assert built == []
 
 
@@ -319,7 +350,7 @@ def test_transfer_commute_restriction_not_vacuous(monkeypatch):
     assert restricted < 1e-12
     # given every column, the check measures that shell and fails
     monkeypatch.setattr(checks, "faithful_columns", lambda chain, margin: np.arange(len(eye)))
-    report = check_transfer_commute(chain, l1, l2)
+    (report,) = check_transfer_commute(chain, [(l1, l2)])
     assert not report.passed
     assert abs(report.residual - full) <= 1e-12 * full
 
@@ -658,16 +689,28 @@ def test_transfer_matrix_against_dense_trace(dense_monodromy, rank, variant):
 
 
 @pytest.mark.parametrize("chain", _CHAINS)
-def test_transfer_commute_against_dense(dense_monodromy, chain):
-    l1, l2 = 0.6 + 0.3j, -0.9 + 0.1j
-    t1, t2 = (_dense_transfer(dense_monodromy, chain, z) for z in (l1, l2))
+def test_transfer_commute_against_dense(dense_monodromy, monkeypatch, chain):
+    # two pairs in one call, each against its own dense-trace reference
+    pairs = [(0.6 + 0.3j, -0.9 + 0.1j), (-0.2 - 0.7j, 1.1 + 0.4j)]
+    dense = [[_dense_transfer(dense_monodromy, chain, z) for z in pair] for pair in pairs]
     cols = faithful_columns(chain, 2)
-    x = np.eye(t1.shape[0])[:, cols]
-    # each product on the faithful columns, against the dense one, relative
-    # to its size: a round-off residual alone would say nothing of them
-    for got, dense in (
-        (transfer(chain, l1, transfer(chain, l2, x)), (t1 @ t2)[:, cols]),
-        (transfer(chain, l2, transfer(chain, l1, x)), (t2 @ t1)[:, cols]),
-    ):
-        assert np.max(np.abs(got - dense)) <= 1e-14 * np.max(np.abs(dense))
-    assert check_transfer_commute(chain, l1, l2).passed
+    x = np.eye(len(dense[0][0]))[:, cols]
+    lam1, lam2 = np.array(pairs).T
+    # each product on the faithful columns, as a stack of both pairs, against
+    # the dense one, relative to its size: a round-off residual alone would
+    # say nothing of them
+    t12 = transfer(chain, lam1, transfer(chain, lam2, x))
+    t21 = transfer(chain, lam2, transfer(chain, lam1, x))
+    for i, (t1, t2) in enumerate(dense):
+        for got, ref in ((t12[i], (t1 @ t2)[:, cols]), (t21[i], (t2 @ t1)[:, cols])):
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    reports = check_transfer_commute(chain, pairs)
+    assert [(dict(r.parameters)["lambda1"], dict(r.parameters)["lambda2"]) for r in reports] == pairs
+    assert all(r.passed for r in reports), [r.residual for r in reports]
+    # on every column the commutator picks up the cutoff shell, a different
+    # size for each pair (except where the chain has none): each report
+    # measures its own pair's
+    monkeypatch.setattr(checks, "faithful_columns", lambda chain, margin: np.arange(len(x)))
+    for report, (t1, t2) in zip(check_transfer_commute(chain, pairs), dense):
+        full = np.max(np.abs(t1 @ t2 - t2 @ t1)) / max(1.0, np.max(np.abs(t1)) * np.max(np.abs(t2)))
+        assert abs(report.residual - full) <= 1e-12 * full + 1e-15, (report.residual, full)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from defectlab import bethe, checks, thermo
+from defectlab import bethe, checks, lax, tensor, thermo
 from defectlab.bethe import BetheState, ground_state_seed
 from defectlab.cli import (
     DEFAULT_TOLERANCES,
@@ -141,6 +141,23 @@ def test_check_all_at_mixed_ranks_in_one_process_prints_what_a_fresh_process_pri
     for rank in (4, 2, 3, 4, 2):
         assert main(runs[rank]) == 0
         assert capsys.readouterr().out.encode() == fresh[rank], rank
+
+
+@pytest.mark.parametrize("rank, cutoff, stacked", [("2", "5", [4, 4]), ("4", "2", [2, 2, 2, 2])])
+def test_check_all_with_one_point_per_run_prints_the_same_bytes(tmp_path, monkeypatch, rank, cutoff, stacked):
+    # with a one-byte stack size every run holds one entry of its stack (a
+    # point, or a pair) and every transfer pass one point; the runs change no
+    # report.  The points per transfer call: one stack of both pairs at rank
+    # 2, one pair per run at rank 4, and the eight points one at a time
+    argv = ["check", "all", "--rank", rank, "--fock-cutoff", cutoff, "--seed", "7"]
+    points, transfer = [], lax.transfer
+    monkeypatch.setattr(lax, "transfer", lambda chain, lam, x: points.append(np.size(lam)) or transfer(chain, lam, x))
+    default = run(tmp_path, *argv)
+    assert default[0] == 0 and points == stacked
+    points.clear()
+    monkeypatch.setattr(tensor, "STACK_BYTES", 1)
+    assert run(tmp_path, *argv) == default
+    assert points.count(1) == 8 and sum(points) == 16  # each pair's two points, twice, then one by one
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import defectlab.lax as lax
 from defectlab.lax import (
     ChainSpec,
     LaxSpec,
@@ -460,6 +461,43 @@ def test_monodromy_byte_budget():
     x = np.broadcast_to(np.zeros((1, 1)), (21504, 21504))
     with pytest.raises(ValueError, match="monodromy block needs a 86016 x 21504 .*budget"):
         transfer(chain, 0.1, x)
+    # at a stack of lambda, one point's block is held to it, with the same message
+    with pytest.raises(ValueError, match="monodromy block needs a 86016 x 21504 .*budget"):
+        transfer(chain, np.array([0.1, 0.2]), x)
     # a block of columns of the same chain stays affordable
     vac = np.kron(np.eye(4)[:, 0], chain_vacuum(chain))
     assert monodromy(chain, 0.1, vac[:, None]).shape == (vac.size, 1)
+
+
+@pytest.mark.parametrize("variant", ["L", "Lhat"])
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_transfer_and_monodromy_on_a_lambda_stack_equal_per_lambda_calls(monkeypatch, rank, variant):
+    # bit for bit: a stack of lambda on one shared block, and on a stack of
+    # blocks with matching leading axes, against one call per lambda, also
+    # when the stack runs two points at a time
+    lams = np.array([0.6 + 0.3j, -0.9 + 0.1j, 0.2 - 1.3j])
+    rng = np.random.default_rng(rank)
+    cutoff = 2 if rank < 4 else 1
+    for sites in (0, 1, 2, 3):
+        for defect_site in range(1, sites + 2):
+            chain = ChainSpec(
+                rank=rank, sites=sites, fock_cutoff=cutoff, defect_site=defect_site,
+                theta=0.3 - 0.2j, lax=LaxSpec(rank, variant=variant),
+            )
+            q = int(np.prod(chain.dims[1:]))
+            shared = rng.normal(size=(q, 2)) + 1j * rng.normal(size=(q, 2))
+            own = rng.normal(size=(3, q, 2)) + 1j * rng.normal(size=(3, q, 2))
+            on_shared, on_own = transfer(chain, lams, shared), transfer(chain, lams, own)
+            assert on_shared.shape == on_own.shape == (3, q, 2)
+            for i, lam in enumerate(lams):
+                assert np.array_equal(on_shared[i], transfer(chain, lam, shared)), (sites, defect_site)
+                assert np.array_equal(on_own[i], transfer(chain, lam, own[i])), (sites, defect_site)
+            with monkeypatch.context() as m:
+                m.setattr(lax, "stack_depth", lambda shape: 2)
+                assert np.array_equal(transfer(chain, lams, shared), on_shared)
+                assert np.array_equal(transfer(chain, lams, own), on_own)
+            columns = np.kron(np.eye(rank)[:, [0]], shared)
+            stacked = monodromy(chain, lams, columns)
+            for i, lam in enumerate(lams):
+                assert np.array_equal(stacked[i], monodromy(chain, lam, columns)), (sites, defect_site)
+

@@ -168,6 +168,46 @@ def test_apply_local_rejects_bad_arguments():
         apply_local(op, np.ones(12), (2, 3, 2), 1)  # a vector, not a block
 
 
+# (dims, slot, out legs or None for square): every slot of three layouts,
+# and the rectangular cuts that transfer makes
+STACK_CASES = [
+    ((2, 3, 2), 1, None), ((2, 3, 2), 2, None), ((3, 2, 2, 2), 1, None), ((3, 2, 2, 2), 2, None),
+    ((3, 2, 2, 2), 3, None), ((2, 3), 1, None), ((2, 3, 2), 1, (2, 1)), ((1, 3, 2), 2, (3, 2)),
+    ((2, 3, 2), 2, (1, 2)),
+]
+# leading axes of the operator and of the block, which broadcast
+STACKS = {"operator": ((2, 3), ()), "block": ((), (2, 3)), "both": ((2, 3), (2, 3)), "broadcast": ((2, 1), (3,))}
+
+
+@pytest.mark.parametrize("dims,slot,out", STACK_CASES)
+@pytest.mark.parametrize("stacked", list(STACKS))
+def test_apply_local_on_stacks_is_a_loop_of_unstacked_calls(dims, slot, out, stacked):
+    rng = np.random.default_rng(sum(dims) * 10 + slot)
+    op_lead, x_lead = STACKS[stacked]
+    legs = (dims[0], dims[slot]) if out is None else out
+    op_shape, x_shape = op_lead + legs + (dims[0], dims[slot]), x_lead + (math.prod(dims), 4)
+    op = rng.normal(size=op_shape) + 1j * rng.normal(size=op_shape)
+    x = rng.normal(size=x_shape) + 1j * rng.normal(size=x_shape)
+    got = apply_local(op, x, dims, slot)
+    lead = np.broadcast_shapes(op_lead, x_lead)
+    assert got.shape == lead + (math.prod(dims) // (dims[0] * dims[slot]) * legs[0] * legs[1], 4)
+    ops, xs = np.broadcast_to(op, lead + op.shape[len(op_lead):]), np.broadcast_to(x, lead + x.shape[len(x_lead):])
+    for i in np.ndindex(lead):
+        assert np.array_equal(got[i], apply_local(ops[i], xs[i], dims, slot)), i
+
+
+def test_apply_local_on_stacks_keeps_its_refusals():
+    x, op = np.ones((5, 12, 2)), np.ones((5, 2, 3, 2, 3))
+    with pytest.raises(ValueError, match="slot 3 invalid"):
+        apply_local(op, x, (2, 3, 2), 3)
+    with pytest.raises(ValueError, match="does not act on 2 x 2"):
+        apply_local(op, x, (2, 3, 2), 2)
+    with pytest.raises(ValueError, match="does not have 12 rows"):
+        apply_local(op, np.ones((5, 10, 2)), (2, 3, 2), 1)
+    with pytest.raises(ValueError):  # leading axes that do not broadcast
+        apply_local(op, np.ones((4, 12, 2)), (2, 3, 2), 1)
+
+
 def test_byte_budget_is_checked_before_allocation():
     limit = MATRIX_BYTE_BUDGET // np.dtype(complex).itemsize
     require_budget((limit,), "at the budget")
