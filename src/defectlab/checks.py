@@ -454,15 +454,13 @@ def check_highest_weight(
     for j in range(1, fock.species + 1):
         worst = worst_of(worst, cheb(fock.annihilator(j) @ fock.vacuum()))
     worst = worst_of(worst, float(fock.occupation[0]))
-    scale_pow = chain.sites + 1
     # column l is e_l (x) Omega, which T maps to sum_k e_k (x) T_kl Omega
     columns = np.kron(np.eye(n, dtype=COMPLEX), omega[:, None])
-    for z in lams:
-        applied = lax.monodromy(chain, z, columns).reshape(n, omega.size, n)
-        expects = omega.conj() @ applied
+    at = lambda z: omega.conj() @ lax.monodromy(chain, z, columns).reshape(len(z), n, omega.size, n)
+    for z, expect in zip(lams, _in_stacks(at, (n * omega.size, n), lams)):
         targets = np.diag([_local_vacuum_weight(chain, k, z) for k in range(1, n + 1)])
-        scale = max(1.0, (abs(z) + 2.0) ** scale_pow)
-        worst = worst_of(worst, cheb(expects - targets) / scale)
+        scale = max(1.0, (abs(z) + 2.0) ** (chain.sites + 1))
+        worst = worst_of(worst, cheb(expect - targets) / scale)
     return CheckReport.from_residual(
         "highest-weight",
         [

@@ -1,3 +1,4 @@
+import json
 import warnings
 from dataclasses import replace
 
@@ -134,6 +135,20 @@ def test_json_round_trip():
     assert back.defect_sign == st.defect_sign and back.defect_level == st.defect_level == 2
     for a, b in zip(back.roots, st.roots):
         assert np.array_equal(a, b)
+
+
+def test_to_dict_keeps_signed_zeros_subnormals_and_extremes_bit_for_bit():
+    # to_dict reads each level's roots as one float view: its JSON bytes must
+    # equal those of the per-root float() form, a signed zero and the
+    # smallest subnormal included
+    values = (-0.0, 0.0, 5e-324, -5e-324, 1.7e308, -1.7e308)
+    roots = ([complex(a, b) for a in values for b in values], [], [complex(-0.0, -0.0)])
+    st = BetheState(rank=4, sites=2, roots=roots)
+    per_root = [[[float(z.real), float(z.imag)] for z in lv] for lv in st.roots]
+    assert st.to_json() == json.dumps(dict(st.to_dict(), roots=per_root), sort_keys=True, indent=2) + "\n"
+    back = BetheState.from_json(st.to_json())
+    for a, b in zip(back.roots, st.roots):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_from_dict_rejects_unknown_schema():
@@ -294,6 +309,17 @@ def test_guard_refuses_an_exact_pole_before_forming_a_value(state, what):
             bae_residual(state)
         with pytest.raises(RootCollisionError, match=what):
             solve_bae(state)
+
+
+@pytest.mark.parametrize("roots", [[0.2, 0.2 + 1j * (1 + 5e-10)], [0.2 + 1j * (1 + 5e-10), 0.2]],
+                         ids=["upper-second", "upper-first"])
+def test_self_term_guard_refuses_roots_near_i_apart_in_either_order(roots):
+    # 5e-10 from a zero of one root's self-term and from a pole of the
+    # other's, inside the guard but on no exact pole: the self-term's one
+    # test, on its zero, refuses the pair whichever root comes first
+    st = BetheState(rank=2, sites=2, roots=(np.array(roots),))
+    with pytest.raises(RootCollisionError, match="level-1 root within 1e-09 of the zero of a scattering factor"):
+        bae_residual(st)
 
 
 def _fresh_jacobian(state):
