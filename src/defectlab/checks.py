@@ -34,7 +34,6 @@ import numpy as np
 from . import lax
 from .lax import (
     ANTINORMAL,
-    NORMAL,
     VARIANT_L,
     ChainSpec,
     LaxSpec,
@@ -180,20 +179,20 @@ def check_ybe(rank: int, pairs, tol: float = 1e-12, matrix: str = "R") -> tuple:
 # exchange relation with the defect
 
 
-def _exchange_residual(pair, build, n: int, d: int, keep, lam1, lam2, *labels, normalize=False):
+def _exchange_residual(pair, build, n: int, d: int, keep, lam1, lam2, normalize=False):
     """Chebyshev residual of P12 X1 X2 - X2 X1 P12 (see _exchange_sides), with
-    P12 = pair(lambda1 - lambda2) and Xi = build(lambdai, out, *labels), per
-    entry of the stack of (lambda1, lambda2, *labels), normalized by the left
-    side's if asked.  One entry's n^2 k x n^2 k product (k kept V legs)
-    passes the budget before any build; the stack is evaluated in runs that
-    fit (_in_stacks), each in this thread's kept work arrays."""
+    P12 = pair(lambda1 - lambda2) and Xi = build(lambdai, out), per entry of
+    the stack of (lambda1, lambda2), normalized by the left side's if asked.
+    One entry's n^2 k x n^2 k product (k kept V legs) passes the budget
+    before any build; the stack is evaluated in runs that fit (_in_stacks),
+    each in this thread's kept work arrays."""
     m = n * n * len(keep)
     require_budget((m, m), "exchange-relation product")
 
-    def residual(lam1, lam2, *labels):
+    def residual(lam1, lam2):
         work = work_arrays()
-        x1 = build(lam1, work.take("x1", lam1.shape + (n * d, n * d)), *labels)
-        x2 = build(lam2, work.take("x2", lam2.shape + (n * d, n * d)), *labels)
+        x1 = build(lam1, work.take("x1", lam1.shape + (n * d, n * d)))
+        x2 = build(lam2, work.take("x2", lam2.shape + (n * d, n * d)))
         pair_op = pair(lam1 - lam2, work.take("pair", lam1.shape + (n * n, n * n)))
         out = [work.take(("exchange", i), lam1.shape + (m * m,)) for i in range(3)]
         # a product that overflows leaves a non-finite residual, which fails
@@ -202,7 +201,7 @@ def _exchange_residual(pair, build, n: int, d: int, keep, lam1, lam2, *labels, n
             res = cheb(np.subtract(lhs, rhs, out=rhs), axis=(-2, -1))
             return res / cheb(lhs, axis=(-2, -1)) if normalize else res
 
-    return _in_stacks(residual, (max(m, n * d),) * 2, lam1, lam2, *labels)
+    return _in_stacks(residual, (max(m, n * d),) * 2, lam1, lam2)
 
 
 def _exchange_sides(n: int, pair_op, x1, x2, d: int, keep, out):
@@ -276,78 +275,6 @@ def check_rll(spec: LaxSpec, fock: FockSpace, pairs, tol: float = 1e-10) -> tupl
         tol,
         "total occupation <= cutoff-1",
     )
-
-
-def calibrate_ordering(
-    rank: int,
-    fock: FockSpace,
-    seed: int,
-    pairs: int = 4,
-    tol: float = 1e-8,
-) -> tuple[LaxSpec, CheckReport]:
-    """Scan number-operator ordering and constant-shift conventions against
-    the exchange relation.
-
-    The scan cannot produce a unique minimizer: reordering or shifting only
-    translates the spectral parameter, so every candidate satisfies the
-    relation identically and the measured residuals tie at rounding level.
-    The scan therefore certifies the whole family and the returned spec is
-    the representative fixed by the reference-state requirements (number
-    operator annihilating the vacuum, unit constant in the (1,1) entry).
-    Candidates with equal effective shift build the same operator, so the
-    relation is evaluated once per such class, all classes' pairs as one
-    stack with each point's L built from its own class's shift and offset
-    (not as a translate of another's, which would assume what is certified),
-    and every member reports that residual; the winner's class is reported
-    as its equivalence class.  If no candidate passes, the canonical spec is
-    returned with a failed report.
-    """
-    rng = rng_for(seed, "calibrate_ordering")
-    points = np.asarray(sample_points(rng, 2 * pairs), dtype=COMPLEX)
-    shifts = dict.fromkeys((0.0, 1.0, float(rank - 1), float(rank)))
-    candidates = [
-        LaxSpec(rank, VARIANT_L, ordering, shift)
-        for ordering in (NORMAL, ANTINORMAL)
-        for shift in shifts
-    ]
-    classes = {c.effective_shift(): c for c in reversed(candidates)}  # each shift's first candidate
-    lam1, lam2 = np.tile(points.reshape(-1, 2), (len(classes), 1)).T
-    shift, offset = np.repeat([[c.shift, c.offset] for c in classes.values()], pairs, axis=0).T
-    residuals = _exchange_residual(
-        lambda z, out: lax.r_matrix(rank, z, out),
-        lambda z, out, shift, offset: lax.l_matrix_at(rank, fock, z, shift[:, None], offset[:, None], out),
-        rank, fock.dim, fock.sub_cutoff_indices(1), lam1, lam2, shift, offset,
-    )
-    by_shift = {key: worst_of(*row) for key, row in zip(classes, residuals.reshape(len(classes), -1).tolist())}
-    results = [(cand, by_shift[cand.effective_shift()]) for cand in candidates]
-    passing = [(c, r) for c, r in results if r <= tol]
-    canonical = LaxSpec(rank, VARIANT_L, NORMAL, 1.0)
-    canonical_res = next(r for c, r in results if c == canonical)
-    if canonical_res <= tol or not passing:
-        winner, winner_res = canonical, canonical_res
-    else:
-        winner, winner_res = min(passing, key=lambda cr: cr[1])
-    members = [
-        f"{c.ordering}/{c.shift:g}"
-        for c, r in passing
-        if c.effective_shift() == winner.effective_shift()
-    ]
-    params = [("rank", rank), ("cutoff", fock.cutoff), ("seed", seed)]
-    params += [(f"residual {c.ordering}/{c.shift:g}", r) for c, r in results]
-    params += [
-        ("winner", f"{winner.ordering}/{winner.shift:g}"),
-        ("equivalence_class", ",".join(members)),
-        (
-            "note",
-            "residual ties across candidates (shift acts as a spectral "
-            "translation); winner fixed by vacuum conditions"
-            if passing else "no candidate passed; the canonical normal/1 spec is returned",
-        ),
-    ]
-    report = CheckReport.from_residual(
-        "calibrate-ordering", params, winner_res, tol, "total occupation <= cutoff-1"
-    )
-    return winner, report
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ EXIT_USAGE = 2
 DEFAULT_TOLERANCES = {
     "ybe": 1e-12,
     "rll": 1e-10,
-    "calibrate-ordering": 1e-8,
     "oscillator": 1e-13,
     "crossing": 1e-13,
     "transmission-algebra": 1e-10,
@@ -242,17 +241,16 @@ def _ybe(cfg, rng):
 
 
 def _rll(cfg, rng):
+    """The exchange relation for the configured L, its Lhat, and L with the
+    other number-operator ordering, on the same pairs."""
     fock, spec, tol = cfg.chain.fock, cfg.chain.lax, cfg.tol("rll")
+    other = lax.ANTINORMAL if spec.ordering == lax.NORMAL else lax.NORMAL
     pairs = _sample_pairs(rng, 2)
-    reports = [
+    return [
         report
-        for variant in (spec, replace(spec, variant=lax.VARIANT_LHAT))
-        for report in checks.check_rll(variant, fock, pairs, tol)
+        for s in (spec, replace(spec, variant=lax.VARIANT_LHAT), replace(spec, ordering=other))
+        for report in checks.check_rll(s, fock, pairs, tol)
     ]
-    _, calib = checks.calibrate_ordering(
-        cfg.rank, fock, cfg.seed, tol=cfg.tol("calibrate-ordering")
-    )
-    return reports + [calib]
 
 
 def _transmission_algebra(cfg, rng):

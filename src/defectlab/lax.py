@@ -172,15 +172,11 @@ def _oscillator_operator(rank: int, fock: FockSpace, head, coef, reverse: bool, 
 
 
 def l_matrix(spec: LaxSpec, fock: FockSpace, lam, out=None) -> np.ndarray:
-    """Defect Lax operator on auxiliary (x) Fock."""
-    return l_matrix_at(spec.rank, fock, lam, spec.shift, spec.offset, out)
-
-
-def l_matrix_at(rank: int, fock: FockSpace, lam, shift, offset, out=None) -> np.ndarray:
-    """L with the spec's shift and offset as numbers, or per point as arrays of shape lambda.shape + (1,)."""
+    """Defect Lax operator on auxiliary (x) Fock, with the (1,1) entry
+    lambda + i c + i N: c the spec's shift, N the occupation plus its offset."""
     lam = np.asarray(lam, dtype=COMPLEX)[..., None]
-    head = lam + 1j * shift + 1j * (fock.occupation + offset)
-    return _oscillator_operator(rank, fock, head, 1j, False, out)
+    head = lam + 1j * spec.shift + 1j * (fock.occupation + spec.offset)
+    return _oscillator_operator(spec.rank, fock, head, 1j, False, out)
 
 
 def l_hat_matrix(spec: LaxSpec, fock: FockSpace, lam, out=None) -> np.ndarray:

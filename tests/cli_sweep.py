@@ -1,6 +1,6 @@
 """Byte-identity sweep of the defectlab CLI.
 
-INVOCATIONS lists 156 CLI invocations: every check suite, ``check
+INVOCATIONS lists 157 CLI invocations: every check suite, ``check
 all`` at ranks 2-4, amplitude scans and density profiles in CSV and JSON,
 Bethe solves from state files, and the refusals.  The runner calls
 ``defectlab.cli.main`` in-process for each one, inside a scratch directory
@@ -87,7 +87,7 @@ def _ground_state(sites):
     ]
 
 
-CALIBRATION_FAILS = ("--tol", "calibrate-ordering=1e-300")
+RLL_FAILS = ("--tol", "rll=1e-300")
 PAIR = [-0.28, 0.28]
 QUARTET = [-0.65, -0.16, 0.16, 0.65]
 NESTED = [[-0.5, 0.0, 0.5], [0.1]]
@@ -117,9 +117,11 @@ INVOCATIONS = [
     _case("check", "ybe", "--seed", "-1"),
     _case("check", "ybe", env={"DEFECTLAB_SEED": "-1"}),
     _case("check", "ybe", "--config", "seed.json", files={"seed.json": '{"seed": -3}'}),
-    # a calibration that no candidate passes
-    _case("check", "rll", "--seed", "1", *CALIBRATION_FAILS),
-    _case("check", "all", "--fock-cutoff", "3", "--seed", "1", *CALIBRATION_FAILS),
+    # an exchange relation that no report passes, and the removed key of the
+    # ordering-calibration scan
+    _case("check", "rll", "--seed", "1", *RLL_FAILS),
+    _case("check", "all", "--fock-cutoff", "3", "--seed", "1", *RLL_FAILS),
+    _case("check", "rll", "--seed", "1", "--tol", "calibrate-ordering=1e-8"),
     # amplitude scans
     *(_case("amplitudes", "--rank", r, "--format", f) for r in ("2", "3", "4") for f in ("csv", "json")),
     _case("amplitudes", "--sign", "+", "--grid", "-3", "3", "13"),

@@ -18,7 +18,6 @@ from defectlab.checks import (
     check_transmission_algebra,
     check_transmission_crossing,
     check_ybe,
-    calibrate_ordering,
     faithful_columns,
     rll_residual,
     rng_for,
@@ -122,98 +121,14 @@ def test_rll_both_variants():
 def test_rll_invariant_under_ordering_and_shift():
     # reordering the number operator or shifting the constant translates the
     # spectral parameter, so the exchange relation holds for every convention
-    fock = FockSpace(1, 4)
-    l1, l2 = 0.43 - 0.2j, -1.1 + 0.6j
-    for ordering in ("normal", "antinormal"):
-        for shift in (0.0, 1.0, 2.0):
-            res = rll_residual(LaxSpec(2, ordering=ordering, shift=shift), fock, l1, l2)
-            assert res < 1e-10, (ordering, shift, res)
-
-
-def test_calibrate_ordering_selects_canonical():
-    fock = FockSpace(1, 4)
-    spec, rep = calibrate_ordering(2, fock, seed=5)
-    assert rep.passed
-    assert (spec.ordering, spec.shift) == ("normal", 1.0)
-    params = dict(rep.parameters)
-    assert params["winner"] == "normal/1"
-    # antinormal/0 has the same effective shift, hence the same matrix
-    members = set(params["equivalence_class"].split(","))
-    assert members == {"normal/1", "antinormal/0"}
-
-
-def test_calibrate_ordering_rank3_class():
-    fock = FockSpace(2, 3)
-    spec, rep = calibrate_ordering(3, fock, seed=5)
-    assert rep.passed and spec.shift == 1.0
-    members = set(dict(rep.parameters)["equivalence_class"].split(","))
-    assert "normal/1" in members
-
-
-@pytest.mark.parametrize("rank,candidates,classes", [(2, 6, 4), (3, 8, 6), (4, 8, 6)])
-def test_calibrate_ordering_evaluates_each_class_once(monkeypatch, rank, candidates, classes):
-    # one stack carrying every class's pairs, each class's L built by its own
-    # spec on the sampled points themselves, not on translates of them
-    calls, built = [], []
-    original, build = checks._exchange_residual, lax.l_matrix_at
-
-    def counted(*args, **kwargs):
-        calls.append(np.shape(args[5]))
-        return original(*args, **kwargs)
-
-    def recorded(rank, fock, lam, shift, offset, out=None):
-        built.extend(zip(np.ravel(np.add(shift, offset)).tolist(), np.ravel(lam).tolist()))
-        return build(rank, fock, lam, shift, offset, out)
-
-    monkeypatch.setattr(checks, "_exchange_residual", counted)
-    monkeypatch.setattr(lax, "l_matrix_at", recorded)
-    _, rep = calibrate_ordering(rank, FockSpace(rank - 1, 2), seed=3, pairs=2)
-    assert calls == [(classes * 2,)]
-    points = sample_points(rng_for(3, "calibrate_ordering"), 4)
-    by_class = {}
-    for shift, lam in built:
-        by_class.setdefault(shift, []).append(lam)
-    assert len(by_class) == classes
-    assert all(sorted(lams, key=str) == sorted(points, key=str) for lams in by_class.values())
-    params = dict(rep.parameters)
-    residuals = {k: v for k, v in params.items() if k.startswith("residual ")}
-    assert len(residuals) == candidates  # every candidate is still reported
-    by_shift = {}
-    for key, value in residuals.items():
-        ordering, shift = key.split()[1].split("/")
-        spec = LaxSpec(rank, ordering=ordering, shift=float(shift))
-        by_shift.setdefault(spec.effective_shift(), set()).add(value)
-    assert len(by_shift) == classes
-    assert all(len(values) == 1 for values in by_shift.values())
-
-
-@pytest.mark.parametrize("rank", [2, 3, 4])
-@pytest.mark.parametrize("depth", [1, 3, None])
-def test_calibrate_ordering_residuals_are_each_class_rll_residual(monkeypatch, rank, depth):
-    # bit for bit the per-class rll_residual, also with runs that end inside
-    # a class (depth 3 of 2 pairs per class) or hold one point each
-    fock, seed = FockSpace(rank - 1, 2), 4
-    expected = {}
-    points = sample_points(rng_for(seed, "calibrate_ordering"), 4)
-    for ordering in ("normal", "antinormal"):
-        for shift in dict.fromkeys((0.0, 1.0, float(rank - 1), float(rank))):
-            spec = LaxSpec(rank, ordering=ordering, shift=shift)
-            residuals = rll_residual(spec, fock, points[0::2], points[1::2]).tolist()
-            expected[f"residual {ordering}/{shift:g}"] = worst_of(*residuals)
-    if depth is not None:
-        monkeypatch.setattr(checks, "stack_depth", lambda shape: depth)
-    _, rep = calibrate_ordering(rank, fock, seed, pairs=2)
-    got = {k: v for k, v in rep.parameters if k.startswith("residual ")}
-    assert got == expected
-
-
-def test_calibrate_ordering_unreachable_tolerance():
-    # no candidate passes: the canonical spec comes back with a failed report
-    spec, rep = calibrate_ordering(2, FockSpace(1, 3), seed=5, tol=0.0)
-    params = dict(rep.parameters)
-    assert spec == LaxSpec(2) and not rep.passed
-    assert rep.residual == params["residual normal/1"] > 0.0
-    assert params["winner"] == "normal/1" and params["equivalence_class"] == ""
+    for rank in (2, 3, 4):
+        fock = FockSpace(rank - 1, 6 - rank)  # cutoffs 4, 3, 2
+        pts = _points(f"rll-conventions{rank}", 4)
+        for ordering in ("normal", "antinormal"):
+            for shift in (0.0, 1.0, rank - 1.0, float(rank)):
+                spec = LaxSpec(rank, ordering=ordering, shift=shift)
+                res = rll_residual(spec, fock, pts[0::2], pts[1::2])
+                assert res.max() < 1e-10, (spec, res)
 
 
 # ---------------------------------------------------------------------------

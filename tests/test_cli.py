@@ -98,7 +98,6 @@ def test_check_all_passes_and_covers_every_check(tmp_path):
     assert names == {
         "ybe",
         "rll",
-        "calibrate-ordering",
         "oscillator-algebra",
         "lax-crossing",
         "transmission-algebra",
@@ -360,8 +359,8 @@ def test_rll_huge_shift_fails_without_warnings(capsys, rank):
     captured = capsys.readouterr()
     assert captured.err == ""
     reports = json.loads(captured.out, parse_constant=pytest.fail)["checks"]
-    assert [r["residual"] for r in reports if r["name"] == "rll"] == [None] * 4
-    assert all(r["passed"] for r in reports if r["name"] == "calibrate-ordering")
+    assert [r["residual"] for r in reports] == [None] * 6
+    assert not any(r["passed"] for r in reports)
 
 
 def test_check_tolerance_override_can_fail(tmp_path):
@@ -370,23 +369,6 @@ def test_check_tolerance_override_can_fail(tmp_path):
     )
     assert code == 1
     assert not json.loads(text)["all_passed"]
-
-
-@pytest.mark.parametrize("suite, cutoff", [("rll", "5"), ("all", "3")])
-def test_failing_calibration_prints_its_report(capsys, suite, cutoff):
-    code = main([
-        "check", suite, "--fock-cutoff", cutoff, "--seed", "1",
-        "--tol", "calibrate-ordering=1e-300",
-    ])
-    out = capsys.readouterr().out
-    assert code == 1
-    payload = json.loads(out)
-    assert payload["all_passed"] is False
-    failed = [c for c in payload["checks"] if not c["passed"]]
-    assert [c["name"] for c in failed] == ["calibrate-ordering"]
-    params = dict(failed[0]["parameters"])
-    assert params["winner"] == "normal/1"
-    assert params["note"] == "no candidate passed; the canonical normal/1 spec is returned"
 
 
 @pytest.mark.parametrize("source", ["flag", "config", "environment"])
@@ -466,6 +448,25 @@ def test_unknown_config_key_or_tolerance_is_refused(tmp_path, capsys, argv, conf
         argv = [*argv, "--config", str(path)]
     assert main(["check", "oscillator", "--fock-cutoff", "2", *argv]) == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("route", ["tol-flag", "config"])
+def test_removed_calibration_tolerance_is_refused(tmp_path, capsys, route):
+    # no check reads this key: each ordering's exchange relation is an rll
+    # report under the rll key
+    if route == "tol-flag":
+        argv = ["--tol", "calibrate-ordering=1e-8"]
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"tolerances": {"calibrate-ordering": 1e-8}}))
+        argv = ["--config", str(path)]
+    assert main(["check", "rll", "--seed", "1", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: bad configuration: unknown tolerance 'calibrate-ordering'; known: "
+        f"{', '.join(sorted(DEFAULT_TOLERANCES))}\n"
+    )
 
 
 def test_unknown_suite_is_usage_error(capsys):
@@ -637,7 +638,6 @@ def test_library_tolerance_defaults_match_the_cli_table():
     defaults = {
         checks.check_ybe: "ybe",
         checks.check_rll: "rll",
-        checks.calibrate_ordering: "calibrate-ordering",
         checks.check_oscillator_algebra: "oscillator",
         checks.check_lax_crossing: "crossing",
         checks.check_transmission_algebra: "transmission-algebra",

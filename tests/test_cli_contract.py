@@ -59,7 +59,7 @@ def _check(rng: random.Random) -> list:
     if rng.random() < 0.2:
         argv += ["--shift", _real(rng)]
     if rng.random() < 0.2:
-        argv += _tol(rng, ["ybe", "rll", "calibrate-ordering", "crossing", "transfer-commute", "bae"])
+        argv += _tol(rng, ["ybe", "rll", "crossing", "transfer-commute", "bae"])
     return argv
 
 
