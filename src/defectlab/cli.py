@@ -20,7 +20,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from . import bethe, checks, lax, thermo
+from . import bethe, checks, lax, tensor, thermo
 from .special import DEFAULT_POLE_GUARD, modulus, pole_distance
 
 EXIT_OK = 0
@@ -73,6 +73,8 @@ class RunConfig:
                             ("lambda grid min", lo), ("lambda grid max", hi)):
             if not cmath.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        if not cmath.isfinite(hi - lo):  # the grid's step would be infinite, its points NaN
+            raise ValueError(f"lambda grid span MAX - MIN must be finite, got {hi!r} - {lo!r}")
         if count < 2:
             raise ValueError("lambda grid needs at least 2 points")
         for name, value in self.tolerances.items():
@@ -88,7 +90,12 @@ class RunConfig:
     def tol(self, name: str) -> float:
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
 
-    def grid(self) -> np.ndarray:
+    def grid(self, columns: int) -> np.ndarray:
+        """The lambda grid, refused before it is built if the Fourier pass's
+        COUNT x ``columns`` complex result would exceed the byte budget."""
+        count = self.lambda_grid[2]
+        tensor.require_budget((count, columns), f"a lambda grid of {count} points",
+                              remedy="reduce the grid's COUNT")
         return np.linspace(*self.lambda_grid)
 
     @cached_property
@@ -345,7 +352,7 @@ def _amplitude_rows(rank: int, sign: str, lams, log_t, dlog_t):
 def cmd_amplitudes(cfg: RunConfig, sign: str) -> int:
     signs = ("-", "+") if sign == "both" else (sign,)
     table = thermo.KernelTable(cfg.rank)
-    lams = cfg.grid()
+    lams = cfg.grid(2 * len(signs))  # log T and its derivative per sign
     # an overflow shows as a nonfinite row, named on stderr below
     with np.errstate(over="ignore", invalid="ignore"):
         logs = thermo.amplitude_quadrature(table, signs, lams)
@@ -445,7 +452,7 @@ def cmd_density(cfg: RunConfig, level: int, sign: str, sites: int, hole: float) 
                 table,
                 level,
                 sign,
-                cfg.grid(),
+                cfg.grid(5),  # the bulk, two backflow and two impurity columns
                 hole=hole,
                 theta=cfg.theta.real,
                 sites=sites,

@@ -1,20 +1,27 @@
-"""Byte-identity sweep of the defectlab CLI.
+"""Byte-identity sweep of the defectlab CLI, and the one record of its contract.
 
-INVOCATIONS lists 157 CLI invocations: every check suite, ``check
+INVOCATIONS lists 190 CLI invocations: every check suite, ``check
 all`` at ranks 2-4, amplitude scans and density profiles in CSV and JSON,
-Bethe solves from state files, and the refusals.  The runner calls
-``defectlab.cli.main`` in-process for each one, inside a scratch directory
-that holds the case's input files, and records argv, the exit code, and the
-sha256 of stdout, of stderr and of every file the invocation wrote.  An
-exception that escapes ``main`` is recorded by its type name in place of
-the exit code; a Python warning is appended to stderr by category and
-message, without its source location.  The sweep runs in a child process
-whose BLAS uses one thread: the 400-site solve factors a 400 x 400
-Jacobian, and a threaded BLAS rounds it differently with each thread count.
+Bethe solves from state files, the refusals, and sequences run in one
+interpreter whose later reports must not depend on the earlier ones.  The
+runner calls ``defectlab.cli.main`` in-process for each one, in order,
+inside a scratch directory that holds the case's input files, and records
+argv, the exit code, and the sha256 of stdout, of stderr and of every file
+the invocation wrote.  An exception that escapes ``main`` is recorded by its
+type name in place of the exit code; a Python warning is appended to stderr
+by category and message, without its source location.  The sweep runs in a
+child process whose BLAS uses one thread: the 400-site solve factors a
+400 x 400 Jacobian, and a threaded BLAS rounds it differently with each
+thread count.
 
 ``cli_sweep.json`` holds the recorded digests together with the numpy
 version, the Python version and the platform that produced them, since a
-different numpy or BLAS build may round differently.
+different numpy or BLAS build may round differently.  So argv, env and the
+exit code (CONTRACT) are pinned to the record everywhere, and the output
+digests only where that environment matches; elsewhere they must match a
+second run (:func:`expected`).  To add an invocation, append a ``_case`` to
+INVOCATIONS, after the others so that the recorded ones keep their
+positions, and re-record.
 
 ``--compare REV`` runs the sweep twice, on the ``src/`` of the git revision
 REV and on the working tree's, and prints each invocation whose outputs
@@ -25,6 +32,7 @@ CSV fields by column), and any change of exit code or of stderr.
     python tests/cli_sweep.py                # compare with cli_sweep.json
     python tests/cli_sweep.py --write        # regenerate cli_sweep.json
     python tests/cli_sweep.py --compare REV  # field by field against revision REV
+    python tests/cli_sweep.py --environment  # the recorded and the running environment
 """
 
 from __future__ import annotations
@@ -66,14 +74,15 @@ def _case(*argv, env=None, files=None):
 
 
 def _state(rank, sites, roots, theta=0.0, sign=None, level=1):
-    """A BetheState file; roots holds one list of rapidities per level."""
+    """A BetheState file; roots holds one list of rapidities per level, and a
+    level of None leaves out the optional defect_level key."""
     return json.dumps({
         "schema": 1,
         "rank": rank,
         "sites": sites,
         "theta": theta,
         "defect_sign": sign,
-        "defect_level": level,
+        **({} if level is None else {"defect_level": level}),
         "roots": [[[complex(x).real, complex(x).imag] for x in lv] for lv in roots],
     })
 
@@ -240,6 +249,52 @@ INVOCATIONS = [
     _case(),
     _case("--help"),
     *(_case(command, "--help") for command in ("check", "amplitudes", "bae", "density")),
+    # check all at rank 4 alone, then at ranks 4, 2 and 4 in turn, each written
+    # to a file that must hold what the same invocation prints: the work
+    # arrays that one run keeps change no later report
+    _case("check", "all", "--rank", "4", "--fock-cutoff", "2", "--seed", "7"),
+    *(_case("check", "all", "--rank", r, "--fock-cutoff", c, "--seed", "7", "-o", f"in-process-{i}.json")
+      for i, (r, c) in enumerate((("4", "2"), ("2", "4"), ("4", "2")))),
+    _case("amplitudes", "--rank", "3", "--sign", "both", "--grid", "-6", "6", "101"),
+    _case("density", "--rank", "4", "--level", "2", "--grid", "-6", "6", "201"),
+    _case("check", "oscillator", "--config", "unknown-key.json",
+          files={"unknown-key.json": '{"fock_cutof": 3}'}),
+    # refused before their arrays are built
+    _case("check", "transfer-commute", "--sites", "40", "--seed", "1"),
+    _case("check", "oscillator", "--rank", "1000", "--fock-cutoff", "1"),
+    _case("check", "highest-weight", "--rank", "20", "--fock-cutoff", "3", "--sites", "0"),
+    # transfer products that overflow: the check fails, with nothing on stderr
+    *(_case("check", "transfer-commute", "--rank", r, "--theta", "1e300", "--seed", "1") for r in ("2", "4")),
+    # state and config files under their own names, most without defect_level
+    *(_case("bae", "state.json", *flags, files={"state.json": _state(2, 4, [PAIR], 0.3, "+", level=None)})
+      for flags in (("--theta", "0.5"), ())),
+    _case("amplitudes", "--config", "mistyped.json", files={"mistyped.json": '{"theta": 0.3}'}),
+    _case("bae", "not-a-state.json", files={"not-a-state.json": "[1, 2]"}),
+    _case("bae", "rank3.json", files={"rank3.json": _state(3, 6, NESTED, -0.4, "-", level=2)}),
+    *(_case("check", "oscillator", "--config", name, files={name: text}) for name, text in (
+        ("output-number.json", '{"output": 5}'), ("cutoff-float.json", '{"fock_cutoff": 2.5}'))),
+    _case("bae", "sites-float.json",
+          files={"sites-float.json": _state(2, 4.9, [PAIR], 0.3, "+", level=None)}),
+    _case("bae", "misspelt-key.json", files={"misspelt-key.json": _state(3, 6, NESTED, -0.4, "-", level=2)
+                                             .replace('"defect_level"', '"defect_levle"')}),
+    _case("bae", "plus-on-level-2.json",
+          files={"plus-on-level-2.json": _state(3, 6, NESTED, 0.2, "+", level=2)}),
+    _case("bae", "theta-nan.json", files={"theta-nan.json": _state(2, 4, [PAIR], math.nan, "+", level=None)}),
+    _case("bae", "overflow.json",
+          files={"overflow.json": _state(2, 100000, [[0.1 + 0.3j, 0.28]], 0.3, "+", level=None)}),
+    *(_case("bae", "huge-theta.json",
+            files={"huge-theta.json": _state(2, 50, [_ground_state(50)], 1e300, sign, level=None)})
+      for sign in ("+", "-")),
+    # a 400-site solve, then twice more in the same interpreter, each written
+    # to a file that must hold what the first printed
+    *(_case("bae", "bae-400.json", *output,
+            files={"bae-400.json": _state(2, 400, [_ground_state(400)], 0.3, "+", level=None)})
+      for output in ((), ("-o", "bae-400-in-process-0.json"), ("-o", "bae-400-in-process-1.json"))),
+    _case("amplitudes", "--rank", "2", "--grid", "1e308", "1.7e308", "3", "--format", "json"),
+    _case("amplitudes", "--rank", "50000000", "--sign", "+", "--grid", "-1", "1", "3"),
+    # a grid whose span MAX - MIN overflows, though MIN and MAX are finite
+    _case("amplitudes", "--rank", "3", "--grid", "-1e308", "1e308", "3"),
+    _case("density", "--grid", "-1e308", "1e308", "3"),
 ]
 
 
@@ -350,6 +405,19 @@ def run_sweep() -> list[dict]:
 
 def load() -> dict:
     return json.loads(DIGESTS.read_text())
+
+
+CONTRACT = ("argv", "env", "exit")  # pinned to the record on every environment
+
+
+def expected(recorded: dict, rerun) -> list[dict]:
+    """The records that a run of the sweep must reproduce: the recorded ones
+    where the environment matches the record's, else those of ``rerun()``,
+    a second run, with the CONTRACT fields taken from the record."""
+    if recorded["environment"] == environment():
+        return recorded["invocations"]
+    return [{**again, **{key: r[key] for key in CONTRACT}}
+            for r, again in zip(recorded["invocations"], rerun(), strict=True)]
 
 
 def differences(recorded: list[dict], got: list[dict]) -> list[str]:
@@ -500,6 +568,12 @@ def main() -> int:
         with tempfile.TemporaryDirectory() as tmp:
             old = run_outputs(_revision_src(args[1], Path(tmp)))
         print("\n".join(compare(old, run_outputs())))
+        return 0
+    if args[:1] == ["--environment"]:
+        recorded, running = load()["environment"], environment()
+        pinned = ("every field" if recorded == running
+                  else f"{', '.join(CONTRACT)}, and a second run the output digests")
+        print(f"cli_sweep.json recorded with {recorded}; running {running}; the record pins {pinned}")
         return 0
     got = run_sweep()
     if "--write" in args:

@@ -698,6 +698,40 @@ def test_amplitudes_bad_grid(capsys):
     assert main(["amplitudes", "--grid", "0", "1", "1"]) == 2
 
 
+@pytest.mark.parametrize("command", ["amplitudes", "density"])
+@pytest.mark.parametrize("lo, hi", [("-1e308", "1e308"), ("1e308", "-1e308")])
+def test_grid_whose_span_overflows_is_refused(capsys, command, lo, hi):
+    # MIN and MAX are finite but MAX - MIN is not, so every step of the grid
+    # would be infinite and its points NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--rank", "3", "--grid", lo, hi, "3"])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        f"error: bad configuration: lambda grid span MAX - MIN must be finite, "
+        f"got {float(hi)!r} - {float(lo)!r}\n")
+
+
+@pytest.mark.parametrize("command, columns, gigabytes", [("amplitudes", 4, "6.4e+04"),
+                                                          ("density", 5, "8e+04")])
+def test_grid_count_over_the_budget_is_refused_unallocated(capsys, command, columns, gigabytes):
+    # 10**12 points: the Fourier pass's complex result, one column per sum it
+    # takes, is refused before np.linspace builds the grid
+    tracemalloc.start()
+    try:
+        code = main([command, "--grid", "-1", "1", str(10**12)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        f"error: a lambda grid of 1000000000000 points needs a 1000000000000 x {columns} complex "
+        f"array ({gigabytes} GB), over the 0.268 GB budget; reduce the grid's COUNT\n")
+    assert peak < 10 * 2**20
+
+
 def test_amplitudes_nan_rows_fail(tmp_path, capsys):
     # every row overflows to NaN; the worst residual is NaN, not 0.0, and the
     # report writes each NaN as null, since NaN is no JSON

@@ -1,27 +1,88 @@
-"""The CLI's reports stay byte-identical across refactors (see cli_sweep.py).
+"""The CLI's contract and reports stay the same across refactors (see cli_sweep.py).
 
-Where numpy, Python or the platform differ from the ones that
-recorded the digests, floats may round differently, so the sweep is run
-twice and the two runs must agree instead.  An intended output change
-regenerates the digests with ``python tests/cli_sweep.py --write``.
+The argv, env and exit code of every invocation are compared with
+cli_sweep.json on every environment.  Where numpy, Python or the platform
+differ from the ones that recorded the digests, floats may round
+differently, so the output digests must agree with a second run instead.
+An intended output change regenerates the record with
+``python tests/cli_sweep.py --write``.
 """
+
+import json
+
+import pytest
 
 import cli_sweep
 
 
-def test_cli_sweep_matches_recorded_digests():
-    recorded = cli_sweep.load()
-    got = cli_sweep.run_sweep()
-    if recorded["environment"] == cli_sweep.environment():
-        expected = recorded["invocations"]
-    else:
-        expected = cli_sweep.run_sweep()
+@pytest.fixture(scope="module")
+def outputs():
+    return cli_sweep.run_outputs()
+
+
+def test_cli_sweep_matches_recorded_digests(outputs):
+    got = [cli_sweep.digest(record) for record in outputs]
+    expected = cli_sweep.expected(cli_sweep.load(), cli_sweep.run_sweep)
     assert cli_sweep.differences(expected, got) == []
+
+
+def _strict(token):
+    raise ValueError(f"not strict JSON: {token}")
+
+
+def test_every_json_report_of_the_sweep_is_strict(outputs):
+    loose = []
+    for record in outputs:
+        for where, text in [("stdout", record["stdout"]), *record["written"].items()]:
+            try:
+                json.loads(text)
+            except ValueError:
+                continue  # a CSV report, a help text or nothing
+            try:
+                json.loads(text, parse_constant=_strict)
+            except ValueError as exc:
+                loose.append(f"{' '.join(record['argv'])} {where}: {exc}")
+    assert loose == []
+
+
+def test_a_report_written_to_a_file_holds_what_the_same_invocation_prints(outputs):
+    # the rows that repeat an earlier invocation in the same interpreter with
+    # -o: the check all sequence at ranks 4, 2 and 4, and the 400-site solve
+    def key(case, argv):
+        return tuple(argv), json.dumps(case["env"]), json.dumps(case["files"])
+
+    printed = {key(case, case["argv"]): r["stdout"] for case, r in zip(cli_sweep.INVOCATIONS, outputs)}
+    compared = []
+    for case, record in zip(cli_sweep.INVOCATIONS, outputs):
+        argv = case["argv"]
+        if "-o" not in argv:
+            continue
+        i = argv.index("-o")
+        plain = key(case, argv[:i] + argv[i + 2:])
+        if plain in printed:
+            assert record["written"][argv[i + 1]] == printed[plain], " ".join(argv)
+            compared.append(argv[i + 1])
+    assert len(compared) == 5, compared
 
 
 def _record(argv, stdout, exit=0, stderr="", written=None):
     return {"argv": argv, "env": {}, "exit": exit, "stdout": stdout, "stderr": stderr,
             "written": written or {}}
+
+
+def test_another_environment_still_pins_the_recorded_exit_codes(monkeypatch):
+    recorded = {"environment": {"numpy": "1.0"},
+                "invocations": [_record(["check", "ybe"], "a", exit=1), _record(["bae", "s.json"], "b")]}
+    # a second run that rounds and exits differently: its digests count, its exit codes do not
+    rerun = [_record(["check", "ybe"], "c", exit=0), _record(["bae", "s.json"], "d")]
+    monkeypatch.setattr(cli_sweep, "environment", lambda: {"numpy": "2.0"})
+    assert cli_sweep.expected(recorded, lambda: rerun) == [
+        _record(["check", "ybe"], "c", exit=1), _record(["bae", "s.json"], "d")]
+    assert cli_sweep.differences(cli_sweep.expected(recorded, lambda: rerun), rerun) == [
+        "check ybe : exit"]
+    # the recording environment takes every field from the record, with no second run
+    monkeypatch.setattr(cli_sweep, "environment", lambda: {"numpy": "1.0"})
+    assert cli_sweep.expected(recorded, pytest.fail) == recorded["invocations"]
 
 
 def test_compare_reports_field_changes_exit_codes_and_stderr():
