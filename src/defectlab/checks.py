@@ -15,11 +15,12 @@ the byte budget before it builds any operator, and a stack larger than
 :func:`defectlab.tensor.stack_depth` admits is evaluated in consecutive
 runs that it admits.  A run's operators, buffers and temporaries are this
 thread's kept work arrays (:func:`defectlab.tensor.work_arrays`), and only
-its residuals leave it; the routine writes into the buffers the residual
-took, and neither allocates nor checks the budget itself.  Identities that
-create one oscillator quantum are compared on the sub-cutoff block, where
-truncation is exact; that block and the transfer check's faithful columns
-are masks over the Fock space's occupation array.
+its residuals leave it: a check names each operator's role, and the builder
+takes it after its own budget check; the routine takes its buffers itself
+and checks no budget.  Identities that create one oscillator quantum are
+compared on the sub-cutoff block, where truncation is exact; that block and
+the transfer check's faithful columns are the Fock space's sub-cutoff
+indices.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .lax import (
     ChainSpec,
     LaxSpec,
 )
-from .tensor import COMPLEX, FockSpace, require_budget, stack_depth, work_arrays
+from .tensor import COMPLEX, FockSpace, kept, require_budget, stack_depth, work_arrays
 
 
 @dataclass(frozen=True)
@@ -148,9 +149,9 @@ def ybe_residual(rank: int, lam1, lam2, matrix: str = "R"):
     RLL with the matrix itself as the Lax operator on a fundamental site.
     One residual per entry of the stack of (lambda1, lambda2)."""
     if matrix == "R":
-        build = lambda z, out: lax.r_matrix(rank, z, out)
+        build = lambda z, role: lax.r_matrix(rank, z, role)
     elif matrix == "S":
-        build = lambda z, out: lax.s_matrix(rank, z, out)
+        build = lambda z, role: lax.s_matrix(rank, z, role)
     else:
         raise ValueError(f"matrix must be 'R' or 'S', got {matrix!r}")
     return _exchange_residual(build, build, rank, rank, range(rank), lam1, lam2)
@@ -181,30 +182,26 @@ def check_ybe(rank: int, pairs, tol: float = 1e-12, matrix: str = "R") -> tuple:
 
 def _exchange_residual(pair, build, n: int, d: int, keep, lam1, lam2, normalize=False):
     """Chebyshev residual of P12 X1 X2 - X2 X1 P12 (see _exchange_sides), with
-    P12 = pair(lambda1 - lambda2) and Xi = build(lambdai, out), per entry of
-    the stack of (lambda1, lambda2), normalized by the left side's if asked.
-    One entry's n^2 k x n^2 k product (k kept V legs) passes the budget
-    before any build; the stack is evaluated in runs that fit (_in_stacks),
-    each in this thread's kept work arrays."""
+    P12 = pair(lambda1 - lambda2, role) and Xi = build(lambdai, role), per
+    entry of the stack of (lambda1, lambda2), normalized by the left side's
+    if asked.  One entry's n^2 k x n^2 k product (k kept V legs) passes the
+    budget before any build; the stack is evaluated in runs that fit
+    (_in_stacks), each in this thread's kept work arrays."""
     m = n * n * len(keep)
     require_budget((m, m), "exchange-relation product")
 
     def residual(lam1, lam2):
-        work = work_arrays()
-        x1 = build(lam1, work.take("x1", lam1.shape + (n * d, n * d)))
-        x2 = build(lam2, work.take("x2", lam2.shape + (n * d, n * d)))
-        pair_op = pair(lam1 - lam2, work.take("pair", lam1.shape + (n * n, n * n)))
-        out = [work.take(("exchange", i), lam1.shape + (m * m,)) for i in range(3)]
+        x1, x2, pair_op = build(lam1, "x1"), build(lam2, "x2"), pair(lam1 - lam2, "pair")
         # a product that overflows leaves a non-finite residual, which fails
         with np.errstate(over="ignore", invalid="ignore"):
-            lhs, rhs = _exchange_sides(n, pair_op, x1, x2, d, keep, out)
+            lhs, rhs = _exchange_sides(n, pair_op, x1, x2, d, keep)
             res = cheb(np.subtract(lhs, rhs, out=rhs), axis=(-2, -1))
             return res / cheb(lhs, axis=(-2, -1)) if normalize else res
 
     return _in_stacks(residual, (max(m, n * d),) * 2, lam1, lam2)
 
 
-def _exchange_sides(n: int, pair_op, x1, x2, d: int, keep, out):
+def _exchange_sides(n: int, pair_op, x1, x2, d: int, keep):
     """Both sides of P12 X1 X2 = X2 X1 P12 on aux1 (x) aux2 (x) V, dim V = d,
     on the rows and columns whose V index is in ``keep``.  P12 acts on the
     two auxiliary spaces, X1 and X2 on one auxiliary space each and V.  The
@@ -216,9 +213,10 @@ def _exchange_sides(n: int, pair_op, x1, x2, d: int, keep, out):
     with v, u in ``keep``; P12 multiplies it on the left.  The right side is
     X2_23 X1_13, the roles swapped, with P12 multiplied on the right.  The
     three operators may be stacks of matrices with the same leading axes,
-    which the two sides returned keep.  ``out``, three flat arrays of the
-    leading axes by m^2 entries (m = n^2 k), holds the steps' two buffers
-    and the left side; the caller sizes them, so the budget is its check."""
+    which the two sides returned keep.  The steps' two buffers and the left
+    side are the kept work arrays ("exchange", 0..2), the leading axes by
+    m^2 entries (m = n^2 k), so both sides are views that the next call
+    overwrites; the budget is the caller's check."""
     keep = np.asarray(keep, dtype=np.intp)
     k = len(keep)
     m = n * n * k
@@ -228,7 +226,8 @@ def _exchange_sides(n: int, pair_op, x1, x2, d: int, keep, out):
     def legs(x, *order):  # permute the six trailing legs
         return x.transpose(*range(len(lead)), *(len(lead) + i for i in order))
 
-    c, x, left = out  # the steps share two buffers, and the left side has a third
+    # the steps share two buffers, and the left side has a third
+    c, x, left = (kept(lead + (m * m,), ("exchange", i)) for i in range(3))
 
     def contract(s, t):  # sum_w s[a v b w] t[c w e u] into c, legs (a, v, b, c, e, u)
         rows = s[..., keep, :, :].reshape(lead + (-1, d))
@@ -254,8 +253,8 @@ def rll_residual(spec: LaxSpec, fock: FockSpace, lam1, lam2):
     one per entry of the stack of (lambda1, lambda2)."""
     n = spec.rank
     return _exchange_residual(
-        lambda z, out: lax.r_matrix(n, z, out),
-        lambda z, out: lax.defect_lax(spec, fock, z, out),
+        lambda z, role: lax.r_matrix(n, z, role),
+        lambda z, role: lax.defect_lax(spec, fock, z, role),
         n, fock.dim, fock.sub_cutoff_indices(1), lam1, lam2,
     )
 
@@ -316,12 +315,10 @@ def check_lax_crossing(
     spec: LaxSpec, fock: FockSpace, lams: Sequence[complex], tol: float = 1e-13
 ) -> CheckReport:
     n = spec.rank * fock.dim
-    require_budget((n, n), "oscillator operator")  # the builders' refusal, before any array is taken
 
     def residual(points):
-        work = work_arrays()
-        explicit = lax.l_hat_matrix(spec, fock, points, work.take("x1", points.shape + (n, n)))
-        crossed = lax.crossed_l_matrix(spec, fock, points, work.take("x2", points.shape + (n, n)))
+        explicit = lax.l_hat_matrix(spec, fock, points, "x1")
+        crossed = lax.crossed_l_matrix(spec, fock, points, "x2")
         return cheb(np.subtract(explicit, crossed, out=crossed), axis=(-2, -1))
 
     worst = worst_of(0.0, *_in_stacks(residual, (n, n), lams).tolist())
@@ -423,8 +420,8 @@ def transmission_algebra_residual(
     """
     build = lax.conjugate_transmission_matrix if conjugate else lax.transmission_matrix
     return _exchange_residual(
-        lambda z, out: lax.s_matrix(rank, z, out),
-        lambda z, out: build(rank, fock, z, out),
+        lambda z, role: lax.s_matrix(rank, z, role),
+        lambda z, role: build(rank, fock, z, role),
         rank, fock.dim, fock.sub_cutoff_indices(1), lam1, lam2, normalize=True,
     )
 
@@ -468,12 +465,11 @@ def check_transmission_crossing(
     if grid is None:
         grid = np.linspace(-3.0, 3.0, 20)
     n = rank * fock.dim
-    require_budget((n, n), "oscillator operator")  # the builders' refusal, before any array is taken
 
     def fit(points):  # per point, least squares over the entries above 1e-9 of its largest
         work = work_arrays()
-        v_lhs = lax.conjugate_transmission_matrix(rank, fock, points, work.take("x1", points.shape + (n, n)))
-        v_rhs = lax.crossed_transmission_matrix(rank, fock, points, work.take("x2", points.shape + (n, n)))
+        v_lhs = lax.conjugate_transmission_matrix(rank, fock, points, "x1")
+        v_rhs = lax.crossed_transmission_matrix(rank, fock, points, "x2")
         v_lhs, v_rhs = v_lhs.reshape(len(points), -1), v_rhs.reshape(len(points), -1)
         # weights conj(v_rhs) on the entries above 1e-9 of the point's largest, 0 elsewhere
         mask = np.abs(v_rhs, out=work.take("fit mask", v_rhs.shape, float))
@@ -520,13 +516,13 @@ def faithful_columns(chain: ChainSpec, margin: int = 2) -> np.ndarray:
     fock = chain.fock
     pre = math.prod(chain.dims[1 : chain.defect_site])
     post = math.prod(chain.dims[chain.defect_site + 1 :])
-    keep = fock.occupation <= fock.cutoff - margin
-    if not keep.any():
+    sub = fock.sub_cutoff_indices(margin)
+    if not len(sub):
         raise ValueError(
             f"cutoff {fock.cutoff} leaves no occupation-{margin} margin; raise the cutoff"
         )
-    # the mask over (slots before the defect) x Fock x (slots after it)
-    return np.flatnonzero(np.broadcast_to(keep[:, None], (pre, fock.dim, post)))
+    # the sub-cutoff Fock states, indexed in (slots before the defect) x Fock x (slots after it)
+    return ((np.arange(pre)[:, None] * fock.dim + sub)[:, :, None] * post + np.arange(post)).ravel()
 
 
 def check_transfer_commute(chain: ChainSpec, pairs, tol: float = 1e-10) -> tuple:

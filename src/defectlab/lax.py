@@ -22,8 +22,9 @@ The builders of R, S, L, its conjugate, the transmission matrices and their
 crossing transforms take lambda as a number (one N x N matrix) or an array
 (a stack of shape lambda.shape + (N, N)), by the same code: a
 lambda-independent skeleton is copied per entry and its diagonal head block
-written, into ``out`` if the caller passes an array of that shape (the
-stacked checks pass their kept work arrays).  A Fock space keeps each
+written, into a fresh array, or into the kept work array of ``role`` if the
+caller names one (:func:`defectlab.tensor.kept`; the stacked checks do),
+taken only after the builder's own budget check.  A Fock space keeps each
 oscillator skeleton, one N x N matrix per pattern (at most four), for its
 life.  Gamma prefactors are per entry.
 
@@ -47,7 +48,7 @@ import numpy as np
 
 from .kernels import defect_side
 from .special import gamma_ratio, guard_nonzero, log_gamma_psi
-from .tensor import COMPLEX, FockSpace, apply_local, permutation_op, require_budget, stack_depth, work_arrays
+from .tensor import COMPLEX, FockSpace, apply_local, kept, permutation_op, require_budget, stack_depth
 
 VARIANT_L = "L"
 VARIANT_LHAT = "Lhat"
@@ -120,28 +121,27 @@ class ChainSpec:
         object.__setattr__(self, "dims", dims)
 
 
-def _stacked(skeleton: np.ndarray, rows, diagonal, what: str, out=None) -> np.ndarray:
+def _stacked(skeleton: np.ndarray, rows, diagonal, what: str, role=None) -> np.ndarray:
     """One copy of ``skeleton`` per leading index of ``diagonal``, each with
     that entry's last axis added to its diagonal entries ``rows``: an array
-    of shape diagonal.shape[:-1] + skeleton.shape, into ``out`` if given."""
+    of shape diagonal.shape[:-1] + skeleton.shape, kept by ``role`` if given."""
     lead = diagonal.shape[:-1]
     require_budget(lead + skeleton.shape, what)
-    if out is None:
-        out = np.empty(lead + skeleton.shape, dtype=COMPLEX)
+    out = kept(lead + skeleton.shape, role)
     out[...] = skeleton
     out[..., rows, rows] += diagonal
     return out
 
 
-def r_matrix(rank: int, lam, out=None) -> np.ndarray:
+def r_matrix(rank: int, lam, role=None) -> np.ndarray:
     """R(lambda) = lambda + i P on the rank^2-dimensional double space."""
     if rank < 2:
         raise ValueError("rank must be >= 2")
     lam = np.asarray(lam, dtype=COMPLEX)[..., None]
-    return _stacked(1j * permutation_op(rank), np.arange(rank * rank), lam, "R-matrix", out)
+    return _stacked(1j * permutation_op(rank), np.arange(rank * rank), lam, "R-matrix", role)
 
 
-def _oscillator_operator(rank: int, fock: FockSpace, head, coef, reverse: bool, out=None) -> np.ndarray:
+def _oscillator_operator(rank: int, fock: FockSpace, head, coef, reverse: bool, role=None) -> np.ndarray:
     """The pattern shared by the Lax and transmission operators on auxiliary
     (x) Fock: the diagonal ``head`` in auxiliary block (h, h),
     ``coef`` times the identity in the other diagonal blocks (j, j), and
@@ -168,18 +168,18 @@ def _oscillator_operator(rank: int, fock: FockSpace, head, coef, reverse: bool, 
         return out.reshape(n * d, n * d)
 
     skeleton = fock._once(("oscillator", coef, reverse), build)
-    return _stacked(skeleton, h * d + np.arange(d), head, "oscillator operator", out)
+    return _stacked(skeleton, h * d + np.arange(d), head, "oscillator operator", role)
 
 
-def l_matrix(spec: LaxSpec, fock: FockSpace, lam, out=None) -> np.ndarray:
+def l_matrix(spec: LaxSpec, fock: FockSpace, lam, role=None) -> np.ndarray:
     """Defect Lax operator on auxiliary (x) Fock, with the (1,1) entry
     lambda + i c + i N: c the spec's shift, N the occupation plus its offset."""
     lam = np.asarray(lam, dtype=COMPLEX)[..., None]
     head = lam + 1j * spec.shift + 1j * (fock.occupation + spec.offset)
-    return _oscillator_operator(spec.rank, fock, head, 1j, False, out)
+    return _oscillator_operator(spec.rank, fock, head, 1j, False, role)
 
 
-def l_hat_matrix(spec: LaxSpec, fock: FockSpace, lam, out=None) -> np.ndarray:
+def l_hat_matrix(spec: LaxSpec, fock: FockSpace, lam, role=None) -> np.ndarray:
     """Conjugate defect Lax operator, written out explicitly.
 
     Index j maps to its reversal jbar = rank+1-j; the spectral entry sits at
@@ -190,39 +190,32 @@ def l_hat_matrix(spec: LaxSpec, fock: FockSpace, lam, out=None) -> np.ndarray:
     n = spec.rank
     lam = np.asarray(lam, dtype=COMPLEX)[..., None]
     head = (-lam - 1j * n / 2) + 1j * spec.shift + 1j * (fock.occupation + spec.offset)
-    return _oscillator_operator(n, fock, head, 1j, True, out)
+    return _oscillator_operator(n, fock, head, 1j, True, role)
 
 
-def _cross(raw: np.ndarray, rank: int, out=None) -> np.ndarray:
+def _cross(raw: np.ndarray, rank: int, role=None) -> np.ndarray:
     """V_1 raw^{t_1} V_1, V the reversal k -> rank+1-k of the auxiliary
     index: entry ((a,i),(b,j)) is raw[(rank-1-b, i), (rank-1-a, j)], 0-based,
-    for each matrix of a stack, into ``out`` if given."""
+    for each matrix of a stack, kept by ``role`` if given."""
     d = raw.shape[-1] // rank
     t = raw.reshape(raw.shape[:-2] + (rank, d, rank, d))[..., ::-1, :, ::-1, :].swapaxes(-4, -2)
-    out = np.empty(raw.shape, dtype=COMPLEX) if out is None else out
+    out = kept(raw.shape, role)
     np.copyto(out.reshape(t.shape), t)
     return out
 
 
-def _uncrossed(lam: np.ndarray, size: int) -> np.ndarray:
-    """A kept work array for the stack that a crossing transform reads,
-    checked against the budget before it is taken."""
-    require_budget(lam.shape + (size, size), "oscillator operator")
-    return work_arrays().take("uncrossed", lam.shape + (size, size))
-
-
-def crossed_l_matrix(spec: LaxSpec, fock: FockSpace, lam, out=None) -> np.ndarray:
+def crossed_l_matrix(spec: LaxSpec, fock: FockSpace, lam, role=None) -> np.ndarray:
     """V_1 L^{t_1}(-lambda - i rank/2) V_1, the crossing transform of L."""
     n = spec.rank
     lam = -np.asarray(lam, dtype=COMPLEX) - 1j * n / 2
-    return _cross(l_matrix(spec, fock, lam, _uncrossed(lam, n * fock.dim)), n, out)
+    return _cross(l_matrix(spec, fock, lam, "uncrossed"), n, role)
 
 
-def defect_lax(spec: LaxSpec, fock: FockSpace, lam, out=None) -> np.ndarray:
+def defect_lax(spec: LaxSpec, fock: FockSpace, lam, role=None) -> np.ndarray:
     """Dispatch on the variant: L itself or the conjugate operator."""
     if spec.variant == VARIANT_L:
-        return l_matrix(spec, fock, lam, out)
-    return l_hat_matrix(spec, fock, lam, out)
+        return l_matrix(spec, fock, lam, role)
+    return l_hat_matrix(spec, fock, lam, role)
 
 
 # ---------------------------------------------------------------------------
@@ -247,14 +240,14 @@ def _scale(out: np.ndarray, scalar, lam: np.ndarray) -> np.ndarray:
     return np.multiply(values.reshape(lam.shape + (1, 1)), out, out=out)
 
 
-def s_matrix(rank: int, lam, out=None) -> np.ndarray:
+def s_matrix(rank: int, lam, role=None) -> np.ndarray:
     """Full two-particle S-matrix S(lambda)/(i lambda + 1) (i lambda + P)."""
     def scalar(z):
         denom = guard_nonzero(1j * z + 1, what="S-matrix prefactor i*lambda + 1")
         return s_amplitude(rank, z) / denom
 
     lam = np.asarray(lam, dtype=COMPLEX)
-    out = _stacked(permutation_op(rank), np.arange(rank * rank), 1j * lam[..., None], "S-matrix", out)
+    out = _stacked(permutation_op(rank), np.arange(rank * rank), 1j * lam[..., None], "S-matrix", role)
     return _scale(out, scalar, lam)
 
 
@@ -298,30 +291,30 @@ def _nbar(fock: FockSpace, rank: int) -> np.ndarray:
         ("nbar", rank), lambda: fock.occupation + LaxSpec(rank, ordering=ANTINORMAL).offset + (rank / 2 - 1.5))
 
 
-def transmission_matrix(rank: int, fock: FockSpace, lam, out=None) -> np.ndarray:
+def transmission_matrix(rank: int, fock: FockSpace, lam, role=None) -> np.ndarray:
     """Transmission matrix for right-movers on auxiliary (x) Fock."""
     def scalar(z):
         denom = guard_nonzero(1j * z + rank / 2 - 0.5, what="transmission prefactor denominator")
         return transmission_amplitude(rank, "-", z)[0] / denom
 
     lam = np.asarray(lam, dtype=COMPLEX)
-    out = _oscillator_operator(rank, fock, 1j * lam[..., None] + 1 + _nbar(fock, rank), 1, False, out)
+    out = _oscillator_operator(rank, fock, 1j * lam[..., None] + 1 + _nbar(fock, rank), 1, False, role)
     return _scale(out, scalar, lam)
 
 
-def conjugate_transmission_matrix(rank: int, fock: FockSpace, lam, out=None) -> np.ndarray:
+def conjugate_transmission_matrix(rank: int, fock: FockSpace, lam, role=None) -> np.ndarray:
     """Transmission matrix for left-movers; reversed auxiliary indices."""
     lam = np.asarray(lam, dtype=COMPLEX)
     head = (-1j * lam[..., None] - rank / 2 + 1) + _nbar(fock, rank)
-    out = _oscillator_operator(rank, fock, head, 1, True, out)
+    out = _oscillator_operator(rank, fock, head, 1, True, role)
     return _scale(out, lambda z: transmission_amplitude(rank, "+", z)[0], lam)
 
 
-def crossed_transmission_matrix(rank: int, fock: FockSpace, lam, out=None) -> np.ndarray:
+def crossed_transmission_matrix(rank: int, fock: FockSpace, lam, role=None) -> np.ndarray:
     """V_1 T^{t_1}(-lambda + i rank/2) V_1; equals the conjugate matrix up to
     a constant that the crossing check measures rather than assumes."""
     lam = -np.asarray(lam, dtype=COMPLEX) + 1j * rank / 2
-    return _cross(transmission_matrix(rank, fock, lam, _uncrossed(lam, rank * fock.dim)), rank, out)
+    return _cross(transmission_matrix(rank, fock, lam, "uncrossed"), rank, role)
 
 
 # ---------------------------------------------------------------------------

@@ -21,13 +21,13 @@ largest request, and hands it out as a view of the requested shape, so a
 temporary that every call needs is faulted in once rather than per call.
 :func:`work_arrays` gives each thread its own, with requests capped at
 ``STACK_BYTES``: a larger request gets a fresh array, so a thread keeps at
-most roles x ``STACK_BYTES``.  The stacked checks take their builders'
-outputs, the exchange relation's buffers and their residuals' temporaries
-from it, ``apply_local`` its moved block and product, and lax's factor loop
-its products; a Bethe solve keeps its own instance, with no cap, for its
-life.  A taken array is overwritten by the next request for its role, so it
-never leaves the function that took it: only reductions of it (residuals,
-norms, fitted constants) and fresh results do.
+most roles x ``STACK_BYTES``.  :func:`kept` takes one by role, or a fresh
+array for none: the lax builders and ``apply_local`` take their results by
+the role their caller names, and the checks' buffers and temporaries and
+lax's factor loop's products are kept too; a Bethe solve keeps its own
+instance, with no cap, for its life.  A taken array is overwritten by the
+next request for its role, so a kept array never outlives the call that
+named its role: only reductions of it and fresh results do.
 """
 
 from __future__ import annotations
@@ -70,8 +70,8 @@ class WorkArrays:
     request of at most ``limit`` bytes (no limit if None), handed out as a
     view of the requested shape and dtype.  A request above the limit gets a
     fresh array, which nothing keeps.  A later request for the same role
-    overwrites the view, so an array taken here must not outlive the
-    function that took it; only reductions of it may leave.  The buffers
+    overwrites the view, so an array taken here must not outlive the call
+    that named its role; only reductions of it may leave.  The buffers
     are freed with the instance, like any dict's values."""
 
     def __init__(self, limit: int | None = None):
@@ -106,6 +106,11 @@ def work_arrays() -> WorkArrays:
     if pool is None:
         pool = _threads.pool = WorkArrays(STACK_BYTES)
     return pool
+
+
+def kept(shape: tuple, role=None) -> np.ndarray:
+    """A fresh complex array of ``shape``, or this thread's kept one of ``role``."""
+    return np.empty(shape, dtype=COMPLEX) if role is None else work_arrays().take(role, shape)
 
 
 def permutation_op(n: int) -> np.ndarray:
@@ -155,7 +160,7 @@ def apply_local(op, x, dims, slot: int, role=None) -> np.ndarray:
               block.reshape(x_lead + (d_aux * d_slot, pre * rest)),
               out=prod.reshape(lead + (out_aux * out_slot, pre * rest)))
     moved = prod.swapaxes(-3, -2)  # copied out: prod is kept
-    out = np.empty(moved.shape, dtype=COMPLEX) if role is None else work.take(role, moved.shape)
+    out = kept(moved.shape, role)
     np.copyto(out, moved)
     return out.reshape(lead + (out_aux * pre * out_slot * post, columns))
 

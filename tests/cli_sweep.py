@@ -1,6 +1,6 @@
 """Byte-identity sweep of the defectlab CLI, and the one record of its contract.
 
-INVOCATIONS lists 190 CLI invocations: every check suite, ``check
+INVOCATIONS lists 192 CLI invocations: every check suite, ``check
 all`` at ranks 2-4, amplitude scans and density profiles in CSV and JSON,
 Bethe solves from state files, the refusals, and sequences run in one
 interpreter whose later reports must not depend on the earlier ones.  The
@@ -295,6 +295,9 @@ INVOCATIONS = [
     # a grid whose span MAX - MIN overflows, though MIN and MAX are finite
     _case("amplitudes", "--rank", "3", "--grid", "-1e308", "1e308", "3"),
     _case("density", "--grid", "-1e308", "1e308", "3"),
+    # the crossing checks' operators, refused by their builders before any array is taken
+    _case("check", "crossing", "--seed", "1", "--rank", "20", "--fock-cutoff", "3"),
+    _case("check", "transmission-crossing", "--rank", "20", "--fock-cutoff", "3"),
 ]
 
 

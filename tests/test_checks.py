@@ -91,7 +91,7 @@ def test_ybe_detects_broken_r(monkeypatch):
     import defectlab.lax as lax
     from defectlab.tensor import permutation_op
 
-    def fake_r(rank, lam, out=None):  # a fresh matrix; out is the checks' kept array
+    def fake_r(rank, lam, role=None):  # a fresh matrix; role names the checks' kept array
         e = np.eye(rank)
         bad = np.kron(np.outer(e[0], e[0]), np.outer(e[1], e[1]))  # e_11 (x) e_22
         return (
@@ -308,10 +308,9 @@ def _dense_exchange(kron_embed, rank, fock, pair_op, x1, x2):
 
 
 def _exchange_sides(n, pair_op, x1, x2, d, keep):
-    # the three buffers _exchange_sides writes into, fresh for each call
-    m = n * n * len(keep)
-    out = [np.empty(np.shape(x1)[:-2] + (m * m,), dtype=complex) for _ in range(3)]
-    return checks._exchange_sides(n, pair_op, x1, x2, d, keep, out)
+    # copies: the two sides are views of kept work arrays, which the next
+    # call overwrites
+    return tuple(side.copy() for side in checks._exchange_sides(n, pair_op, x1, x2, d, keep))
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])

@@ -318,13 +318,18 @@ def test_rank_1000_fock_suites_are_refused_unallocated(capsys, argv, refusal):
     assert peak < 16 * 2**20
 
 
-def test_highest_weight_refuses_its_ladders_unallocated(capsys):
+@pytest.mark.parametrize("suite", [
+    ["highest-weight", "--sites", "0"], ["crossing", "--seed", "1"], ["transmission-crossing"],
+], ids=lambda suite: suite[0])
+def test_highest_weight_refuses_its_ladders_unallocated(capsys, suite):
     # rank 20, cutoff 3: 1,540 Fock states; the monodromy block (30,800 x 20)
     # fits, the defect's Lax operator (30,800 x 30,800), which the monodromy
-    # builds, does not, and it is refused before any Fock ladder is built
+    # builds, does not, and it is refused before any Fock ladder is built.
+    # The crossing checks build operators of the same size, and their
+    # builders refuse them before any work array is taken
     tracemalloc.start()
     try:
-        code = main(["check", "highest-weight", "--rank", "20", "--fock-cutoff", "3", "--sites", "0"])
+        code = main(["check", *suite, "--rank", "20", "--fock-cutoff", "3"])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -305,30 +306,36 @@ def test_builders_on_a_stack_equal_their_per_point_matrices(rank):
     # every builder of the family, both variants and orderings of the Lax
     # operators and both signs of the transmission matrices, on a 2 x 3
     # stack of lambda: each matrix of the stack to the bit the one built at
-    # its point alone
+    # its point alone.  Built into the kept work array of a role, the stack
+    # is the fresh one to the bit, and a second call with that role reuses
+    # its memory, which a call without a role never does
     fock = FockSpace(rank - 1, 2)
     lams = np.array([[0.31 - 0.4j, -1.2 + 0.7j, 0.0], [2.5, -0.05 + 1.9j, 1.1 - 2.3j]])
     builders = {
-        "r_matrix": lambda z: r_matrix(rank, z),
-        "s_matrix": lambda z: s_matrix(rank, z),
-        "transmission_matrix (-)": lambda z: transmission_matrix(rank, fock, z),
-        "conjugate_transmission_matrix (+)": lambda z: conjugate_transmission_matrix(rank, fock, z),
-        "crossed_transmission_matrix": lambda z: crossed_transmission_matrix(rank, fock, z),
+        "r_matrix": partial(r_matrix, rank),
+        "s_matrix": partial(s_matrix, rank),
+        "transmission_matrix (-)": partial(transmission_matrix, rank, fock),
+        "conjugate_transmission_matrix (+)": partial(conjugate_transmission_matrix, rank, fock),
+        "crossed_transmission_matrix": partial(crossed_transmission_matrix, rank, fock),
     }
     for variant in ("L", "Lhat"):
         for ordering in ("normal", "antinormal"):
             spec = LaxSpec(rank, variant=variant, ordering=ordering)
-            builders[f"defect_lax {variant} {ordering}"] = lambda z, s=spec: defect_lax(s, fock, z)
+            builders[f"defect_lax {variant} {ordering}"] = partial(defect_lax, spec, fock)
             if variant == "L":
-                builders[f"l_matrix {ordering}"] = lambda z, s=spec: l_matrix(s, fock, z)
-                builders[f"l_hat_matrix {ordering}"] = lambda z, s=spec: l_hat_matrix(s, fock, z)
-                builders[f"crossed_l_matrix {ordering}"] = lambda z, s=spec: crossed_l_matrix(s, fock, z)
+                builders[f"l_matrix {ordering}"] = partial(l_matrix, spec, fock)
+                builders[f"l_hat_matrix {ordering}"] = partial(l_hat_matrix, spec, fock)
+                builders[f"crossed_l_matrix {ordering}"] = partial(crossed_l_matrix, spec, fock)
     for name, build in builders.items():
         stack = build(lams)
         for idx in np.ndindex(lams.shape):
             one = build(complex(lams[idx]))
             assert one.ndim == 2 and stack.shape == lams.shape + one.shape, name
             assert np.array_equal(stack[idx], one), (name, idx)
+        kept = build(lams, "probe")
+        assert kept.shape == stack.shape and np.array_equal(kept, stack), name
+        assert np.shares_memory(build(lams, "probe"), kept), name
+        assert not np.shares_memory(build(lams), kept) and not np.shares_memory(stack, kept), name
 
 
 def test_a_fock_space_keeps_one_skeleton_per_pattern_and_a_build_allocates_its_matrix():

@@ -13,6 +13,7 @@ Computer 11(4), 1978.
 
 import dataclasses
 import json
+import operator
 
 import numpy as np
 import pytest
@@ -22,9 +23,9 @@ from defectlab import cli, kernels, lax, tensor
 ARGV = ["check", "all", "--seed", "1"]  # rank 2, Fock cutoff 5, two bulk sites, theta 0
 
 
-def _lax_without_number_operator(spec, fock, lam, out=None):
+def _lax_without_number_operator(spec, fock, lam, role=None):
     head = np.asarray(lam, dtype=complex)[..., None] + 1j * spec.shift + np.zeros(fock.dim)
-    return lax._oscillator_operator(spec.rank, fock, head, 1j, False, out)
+    return lax._oscillator_operator(spec.rank, fock, head, 1j, False, role)
 
 
 def _monodromy_in_reverse_slot_order(chain, lam, x):
@@ -39,24 +40,24 @@ def _monodromy_in_reverse_slot_order(chain, lam, x):
 # check that must fail, why the certificate misses it today or None)
 MUTANTS = [
     ("r-matrix-in-braid-form", lax, "r_matrix",
-     lambda f: lambda rank, lam, out=None: np.matmul(tensor.permutation_op(rank), f(rank, lam), out=out),
+     lambda f: lambda rank, lam, role=None: np.matmul(tensor.permutation_op(rank), f(rank, lam),
+                                                      out=tensor.kept(np.shape(lam) + (rank**2,) * 2, role)),
      "ybe", None),
     ("r-matrix-lambda-minus-iP", lax, "r_matrix",
-     lambda f: lambda rank, lam, out=None: np.subtract(f(rank, lam, out), 2j * tensor.permutation_op(rank),
-                                                       out=out),
+     lambda f: lambda rank, lam, role=None: operator.isub(f(rank, lam, role), 2j * tensor.permutation_op(rank)),
      "transfer-commute", None),
     ("lax-head-without-number-operator", lax, "l_matrix", lambda f: _lax_without_number_operator,
      "rll", None),
     ("ladders-transposed", tensor.FockSpace, "_ladder", lambda f: lambda fock, j: f(fock, j).T.copy(),
      "oscillator-algebra", None),
     ("lax-crossing-shifted-by-i", lax, "crossed_l_matrix",
-     lambda f: lambda spec, fock, lam, out=None: f(spec, fock, np.add(lam, 1j), out),
+     lambda f: lambda spec, fock, lam, role=None: f(spec, fock, np.add(lam, 1j), role),
      "lax-crossing", None),
     ("s-matrix-at-minus-lambda", lax, "s_matrix",
-     lambda f: lambda rank, lam, out=None: f(rank, np.negative(lam), out),
+     lambda f: lambda rank, lam, role=None: f(rank, np.negative(lam), role),
      "transmission-algebra", None),
     ("conjugate-transmission-shifted", lax, "conjugate_transmission_matrix",
-     lambda f: lambda rank, fock, lam, out=None: f(rank, fock, np.add(lam, 0.5), out),
+     lambda f: lambda rank, fock, lam, role=None: f(rank, fock, np.add(lam, 0.5), role),
      "transmission-crossing", None),
     ("reference-state-off-the-vacuum", lax, "chain_vacuum", lambda f: lambda chain: np.roll(f(chain), 1),
      "highest-weight", None),

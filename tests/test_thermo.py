@@ -65,6 +65,19 @@ def test_bulk_density_rank2_closed_form():
     assert np.max(np.abs(got - expected)) < 1e-12
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the half-line rule's 32-node panels of width 2 resolve exp(i lambda omega) only up to "
+    "|lambda| of about 32: the bulk is off by 2e-2 at 60 and 100, and density does not refuse "
+    "such a lambda (ROADMAP item 12)"))
+def test_bulk_density_far_from_the_origin_matches_its_closed_form_or_is_refused():
+    lams = np.array([60.0, 100.0])
+    try:
+        got = _bulk(KernelTable(2), 1, lams)
+    except ValueError:
+        return
+    assert np.max(np.abs(got - 1.0 / (2.0 * np.cosh(np.pi * lams)))) < 1e-8
+
+
 def test_bulk_density_rank3_at_origin():
     # sum over residues collapses to the digamma reflection value 1/sqrt(3)
     t = KernelTable(3)
