@@ -36,7 +36,13 @@ dim x dim or q x q (q = dim/rank) array.  The transfer matrix's term k runs
 the loop with slot 1's factor cut to auxiliary column k and the last slot's
 to row k, so no factor multiplies the zero blocks of e_k (x) x or the rows
 the trace drops.  Both build the local factors once per call, at lambda
-or at each point of a stack, and keep the products between them.
+or at each point of a stack, and keep the products between them.  Both run
+only on the Fock shells (states of one total occupation, a prefix of the
+basis up to each shell) that the block occupies at the defect, and on one
+shell more after it: L holds each ladder operator once, so it moves the
+total occupation by at most one quantum.  Every skipped row and term is an
+exact zero; what is kept agrees with an uncut run to round-off, since BLAS
+may group a shorter sum differently.
 """
 
 from __future__ import annotations
@@ -171,11 +177,16 @@ def _oscillator_operator(rank: int, fock: FockSpace, head, coef, reverse: bool, 
     return _stacked(skeleton, h * d + np.arange(d), head, "oscillator operator", role)
 
 
+def _i_number(spec: LaxSpec, fock: FockSpace) -> np.ndarray:
+    """i N, N the occupation plus the spec's offset, once per Fock space."""
+    return fock._once(("i N", spec.offset), lambda: 1j * (fock.occupation + spec.offset))
+
+
 def l_matrix(spec: LaxSpec, fock: FockSpace, lam, role=None) -> np.ndarray:
     """Defect Lax operator on auxiliary (x) Fock, with the (1,1) entry
     lambda + i c + i N: c the spec's shift, N the occupation plus its offset."""
     lam = np.asarray(lam, dtype=COMPLEX)[..., None]
-    head = lam + 1j * spec.shift + 1j * (fock.occupation + spec.offset)
+    head = lam + 1j * spec.shift + _i_number(spec, fock)
     return _oscillator_operator(spec.rank, fock, head, 1j, False, role)
 
 
@@ -189,7 +200,7 @@ def l_hat_matrix(spec: LaxSpec, fock: FockSpace, lam, role=None) -> np.ndarray:
     """
     n = spec.rank
     lam = np.asarray(lam, dtype=COMPLEX)[..., None]
-    head = (-lam - 1j * n / 2) + 1j * spec.shift + 1j * (fock.occupation + spec.offset)
+    head = (-lam - 1j * n / 2) + 1j * spec.shift + _i_number(spec, fock)
     return _oscillator_operator(n, fock, head, 1j, True, role)
 
 
@@ -291,11 +302,18 @@ def _nbar(fock: FockSpace, rank: int) -> np.ndarray:
         ("nbar", rank), lambda: fock.occupation + LaxSpec(rank, ordering=ANTINORMAL).offset + (rank / 2 - 1.5))
 
 
+def _amplitude(rank: int, sign: str, z: complex) -> complex:
+    """T^+ or T^- at one point, without the log-derivative: bit for bit
+    transmission_amplitude(rank, sign, z)[0]."""
+    num, den = amplitude_gamma_args(rank, sign, z)
+    return gamma_ratio([num], [den])
+
+
 def transmission_matrix(rank: int, fock: FockSpace, lam, role=None) -> np.ndarray:
     """Transmission matrix for right-movers on auxiliary (x) Fock."""
     def scalar(z):
         denom = guard_nonzero(1j * z + rank / 2 - 0.5, what="transmission prefactor denominator")
-        return transmission_amplitude(rank, "-", z)[0] / denom
+        return _amplitude(rank, "-", z) / denom
 
     lam = np.asarray(lam, dtype=COMPLEX)
     out = _oscillator_operator(rank, fock, 1j * lam[..., None] + 1 + _nbar(fock, rank), 1, False, role)
@@ -307,7 +325,7 @@ def conjugate_transmission_matrix(rank: int, fock: FockSpace, lam, role=None) ->
     lam = np.asarray(lam, dtype=COMPLEX)
     head = (-1j * lam[..., None] - rank / 2 + 1) + _nbar(fock, rank)
     out = _oscillator_operator(rank, fock, head, 1, True, role)
-    return _scale(out, lambda z: transmission_amplitude(rank, "+", z)[0], lam)
+    return _scale(out, lambda z: _amplitude(rank, "+", z), lam)
 
 
 def crossed_transmission_matrix(rank: int, fock: FockSpace, lam, role=None) -> np.ndarray:
@@ -332,20 +350,59 @@ def _local_factors(chain: ChainSpec, lam) -> list:
     return [defect if p == chain.defect_site else bulk for p in range(1, chain.sites + 2)]
 
 
-def _apply_factors(factors, x, slots) -> np.ndarray:
+def _apply_factors(factors, x) -> np.ndarray:
     """The factors applied to the block ``x`` in turn, slot 1 first, each on
     the auxiliary space and its slot: the product over slots sites+1 down
-    to 1, in kept work arrays of two alternating roles.  Each factor's
-    in_aux leg gives the auxiliary dimension it reads."""
+    to 1, in kept work arrays of two alternating roles.  Each factor's legs
+    give the dimensions it reads and writes: its in_aux and in_slot legs
+    those of the block it is applied to, and its out_slot leg its slot's
+    dimension from then on, so a factor cut to a Fock shell's prefix reads
+    and writes only that prefix."""
+    slots = [factor.shape[-1] for factor in factors]
     for p, factor in enumerate(factors, 1):
-        x = apply_local(factor, x, (factor.shape[-2],) + slots, p, ("factor product", p % 2))
+        x = apply_local(factor, x, (factor.shape[-2], *slots), p, ("factor product", p % 2))
+        slots[p - 1] = factor.shape[-3]
     return x
+
+
+def _on_shells(chain: ChainSpec, factors, x, run) -> np.ndarray:
+    """``run(factors, x)``, a fresh product of the local factors applied to
+    the block ``x``, run on the Fock shells that x occupies at the defect.
+    s is the highest total occupation of a nonzero row of x (a NaN or
+    infinite row counts).  x and the defect's in_slot leg are cut to the
+    prefix of shells <= s, its out_slot leg to shells <= s + 1, which is all
+    that the one ladder operator per entry reaches, and the result is
+    padded back to every Fock state with zero rows.  For a finite block
+    each skipped row and term is an exact zero; past a NaN or an infinity
+    the padded rows stay zero, where an uncut run's zero products spread
+    NaN through its column.  A block that reaches the cutoff shell runs
+    uncut, and one whose s + 1 is the cutoff unpadded."""
+    fock, p = chain.fock, chain.defect_site
+    x = np.asarray(x)
+    lead, (rows, m) = x.shape[:-2], x.shape[-2:]
+    d, post = fock.dim, math.prod(chain.dims[p + 1 :])
+    view = x.reshape(lead + (rows // (d * post), d, post * m))
+    occupied = np.flatnonzero(np.any(view, axis=tuple(range(view.ndim - 3)) + (-3, -1)))
+    shell = fock.occupation[occupied[-1]] if occupied.size else 0
+    inner, outer = np.searchsorted(fock.occupation, (shell, shell + 1), side="right")
+    if inner == d:
+        return run(factors, x)
+    cut = list(factors)
+    cut[p - 1] = factors[p - 1][..., :outer, :, :inner]
+    y = run(cut, view[..., :inner, :].reshape(lead + (rows // d * inner, m)))
+    if outer == d:
+        return y
+    out = np.zeros(y.shape[:-2] + (y.shape[-2] // (outer * post), d, post * m), dtype=COMPLEX)
+    out[..., :outer, :] = y.reshape(out.shape[:-2] + (outer, post * m))
+    return out.reshape(y.shape[:-2] + (y.shape[-2] // outer * d, m))
 
 
 def monodromy(chain: ChainSpec, lam, x) -> np.ndarray:
     """The monodromy at lambda (or a stack, as :func:`transfer`) applied to the
-    block ``x``, one row per state of auxiliary (x) slot_1 (x) ... (x) slot_{sites+1}."""
-    return _apply_factors(_local_factors(chain, lam), x, chain.dims[1:]).copy()  # fresh: the product is kept
+    block ``x``, one row per state of auxiliary (x) slot_1 (x) ... (x) slot_{sites+1},
+    on the Fock shells x occupies (:func:`_on_shells`)."""
+    product = lambda factors, y: _apply_factors(factors, y).copy()  # fresh: the product is kept
+    return _on_shells(chain, _local_factors(chain, lam), x, product)
 
 
 def transfer(chain: ChainSpec, lam, x) -> np.ndarray:
@@ -354,7 +411,8 @@ def transfer(chain: ChainSpec, lam, x) -> np.ndarray:
     e_k (x) x.  Slot 1's factor is cut to its auxiliary column k, which maps
     x to a rank*q x m block, and the last slot's factor to its row k, which
     maps that block back to q x m; at sites = 0 both cuts fall on the one
-    factor.  The local factors are built once for all k.  At a stack of
+    factor.  The local factors are built once for all k, and every term
+    runs on the Fock shells x occupies (:func:`_on_shells`).  At a stack of
     lambda, ``x`` is one block or a stack (leading axes broadcast), each entry
     is bit for bit its point's call, one point's block passes the budget, and
     a 1-d stack runs in as many points at a time as ``stack_depth`` admits."""
@@ -364,13 +422,16 @@ def transfer(chain: ChainSpec, lam, x) -> np.ndarray:
     if np.ndim(lam) == 1 and len(lam) > depth:
         return np.concatenate([transfer(chain, lam[i : i + depth], x[i : i + depth] if np.ndim(x) > 2 else x)
                                for i in range(0, len(lam), depth)])
-    factors = _local_factors(chain, lam)
-    out = np.zeros(np.broadcast_shapes(np.shape(lam), np.shape(x)[:-2]) + (q, m), dtype=COMPLEX)
-    for k in range(chain.rank):
-        cut = [factors[0][..., k : k + 1, :]] + factors[1:]
-        cut[-1] = cut[-1][..., k : k + 1, :, :, :]
-        out += _apply_factors(cut, x, chain.dims[1:])
-    return out
+
+    def trace(factors, y):
+        out = 0.0  # the first term's kept product is added into a fresh array
+        for k in range(chain.rank):
+            cut = [factors[0][..., k : k + 1, :]] + factors[1:]
+            cut[-1] = cut[-1][..., k : k + 1, :, :, :]
+            out += _apply_factors(cut, y)
+        return out
+
+    return _on_shells(chain, _local_factors(chain, lam), x, trace)
 
 
 def bulk_reference(rank: int) -> int:

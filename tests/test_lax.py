@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import defectlab.lax as lax
+from defectlab.checks import check_highest_weight, check_transfer_commute
 from defectlab.lax import (
     ChainSpec,
     LaxSpec,
@@ -508,3 +509,112 @@ def test_transfer_and_monodromy_on_a_lambda_stack_equal_per_lambda_calls(monkeyp
             for i, lam in enumerate(lams):
                 assert np.array_equal(stacked[i], monodromy(chain, lam, columns)), (sites, defect_site)
 
+
+
+@pytest.mark.parametrize("variant", ["L", "Lhat"])
+@pytest.mark.parametrize("ordering", ["normal", "antinormal"])
+def test_defect_lax_moves_the_total_occupation_by_at_most_one(variant, ordering):
+    # the monodromy and the transfer matrix run only on the Fock shells a
+    # block occupies, which is exact only if no nonzero entry of the defect's
+    # Lax operator links two Fock states whose total occupations differ by
+    # more than one
+    lams = np.array([0.37 - 0.52j, -1.1 + 0.2j])
+    for rank in (2, 3, 4):
+        for cutoff in (1, 2, 3, 4):
+            fock = FockSpace(rank - 1, cutoff)
+            op = defect_lax(LaxSpec(rank, variant=variant, ordering=ordering), fock, lams)
+            linked = np.any(op.reshape(2, rank, fock.dim, rank, fock.dim) != 0, axis=(0, 1, 3))
+            gap = np.abs(np.subtract.outer(fock.occupation, fock.occupation))
+            assert linked[gap == 1].any(), (rank, cutoff)
+            assert not linked[gap > 1].any(), (rank, cutoff)
+
+
+def _unrestricted_product(factors, x, slots):
+    """The factor loop on every Fock state: whole factors, slot 1 first."""
+    for p, factor in enumerate(factors, 1):
+        x = lax.apply_local(factor, x, (factor.shape[-2],) + slots, p)
+    return x
+
+
+def _unrestricted_transfer(chain, lam, x):
+    factors = lax._local_factors(chain, lam)
+    out = np.zeros(np.broadcast_shapes(np.shape(lam), x.shape[:-2]) + x.shape[-2:], dtype=complex)
+    for k in range(chain.rank):
+        cut = [factors[0][..., k : k + 1, :]] + factors[1:]
+        cut[-1] = cut[-1][..., k : k + 1, :, :, :]
+        out += _unrestricted_product(cut, x, chain.dims[1:])
+    return out
+
+
+def _shell_blocks(chain, dims, rng):
+    """The defect's total occupation of each row of a block with one row per
+    state of ``dims``, and blocks of 3 columns, each named and given with the
+    highest occupation that its nonzero rows hold."""
+    defect = len(dims) - len(chain.dims) + chain.defect_site
+    rows, cutoff = int(np.prod(dims)), chain.fock_cutoff
+    shells = chain.fock.occupation[np.unravel_index(np.arange(rows), dims)[defect]]
+    full = rng.normal(size=(rows, 3)) + 1j * rng.normal(size=(rows, 3))
+    blocks = [(f"shell {s}", s, np.where(shells[:, None] <= s, full, 0)) for s in range(cutoff + 1)]
+    blocks.append(("zero", 0, np.zeros((rows, 3), dtype=complex)))
+    nan = np.where(shells[:, None] < cutoff, full, 0)
+    nan[np.flatnonzero(shells == cutoff)[-1], 1] = np.nan
+    blocks.append(("NaN at the cutoff", cutoff, nan))
+    return shells, blocks
+
+
+@pytest.mark.parametrize("variant", ["L", "Lhat"])
+def test_monodromy_and_transfer_on_the_occupied_shells_equal_the_unrestricted_loop(variant):
+    # rank 3, cutoff 3: shells 0..3 hold 1, 2, 3 and 4 of the 10 Fock states.
+    # Shells 0 and 1 and the zero block run cut and padded, shell 2 with its
+    # in leg cut (its out leg reaches the cutoff), shell 3 and the NaN block
+    # uncut, and those two equal the unrestricted loop bit for bit.  A cut
+    # run sums fewer zero terms, which BLAS may group differently, so there
+    # the entries past shell + 1 are exact zeros on both sides and the
+    # others agree to round-off.
+    rng = np.random.default_rng(34)
+    lams = np.array([0.6 + 0.3j, -0.9 + 0.1j])
+    for sites in (0, 1, 2):
+        for defect_site in range(1, min(sites, 1) + 2):
+            chain = ChainSpec(rank=3, sites=sites, fock_cutoff=3, defect_site=defect_site,
+                              theta=0.3 - 0.2j, lax=LaxSpec(3, variant=variant))
+            for dims, apply, reference in (
+                (chain.dims, monodromy, lambda lam, x: _unrestricted_product(
+                    lax._local_factors(chain, lam), x, chain.dims[1:])),
+                (chain.dims[1:], transfer, partial(_unrestricted_transfer, chain)),
+            ):
+                shells, blocks = _shell_blocks(chain, dims, rng)
+                for name, top, x in blocks:
+                    where = (apply.__name__, name, sites, defect_site)
+                    for lam, block in ((lams[0], x), (lams, x), (lams, np.stack([x, 2 * x]))):
+                        got, ref = apply(chain, lam, block), reference(lam, block)
+                        assert got.shape == ref.shape, where
+                        if top == chain.fock_cutoff:
+                            assert np.array_equal(got, ref, equal_nan=True), where
+                            continue
+                        past = shells > top + 1
+                        assert not got[..., past, :].any() and not ref[..., past, :].any(), where
+                        assert np.max(np.abs(got - ref), initial=0) <= 1e-15 * np.max(np.abs(ref), initial=0), where
+                    if name == "zero":
+                        assert not got.any(), where
+                    if name.startswith("NaN"):
+                        assert np.isnan(got).any(), where
+
+
+def test_transfer_commute_runs_its_products_on_the_occupied_shells(monkeypatch):
+    # rank 4, cutoff 2, 2 sites, defect at slot 1 (the cert-large chain): the
+    # faithful columns occupy only the Fock vacuum, so the first transfer
+    # pass runs the defect's factor on 1 x 1 x 4 x 4 = 16 rows and both bulk
+    # factors on 4 x 4 x 4 x 4 = 256 (not 160 and 640); the second reads
+    # the 4 Fock states of shells 0 and 1, 1 x 4 x 4 x 4 = 64 rows, and its
+    # bulk factors run on all 640; the highest-weight check's vacuum columns
+    # likewise give 4 x 1 x 4 x 4 = 64 and 256
+    rows = []
+    apply_local = lax.apply_local
+    monkeypatch.setattr(lax, "apply_local",
+                        lambda op, x, *args: rows.append(np.shape(x)[-2]) or apply_local(op, x, *args))
+    chain = ChainSpec(rank=4, sites=2, fock_cutoff=2)
+    assert check_transfer_commute(chain, [(0.3 + 0.1j, -0.7 + 0.2j)])[0].passed
+    assert rows == [16, 256, 256] * 4 + [64, 640, 640] * 4
+    rows.clear()
+    assert check_highest_weight(chain).passed
+    assert rows == [64, 256, 256]
