@@ -18,9 +18,9 @@ thread's kept work arrays (:func:`defectlab.tensor.work_arrays`), and only
 its residuals leave it: a check names each operator's role, and the builder
 takes it after its own budget check; the routine takes its buffers itself
 and checks no budget.  Identities that create one oscillator quantum are
-compared on the sub-cutoff block, where truncation is exact; that block and
-the transfer check's faithful columns are the Fock space's sub-cutoff
-indices.
+compared on the sub-cutoff block, where truncation is exact, and the transfer
+check reads the columns at least two quanta below the cutoff: each block is a
+prefix of the Fock basis, :meth:`defectlab.tensor.FockSpace.shells` long.
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ def ybe_residual(rank: int, lam1, lam2, matrix: str = "R"):
         build = lambda z, role: lax.s_matrix(rank, z, role)
     else:
         raise ValueError(f"matrix must be 'R' or 'S', got {matrix!r}")
-    return _exchange_residual(build, build, rank, rank, range(rank), lam1, lam2)
+    return _exchange_residual(build, build, rank, rank, rank, lam1, lam2)
 
 
 def _pair_reports(name, parameters, pairs, residual, tol, block) -> tuple:
@@ -180,45 +180,43 @@ def check_ybe(rank: int, pairs, tol: float = 1e-12, matrix: str = "R") -> tuple:
 # exchange relation with the defect
 
 
-def _exchange_residual(pair, build, n: int, d: int, keep, lam1, lam2, normalize=False):
+def _exchange_residual(pair, build, n: int, d: int, k: int, lam1, lam2, normalize=False):
     """Chebyshev residual of P12 X1 X2 - X2 X1 P12 (see _exchange_sides), with
     P12 = pair(lambda1 - lambda2, role) and Xi = build(lambdai, role), per
     entry of the stack of (lambda1, lambda2), normalized by the left side's
-    if asked.  One entry's n^2 k x n^2 k product (k kept V legs) passes the
-    budget before any build; the stack is evaluated in runs that fit
-    (_in_stacks), each in this thread's kept work arrays."""
-    m = n * n * len(keep)
+    if asked.  One entry's n^2 k x n^2 k product (the first k V states kept)
+    passes the budget before any build; the stack is evaluated in runs that
+    fit (_in_stacks), each in this thread's kept work arrays."""
+    m = n * n * k
     require_budget((m, m), "exchange-relation product")
 
     def residual(lam1, lam2):
         x1, x2, pair_op = build(lam1, "x1"), build(lam2, "x2"), pair(lam1 - lam2, "pair")
         # a product that overflows leaves a non-finite residual, which fails
         with np.errstate(over="ignore", invalid="ignore"):
-            lhs, rhs = _exchange_sides(n, pair_op, x1, x2, d, keep)
+            lhs, rhs = _exchange_sides(n, pair_op, x1, x2, d, k)
             res = cheb(np.subtract(lhs, rhs, out=rhs), axis=(-2, -1))
             return res / cheb(lhs, axis=(-2, -1)) if normalize else res
 
     return _in_stacks(residual, (max(m, n * d),) * 2, lam1, lam2)
 
 
-def _exchange_sides(n: int, pair_op, x1, x2, d: int, keep):
+def _exchange_sides(n: int, pair_op, x1, x2, d: int, k: int):
     """Both sides of P12 X1 X2 = X2 X1 P12 on aux1 (x) aux2 (x) V, dim V = d,
-    on the rows and columns whose V index is in ``keep``.  P12 acts on the
-    two auxiliary spaces, X1 and X2 on one auxiliary space each and V.  The
+    on the rows and columns whose V index is among the first k.  P12 acts
+    on the two auxiliary spaces, X1 and X2 on one auxiliary space each and V.  The
     two local operators are contracted over their shared V leg w, which runs
     over all of V, and only the kept V legs are formed:
 
         (X1_13 X2_23)[(a1 a2 v), (b1 b2 u)] = sum_w X1[a1 v, b1 w] X2[a2 w, b2 u],
 
-    with v, u in ``keep``; P12 multiplies it on the left.  The right side is
+    with v, u < k; P12 multiplies it on the left.  The right side is
     X2_23 X1_13, the roles swapped, with P12 multiplied on the right.  The
     three operators may be stacks of matrices with the same leading axes,
     which the two sides returned keep.  The steps' two buffers and the left
     side are the kept work arrays ("exchange", 0..2), the leading axes by
     m^2 entries (m = n^2 k), so both sides are views that the next call
     overwrites; the budget is the caller's check."""
-    keep = np.asarray(keep, dtype=np.intp)
-    k = len(keep)
     m = n * n * k
     lead = np.shape(x1)[:-2]
     t1, t2 = (np.asarray(x, dtype=COMPLEX).reshape(lead + (n, d, n, d)) for x in (x1, x2))
@@ -230,8 +228,8 @@ def _exchange_sides(n: int, pair_op, x1, x2, d: int, keep):
     c, x, left = (kept(lead + (m * m,), ("exchange", i)) for i in range(3))
 
     def contract(s, t):  # sum_w s[a v b w] t[c w e u] into c, legs (a, v, b, c, e, u)
-        rows = s[..., keep, :, :].reshape(lead + (-1, d))
-        cols = t[..., keep].swapaxes(-4, -3).reshape(lead + (d, -1))
+        rows = s[..., :k, :, :].reshape(lead + (-1, d))
+        cols = t[..., :k].swapaxes(-4, -3).reshape(lead + (d, -1))
         return np.matmul(rows, cols, out=c.reshape(lead + (n * k * n, -1))).reshape(lead + (n, k, n, n, n, k))
 
     # X1_13 X2_23 with legs (a1, a2, v, b1, b2, u), then P12 on (a1, a2)
@@ -255,7 +253,7 @@ def rll_residual(spec: LaxSpec, fock: FockSpace, lam1, lam2):
     return _exchange_residual(
         lambda z, role: lax.r_matrix(n, z, role),
         lambda z, role: lax.defect_lax(spec, fock, z, role),
-        n, fock.dim, fock.sub_cutoff_indices(1), lam1, lam2,
+        n, fock.dim, fock.shells(fock.cutoff - 1), lam1, lam2,
     )
 
 
@@ -285,14 +283,14 @@ def check_oscillator_algebra(fock: FockSpace, tol: float = 1e-13) -> CheckReport
     require_budget((2 * m, fock.dim, fock.dim), "Fock ladders")  # all of them are kept
     eye = np.eye(fock.dim, dtype=COMPLEX)
     num = np.diag(fock.occupation)
-    sub = fock.sub_cutoff_indices(1)
+    k = fock.shells(fock.cutoff - 1)
     ladders = [(fock.annihilator(j), fock.creator(j)) for j in range(1, m + 1)]
     residuals = []
     for i, (ai, adi) in enumerate(ladders):
         for j, (aj, adj) in enumerate(ladders):
             comm = ai @ adj - adj @ ai
             target = eye if i == j else np.zeros_like(eye)
-            residuals.append(cheb((comm - target)[np.ix_(sub, sub)]))
+            residuals.append(cheb((comm - target)[:k, :k]))
             residuals.append(cheb(ai @ aj - aj @ ai))
             residuals.append(cheb(adi @ adj - adj @ adi))
     for a, ad in ladders:
@@ -422,7 +420,7 @@ def transmission_algebra_residual(
     return _exchange_residual(
         lambda z, role: lax.s_matrix(rank, z, role),
         lambda z, role: build(rank, fock, z, role),
-        rank, fock.dim, fock.sub_cutoff_indices(1), lam1, lam2, normalize=True,
+        rank, fock.dim, fock.shells(fock.cutoff - 1), lam1, lam2, normalize=True,
     )
 
 
@@ -508,23 +506,6 @@ def check_transmission_crossing(
 # transfer matrix commutativity
 
 
-def faithful_columns(chain: ChainSpec, margin: int = 2) -> np.ndarray:
-    """Quantum-space indices whose oscillator occupation stays at least
-    margin below the cutoff.  Operator products inserting at most margin
-    raising operators act on these columns exactly as in the untruncated
-    theory."""
-    fock = chain.fock
-    pre = math.prod(chain.dims[1 : chain.defect_site])
-    post = math.prod(chain.dims[chain.defect_site + 1 :])
-    sub = fock.sub_cutoff_indices(margin)
-    if not len(sub):
-        raise ValueError(
-            f"cutoff {fock.cutoff} leaves no occupation-{margin} margin; raise the cutoff"
-        )
-    # the sub-cutoff Fock states, indexed in (slots before the defect) x Fock x (slots after it)
-    return ((np.arange(pre)[:, None] * fock.dim + sub)[:, :, None] * post + np.arange(post)).ravel()
-
-
 def check_transfer_commute(chain: ChainSpec, pairs, tol: float = 1e-10) -> tuple:
     """Commutator of transfer matrices at each (lambda1, lambda2) pair.
 
@@ -535,12 +516,15 @@ def check_transfer_commute(chain: ChainSpec, pairs, tol: float = 1e-10) -> tuple
     the commutator and its scale are computed on those columns alone.  The
     pairs are one stack, in runs sized by a pair's two rank*q x m blocks, and
     a run makes two transfer passes: t(l)x, then t(l) on the partner's t(l')x."""
-    fock, q = chain.fock, math.prod(chain.dims[1:])
-    width = q // fock.dim * len(fock.sub_cutoff_indices(2))  # len(cols)
-    require_budget((chain.rank * q, width), "monodromy block")  # before the columns' index is built
-    cols = faithful_columns(chain, 2)
-    x = np.zeros((q, len(cols)), dtype=COMPLEX)
-    x[cols, np.arange(len(cols))] = 1.0
+    fock, q, p = chain.fock, math.prod(chain.dims[1:]), chain.defect_site
+    pre, post = math.prod(chain.dims[1:p]), math.prod(chain.dims[p + 1 :])
+    k = fock.shells(fock.cutoff - 2)
+    width = pre * k * post
+    require_budget((chain.rank * q, width), "monodromy block")  # before the columns are built
+    if not k:
+        raise ValueError(f"cutoff {fock.cutoff} leaves no occupation-2 margin; raise the cutoff")
+    # identity columns on (slots before the defect) x (its first k Fock states) x (slots after it)
+    x = np.kron(np.eye(pre, dtype=COMPLEX), np.kron(np.eye(fock.dim, k, dtype=COMPLEX), np.eye(post)))
 
     def residual(lam1, lam2):
         # a product that overflows leaves a non-finite residual, which fails

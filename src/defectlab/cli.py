@@ -90,11 +90,13 @@ class RunConfig:
     def tol(self, name: str) -> float:
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
 
-    def grid(self, columns: int) -> np.ndarray:
-        """The lambda grid, refused before it is built if the Fourier pass's
-        COUNT x ``columns`` complex result would exceed the byte budget."""
+    def grid(self, rows: int) -> np.ndarray:
+        """The lambda grid, refused before it is built if its report's
+        ``rows`` rows per point, at 4 KiB (256 complex entries) a row while
+        written, would exceed the byte budget: the largest row measured, an
+        amplitude row as JSON, takes 2.6 KB, and the Fourier pass 80 B a point."""
         count = self.lambda_grid[2]
-        tensor.require_budget((count, columns), f"a lambda grid of {count} points",
+        tensor.require_budget((count, 256 * rows), f"a lambda grid of {count} points",
                               remedy="reduce the grid's COUNT")
         return np.linspace(*self.lambda_grid)
 
@@ -352,7 +354,7 @@ def _amplitude_rows(rank: int, sign: str, lams, log_t, dlog_t):
 def cmd_amplitudes(cfg: RunConfig, sign: str) -> int:
     signs = ("-", "+") if sign == "both" else (sign,)
     table = thermo.KernelTable(cfg.rank)
-    lams = cfg.grid(2 * len(signs))  # log T and its derivative per sign
+    lams = cfg.grid(len(signs))  # one report row per sign and point
     # an overflow shows as a nonfinite row, named on stderr below
     with np.errstate(over="ignore", invalid="ignore"):
         logs = thermo.amplitude_quadrature(table, signs, lams)
@@ -452,7 +454,7 @@ def cmd_density(cfg: RunConfig, level: int, sign: str, sites: int, hole: float) 
                 table,
                 level,
                 sign,
-                cfg.grid(5),  # the bulk, two backflow and two impurity columns
+                cfg.grid(1),  # one report row per point
                 hole=hole,
                 theta=cfg.theta.real,
                 sites=sites,

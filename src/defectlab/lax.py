@@ -37,12 +37,13 @@ the loop with slot 1's factor cut to auxiliary column k and the last slot's
 to row k, so no factor multiplies the zero blocks of e_k (x) x or the rows
 the trace drops.  Both build the local factors once per call, at lambda
 or at each point of a stack, and keep the products between them.  Both run
-only on the Fock shells (states of one total occupation, a prefix of the
-basis up to each shell) that the block occupies at the defect, and on one
-shell more after it: L holds each ladder operator once, so it moves the
-total occupation by at most one quantum.  Every skipped row and term is an
-exact zero; what is kept agrees with an uncut run to round-off, since BLAS
-may group a shorter sum differently.
+only on the Fock shells (states of one total occupation; those up to a
+shell are a prefix of the basis, FockSpace.shells long) that the block
+occupies at the defect, and on one shell more after it: L holds each
+ladder operator once, so it moves the total occupation by at most one
+quantum.  Every skipped row and term is an exact zero; what is kept agrees
+with an uncut run to round-off, since BLAS may group a shorter sum
+differently.
 """
 
 from __future__ import annotations
@@ -375,8 +376,8 @@ def _on_shells(chain: ChainSpec, factors, x, run) -> np.ndarray:
     padded back to every Fock state with zero rows.  For a finite block
     each skipped row and term is an exact zero; past a NaN or an infinity
     the padded rows stay zero, where an uncut run's zero products spread
-    NaN through its column.  A block that reaches the cutoff shell runs
-    uncut, and one whose s + 1 is the cutoff unpadded."""
+    NaN through its column.  A block that reaches the cutoff shell runs on
+    full slices, and one whose s + 1 is the cutoff unpadded."""
     fock, p = chain.fock, chain.defect_site
     x = np.asarray(x)
     lead, (rows, m) = x.shape[:-2], x.shape[-2:]
@@ -384,9 +385,7 @@ def _on_shells(chain: ChainSpec, factors, x, run) -> np.ndarray:
     view = x.reshape(lead + (rows // (d * post), d, post * m))
     occupied = np.flatnonzero(np.any(view, axis=tuple(range(view.ndim - 3)) + (-3, -1)))
     shell = fock.occupation[occupied[-1]] if occupied.size else 0
-    inner, outer = np.searchsorted(fock.occupation, (shell, shell + 1), side="right")
-    if inner == d:
-        return run(factors, x)
+    inner, outer = fock.shells(shell), fock.shells(shell + 1)
     cut = list(factors)
     cut[p - 1] = factors[p - 1][..., :outer, :, :inner]
     y = run(cut, view[..., :inner, :].reshape(lead + (rows // d * inner, m)))

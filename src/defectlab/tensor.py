@@ -14,7 +14,9 @@ size follows from the input are checked against ``MATRIX_BYTE_BUDGET``
 before allocation, and a stack of matrices is held to ``STACK_BYTES``:
 larger stacks measured slower than evaluating one matrix at a time.  A Fock
 space holds each basis state's total occupation in one array and builds
-each ladder operator once, all of them read-only.
+each ladder operator once, all of them read-only; its basis is ordered by
+total occupation, so a cut by occupation is a prefix of the basis, as long
+as :meth:`FockSpace.shells` says.
 
 Work arrays.  A :class:`WorkArrays` keeps one buffer per role, grown to the
 largest request, and hands it out as a view of the requested shape, so a
@@ -195,7 +197,7 @@ class FockSpace:
     ``occupation[i]`` is sum(n_j) of basis state i.  Raising out of the
     truncated space maps to zero, so operator identities that involve one
     creation step are exact only on the block with total occupation <=
-    cutoff - 1; :meth:`sub_cutoff_indices` selects that block.
+    cutoff - 1: the first ``shells(cutoff - 1)`` basis states.
     """
 
     def __init__(self, species: int, cutoff: int):
@@ -255,6 +257,7 @@ class FockSpace:
     def creator(self, j: int) -> np.ndarray:
         return self._once(("adag", j), lambda: self.annihilator(j).conj().T)
 
-    def sub_cutoff_indices(self, margin: int = 1) -> np.ndarray:
-        """Indices of basis states with total occupation <= cutoff - margin."""
-        return self._once(("sub", margin), lambda: np.flatnonzero(self.occupation <= self.cutoff - margin))
+    def shells(self, top: int) -> int:
+        """How many basis states have total occupation <= top: the first
+        ones, since the basis is ordered by total occupation."""
+        return int(np.searchsorted(self.occupation, top, side="right"))

@@ -1,6 +1,6 @@
 """Byte-identity sweep of the defectlab CLI, and the one record of its contract.
 
-INVOCATIONS lists 192 CLI invocations: every check suite, ``check
+INVOCATIONS lists 200 CLI invocations: every check suite, ``check
 all`` at ranks 2-4, amplitude scans and density profiles in CSV and JSON,
 Bethe solves from state files, the refusals, and sequences run in one
 interpreter whose later reports must not depend on the earlier ones.  The
@@ -298,6 +298,13 @@ INVOCATIONS = [
     # the crossing checks' operators, refused by their builders before any array is taken
     _case("check", "crossing", "--seed", "1", "--rank", "20", "--fock-cutoff", "3"),
     _case("check", "transmission-crossing", "--rank", "20", "--fock-cutoff", "3"),
+    # the edges of the Fock cut: a kept block of one Fock state (the vacuum),
+    # the transfer check's margin refusal, and a margin block of one shell
+    *(_case("check", suite, "--rank", r, "--fock-cutoff", "1", *seed)
+      for suite, seed in (("rll", ("--seed", "5")), ("transmission-algebra", ("--seed", "5")), ("oscillator", ()))
+      for r in ("2", "4")),
+    _case("check", "transfer-commute", "--fock-cutoff", "1", "--seed", "5"),
+    _case("check", "transfer-commute", "--rank", "4", "--fock-cutoff", "3", "--sites", "2", "--seed", "8"),
 ]
 
 

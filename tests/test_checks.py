@@ -18,7 +18,6 @@ from defectlab.checks import (
     check_transmission_algebra,
     check_transmission_crossing,
     check_ybe,
-    faithful_columns,
     rll_residual,
     rng_for,
     sample_points,
@@ -248,6 +247,19 @@ def test_chain_builds_its_fock_space_once(monkeypatch):
     assert built == []
 
 
+def _faithful_columns(chain):
+    """The quantum-space columns whose defect occupation is at most cutoff
+    - 2, in increasing order, from each column's own Fock state."""
+    states = np.indices(chain.dims[1:]).reshape(len(chain.dims) - 1, -1)[chain.defect_site - 1]
+    return np.flatnonzero(chain.fock.occupation[states] <= chain.fock_cutoff - 2)
+
+
+def _every_column(monkeypatch, chain):
+    # every Fock cut answers the whole basis, so the transfer check reads
+    # every column (and the transfer products run on every shell)
+    monkeypatch.setattr(chain.fock, "shells", lambda top: chain.fock.dim)
+
+
 def test_transfer_commute_restriction_not_vacuous(monkeypatch):
     # on the full truncated space the commutator picks up the cutoff shell;
     # the faithful-column restriction is what makes the identity exact
@@ -259,31 +271,35 @@ def test_transfer_commute_restriction_not_vacuous(monkeypatch):
     comm = t1 @ t2 - t2 @ t1
     scale = max(1.0, np.max(np.abs(t1)) * np.max(np.abs(t2)))
     full = np.max(np.abs(comm)) / scale
-    cols = faithful_columns(chain, 2)
+    cols = _faithful_columns(chain)
     restricted = np.max(np.abs(comm[:, cols])) / scale
     assert full > 1e-4
     assert restricted < 1e-12
     # given every column, the check measures that shell and fails
-    monkeypatch.setattr(checks, "faithful_columns", lambda chain, margin: np.arange(len(eye)))
+    _every_column(monkeypatch, chain)
     (report,) = check_transfer_commute(chain, [(l1, l2)])
     assert not report.passed
     assert abs(report.residual - full) <= 1e-12 * full
 
 
-def test_faithful_columns_membership():
-    chain = ChainSpec(rank=2, sites=1, fock_cutoff=3, defect_site=2)
-    fock = chain.fock
-    cols = faithful_columns(chain, 2)
-    # quantum space is site (dim 2) x Fock; occupation of kept columns <= 1
-    for c in cols:
-        f = c % fock.dim
-        assert sum(fock.basis[f]) <= fock.cutoff - 2
+def test_faithful_columns_membership(monkeypatch):
+    # the block that the first transfer pass is applied to is the identity
+    # on the columns whose Fock occupation is <= cutoff - 2, in their order,
+    # with the defect at each slot
+    blocks, transfer_of = [], lax.transfer
+    monkeypatch.setattr(lax, "transfer", lambda chain, lam, x: blocks.append(x) or transfer_of(chain, lam, x))
+    for sites, defect_site in [(1, 2), (0, 1), (2, 1), (2, 2), (2, 3)]:
+        chain = ChainSpec(rank=2, sites=sites, fock_cutoff=3, defect_site=defect_site)
+        blocks.clear()
+        assert check_transfer_commute(chain, [(0.6 + 0.3j, -0.9 + 0.1j)])[0].passed
+        q = chain_vacuum(chain).size
+        assert np.array_equal(blocks[0], np.eye(q)[:, _faithful_columns(chain)]), (sites, defect_site)
 
 
 def test_faithful_columns_empty_margin_raises():
     chain = ChainSpec(rank=2, sites=0, fock_cutoff=1)
-    with pytest.raises(ValueError):
-        faithful_columns(chain, 2)
+    with pytest.raises(ValueError, match="cutoff 1 leaves no occupation-2 margin; raise the cutoff"):
+        check_transfer_commute(chain, [(0.6 + 0.3j, -0.9 + 0.1j)])
 
 
 # ---------------------------------------------------------------------------
@@ -307,15 +323,15 @@ def _dense_exchange(kron_embed, rank, fock, pair_op, x1, x2):
     return (p @ e1 @ e2)[block], (e2 @ e1 @ p)[block]
 
 
-def _exchange_sides(n, pair_op, x1, x2, d, keep):
+def _exchange_sides(n, pair_op, x1, x2, d, k):
     # copies: the two sides are views of kept work arrays, which the next
     # call overwrites
-    return tuple(side.copy() for side in checks._exchange_sides(n, pair_op, x1, x2, d, keep))
+    return tuple(side.copy() for side in checks._exchange_sides(n, pair_op, x1, x2, d, k))
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])
-@pytest.mark.parametrize("keep", [[0, 2, 3], range(5)], ids=["proper-subset", "full-range"])
-def test_exchange_sides_against_embedded_products(rank, keep):
+@pytest.mark.parametrize("k", [3, 5], ids=["proper-subset", "full-range"])
+def test_exchange_sides_against_embedded_products(rank, k):
     # random operators, so that no structure of R, L or T can hide a
     # misplaced leg; V has dimension 5
     rng = np.random.default_rng(rank)
@@ -328,9 +344,9 @@ def test_exchange_sides_against_embedded_products(rank, keep):
     p12 = np.kron(pair_op, np.eye(d))
     x1_13 = tensor.embed_pair(x1, rank, [rank, d], 2)
     x2_23 = np.kron(np.eye(rank), tensor.embed_pair(x2, rank, [d], 1))
-    rows = (np.arange(rank * rank)[:, None] * d + np.asarray(keep)).ravel()
+    rows = (np.arange(rank * rank)[:, None] * d + np.arange(k)).ravel()
     block = np.ix_(rows, rows)
-    lhs, rhs = _exchange_sides(rank, pair_op, x1, x2, d, keep)
+    lhs, rhs = _exchange_sides(rank, pair_op, x1, x2, d, k)
     for got, dense in ((lhs, (p12 @ x1_13 @ x2_23)[block]), (rhs, (x2_23 @ x1_13 @ p12)[block])):
         assert got.shape == dense.shape
         assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
@@ -339,17 +355,17 @@ def test_exchange_sides_against_embedded_products(rank, keep):
 @pytest.mark.parametrize("rank", [2, 3, 4])
 def test_exchange_sides_on_a_stack_equals_its_per_item_calls(rank):
     rng = np.random.default_rng(10 + rank)
-    d, keep = 5, [0, 2, 3]
+    d, k = 5, 3
 
-    def random_ops(k):
-        return rng.normal(size=(2, 3, k, k)) + 1j * rng.normal(size=(2, 3, k, k))
+    def random_ops(n):
+        return rng.normal(size=(2, 3, n, n)) + 1j * rng.normal(size=(2, 3, n, n))
 
     pair_op, x1, x2 = random_ops(rank * rank), random_ops(rank * d), random_ops(rank * d)
-    lhs, rhs = _exchange_sides(rank, pair_op, x1, x2, d, keep)
-    m = rank * rank * len(keep)
+    lhs, rhs = _exchange_sides(rank, pair_op, x1, x2, d, k)
+    m = rank * rank * k
     assert lhs.shape == rhs.shape == (2, 3, m, m)
     for idx in np.ndindex(2, 3):
-        one_lhs, one_rhs = _exchange_sides(rank, pair_op[idx], x1[idx], x2[idx], d, keep)
+        one_lhs, one_rhs = _exchange_sides(rank, pair_op[idx], x1[idx], x2[idx], d, k)
         assert np.array_equal(lhs[idx], one_lhs) and np.array_equal(rhs[idx], one_rhs)
 
 
@@ -515,10 +531,10 @@ def test_transmission_algebra_residual_against_dense(kron_embed, rank, conjugate
     assert abs(got - dense) <= 1e-15
 
 
-def _block_bytes(rank, keep):
-    """Bytes of the n^2 |keep| x n^2 |keep| complex product of two local
-    operators on the kept V legs."""
-    return (rank * rank * keep) ** 2 * 16
+def _block_bytes(rank, k):
+    """Bytes of the n^2 k x n^2 k complex product of two local operators
+    on the first k V states."""
+    return (rank * rank * k) ** 2 * 16
 
 
 @pytest.mark.parametrize(
@@ -607,7 +623,7 @@ def test_transfer_commute_against_dense(dense_monodromy, monkeypatch, chain):
     # two pairs in one call, each against its own dense-trace reference
     pairs = [(0.6 + 0.3j, -0.9 + 0.1j), (-0.2 - 0.7j, 1.1 + 0.4j)]
     dense = [[_dense_transfer(dense_monodromy, chain, z) for z in pair] for pair in pairs]
-    cols = faithful_columns(chain, 2)
+    cols = _faithful_columns(chain)
     x = np.eye(len(dense[0][0]))[:, cols]
     lam1, lam2 = np.array(pairs).T
     # each product on the faithful columns, as a stack of both pairs, against
@@ -624,7 +640,7 @@ def test_transfer_commute_against_dense(dense_monodromy, monkeypatch, chain):
     # on every column the commutator picks up the cutoff shell, a different
     # size for each pair (except where the chain has none): each report
     # measures its own pair's
-    monkeypatch.setattr(checks, "faithful_columns", lambda chain, margin: np.arange(len(x)))
+    _every_column(monkeypatch, chain)
     for report, (t1, t2) in zip(check_transfer_commute(chain, pairs), dense):
         full = np.max(np.abs(t1 @ t2 - t2 @ t1)) / max(1.0, np.max(np.abs(t1)) * np.max(np.abs(t2)))
         assert abs(report.residual - full) <= 1e-12 * full + 1e-15, (report.residual, full)

@@ -718,11 +718,11 @@ def test_grid_whose_span_overflows_is_refused(capsys, command, lo, hi):
         f"got {float(hi)!r} - {float(lo)!r}\n")
 
 
-@pytest.mark.parametrize("command, columns, gigabytes", [("amplitudes", 4, "6.4e+04"),
-                                                          ("density", 5, "8e+04")])
+@pytest.mark.parametrize("command, columns, gigabytes", [("amplitudes", 512, "8.19e+06"),
+                                                          ("density", 256, "4.1e+06")])
 def test_grid_count_over_the_budget_is_refused_unallocated(capsys, command, columns, gigabytes):
-    # 10**12 points: the Fourier pass's complex result, one column per sum it
-    # takes, is refused before np.linspace builds the grid
+    # 10**12 points: the report's rows, 4 KiB (256 complex entries) each, one
+    # per sign and point, are refused before np.linspace builds the grid
     tracemalloc.start()
     try:
         code = main([command, "--grid", "-1", "1", str(10**12)])
@@ -734,6 +734,24 @@ def test_grid_count_over_the_budget_is_refused_unallocated(capsys, command, colu
     assert out == "" and err == (
         f"error: a lambda grid of 1000000000000 points needs a 1000000000000 x {columns} complex "
         f"array ({gigabytes} GB), over the 0.268 GB budget; reduce the grid's COUNT\n")
+    assert peak < 10 * 2**20
+
+
+def test_amplitude_grid_one_point_over_the_row_budget_is_refused_unallocated(capsys):
+    # 32,769 points of both signs are 65,538 rows of 4 KiB: two over the
+    # 256 MiB budget, refused before any amplitude is evaluated
+    argv = ["amplitudes", "--sign", "both", "--grid", "-1", "1", "32769"]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: a lambda grid of 32769 points needs a 32769 x 512 complex array")
+    assert err.endswith("reduce the grid's COUNT\n")
     assert peak < 10 * 2**20
 
 

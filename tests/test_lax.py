@@ -157,8 +157,8 @@ def test_ordering_offset_realizes_the_antinormal_number_operator():
         for ordering, product in (("normal", lambda a, ad: ad @ a), ("antinormal", lambda a, ad: a @ ad)):
             number = sum(product(a, ad) for a, ad in ladders)
             expected = np.diag(fock.occupation + LaxSpec(rank, ordering=ordering).offset)
-            sub = np.ix_(fock.sub_cutoff_indices(1), fock.sub_cutoff_indices(1))
-            assert np.max(np.abs(number - expected)[sub]) < 1e-13, (rank, ordering)
+            k = fock.shells(fock.cutoff - 1)
+            assert np.max(np.abs(number - expected)[:k, :k]) < 1e-13, (rank, ordering)
 
 
 def test_effective_shift():

@@ -50,6 +50,8 @@ MUTANTS = [
      "rll", None),
     ("ladders-transposed", tensor.FockSpace, "_ladder", lambda f: lambda fock, j: f(fock, j).T.copy(),
      "oscillator-algebra", None),
+    ("fock-cut-one-shell-too-high", tensor.FockSpace, "shells", lambda f: lambda fock, top: f(fock, top + 1),
+     "rll", None),
     ("lax-crossing-shifted-by-i", lax, "crossed_l_matrix",
      lambda f: lambda spec, fock, lam, role=None: f(spec, fock, np.add(lam, 1j), role),
      "lax-crossing", None),

@@ -266,13 +266,13 @@ def test_ladder_matrix_elements_single_species():
 
 def test_ladder_commutators_on_subblock():
     f = FockSpace(2, 4)
-    sub = f.sub_cutoff_indices(1)
+    k = f.shells(f.cutoff - 1)
     for i in (1, 2):
         for j in (1, 2):
             ai, adj = f.annihilator(i), f.creator(j)
             comm = ai @ adj - adj @ ai
             target = np.eye(f.dim) if i == j else np.zeros((f.dim, f.dim))
-            assert np.max(np.abs((comm - target)[np.ix_(sub, sub)])) < 1e-13
+            assert np.max(np.abs((comm - target)[:k, :k])) < 1e-13
 
 
 def test_occupation_is_the_number_operator_diagonal():
@@ -288,22 +288,26 @@ def test_occupation_is_the_number_operator_diagonal():
         assert np.max(np.abs(n_norm @ ad - ad @ n_norm - ad)) < 1e-13
 
 
-def test_sub_cutoff_indices():
-    f = FockSpace(2, 3)
-    sub = f.sub_cutoff_indices(1)
-    assert all(sum(f.basis[i]) <= 2 for i in sub)
-    assert len(sub) == math.comb(2 + 2, 2)
+@pytest.mark.parametrize("species", [1, 2, 3, 4])
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 4, 5])
+def test_shells_count_the_first_states_of_the_basis(species, cutoff):
+    f = FockSpace(species, cutoff)
+    for top in range(-1, cutoff + 2):
+        k = f.shells(top)
+        assert type(k) is int and k == np.count_nonzero(f.occupation <= top), top
+        # the states with total occupation <= top are exactly the first k
+        assert np.all(f.occupation[:k] <= top) and np.all(f.occupation[k:] > top), top
+        assert k == (math.comb(min(top, cutoff) + species, species) if top >= 0 else 0), top
 
 
 def test_fock_operators_are_built_once_and_read_only():
     f = FockSpace(2, 3)
-    calls = [("annihilator", 2), ("creator", 1), ("sub_cutoff_indices", 2)]
+    calls = [("annihilator", 2), ("creator", 1)]
     for name, *args in calls:
         first = getattr(f, name)(*args)
         assert getattr(f, name)(*args) is first
         with pytest.raises(ValueError, match="read-only"):
             first[0] = 1
-    assert f.sub_cutoff_indices(1) is not f.sub_cutoff_indices(2)
     with pytest.raises(ValueError, match="read-only"):
         f.occupation[0] = 1
 
