@@ -8,9 +8,11 @@ just the columns a check reads.  The Yang-Baxter equation, RLL and the
 transmission algebra share the form P12 X1 X2 = X2 X1 P12 and one routine
 that evaluates it: the product of the two local operators, contracted over
 their shared leg and formed only on the kept rows and columns, times P12.
-Each check evaluates its own spectral points as one stack: the lax
-builders take the array of points, and the routine contracts the stacks
-over their leading axes.  A residual checks one point's product against
+The crossing checks compare an explicit matrix with a crossed one, times
+rank for the transmission matrices, as their Gamma prefactors fix.  Each
+check evaluates its own spectral points as one stack: the lax builders take
+the array of points, and the routine contracts the stacks over their leading
+axes.  A residual checks one point's product against
 the byte budget before it builds any operator, and a stack larger than
 :func:`defectlab.tensor.stack_depth` admits is evaluated in consecutive
 runs that it admits.  A run's operators, buffers and temporaries are this
@@ -117,14 +119,25 @@ def rng_for(seed: int, label: str) -> np.random.Generator:
     return np.random.default_rng([int(seed), zlib.crc32(label.encode())])
 
 
-def sample_points(rng, count, box=2.0, avoid=(), min_dist=0.05):
-    """Complex points in the centered box, redrawn away from given spots."""
-    out = []
-    while len(out) < count:
-        z = complex(rng.uniform(-box, box), rng.uniform(-box, box))
-        if all(abs(z - a) > min_dist for a in avoid):
-            out.append(z)
-    return out
+def sample_points(rng, count):
+    """Complex points uniform in the square |Re|, |Im| < 2, the real part
+    drawn first."""
+    return [complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)) for _ in range(count)]
+
+
+PAIR_SEPARATION = 0.02  # the least distance of a pair's difference from 0 and each avoided one
+
+
+def sample_pairs(rng, count, avoid_diff=()):
+    """Argument pairs for exchange-relation checks, each of two sampled
+    points, redrawn while their difference lies within PAIR_SEPARATION of 0
+    or of a listed difference (the S-matrix's poles lie at +-i)."""
+    pairs = []
+    while len(pairs) < count:
+        a, b = sample_points(rng, 2)
+        if all(abs(a - b - s) >= PAIR_SEPARATION for s in (0.0, *avoid_diff)):
+            pairs.append((a, b))
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -447,58 +460,35 @@ def check_transmission_algebra(
 
 
 def check_transmission_crossing(
-    rank: int,
-    fock: FockSpace,
-    grid: Sequence[float] | None = None,
-    tol: float = 1e-8,
+    rank: int, fock: FockSpace, grid: Sequence[float] | None = None, tol: float = 1e-8
 ) -> CheckReport:
-    """Measure the proportionality constant between the conjugate
-    transmission matrix and the crossing transform of the direct one.
+    """The conjugate transmission matrix against rank times the crossing
+    transform of the direct one, V_1 T^{t_1}(-lambda + i rank/2) V_1.
 
-    The constant is fit per grid point by least squares over the matrix
-    entries above 1e-9 of the largest; the reported residual is the spread
-    of the fitted constant across the grid plus the worst per-point fit
-    error, so a lambda-dependent ratio cannot pass.
+    Both carry the head -i lambda - rank/2 + 1 + nbar, so the constant is
+    their Gamma prefactors' ratio T^+(lambda) (-i lambda - 1/2) /
+    T^-(-lambda + i rank/2) = (-i lambda - 1/2) Gamma(b) / Gamma(b + 1) = rank,
+    where b = -i lambda/rank - 1/(2 rank).  A grid point's residual is the
+    Chebyshev norm of conjugate - rank * crossed over the conjugate's, and
+    the report's is the worst point's.
     """
-    if grid is None:
-        grid = np.linspace(-3.0, 3.0, 20)
+    grid = np.linspace(-3.0, 3.0, 20) if grid is None else grid
     n = rank * fock.dim
 
-    def fit(points):  # per point, least squares over the entries above 1e-9 of its largest
-        work = work_arrays()
-        v_lhs = lax.conjugate_transmission_matrix(rank, fock, points, "x1")
-        v_rhs = lax.crossed_transmission_matrix(rank, fock, points, "x2")
-        v_lhs, v_rhs = v_lhs.reshape(len(points), -1), v_rhs.reshape(len(points), -1)
-        # weights conj(v_rhs) on the entries above 1e-9 of the point's largest, 0 elsewhere
-        mask = np.abs(v_rhs, out=work.take("fit mask", v_rhs.shape, float))
-        np.greater(mask, 1e-9 * np.max(mask, axis=-1, initial=0.0)[:, None], out=mask)
-        w = np.conjugate(v_rhs, out=work.take("fit weights", v_rhs.shape))
-        w *= mask
-        # two batched dot products per point, then the misfit in place of v_rhs
-        constants = (np.matmul(w[:, None], v_lhs[..., None]) / np.matmul(w[:, None], v_rhs[..., None]))[:, 0, 0]
-        misfit = np.subtract(v_lhs, np.multiply(constants[:, None], v_rhs, out=v_rhs), out=v_rhs)
-        fits = cheb(misfit, axis=-1) / cheb(v_lhs, axis=-1)
-        return np.stack([constants, fits], axis=-1)
+    def residual(points):
+        conjugate = lax.conjugate_transmission_matrix(rank, fock, points, "x1")
+        crossed = lax.crossed_transmission_matrix(rank, fock, points, "x2")
+        misfit = np.subtract(conjugate, np.multiply(rank, crossed, out=crossed), out=crossed)
+        return cheb(misfit, axis=(-2, -1)) / cheb(conjugate, axis=(-2, -1))
 
-    constants, fits = _in_stacks(fit, (n, n), grid).T
-    worst_fit = worst_of(0.0, *fits.real.tolist())
-    center = complex(np.median(constants.real), np.median(constants.imag))
-    spread = float(np.max(np.abs(constants - center)))
-    residual = worst_of(spread, worst_fit)
+    worst = worst_of(0.0, *_in_stacks(residual, (n, n), grid).tolist())
     return CheckReport.from_residual(
         "transmission-crossing",
-        [
-            ("rank", rank),
-            ("cutoff", fock.cutoff),
-            ("nbar_ordering", ANTINORMAL),
-            ("grid_points", len(list(grid))),
-            ("constant", center),
-            ("constant_spread", spread),
-            ("worst_pointwise_fit", worst_fit),
-        ],
-        residual,
+        [("rank", rank), ("cutoff", fock.cutoff), ("nbar_ordering", ANTINORMAL),
+         ("grid_points", len(list(grid))), ("constant", complex(rank))],
+        worst,
         tol,
-        "entrywise least-squares constant across the rapidity grid",
+        "full auxiliary x Fock space, relative to the conjugate, across the rapidity grid",
     )
 
 

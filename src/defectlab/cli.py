@@ -92,12 +92,13 @@ class RunConfig:
 
     def grid(self, rows: int) -> np.ndarray:
         """The lambda grid, refused before it is built if its report's
-        ``rows`` rows per point, at 4 KiB (256 complex entries) a row while
-        written, would exceed the byte budget: the largest row measured, an
-        amplitude row as JSON, takes 2.6 KB, and the Fourier pass 80 B a point."""
-        count = self.lambda_grid[2]
-        tensor.require_budget((count, 256 * rows), f"a lambda grid of {count} points",
-                              remedy="reduce the grid's COUNT")
+        ``rows`` rows per point outnumber the rows of 4 KiB that the byte
+        budget holds: the largest row measured, an amplitude row as JSON,
+        takes 2.6 KB, and the Fourier pass 80 B a point."""
+        count, limit = self.lambda_grid[2], tensor.MATRIX_BYTE_BUDGET // 4096
+        if count * rows > limit:
+            raise ValueError(f"a lambda grid of {count} points needs {count * rows} report rows, over "
+                             f"the {limit} rows of 4 KiB that the byte budget holds; reduce the grid's COUNT")
         return np.linspace(*self.lambda_grid)
 
     @cached_property
@@ -230,22 +231,11 @@ def _config_echo(cfg: RunConfig) -> dict:
 # check suites
 
 
-def _sample_pairs(rng, count, separation=0.02, avoid_diff=()):
-    """Argument pairs for exchange-relation checks, redrawn while the
-    difference sits near a listed special point."""
-    pairs = []
-    while len(pairs) < count:
-        a, b = checks.sample_points(rng, 2)
-        if all(abs(a - b - s) >= separation for s in (0.0, *avoid_diff)):
-            pairs.append((a, b))
-    return pairs
-
-
 def _ybe(cfg, rng):
     tol = cfg.tol("ybe")
     return [
-        *checks.check_ybe(cfg.rank, _sample_pairs(rng, 4), tol),
-        *checks.check_ybe(cfg.rank, _sample_pairs(rng, 2, avoid_diff=(1j, -1j)), tol, matrix="S"),
+        *checks.check_ybe(cfg.rank, checks.sample_pairs(rng, 4), tol),
+        *checks.check_ybe(cfg.rank, checks.sample_pairs(rng, 2, avoid_diff=(1j, -1j)), tol, matrix="S"),
     ]
 
 
@@ -254,7 +244,7 @@ def _rll(cfg, rng):
     other number-operator ordering, on the same pairs."""
     fock, spec, tol = cfg.chain.fock, cfg.chain.lax, cfg.tol("rll")
     other = lax.ANTINORMAL if spec.ordering == lax.NORMAL else lax.NORMAL
-    pairs = _sample_pairs(rng, 2)
+    pairs = checks.sample_pairs(rng, 2)
     return [
         report
         for s in (spec, replace(spec, variant=lax.VARIANT_LHAT), replace(spec, ordering=other))
@@ -268,7 +258,7 @@ def _transmission_algebra(cfg, rng):
         report
         for conjugate in (False, True)
         for report in checks.check_transmission_algebra(
-            cfg.rank, fock, _sample_pairs(rng, 2, avoid_diff=(1j, -1j)), conjugate, tol=tol
+            cfg.rank, fock, checks.sample_pairs(rng, 2, avoid_diff=(1j, -1j)), conjugate, tol=tol
         )
     ]
 
@@ -293,7 +283,7 @@ SUITES = {
         )
     ]),
     "transfer-commute": (True, lambda cfg, rng: checks.check_transfer_commute(
-        cfg.chain, _sample_pairs(rng, 2), cfg.tol("transfer-commute")
+        cfg.chain, checks.sample_pairs(rng, 2), cfg.tol("transfer-commute")
     )),
     "highest-weight": (False, lambda cfg, rng: [
         checks.check_highest_weight(cfg.chain, tol=cfg.tol("highest-weight"))

@@ -330,8 +330,8 @@ def conjugate_transmission_matrix(rank: int, fock: FockSpace, lam, role=None) ->
 
 
 def crossed_transmission_matrix(rank: int, fock: FockSpace, lam, role=None) -> np.ndarray:
-    """V_1 T^{t_1}(-lambda + i rank/2) V_1; equals the conjugate matrix up to
-    a constant that the crossing check measures rather than assumes."""
+    """V_1 T^{t_1}(-lambda + i rank/2) V_1: 1/rank times the conjugate
+    matrix, by the ratio of their Gamma prefactors."""
     lam = -np.asarray(lam, dtype=COMPLEX) + 1j * rank / 2
     return _cross(transmission_matrix(rank, fock, lam, "uncrossed"), rank, role)
 

@@ -45,14 +45,14 @@ COMPLEX = np.complex128
 MATRIX_BYTE_BUDGET = 1 << 28  # 256 MiB: the largest dense complex array built
 
 
-def require_budget(shape, what: str, remedy: str = "reduce sites, rank or the Fock cutoff") -> None:
+def require_budget(shape, what: str) -> None:
     """Refuse, before allocating it, a dense complex array above the budget."""
     nbytes = math.prod(int(k) for k in shape) * np.dtype(COMPLEX).itemsize
     if nbytes > MATRIX_BYTE_BUDGET:
         size = " x ".join(str(int(k)) for k in shape)
         raise ValueError(
             f"{what} needs a {size} complex array ({nbytes / 1e9:.3g} GB), over the "
-            f"{MATRIX_BYTE_BUDGET / 1e9:.3g} GB budget; {remedy}"
+            f"{MATRIX_BYTE_BUDGET / 1e9:.3g} GB budget; reduce sites, rank or the Fock cutoff"
         )
 
 

@@ -1,6 +1,6 @@
 """Byte-identity sweep of the defectlab CLI, and the one record of its contract.
 
-INVOCATIONS lists 200 CLI invocations: every check suite, ``check
+INVOCATIONS lists 202 CLI invocations: every check suite, ``check
 all`` at ranks 2-4, amplitude scans and density profiles in CSV and JSON,
 Bethe solves from state files, the refusals, and sequences run in one
 interpreter whose later reports must not depend on the earlier ones.  The
@@ -305,6 +305,9 @@ INVOCATIONS = [
       for r in ("2", "4")),
     _case("check", "transfer-commute", "--fock-cutoff", "1", "--seed", "5"),
     _case("check", "transfer-commute", "--rank", "4", "--fock-cutoff", "3", "--sites", "2", "--seed", "8"),
+    # transmission-crossing at rank 5, and with a tolerance that no residual meets
+    _case("check", "transmission-crossing", "--rank", "5", "--fock-cutoff", "2"),
+    _case("check", "transmission-crossing", "--tol", "transmission-crossing=1e-300"),
 ]
 
 

@@ -130,16 +130,24 @@ def test_criterion_04_transmission_algebra(monkeypatch):
 
 
 def test_criterion_05_transmission_crossing():
-    worst = 0.0
+    # per point, the least-squares ratio of the conjugate matrix to the
+    # crossed one on the check's grid: its relative spread and its distance
+    # from rank, measured here, and the check's own residual
+    grid = np.linspace(-3.0, 3.0, 20)
+    spread = distance = residual = 0.0
     for rank in (2, 3):
         fock = FockSpace(rank - 1, 5)
+        conjugate = lax.conjugate_transmission_matrix(rank, fock, grid)
+        crossed = lax.crossed_transmission_matrix(rank, fock, grid)
+        ratios = np.array([np.vdot(x, c) / np.vdot(x, x) for c, x in zip(conjugate, crossed)])
+        spread = max(spread, np.max(np.abs(ratios - ratios.mean())) / rank)
+        distance = max(distance, np.max(np.abs(ratios - rank)) / rank)
         report = check_transmission_crossing(rank, fock, tol=1e-8)
-        params = dict(report.parameters)
-        rel_spread = params["constant_spread"] / abs(params["constant"])
-        worst = max(worst, rel_spread, params["worst_pointwise_fit"])
-        assert params["grid_points"] == 20
-    ok = worst <= 1e-8
-    _verdict(5, "transmission-crossing", ok, f"relative spread {worst:.3e}")
+        residual = max(residual, report.residual)
+        assert dict(report.parameters)["grid_points"] == 20
+    ok = max(spread, distance, residual) <= 1e-8
+    _verdict(5, "transmission-crossing", ok, f"ratio's relative spread {spread:.3e}, "
+             f"distance from rank {distance:.3e}, check residual {residual:.3e}")
 
 
 def test_criterion_06_amplitude_scan():

@@ -20,6 +20,7 @@ from defectlab.checks import (
     check_ybe,
     rll_residual,
     rng_for,
+    sample_pairs,
     sample_points,
     transmission_algebra_residual,
     worst_of,
@@ -31,9 +32,12 @@ import defectlab.tensor as tensor
 from defectlab.tensor import FockSpace
 
 
-def _points(label, count, avoid=()):
-    rng = rng_for(11, label)
-    return sample_points(rng, count, avoid=avoid)
+def _points(label, count):
+    return sample_points(rng_for(11, label), count)
+
+
+def _pairs(label, count, avoid_diff=()):
+    return sample_pairs(rng_for(11, label), count, avoid_diff)
 
 
 def test_rng_for_deterministic_and_label_separated():
@@ -46,12 +50,10 @@ def test_rng_for_deterministic_and_label_separated():
     assert not np.array_equal(a, d)
 
 
-def test_sample_points_avoidance():
-    rng = rng_for(0, "pts")
-    avoid = [0.5 + 0.5j]
-    pts = sample_points(rng, 50, box=1.0, avoid=avoid, min_dist=0.3)
-    assert len(pts) == 50
-    assert all(abs(p - avoid[0]) > 0.3 for p in pts)
+def test_sample_pairs_keep_their_differences_off_zero_and_the_s_matrix_poles():
+    pairs = sample_pairs(rng_for(0, "pairs"), 200, avoid_diff=(1j, -1j))
+    assert len(pairs) == 200
+    assert min(abs(a - b - s) for a, b in pairs for s in (0, 1j, -1j)) >= 0.02
 
 
 def test_report_shape_and_serialization():
@@ -74,8 +76,7 @@ def test_ybe_r_and_s():
         for l1, l2 in zip(*(iter(_points(f"ybe{rank}", 6)),) * 2):
             assert ybe_residual(rank, l1, l2, "R") < 1e-12
     for rank in (2, 3):
-        pts = _points(f"ybeS{rank}", 4, avoid=(1j, -1j))
-        reports = check_ybe(rank, list(zip(pts[0::2], pts[1::2])), matrix="S")
+        reports = check_ybe(rank, _pairs(f"ybeS{rank}", 2, avoid_diff=(1j, -1j)), matrix="S")
         assert len(reports) == 2 and all(rep.passed for rep in reports)
 
 
@@ -182,14 +183,10 @@ def test_nan_residual_fails_its_check():
 def test_transmission_algebra_direct_and_conjugate():
     for rank in (2, 3):
         fock = FockSpace(rank - 1, 4)
-        pts = _points(f"ta{rank}", 4, avoid=(1j, -1j))
-        # keep the difference away from S-matrix poles at +-i
-        l1, l2 = pts[0], pts[1]
-        if abs((l1 - l2) - 1j) < 0.1 or abs((l1 - l2) + 1j) < 0.1:
-            l2 = pts[2]
+        pairs = _pairs(f"ta{rank}", 2, avoid_diff=(1j, -1j))
         for conjugate in (False, True):
-            (rep,) = check_transmission_algebra(rank, fock, [(l1, l2)], conjugate=conjugate)
-            assert rep.passed, (rank, conjugate, rep.residual)
+            reports = check_transmission_algebra(rank, fock, pairs, conjugate=conjugate)
+            assert all(rep.passed for rep in reports), (rank, conjugate, reports)
 
 
 def test_transmission_algebra_scalar_rescaling_invariance(monkeypatch):
@@ -212,12 +209,34 @@ def test_transmission_algebra_scalar_rescaling_invariance(monkeypatch):
 
 
 def test_transmission_crossing_constant_is_rank():
+    # an oracle apart from the check: each point's least-squares ratio of the
+    # conjugate matrix to the crossed one, on real and complex lambda away
+    # from the pole at i/2
+    lams = np.array([-2.7, -0.4, 0.0, 1.3, 0.6 - 0.8j, -1.9 + 0.3j, 0.2 + 1.4j])
+    for rank in range(2, 7):
+        for cutoff in range(1, 5):
+            fock = FockSpace(rank - 1, cutoff)
+            conjugate = lax.conjugate_transmission_matrix(rank, fock, lams)
+            crossed = lax.crossed_transmission_matrix(rank, fock, lams)
+            for lam, c, x in zip(lams, conjugate, crossed):
+                ratio = np.vdot(x, c) / np.vdot(x, x)
+                assert abs(ratio - rank) <= 1e-12 * rank, (rank, cutoff, lam, ratio)
+            rep = check_transmission_crossing(rank, fock)
+            assert rep.passed and dict(rep.parameters)["constant"] == rank, (rank, cutoff, rep)
+
+
+def test_transmission_crossing_fails_a_lambda_dependent_ratio(monkeypatch):
+    crossed = lax.crossed_transmission_matrix
+
+    def drifting(rank, fock, lam, role=None):
+        out = crossed(rank, fock, lam, role)
+        out *= (1 + 1e-6 * np.asarray(lam))[..., None, None]
+        return out
+
+    monkeypatch.setattr(lax, "crossed_transmission_matrix", drifting)
     for rank in (2, 3):
-        fock = FockSpace(rank - 1, 4)
-        rep = check_transmission_crossing(rank, fock)
-        assert rep.passed, (rank, rep.residual)
-        const = dict(rep.parameters)["constant"]
-        assert abs(const - rank) < 1e-8
+        rep = check_transmission_crossing(rank, FockSpace(rank - 1, 4))
+        assert not rep.passed and rep.residual > 1e-7, (rank, rep.residual)
 
 
 # ---------------------------------------------------------------------------

@@ -718,11 +718,11 @@ def test_grid_whose_span_overflows_is_refused(capsys, command, lo, hi):
         f"got {float(hi)!r} - {float(lo)!r}\n")
 
 
-@pytest.mark.parametrize("command, columns, gigabytes", [("amplitudes", 512, "8.19e+06"),
-                                                          ("density", 256, "4.1e+06")])
-def test_grid_count_over_the_budget_is_refused_unallocated(capsys, command, columns, gigabytes):
-    # 10**12 points: the report's rows, 4 KiB (256 complex entries) each, one
-    # per sign and point, are refused before np.linspace builds the grid
+@pytest.mark.parametrize("command, rows", [("amplitudes", 2 * 10**12), ("density", 10**12)])
+def test_grid_count_over_the_budget_is_refused_unallocated(capsys, command, rows):
+    # 10**12 points: the report's rows, one per sign and point, outnumber the
+    # budget's 65,536 rows of 4 KiB, and are refused before np.linspace
+    # builds the grid
     tracemalloc.start()
     try:
         code = main([command, "--grid", "-1", "1", str(10**12)])
@@ -732,8 +732,8 @@ def test_grid_count_over_the_budget_is_refused_unallocated(capsys, command, colu
     assert code == 2
     out, err = capsys.readouterr()
     assert out == "" and err == (
-        f"error: a lambda grid of 1000000000000 points needs a 1000000000000 x {columns} complex "
-        f"array ({gigabytes} GB), over the 0.268 GB budget; reduce the grid's COUNT\n")
+        f"error: a lambda grid of 1000000000000 points needs {rows} report rows, over the 65536 "
+        f"rows of 4 KiB that the byte budget holds; reduce the grid's COUNT\n")
     assert peak < 10 * 2**20
 
 
@@ -750,7 +750,7 @@ def test_amplitude_grid_one_point_over_the_row_budget_is_refused_unallocated(cap
     assert code == 2
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
-    assert err.startswith("error: a lambda grid of 32769 points needs a 32769 x 512 complex array")
+    assert err.startswith("error: a lambda grid of 32769 points needs 65538 report rows, over the 65536 rows")
     assert err.endswith("reduce the grid's COUNT\n")
     assert peak < 10 * 2**20
 

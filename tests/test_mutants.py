@@ -71,9 +71,7 @@ MUTANTS = [
      "an offset only translates lambda, so every exchange relation holds for any offset, and "
      "highest-weight takes its expected vacuum weight from the same offset (rank - 1 is right)"),
     ("amplitude-prefactors-dropped", lax, "_scale", lambda f: lambda out, scalar, lam: out,
-     "transmission-crossing",
-     "transmission-crossing measures the constant between the crossed and the conjugate matrix "
-     "instead of deriving it from the Gamma prefactors, and fits 1 where it should fit rank"),
+     "transmission-crossing", None),
     ("defect-at-lambda-plus-theta", lax, "_local_factors",
      lambda f: lambda chain, lam: f(dataclasses.replace(chain, theta=-chain.theta), lam),
      "highest-weight",
