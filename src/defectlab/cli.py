@@ -98,7 +98,8 @@ class RunConfig:
         count, limit = self.lambda_grid[2], tensor.MATRIX_BYTE_BUDGET // 4096
         if count * rows > limit:
             raise ValueError(f"a lambda grid of {count} points needs {count * rows} report rows, over "
-                             f"the {limit} rows of 4 KiB that the byte budget holds; reduce the grid's COUNT")
+                             f"the {limit} rows of 4 KiB that the byte budget holds ({count * rows * 4096 / 1e9:.3g} "
+                             f"GB against {tensor.MATRIX_BYTE_BUDGET / 1e9:.3g} GB); reduce the grid's COUNT")
         return np.linspace(*self.lambda_grid)
 
     @cached_property

@@ -718,11 +718,13 @@ def test_grid_whose_span_overflows_is_refused(capsys, command, lo, hi):
         f"got {float(hi)!r} - {float(lo)!r}\n")
 
 
-@pytest.mark.parametrize("command, rows", [("amplitudes", 2 * 10**12), ("density", 10**12)])
-def test_grid_count_over_the_budget_is_refused_unallocated(capsys, command, rows):
-    # 10**12 points: the report's rows, one per sign and point, outnumber the
-    # budget's 65,536 rows of 4 KiB, and are refused before np.linspace
-    # builds the grid
+@pytest.mark.parametrize("command, entries, gigabytes", [("amplitudes", 512, "8.19e+06"),
+                                                          ("density", 256, "4.1e+06")])
+def test_grid_count_over_the_budget_is_refused_unallocated(capsys, command, entries, gigabytes):
+    # 10**12 points: the report's rows, 4 KiB (256 complex entries) each, one
+    # per sign and point, outnumber the budget's 65,536 rows, and are refused
+    # before np.linspace builds the grid
+    rows = 10**12 * entries // 256
     tracemalloc.start()
     try:
         code = main([command, "--grid", "-1", "1", str(10**12)])
@@ -733,7 +735,8 @@ def test_grid_count_over_the_budget_is_refused_unallocated(capsys, command, rows
     out, err = capsys.readouterr()
     assert out == "" and err == (
         f"error: a lambda grid of 1000000000000 points needs {rows} report rows, over the 65536 "
-        f"rows of 4 KiB that the byte budget holds; reduce the grid's COUNT\n")
+        f"rows of 4 KiB that the byte budget holds ({gigabytes} GB against 0.268 GB); "
+        f"reduce the grid's COUNT\n")
     assert peak < 10 * 2**20
 
 
