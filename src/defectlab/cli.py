@@ -216,11 +216,25 @@ def _write_json(cfg: RunConfig, payload: dict) -> None:
     _write_text(cfg, text + "\n")
 
 
-def _write_csv(cfg: RunConfig, header: str, columns) -> None:
-    """One line per row of equal-length columns: a float array's values by
-    repr, a list of strings as it is."""
-    cells = [col if isinstance(col, list) else map(repr, col.tolist()) for col in columns]
-    _write_text(cfg, "\n".join([header, *map(",".join, zip(*cells, strict=True))]) + "\n")
+def _is_complex(col) -> bool:
+    return isinstance(col, np.ndarray) and col.dtype.kind == "c"  # np.iscomplexobj would copy a list
+
+
+def _write_csv(cfg: RunConfig, columns: dict) -> None:
+    """A table report, its named columns of one length: the names as the
+    header, then one line per row; a float array's values by repr, a complex
+    array as name_re and name_im, a list of strings as it is."""
+    flat = {}
+    for name, col in columns.items():
+        flat.update({f"{name}_re": col.real, f"{name}_im": col.imag} if _is_complex(col) else {name: col})
+    cells = [col if isinstance(col, list) else map(repr, col.tolist()) for col in flat.values()]
+    _write_text(cfg, "\n".join([",".join(flat), *map(",".join, zip(*cells, strict=True))]) + "\n")
+
+
+def _json_columns(columns: dict) -> dict:
+    """A table report's columns as lists, a complex value as [re, im]."""
+    return {name: np.stack([col.real, col.imag], axis=-1).tolist() if _is_complex(col)
+            else col if isinstance(col, list) else col.tolist() for name, col in columns.items()}
 
 
 def _config_echo(cfg: RunConfig) -> dict:
@@ -362,34 +376,14 @@ def cmd_amplitudes(cfg: RunConfig, sign: str) -> int:
     if nonfinite:
         print(f"warning: amplitude rows not finite: {', '.join(nonfinite)}", file=sys.stderr)
     tol = cfg.tol("amplitudes")
+    columns = {"lambda": lam_col, "closed_form": closed, "integral": integral,
+               "logderiv_residual": deriv, "sign": sign_col, "status": status}
     if (cfg.fmt or "csv") == "json":
-        _write_json(cfg, {
-            "schema": 1,
-            "rank": cfg.rank,
-            "sign": sign,
-            "tolerance": tol,
-            "max_residual": worst,
-            "rows": [
-                {
-                    "lambda": lam,
-                    "closed_form": [c.real, c.imag],
-                    "integral": [i.real, i.imag],
-                    "logderiv_residual": d,
-                    "sign": s,
-                    "status": st,
-                }
-                for lam, c, i, d, s, st in zip(lam_col.tolist(), closed.tolist(),
-                                               integral.tolist(), deriv.tolist(), sign_col, status)
-            ],
-        })
+        listed = _json_columns(columns)
+        _write_json(cfg, {"schema": 1, "rank": cfg.rank, "sign": sign, "tolerance": tol, "max_residual": worst,
+                          "rows": [dict(zip(listed, row)) for row in zip(*listed.values())]})
     else:
-        _write_csv(
-            cfg,
-            "lambda,closed_form_re,closed_form_im,integral_re,integral_im,"
-            "logderiv_residual,sign,status",
-            [lam_col, closed.real, closed.imag, integral.real, integral.imag, deriv, sign_col,
-             status],
-        )
+        _write_csv(cfg, columns)
     return EXIT_OK if worst <= tol else EXIT_FAIL
 
 
@@ -457,15 +451,13 @@ def cmd_density(cfg: RunConfig, level: int, sign: str, sites: int, hole: float) 
     nonfinite = [f"lambda {float(lam)!r}" for lam in profile.lams[~np.isfinite(profile.total)]]
     if nonfinite:
         print(f"warning: density rows not finite: {', '.join(nonfinite)}", file=sys.stderr)
+    columns = {"lambda": profile.lams, "sigma": profile.total, "bulk": profile.bulk,
+               "hole_backflow": profile.hole_backflow, "defect": profile.defect}
     if (cfg.fmt or "csv") == "json":
-        _write_json(cfg, profile.to_dict())
+        scalars = ("rank", "level", "sign", "hole", "theta", "sites", "tail_bound")
+        _write_json(cfg, {"schema": 1, **{k: getattr(profile, k) for k in scalars}, **_json_columns(columns)})
     else:
-        _write_csv(
-            cfg,
-            "lambda,sigma_re,sigma_im,bulk,hole_backflow,defect_re,defect_im",
-            [profile.lams, profile.total.real, profile.total.imag, profile.bulk,
-             profile.hole_backflow, profile.defect.real, profile.defect.imag],
-        )
+        _write_csv(cfg, columns)
     return EXIT_FAIL if nonfinite else EXIT_OK
 
 

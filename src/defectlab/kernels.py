@@ -236,17 +236,20 @@ def gl_panels(edges, order: int = 32):
 
 
 OMEGA_CUTOFF = 80.0
+PANEL_WIDTH = 2.0  # the widest half-line panel
+PANEL_ORDER = 32  # Gauss-Legendre nodes per panel
 
 
-def half_line_grid(cutoff: float = OMEGA_CUTOFF, panel: float = 2.0, order: int = 32):
+def half_line_grid(cutoff: float = OMEGA_CUTOFF):
     """Uniform composite rule on [0, cutoff], as (nodes, weights, panels):
-    every panel has the half-width cutoff / (2 count), panels = (mids,
-    offsets) and nodes = (mids[:, None] + offsets).ravel() exactly, the form
-    fourier_cos_sin sums by.  The integrands here decay at least like
-    exp(-x/2), so the default cutoff leaves a tail below 1e-17."""
-    count = max(1, int(math.ceil(cutoff / panel)))
+    count = ceil(cutoff / PANEL_WIDTH) panels of PANEL_ORDER nodes, each of
+    half-width cutoff / (2 count), panels = (mids, offsets) and nodes =
+    (mids[:, None] + offsets).ravel() exactly, the form fourier_cos_sin sums
+    by.  The integrands here decay at least like exp(-x/2), so the default
+    cutoff leaves a tail below 1e-17."""
+    count = max(1, int(math.ceil(cutoff / PANEL_WIDTH)))
     half = cutoff / (2 * count)
-    base_x, base_w = np.polynomial.legendre.leggauss(order)
+    base_x, base_w = np.polynomial.legendre.leggauss(PANEL_ORDER)
     mids = half * np.arange(1.0, 2 * count, 2.0)
     offsets = half * base_x
     nodes = np.add.outer(mids, offsets).ravel()

@@ -72,7 +72,7 @@ class KernelTable:
 
 @dataclass(frozen=True)
 class DensityProfile:
-    """Root density of the single-hole state with the impurity.
+    """The single-hole root density with the impurity: the density report's fields.
 
     total = bulk + (hole_backflow + defect)/sites pointwise; the defect
     component is complex because its Fourier kernel is one-sided.
@@ -90,23 +90,6 @@ class DensityProfile:
     theta: float
     sites: int
     tail_bound: float
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "rank": self.rank,
-            "level": self.level,
-            "sign": self.sign,
-            "hole": float(self.hole),
-            "theta": float(self.theta),
-            "sites": self.sites,
-            "tail_bound": float(self.tail_bound),
-            "lambda": [float(x) for x in self.lams],
-            "sigma": [[float(z.real), float(z.imag)] for z in self.total],
-            "bulk": [float(x) for x in self.bulk],
-            "hole_backflow": [float(x) for x in self.hole_backflow],
-            "defect": [[float(z.real), float(z.imag)] for z in self.defect],
-        }
 
 
 def density(

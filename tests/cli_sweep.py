@@ -1,6 +1,6 @@
 """Byte-identity sweep of the defectlab CLI, and the one record of its contract.
 
-INVOCATIONS lists 202 CLI invocations: every check suite, ``check
+INVOCATIONS lists 203 CLI invocations: every check suite, ``check
 all`` at ranks 2-4, amplitude scans and density profiles in CSV and JSON,
 Bethe solves from state files, the refusals, and sequences run in one
 interpreter whose later reports must not depend on the earlier ones.  The
@@ -308,6 +308,8 @@ INVOCATIONS = [
     # transmission-crossing at rank 5, and with a tolerance that no residual meets
     _case("check", "transmission-crossing", "--rank", "5", "--fock-cutoff", "2"),
     _case("check", "transmission-crossing", "--tol", "transmission-crossing=1e-300"),
+    # density JSON with non-finite rows: nulls in its real and its complex columns
+    _case("density", "--rank", "2", "--grid", "0", "1.7e308", "3", "--format", "json"),
 ]
 
 

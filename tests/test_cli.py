@@ -16,8 +16,10 @@ from defectlab.cli import (
     DEFAULT_TOLERANCES,
     RunConfig,
     _amplitude_rows,
+    _json_columns,
     _load_config,
     _write_csv,
+    _write_json,
     build_parser,
     main,
 )
@@ -805,12 +807,36 @@ def test_amplitude_pole_row_is_all_nan(tmp_path):
 def test_csv_columns_are_written_by_repr(tmp_path):
     values = [-0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1.7e308, 1.0, 0.1 + 0.2]
     words = ["a", "", "+", "-", "ok", "pole", "x y", "nonfinite"]
+    zs = [complex(re, im) for re, im in zip(values, values[::-1])]
     cfg = RunConfig(output=str(tmp_path / "out.csv"))
-    _write_csv(cfg, "value,word", [np.array(values), words])
-    expected = "".join(f"{repr(float(v))},{w}\n" for v, w in zip(values, words))
-    assert (tmp_path / "out.csv").read_bytes() == ("value,word\n" + expected).encode()
+    _write_csv(cfg, {"value": np.array(values), "z": np.array(zs), "word": words})
+    expected = "".join(
+        f"{repr(float(v))},{repr(z.real)},{repr(z.imag)},{w}\n" for v, z, w in zip(values, zs, words)
+    )
+    assert (tmp_path / "out.csv").read_bytes() == ("value,z_re,z_im,word\n" + expected).encode()
     with pytest.raises(ValueError):
-        _write_csv(cfg, "value,word", [np.array(values), words[:-1]])
+        _write_csv(cfg, {"value": np.array(values), "word": words[:-1]})
+
+
+def test_json_columns_write_a_complex_value_as_a_pair_and_a_nonfinite_float_as_null(tmp_path):
+    values = [-0.0, float("nan"), float("inf"), 5e-324, 0.1 + 0.2]
+    zs = [complex(-0.0, 1.5), complex("nan+1j"), complex(2.0, float("-inf")), 1e-300j, 0j]
+    words = ["a", "", "ok", "pole", "x y"]
+    listed = _json_columns({"value": np.array(values), "z": np.array(zs), "word": words})
+    assert list(listed) == ["value", "z", "word"]
+    # by repr, which tells -0.0 from 0.0 and matches a NaN
+    assert repr(listed["z"]) == repr([[z.real, z.imag] for z in zs])
+    assert all(type(x) is float for pair in listed["z"] for x in pair)
+    assert repr(listed["value"]) == repr(values)
+    assert listed["word"] == words
+    out = tmp_path / "out.json"
+    _write_json(RunConfig(output=str(out)), listed)
+    assert json.loads(out.read_text(), parse_constant=lambda token: pytest.fail(token)) == {
+        "value": [-0.0, None, None, 5e-324, 0.1 + 0.2],
+        "z": [[-0.0, 1.5], [None, 1.0], [2.0, None], [0.0, 1e-300], [0.0, 0.0]],
+        "word": words,
+    }
+    assert '"z": [\n    [\n      -0.0,\n      1.5\n    ],' in out.read_text()
 
 
 def test_amplitudes_keep_the_negative_zero_at_the_origin(tmp_path):
@@ -1043,7 +1069,16 @@ def test_density_csv_and_json_carry_the_library_profile(tmp_path):
         thermo.KernelTable(2), 1, "-", np.linspace(-2, 2, 9), hole=0.4, theta=0.2, sites=50
     )
     payload = json.loads(json_text)
-    assert payload == prof.to_dict()
+    # as JSON text, floats by repr, so that a -0.0 read as 0.0 would show
+    assert json.dumps(payload, sort_keys=True) == json.dumps({
+        "schema": 1, "rank": prof.rank, "level": prof.level, "sign": prof.sign, "hole": prof.hole,
+        "theta": prof.theta, "sites": prof.sites, "tail_bound": prof.tail_bound,
+        "lambda": prof.lams.tolist(),
+        "sigma": [[z.real, z.imag] for z in prof.total.tolist()],
+        "bulk": prof.bulk.tolist(),
+        "hole_backflow": prof.hole_backflow.tolist(),
+        "defect": [[z.real, z.imag] for z in prof.defect.tolist()],
+    }, sort_keys=True)
     header, *rows = csv_text.strip().split("\n")
     assert header == DEN_HEADER
     # repr round-trips, so every CSV field reads back as the JSON float

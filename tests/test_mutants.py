@@ -55,9 +55,19 @@ MUTANTS = [
     ("lax-crossing-shifted-by-i", lax, "crossed_l_matrix",
      lambda f: lambda spec, fock, lam, role=None: f(spec, fock, np.add(lam, 1j), role),
      "lax-crossing", None),
+    ("lhat-translated", lax, "l_hat_matrix",
+     lambda f: lambda spec, fock, lam, role=None: f(spec, fock, np.add(lam, 0.25j), role),
+     "lax-crossing", None),
+    ("r-matrix-scaled", lax, "r_matrix",
+     lambda f: lambda rank, lam, role=None: operator.imul(f(rank, lam, role), 2),
+     "highest-weight", None),
     ("s-matrix-at-minus-lambda", lax, "s_matrix",
      lambda f: lambda rank, lam, role=None: f(rank, np.negative(lam), role),
      "transmission-algebra", None),
+    ("s-amplitude-dropped", lax, "s_amplitude", lambda f: lambda rank, lam: 1.0,
+     "ybe",
+     "ybe and transmission-algebra are both homogeneous in S (each side of either identity holds "
+     "as many S factors as the other), so no suite sees the scalar prefactor S(lambda)"),
     ("conjugate-transmission-shifted", lax, "conjugate_transmission_matrix",
      lambda f: lambda rank, fock, lam, role=None: f(rank, fock, np.add(lam, 0.5), role),
      "transmission-crossing", None),
